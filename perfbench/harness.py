@@ -2,14 +2,21 @@
 
 Only the public API of kgpattern is called, always through module
 attributes, so that the tracer's wrappers see every call. Every reference an
-answer is checked against is computed before the timed loop starts.
+answer is checked against is computed before the timed loop starts, in a
+child process, and kept only in the compact form the checks need, so that
+neither its time nor its memory counts toward the run.
 """
 from __future__ import annotations
 
+import hashlib
 import io
 import json
+import os
+import pickle
 import signal
+import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -22,18 +29,18 @@ from kgpattern.scoring import pattern_score, tree_score
 
 from inputs import (
     DEPTH,
-    GRAPHS_PER_RUN,
+    K_CYCLE,
     SAMPLING_RATE,
     SAMPLING_THRESHOLD,
     Op,
     gen_config,
+    graphs_per_run,
 )
 
 # Per-op deadline. At the benchmark's graph sizes the slowest op that
 # finishes (a three-keyword pattern-enum query) takes a few seconds, so the
 # deadline only stops an op that would not finish.
 DEADLINE_S = 60.0
-SETUP_REPEATS = 3
 CLI_REFERENCE_QUERIES = 4  # distinct cli-cold queries checked against kgpattern.cli.main
 SCORE_RTOL = 1e-9  # engines sum member scores in different orders
 
@@ -51,30 +58,44 @@ def _on_alarm(signum, frame):
     raise DeadlineExceeded()
 
 
+def digest(value) -> bytes:
+    """Digest of a value's repr: members and index bytes are compared by it,
+    so the benchmark does not hold a second copy of the program's output."""
+    if not isinstance(value, bytes):
+        value = repr(value).encode()
+    return hashlib.sha256(value).digest()
+
+
 @dataclass
 class Part:
     """One of the run's graphs with its index, in memory and, for cli-cold,
-    on disk."""
+    on disk, and the time its set-up took."""
 
     graph: object
     idx: object
-    index_bytes: bytes
+    index_size: int
+    index_digest: bytes
     graph_path: Path
     index_path: Path
+    setup_seconds: float  # generate, load, PageRank, build, serialize, deserialize
+    build_seconds: float  # load, PageRank, build, serialize
 
 
-@dataclass
-class SetupResult:
-    seconds: float  # every graph: generate, load, PageRank, build, serialize, deserialize
-    build_seconds: list[float]  # per graph: load + PageRank + build + serialize
-    index_bytes: list[bytes]
+@dataclass(frozen=True)
+class Expected:
+    """One pattern of a reference ranking."""
+
+    pattern: tuple
+    score: float
+    members_digest: bytes
 
 
 @dataclass
 class Reference:
-    exact: list  # exact ranked patterns (top k, or every pattern for sampled ops)
-    subtree_total: int
-    members: Optional[dict] = None  # pattern -> exact member list (sampled ops)
+    exact: list[Expected]  # exact top k (the largest k of the cycle for sampled ops)
+    subtree_total: int  # members of every pattern of the query
+    pattern_total: int  # patterns of the query
+    members: Optional[dict] = None  # pattern -> digest of its exact members (sampled ops)
     cli_json: Optional[str] = None
 
 
@@ -109,7 +130,8 @@ class Workload:
 
     # -- set-up -------------------------------------------------------------
 
-    def _setup_part(self, part: int) -> tuple[Part, float]:
+    def _setup_part(self, part: int) -> Part:
+        setup_started = time.perf_counter()
         text = generate_graph(gen_config(self.name, self.seed, part))
         graph_path = self.workdir / f"graph{part}.txt"
         index_path = self.workdir / f"index{part}.kgpx"
@@ -125,30 +147,21 @@ class Workload:
         if self.on_disk:
             indexio.write_index(idx, index_path)
             built = time.perf_counter()
-            index_bytes = index_path.read_bytes()
             idx = indexio.read_index(index_path)
         else:
             index_bytes = indexio.serialize(idx)
             built = time.perf_counter()
             idx = indexio.deserialize(index_bytes)
-        return Part(graph, idx, index_bytes, graph_path, index_path), built - started
+        loaded = time.perf_counter()
+        if self.on_disk:
+            index_bytes = index_path.read_bytes()  # for the build-op check
+        return Part(graph, idx, len(index_bytes), digest(index_bytes), graph_path, index_path,
+                    setup_seconds=loaded - setup_started, build_seconds=built - started)
 
-    def setup_once(self) -> tuple[list[Part], SetupResult]:
-        started = time.perf_counter()
-        parts, builds = zip(*(self._setup_part(j) for j in range(GRAPHS_PER_RUN)))
-        seconds = time.perf_counter() - started
-        return list(parts), SetupResult(seconds, list(builds), [p.index_bytes for p in parts])
-
-    def setup(self, repeats: int = SETUP_REPEATS) -> list[SetupResult]:
-        """Set up `repeats` times (set-up time is reported as a median) and
-        keep the last repeat's graphs and indexes."""
-        results = []
-        for _ in range(repeats):
-            self.parts, result = self.setup_once()
-            if results and result.index_bytes != results[0].index_bytes:
-                raise Mismatch("set-up is not deterministic: index bytes differ between repeats")
-            results.append(result)
-        return results
+    def setup(self) -> None:
+        """Set up each of the run's graphs once, one after the other; each
+        graph's set-up is timed on its own."""
+        self.parts = [self._setup_part(j) for j in range(graphs_per_run(self.name))]
 
     # -- references -----------------------------------------------------------
 
@@ -156,28 +169,60 @@ class Workload:
         return (op.graph, op.keywords, op.sampling_seed is not None)
 
     def prepare_references(self, ops: list[Op]) -> None:
-        """Reference answers for every distinct query, outside any timing."""
+        """Reference answers for every distinct query, computed in a forked
+        child: the parent's peak RSS and caches then hold only what the
+        program under test builds, plus the compact references."""
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # child: compute, send, exit without running any cleanup
+            status = 1
+            try:
+                os.close(read_fd)
+                references = self._compute_references(ops)
+                with os.fdopen(write_fd, "wb") as out:
+                    pickle.dump(references, out)
+                status = 0
+            except BaseException:
+                traceback.print_exc()
+            finally:
+                sys.stderr.flush()
+                os._exit(status)
+        os.close(write_fd)
+        with os.fdopen(read_fd, "rb") as inp:
+            data = inp.read()
+        _, status = os.waitpid(pid, 0)
+        if status != 0:
+            raise Mismatch("computing the reference answers failed")
+        self.references = pickle.loads(data)
+
+    def _compute_references(self, ops: list[Op]) -> dict[tuple, Reference]:
+        references: dict[tuple, Reference] = {}
         for op in ops:
             key = self._ref_key(op)
-            if op.kind != "query" or key in self.references:
+            if op.kind != "query" or key in references:
                 continue
             part = self.parts[op.graph]
             if op.sampling_seed is not None:
                 pairs = search.search_linear_enum(part.graph, part.idx, search.Query(op.keywords, 1))
-                self.references[key] = Reference(
-                    exact=bench.rank_enumeration(pairs),
+                ranked = bench.rank_enumeration(pairs)[: max(K_CYCLE)]
+                references[key] = Reference(
+                    exact=[Expected(sp.pattern, sp.score, b"") for sp in ranked],
                     subtree_total=sum(len(m) for _, m in pairs),
-                    members=dict(pairs),
+                    pattern_total=len(pairs),
+                    members={p: digest(m) for p, m in pairs},
                 )
             else:
                 result = search.search_baseline(part.graph, part.idx, search.Query(op.keywords, op.k))
-                self.references[key] = Reference(
-                    exact=result.patterns, subtree_total=result.stats["subtrees_accepted"]
+                references[key] = Reference(
+                    exact=[Expected(sp.pattern, sp.score, digest(sp.subtrees)) for sp in result.patterns],
+                    subtree_total=result.stats["subtrees_accepted"],
+                    pattern_total=result.stats["patterns_found"],
                 )
         if self.on_disk:
-            self._prepare_cli_references(ops)
+            self._add_cli_references(ops, references)
+        return references
 
-    def _prepare_cli_references(self, ops: list[Op]) -> None:
+    def _add_cli_references(self, ops: list[Op], references: dict[tuple, Reference]) -> None:
         keys = list(dict.fromkeys(self._ref_key(op) for op in ops if op.kind == "query"))
         out = self.workdir / "cli-reference.json"
         for key in keys[:CLI_REFERENCE_QUERIES]:
@@ -188,7 +233,7 @@ class Workload:
             ])
             if code != 0:
                 raise Mismatch(f"kgpattern query exited with {code} on {' '.join(key[1])!r}")
-            self.references[key].cli_json = out.read_text(encoding="utf-8")
+            references[key].cli_json = out.read_text(encoding="utf-8")
         out.unlink(missing_ok=True)
 
     def reference_for(self, op: Op) -> Reference:
@@ -298,7 +343,7 @@ class Workload:
 
     def check(self, op: Op, ranked, rendered, text, result: OpResult) -> None:
         if op.kind == "build":
-            if self.rebuilt_path.read_bytes() != self.parts[op.graph].index_bytes:
+            if digest(self.rebuilt_path.read_bytes()) != self.parts[op.graph].index_digest:
                 raise Mismatch("rebuilt index differs from the set-up index")
             return
         ref = self.reference_for(op)
@@ -321,7 +366,7 @@ def _close(a: float, b: float) -> bool:
     return abs(a - b) <= SCORE_RTOL * max(abs(a), abs(b))
 
 
-def _check_exact(ranked, exact) -> None:
+def _check_exact(ranked, exact: list[Expected]) -> None:
     """Pattern keys, scores, members and order must match the reference."""
     if len(ranked) != len(exact):
         raise Mismatch(f"{len(ranked)} patterns returned, reference has {len(exact)}")
@@ -330,7 +375,7 @@ def _check_exact(ranked, exact) -> None:
             raise Mismatch(f"pattern #{rank} differs from the reference")
         if not _close(got.score, want.score):
             raise Mismatch(f"pattern #{rank} scores {got.score!r}, reference {want.score!r}")
-        if got.subtrees != want.subtrees:
+        if digest(got.subtrees) != want.members_digest:
             raise Mismatch(f"pattern #{rank} members differ from the reference")
 
 
@@ -343,7 +388,7 @@ def _check_sampled(ranked, ref: Reference, k: int) -> float:
         exact_members = ref.members.get(sp.pattern)
         if exact_members is None:
             raise Mismatch(f"pattern #{rank} does not exist")
-        if sp.subtrees != exact_members:
+        if digest(sp.subtrees) != exact_members:
             raise Mismatch(f"pattern #{rank} members are not its exact member set")
         rescored = pattern_score([tree_score(m.paths) for m in sp.subtrees])
         if sp.score != rescored:

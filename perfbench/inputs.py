@@ -26,31 +26,32 @@ SAMPLING_THRESHOLD = 1000.0
 SAMPLING_RATE = 0.2
 CLI_QUERIES_PER_BUILD = 4
 
-# (entities, types, attr_types) of each of a run's graphs. The type and
-# attribute counts set each workload's character (6/8: almost every pattern
-# has one row; 2/2: few patterns with many rows; 3/3: in between). Entity
-# counts are scaled so that a run, with its set-up and answer references,
-# fits the benchmark's time budget.
+# (graphs, entities, types, attr_types) of a run. Each of a run's graphs has
+# its own seed derived from the workload seed. The type and attribute counts
+# set each workload's character (6/8: almost every pattern has one member;
+# 2/2: about two members per pattern, top-k tables of several rows; 3/3: in
+# between). Query cost on a random graph
+# swings with its structure, and a run's latency repeats across seeds only
+# when its queries cover a few thousand entities in all, so a run spreads its
+# queries over many small graphs; sizes are scaled so that a run, with its
+# set-up and answer references, fits the benchmark's time budget.
 GRAPH_SHAPES = {
-    "topk-exact": (200, 6, 8),
-    "topk-sampled": (300, 2, 2),
-    "cli-cold": (150, 3, 3),
-    "engines": (100, 3, 3),
+    "topk-exact": (20, 200, 6, 8),
+    "topk-sampled": (16, 300, 2, 2),
+    "cli-cold": (8, 100, 3, 3),
+    "engines": (4, 100, 3, 3),
 }
-
-# Graphs per run, each from its own seed derived from the workload seed.
-# Latency on one small random graph swings with its structure; spreading a
-# run's queries over several graphs averages that out.
-GRAPHS_PER_RUN = 4
+GRAPH_SEED_STRIDE = 1000  # graph j of workload seed s has seed s * stride + j
 
 # Distinct queries per run as (two-keyword, three-keyword) counts, 2:1. Query
-# costs span two orders of magnitude, so the in-memory workloads need many
-# distinct queries for their latency percentiles to repeat across seeds.
+# costs span two orders of magnitude, so a run needs many distinct queries for
+# its latency percentiles to repeat across seeds, and at least 100 query ops
+# per cycle, so that ten lie beyond the 90th percentile.
 POOL_SIZES = {
-    "topk-exact": (200, 100),
-    "topk-sampled": (40, 20),
-    "cli-cold": (32, 16),
-    "engines": (16, 8),
+    "topk-exact": (134, 66),
+    "topk-sampled": (60, 30),
+    "cli-cold": (68, 34),
+    "engines": (18, 9),
 }
 
 
@@ -68,16 +69,21 @@ class Op:
     sampling_seed: Optional[int] = None  # None: exact mode
 
 
+def graphs_per_run(workload: str) -> int:
+    return GRAPH_SHAPES[workload][0]
+
+
 def gen_config(workload: str, seed: int, part: int) -> GenConfig:
-    """Configuration of graph `part` (0 <= part < GRAPHS_PER_RUN) of a run."""
-    entities, types, attr_types = GRAPH_SHAPES[workload]
+    """Configuration of graph `part` (0 <= part < graphs_per_run) of a run."""
+    graphs, entities, types, attr_types = GRAPH_SHAPES[workload]
+    assert 0 <= part < graphs <= GRAPH_SEED_STRIDE
     return GenConfig(
         entities=entities,
         types=types,
         attr_types=attr_types,
         avg_out_degree=AVG_OUT_DEGREE,
         vocab=VOCAB,
-        seed=seed * GRAPHS_PER_RUN + part,
+        seed=seed * GRAPH_SEED_STRIDE + part,
     )
 
 
@@ -137,23 +143,24 @@ def op_list(workload: str, seed: int) -> list[Op]:
     def add(**fields):
         ops.append(Op(number=len(ops), **fields))
 
+    graphs = graphs_per_run(workload)
     if workload == "topk-exact":
         for i, q in enumerate(pool):
-            add(kind="query", graph=i % GRAPHS_PER_RUN, keywords=q)
+            add(kind="query", graph=i % graphs, keywords=q)
     elif workload == "topk-sampled":
         for i, q in enumerate(pool):
             for k in K_CYCLE:
-                add(kind="query", graph=i % GRAPHS_PER_RUN, keywords=q, k=k,
+                add(kind="query", graph=i % graphs, keywords=q, k=k,
                     sampling_seed=sampling_seed(seed, len(ops)))
     elif workload == "cli-cold":
         for i, q in enumerate(pool):
-            add(kind="query", graph=i % GRAPHS_PER_RUN, keywords=q)
+            add(kind="query", graph=i % graphs, keywords=q)
             if (i + 1) % CLI_QUERIES_PER_BUILD == 0:
-                add(kind="build", graph=(i // CLI_QUERIES_PER_BUILD) % GRAPHS_PER_RUN)
+                add(kind="build", graph=(i // CLI_QUERIES_PER_BUILD) % graphs)
     elif workload == "engines":
         for i, q in enumerate(pool):
             for engine in ENGINES:
-                add(kind="query", graph=i % GRAPHS_PER_RUN, keywords=q, engine=engine)
+                add(kind="query", graph=i % graphs, keywords=q, engine=engine)
     else:
         raise ValueError(f"unknown workload {workload!r}")
     return ops

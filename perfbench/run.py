@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """kgpattern benchmark: one seeded workload per process, one closed-loop client.
 
-    python3 perfbench/run.py --workload topk-exact --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload topk-exact --seed 1 --seconds 5 --trace 0
     python3 perfbench/run.py --workload all --seed 1
 
 Runs from the root of a source checkout and imports kgpattern from `src/`.
@@ -91,39 +91,43 @@ def _bucket_summaries(results, references_of) -> list[dict]:
     ]
 
 
-MIN_QUERY_OPS = 100  # so that ten samples lie beyond query_p90_ms
-
-
 def closed_loop(workload, ops, seconds: float) -> list:
-    """Repeat the op cycle, one op at a time, until `seconds` have passed, at
-    least one whole cycle is done and at least MIN_QUERY_OPS query ops ran."""
+    """Repeat the op cycle, one op at a time, until `seconds` have passed and
+    at least one whole cycle is done."""
     results = []
-    queries = 0
     started = time.perf_counter()
-    while (len(results) < len(ops) or queries < MIN_QUERY_OPS
-           or time.perf_counter() - started < seconds):
-        op = ops[len(results) % len(ops)]
-        results.append(workload.execute(op))
-        queries += op.kind == "query"
+    while len(results) < len(ops) or time.perf_counter() - started < seconds:
+        results.append(workload.execute(ops[len(results) % len(ops)]))
     return results
 
 
-def end_to_end_metrics(name, setups, results) -> dict:
-    queries = [r.seconds * 1e3 for r in results if r.op.kind == "query"]
-    if name == "cli-cold":
-        builds = [r.seconds * 1e3 for r in results if r.op.kind == "build"]
-    else:  # per set-up, the mean build of one graph: averages out graph-to-graph variance
-        builds = [statistics.fmean(s.build_seconds) * 1e3 for s in setups]
-    index_sizes = setups[-1].index_bytes
+def per_op_ms(results, kind: str) -> list[float]:
+    """Median latency in ms of each distinct op of the cycle of one kind, so
+    that the ops a last partial cycle repeated weigh no more than the rest."""
+    by_op: dict[int, list[float]] = {}
+    for r in results:
+        if r.op.kind == kind:
+            by_op.setdefault(r.op.number, []).append(r.seconds * 1e3)
+    return [statistics.median(v) for v in by_op.values()]
+
+
+def end_to_end_metrics(parts, results) -> dict:
+    queries = per_op_ms(results, "query")
+    build_ops = per_op_ms(results, "build")  # cli-cold only
+    # without build ops, the build part of each graph's set-up
+    builds = build_ops or [p.build_seconds * 1e3 for p in parts]
+    cycle = queries + build_ops
+    ok_share = sum(1 for r in results if r.outcome == "ok") / len(results)
+    index_sizes = [p.index_size for p in parts]
     precision = {r.op.number: r.precision for r in results if r.precision is not None}
-    ok = sum(1 for r in results if r.outcome == "ok")
     return {
-        "setup_s": _metric(statistics.median(s.seconds for s in setups), "s", len(setups)),
+        "setup_s": _metric(statistics.median(p.setup_seconds for p in parts), "s", len(parts)),
         "query_p50_ms": _metric(_percentile(queries, 50), "ms", len(queries)),
         "query_p90_ms": _metric(_percentile(queries, 90), "ms", len(queries)),
-        "ops_per_s": _metric(ok / sum(r.seconds for r in results), "1/s", len(results)),
+        # one cycle's ops over the cycle's time at each op's median latency
+        "ops_per_s": _metric(ok_share * len(cycle) / (sum(cycle) / 1e3), "1/s", len(results)),
         "build_p50_ms": _metric(statistics.median(builds), "ms", len(builds)),
-        "index_mb": _metric(statistics.fmean(len(b) for b in index_sizes) / 1e6, "MB", len(index_sizes)),
+        "index_mb": _metric(statistics.fmean(index_sizes) / 1e6, "MB", len(index_sizes)),
         "peak_rss_mb": _metric(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB", 1),
         "precision_at_k": _metric(statistics.fmean(precision.values()), "fraction", len(precision)),
     }
@@ -169,10 +173,11 @@ def per_layer_metrics(workload, tracer, untraced, traced) -> dict:
     put("indexio.serialize_ms", ser_ms, "ms", ser_n)
     de_ms, de_n = median_ms("indexio.deserialize")
     put("indexio.deserialize_ms", de_ms, "ms", de_n)
-    index_bytes = statistics.fmean(len(p.index_bytes) for p in parts)
-    put("indexio.bytes", sum(len(p.index_bytes) for p in parts), "bytes", len(parts))
+    index_bytes = statistics.fmean(p.index_size for p in parts)
+    put("indexio.bytes", sum(p.index_size for p in parts), "bytes", len(parts))
     put("indexio.deserialize_mb_s", index_bytes / 1e3 / de_ms if de_ms else 0.0, "MB/s", de_n)
-    for engine in ("baseline", "pattern-enum", "linear", "linear-topk"):
+    engines = {r.op.engine for r in traced if r.op.kind == "query"}
+    for engine in sorted(engines):
         call_ms, call_n = median_ms(f"search.{engine}", pass_spans)
         put(f"search.{engine}.call_ms", call_ms, "ms", call_n)
     put("search.self_ms", sum(v for k, v in self_ns.items() if k.startswith("search.")) / 1e6, "ms")
@@ -183,18 +188,26 @@ def per_layer_metrics(workload, tracer, untraced, traced) -> dict:
     put("search.tuples_checked", checked, "count")
     put("search.subtrees_accepted", accepted, "count")
     put("search.accept_ratio", accepted / checked if checked else 0.0, "fraction")
-    combos = stats_sum.get("pattern_combos_checked", 0)
-    put("search.pattern_combos", combos, "count")
-    put("search.empty_combo_ratio", stats_sum.get("empty_combos", 0) / combos if combos else 0.0, "fraction")
-    put("search.patterns_found", stats_sum.get("patterns_found", 0), "count")
+    if engines != {"linear-topk"}:  # engines only
+        combos = stats_sum.get("pattern_combos_checked", 0)
+        put("search.pattern_combos", combos, "count")
+        put("search.empty_combo_ratio", stats_sum.get("empty_combos", 0) / combos, "fraction")
+        put("search.patterns_found", stats_sum.get("patterns_found", 0), "count")
     put("search.members_returned", sum(r.members_returned for r in traced), "count")
-    by_k = {k: [r.seconds for r in untraced if r.op.k == k and r.op.kind == "query"] for k in (1, 100)}
-    growth = statistics.median(by_k[100]) / statistics.median(by_k[1]) if all(by_k.values()) else 0.0
-    put("search.k_growth", growth, "ratio", len(by_k[1]) + len(by_k[100]))
+    refs = workload.references.values()
+    put("search.members_per_pattern",
+        sum(r.subtree_total for r in refs) / max(1, sum(r.pattern_total for r in refs)), "ratio", len(refs))
+    sampled = [r.stats for r in traced if r.op.sampling_seed is not None]
+    if sampled:  # topk-sampled only: how often sampling skipped roots, and what k costs
+        skipped = sum(1 for st in sampled if st["roots_expanded"] < st["candidate_roots"])
+        put("search.sampled_op_share", skipped / len(sampled), "fraction", len(sampled))
+        by_k = {k: [r.seconds for r in untraced if r.op.k == k] for k in (1, 100)}
+        put("search.k_growth", statistics.median(by_k[100]) / statistics.median(by_k[1]), "ratio",
+            len(by_k[1]) + len(by_k[100]))
     base = sum(r.seconds for r in untraced if r.op.engine == "baseline")
     topk = sum(r.seconds for r in untraced if r.op.engine == "linear-topk")
-    speedup = base / topk if base and topk else 0.0
-    put("search.index_speedup", speedup, "ratio")
+    if base:  # engines only
+        put("search.index_speedup", base / topk, "ratio")
     kernel_combos = tracer.counters["kernels.combos"]
     kernel_rows = tracer.counters["kernels.rows"]
     put("kernels.calls", calls["kernels.join_tree_tuples"], "count")
@@ -205,6 +218,7 @@ def per_layer_metrics(workload, tracer, untraced, traced) -> dict:
     put("tables.render_ms", total["tables.render_table"] / 1e6, "ms")
     put("tables.tables", calls["tables.render_table"], "count")
     put("tables.rows", sum(r.table_rows for r in traced), "count")
+    put("tables.rows_per_table", out["tables.rows"]["value"] / max(1, calls["tables.render_table"]), "ratio")
     untraced_s = sum(r.seconds for r in untraced)
     traced_s = sum(r.seconds for r in traced)
     put("trace.overhead_pct", (traced_s / untraced_s - 1.0) * 100.0, "%")
@@ -218,6 +232,7 @@ class Measurement:
     warmup: list
     measured: list
     metrics: dict
+    phases_s: dict  # wall seconds of each phase of the run
 
 
 def measure(name: str, seed: int, seconds: float, trace: bool, workdir: Path) -> Measurement:
@@ -230,16 +245,28 @@ def measure(name: str, seed: int, seconds: float, trace: bool, workdir: Path) ->
 
     ops = inputs.op_list(name, seed)
     workdir.mkdir(parents=True, exist_ok=True)
+    phases = {}
+    started = time.perf_counter()
+
+    def phase_done(phase):
+        nonlocal started
+        now = time.perf_counter()
+        phases[phase] = now - started
+        started = now
+
     try:
         workload = Workload(name, seed, workdir)
         tracer = Tracer() if trace else None
         if tracer:
             with tracer:
-                setups = workload.setup()
+                workload.setup()
         else:
-            setups = workload.setup()
+            workload.setup()
+        phase_done("setup")
         workload.prepare_references(ops)
+        phase_done("references")
         warmup = workload.warm_up(ops)
+        phase_done("warm_up")
         if tracer:
             untraced = [workload.execute(op) for op in ops]
             with tracer:
@@ -251,10 +278,11 @@ def measure(name: str, seed: int, seconds: float, trace: bool, workdir: Path) ->
             metrics = per_layer_metrics(workload, tracer, untraced, traced)
         else:
             measured = closed_loop(workload, ops, seconds)
-            metrics = end_to_end_metrics(name, setups, measured)
+            metrics = end_to_end_metrics(workload.parts, measured)
+        phase_done("measure")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
-    return Measurement(workload, ops, warmup, measured, metrics)
+    return Measurement(workload, ops, warmup, measured, metrics, phases)
 
 
 def run_workload(args) -> int:
@@ -285,6 +313,7 @@ def run_workload(args) -> int:
         "trace": args.trace,
         "ops_digest": inputs.ops_digest(ops),
         "ops_per_cycle": len(ops),
+        "phases_s": m.phases_s,
         "attempted": len(every),
         "failed": len(failed),
         "error_rate": _metric(loop_failed / len(measured), "fraction", len(measured)),
@@ -307,6 +336,7 @@ def run_workload(args) -> int:
 
     print(f"workload {args.workload} seed {args.seed} trace {args.trace}: "
           f"{len(every)} ops, {len(failed)} failed; record {path.relative_to(ROOT)}")
+    print("  phases: " + ", ".join(f"{k} {v:.1f} s" for k, v in m.phases_s.items()))
     for name, metric in list(metrics.items()) + [("error_rate", record["error_rate"])]:
         print(f"  {name:28s} {metric['value']:>14.6g} {metric['unit']:9s} n={metric['n']}")
     reported = _listed_metrics(bool(args.trace)) or list(metrics)
@@ -346,7 +376,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True,
                         help="topk-exact, topk-sampled, cli-cold, engines or all")
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=5.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     _import_program()

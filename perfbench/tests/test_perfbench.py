@@ -14,7 +14,7 @@ import inputs
 import run
 from kgpattern import generate_graph, search
 
-SMALL_SHAPES = {name: (80, shape[1], shape[2]) for name, shape in inputs.GRAPH_SHAPES.items()}
+SMALL_SHAPES = {name: (4, 80, shape[2], shape[3]) for name, shape in inputs.GRAPH_SHAPES.items()}
 SMALL_POOLS = {name: (4, 2) for name in inputs.POOL_SIZES}
 
 
@@ -29,9 +29,10 @@ def test_same_seed_same_inputs_other_seed_other_inputs(workload):
     ops = inputs.op_list(workload, 7)
     assert ops == inputs.op_list(workload, 7)
     assert ops != inputs.op_list(workload, 8)
-    graphs = [generate_graph(inputs.gen_config(workload, 7, j)) for j in range(inputs.GRAPHS_PER_RUN)]
-    assert graphs == [generate_graph(inputs.gen_config(workload, 7, j)) for j in range(inputs.GRAPHS_PER_RUN)]
-    assert len(set(graphs)) == inputs.GRAPHS_PER_RUN
+    n = inputs.graphs_per_run(workload)
+    graphs = [generate_graph(inputs.gen_config(workload, 7, j)) for j in range(n)]
+    assert graphs == [generate_graph(inputs.gen_config(workload, 7, j)) for j in range(n)]
+    assert len(set(graphs)) == n
     assert graphs[0] != generate_graph(inputs.gen_config(workload, 8, 0))
 
 
@@ -39,6 +40,19 @@ def test_query_mix_is_two_to_one_distinct_words():
     pool = inputs.draw_queries(3, 20, 10)
     assert sorted(len(q) for q in pool) == [2] * 20 + [3] * 10
     assert all(len(set(q)) == len(q) for q in pool)
+
+
+@pytest.mark.parametrize("workload", inputs.WORKLOADS)
+def test_cycle_has_a_hundred_query_ops(workload):
+    """query_p90_ms is taken over the cycle's distinct query ops: ten must lie beyond it."""
+    assert sum(op.kind == "query" for op in inputs.op_list(workload, 1)) >= 100
+
+
+def test_partial_last_cycle_weighs_each_op_once():
+    op = inputs.op_list("topk-exact", 1)
+    results = [harness.OpResult(op[0], 0.010, "ok"), harness.OpResult(op[1], 0.030, "ok"),
+               harness.OpResult(op[0], 0.012, "ok")]
+    assert run.per_op_ms(results, "query") == pytest.approx([11.0, 30.0])
 
 
 def test_sampled_ops_cycle_k_and_derive_seeds():
@@ -65,7 +79,7 @@ def test_traced_counters_repeat_exactly(small, workload, tmp_path):
 def _prepared(workload, tmp_path, deadline_s=harness.DEADLINE_S):
     ops = inputs.op_list(workload, 4)
     w = harness.Workload(workload, 4, tmp_path, deadline_s=deadline_s)
-    w.setup(repeats=1)
+    w.setup()
     w.prepare_references(ops)
     return w, ops
 
