@@ -8,12 +8,14 @@ neither its time nor its memory counts toward the run.
 """
 from __future__ import annotations
 
+import gc
 import hashlib
 import io
 import json
 import os
 import pickle
 import signal
+import statistics
 import sys
 import time
 import traceback
@@ -27,6 +29,7 @@ from kgpattern import graph as graph_mod
 from kgpattern import patterns as pat
 from kgpattern.scoring import pattern_score, tree_score
 
+import speed
 from inputs import (
     DEPTH,
     K_CYCLE,
@@ -41,6 +44,7 @@ from inputs import (
 # finishes (a three-keyword pattern-enum query) takes a few seconds, so the
 # deadline only stops an op that would not finish.
 DEADLINE_S = 60.0
+SETUP_PROBES = 3  # speed probes between two set-ups
 CLI_REFERENCE_QUERIES = 4  # distinct cli-cold queries checked against kgpattern.cli.main
 SCORE_RTOL = 1e-9  # engines sum member scores in different orders
 
@@ -56,6 +60,18 @@ class DeadlineExceeded(BaseException):
 
 def _on_alarm(signum, frame):
     raise DeadlineExceeded()
+
+
+def freeze_state() -> None:
+    """Collect garbage, then move every live object to the collector's
+    permanent generation. A full collection scans every tracked object, so
+    without this each one would take time in proportion to all the run's
+    graphs and indexes (about a quarter second on topk-exact), landing on
+    whichever op happens to trigger it. A process that holds one index
+    would scan only that one; a long-running one freezes its start-up state
+    the same way."""
+    gc.collect()
+    gc.freeze()
 
 
 def digest(value) -> bytes:
@@ -79,6 +95,7 @@ class Part:
     index_path: Path
     setup_seconds: float  # generate, load, PageRank, build, serialize, deserialize
     build_seconds: float  # load, PageRank, build, serialize
+    probe_ms: float = speed.PROBE_REFERENCE_MS  # median speed probe around the set-up
 
 
 @dataclass(frozen=True)
@@ -110,14 +127,14 @@ class OpResult:
     tables: int = 0
     table_rows: int = 0
     precision: Optional[float] = None
+    probe_ms: float = speed.PROBE_REFERENCE_MS  # speed probe taken right after the op
 
 
 class Workload:
     """One workload's state in one run."""
 
-    def __init__(self, name: str, seed: int, workdir: Path, deadline_s: float = DEADLINE_S):
+    def __init__(self, name: str, workdir: Path, deadline_s: float = DEADLINE_S):
         self.name = name
-        self.seed = seed
         self.workdir = workdir
         self.deadline_s = deadline_s
         self.rebuilt_path = workdir / "rebuilt.kgpx"
@@ -132,7 +149,7 @@ class Workload:
 
     def _setup_part(self, part: int) -> Part:
         setup_started = time.perf_counter()
-        text = generate_graph(gen_config(self.name, self.seed, part))
+        text = generate_graph(gen_config(self.name, part))
         graph_path = self.workdir / f"graph{part}.txt"
         index_path = self.workdir / f"index{part}.kgpx"
         if self.on_disk:
@@ -160,8 +177,18 @@ class Workload:
 
     def setup(self) -> None:
         """Set up each of the run's graphs once, one after the other; each
-        graph's set-up is timed on its own."""
-        self.parts = [self._setup_part(j) for j in range(graphs_per_run(self.name))]
+        graph's set-up is timed on its own, between speed probes. The graphs
+        and indexes already set up are frozen out of the cyclic garbage
+        collector (see `freeze_state`), so that a graph's set-up does not pay
+        for scanning the graphs set up before it."""
+        probes = [[speed.probe_ms() for _ in range(SETUP_PROBES)]]
+        self.parts = []
+        for j in range(graphs_per_run(self.name)):
+            freeze_state()
+            part = self._setup_part(j)
+            probes.append([speed.probe_ms() for _ in range(SETUP_PROBES)])
+            part.probe_ms = statistics.median(probes[-2] + probes[-1])
+            self.parts.append(part)
 
     # -- references -----------------------------------------------------------
 
@@ -317,7 +344,13 @@ class Workload:
         return ranked, stats, rendered, text
 
     def execute(self, op: Op) -> OpResult:
-        """Run one op under the deadline, then check its answer (untimed)."""
+        """Run one op under the deadline, check its answer (untimed), then
+        take a speed probe."""
+        result = self._execute(op)
+        result.probe_ms = speed.probe_ms()
+        return result
+
+    def _execute(self, op: Op) -> OpResult:
         previous = signal.signal(signal.SIGALRM, _on_alarm)
         signal.setitimer(signal.ITIMER_REAL, self.deadline_s)
         started = time.perf_counter()

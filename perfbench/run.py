@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """kgpattern benchmark: one seeded workload per process, one closed-loop client.
 
-    python3 perfbench/run.py --workload topk-exact --seed 1 --seconds 5 --trace 0
+    python3 perfbench/run.py --workload topk-exact --seed 1 --seconds 20 --trace 0
     python3 perfbench/run.py --workload all --seed 1
 
 Runs from the root of a source checkout and imports kgpattern from `src/`.
@@ -15,6 +15,7 @@ metrics. See perfbench/README.md for the metric definitions.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -26,6 +27,8 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+
+import speed
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -101,27 +104,41 @@ def closed_loop(workload, ops, seconds: float) -> list:
     return results
 
 
-def per_op_ms(results, kind: str) -> list[float]:
+def per_op_ms(results, kind: str, seconds=None) -> list[float]:
     """Median latency in ms of each distinct op of the cycle of one kind, so
-    that the ops a last partial cycle repeated weigh no more than the rest."""
+    that the ops a last partial cycle repeated weigh no more than the rest.
+    `seconds` gives each result's time, by default its raw `seconds`."""
+    if seconds is None:
+        seconds = [r.seconds for r in results]
     by_op: dict[int, list[float]] = {}
-    for r in results:
+    for r, t in zip(results, seconds):
         if r.op.kind == kind:
-            by_op.setdefault(r.op.number, []).append(r.seconds * 1e3)
+            by_op.setdefault(r.op.number, []).append(t * 1e3)
     return [statistics.median(v) for v in by_op.values()]
 
 
-def end_to_end_metrics(parts, results) -> dict:
-    queries = per_op_ms(results, "query")
-    build_ops = per_op_ms(results, "build")  # cli-cold only
+def end_to_end_metrics(parts, results, scaled: bool = True) -> dict:
+    """The end-to-end metrics, with every time scaled to the reference speed
+    of the speed probe, or raw with `scaled=False`."""
+    if scaled:
+        seconds = speed.scaled_series([r.seconds for r in results], [r.probe_ms for r in results])
+        part_probes = [p.probe_ms for p in parts]
+        setups = speed.scaled_series([p.setup_seconds for p in parts], part_probes)
+        set_up_builds = speed.scaled_series([p.build_seconds for p in parts], part_probes)
+    else:
+        seconds = [r.seconds for r in results]
+        setups = [p.setup_seconds for p in parts]
+        set_up_builds = [p.build_seconds for p in parts]
+    queries = per_op_ms(results, "query", seconds)
+    build_ops = per_op_ms(results, "build", seconds)  # cli-cold only
     # without build ops, the build part of each graph's set-up
-    builds = build_ops or [p.build_seconds * 1e3 for p in parts]
+    builds = build_ops or [b * 1e3 for b in set_up_builds]
     cycle = queries + build_ops
     ok_share = sum(1 for r in results if r.outcome == "ok") / len(results)
     index_sizes = [p.index_size for p in parts]
     precision = {r.op.number: r.precision for r in results if r.precision is not None}
     return {
-        "setup_s": _metric(statistics.median(p.setup_seconds for p in parts), "s", len(parts)),
+        "setup_s": _metric(statistics.median(setups), "s", len(parts)),
         "query_p50_ms": _metric(_percentile(queries, 50), "ms", len(queries)),
         "query_p90_ms": _metric(_percentile(queries, 90), "ms", len(queries)),
         # one cycle's ops over the cycle's time at each op's median latency
@@ -219,8 +236,9 @@ def per_layer_metrics(workload, tracer, untraced, traced) -> dict:
     put("tables.tables", calls["tables.render_table"], "count")
     put("tables.rows", sum(r.table_rows for r in traced), "count")
     put("tables.rows_per_table", out["tables.rows"]["value"] / max(1, calls["tables.render_table"]), "ratio")
-    untraced_s = sum(r.seconds for r in untraced)
-    traced_s = sum(r.seconds for r in traced)
+    untraced_s, traced_s = (
+        sum(speed.scaled_series([r.seconds for r in rs], [r.probe_ms for r in rs])) for rs in (untraced, traced)
+    )
     put("trace.overhead_pct", (traced_s / untraced_s - 1.0) * 100.0, "%")
     return out
 
@@ -232,6 +250,7 @@ class Measurement:
     warmup: list
     measured: list
     metrics: dict
+    raw_metrics: dict  # the end-to-end metrics without speed scaling
     phases_s: dict  # wall seconds of each phase of the run
 
 
@@ -240,7 +259,7 @@ def measure(name: str, seed: int, seconds: float, trace: bool, workdir: Path) ->
     timed closed loop (trace off) or an untraced and a traced pass over one
     op cycle (trace on)."""
     import inputs
-    from harness import Workload
+    from harness import Workload, freeze_state
     from tracing import Tracer
 
     ops = inputs.op_list(name, seed)
@@ -255,7 +274,7 @@ def measure(name: str, seed: int, seconds: float, trace: bool, workdir: Path) ->
         started = now
 
     try:
-        workload = Workload(name, seed, workdir)
+        workload = Workload(name, workdir)
         tracer = Tracer() if trace else None
         if tracer:
             with tracer:
@@ -266,6 +285,7 @@ def measure(name: str, seed: int, seconds: float, trace: bool, workdir: Path) ->
         workload.prepare_references(ops)
         phase_done("references")
         warmup = workload.warm_up(ops)
+        freeze_state()  # the set-up and the caches warm-up filled live until the run ends
         phase_done("warm_up")
         if tracer:
             untraced = [workload.execute(op) for op in ops]
@@ -276,13 +296,16 @@ def measure(name: str, seed: int, seconds: float, trace: bool, workdir: Path) ->
                     traced.append(workload.execute(op))
             measured = untraced + traced
             metrics = per_layer_metrics(workload, tracer, untraced, traced)
+            raw_metrics = {}
         else:
             measured = closed_loop(workload, ops, seconds)
             metrics = end_to_end_metrics(workload.parts, measured)
+            raw_metrics = end_to_end_metrics(workload.parts, measured, scaled=False)
         phase_done("measure")
     finally:
+        gc.unfreeze()
         shutil.rmtree(workdir, ignore_errors=True)
-    return Measurement(workload, ops, warmup, measured, metrics, phases)
+    return Measurement(workload, ops, warmup, measured, metrics, raw_metrics, phases)
 
 
 def run_workload(args) -> int:
@@ -319,8 +342,9 @@ def run_workload(args) -> int:
         "error_rate": _metric(loop_failed / len(measured), "fraction", len(measured)),
         "failures": {o: sum(1 for r in every if r.outcome == o) for o in ("wrong", "error", "deadline")},
         "metrics": metrics,
+        "raw_metrics": m.raw_metrics,
         "buckets_by_subtrees": _bucket_summaries(measured, workload.reference_for),
-        "op_latencies_ms": [[r.op.number, r.seconds * 1e3] for r in measured],
+        "op_latencies_ms": [[r.op.number, r.seconds * 1e3, r.probe_ms] for r in measured],
         "labels": {"kernels.backend": kernels.backend_name()},
         "environment": {
             "python": platform.python_version(),

@@ -12,6 +12,7 @@ import pytest
 import harness
 import inputs
 import run
+import speed
 from kgpattern import generate_graph, search
 
 SMALL_SHAPES = {name: (4, 80, shape[2], shape[3]) for name, shape in inputs.GRAPH_SHAPES.items()}
@@ -28,16 +29,19 @@ def small(monkeypatch):
 def test_same_seed_same_inputs_other_seed_other_inputs(workload):
     ops = inputs.op_list(workload, 7)
     assert ops == inputs.op_list(workload, 7)
-    assert ops != inputs.op_list(workload, 8)
+    other = inputs.op_list(workload, 8)
+    assert ops != other
+    # another seed runs the same ops in another order
+    key = lambda op: (op.kind, op.graph, op.keywords, op.k, op.engine, op.sampling_seed)
+    assert sorted(map(key, ops)) == sorted(map(key, other))
     n = inputs.graphs_per_run(workload)
-    graphs = [generate_graph(inputs.gen_config(workload, 7, j)) for j in range(n)]
-    assert graphs == [generate_graph(inputs.gen_config(workload, 7, j)) for j in range(n)]
+    graphs = [generate_graph(inputs.gen_config(workload, j)) for j in range(n)]
+    assert graphs == [generate_graph(inputs.gen_config(workload, j)) for j in range(n)]
     assert len(set(graphs)) == n
-    assert graphs[0] != generate_graph(inputs.gen_config(workload, 8, 0))
 
 
 def test_query_mix_is_two_to_one_distinct_words():
-    pool = inputs.draw_queries(3, 20, 10)
+    pool = inputs.query_pool(20, 10)
     assert sorted(len(q) for q in pool) == [2] * 20 + [3] * 10
     assert all(len(set(q)) == len(q) for q in pool)
 
@@ -53,6 +57,14 @@ def test_partial_last_cycle_weighs_each_op_once():
     results = [harness.OpResult(op[0], 0.010, "ok"), harness.OpResult(op[1], 0.030, "ok"),
                harness.OpResult(op[0], 0.012, "ok")]
     assert run.per_op_ms(results, "query") == pytest.approx([11.0, 30.0])
+
+
+def test_speed_scaling_cancels_a_uniform_slowdown():
+    raw = [0.010, 0.020, 0.030]
+    at_reference = speed.scaled_series(raw, [speed.PROBE_REFERENCE_MS] * 3)
+    twice_as_slow = speed.scaled_series([2 * x for x in raw], [2 * speed.PROBE_REFERENCE_MS] * 3)
+    assert at_reference == pytest.approx(raw)
+    assert twice_as_slow == pytest.approx(raw)
 
 
 def test_sampled_ops_cycle_k_and_derive_seeds():
@@ -78,7 +90,7 @@ def test_traced_counters_repeat_exactly(small, workload, tmp_path):
 
 def _prepared(workload, tmp_path, deadline_s=harness.DEADLINE_S):
     ops = inputs.op_list(workload, 4)
-    w = harness.Workload(workload, 4, tmp_path, deadline_s=deadline_s)
+    w = harness.Workload(workload, tmp_path, deadline_s=deadline_s)
     w.setup()
     w.prepare_references(ops)
     return w, ops
