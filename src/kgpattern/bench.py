@@ -10,13 +10,12 @@ recovered. Reports are deterministic except for the wall-clock fields.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import patterns as pat
-from .scoring import DEFAULT_CONFIG, ScoringConfig, pattern_score, tree_score
+from .errors import ParameterError
+from .scoring import DEFAULT_CONFIG, ScoringConfig
 from .search import (
     Query,
     SamplingConfig,
@@ -26,17 +25,6 @@ from .search import (
     search_linear_topk,
     search_pattern_enum,
 )
-
-ALGORITHMS = ("baseline", "pattern-enum", "linear", "linear-topk")
-
-
-def thread_cap() -> int:
-    value = os.environ.get("KGP_THREADS", "")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return os.cpu_count() or 1
-
 
 def geometric_mean(values) -> float:
     values = list(values)
@@ -119,24 +107,25 @@ class BenchReport:
 
 def rank_enumeration(pairs, scoring: ScoringConfig = DEFAULT_CONFIG) -> list[ScoredPattern]:
     """Score and fully rank a (pattern, members) enumeration result."""
-    scored = [
-        ScoredPattern(p, pattern_score([tree_score(m.paths, scoring) for m in members], scoring), members)
-        for p, members in pairs
-    ]
+    scored = [ScoredPattern.from_members(p, members, scoring) for p, members in pairs]
     scored.sort(key=lambda sp: (-sp.score, pat.tree_sort_key(sp.pattern)))
     return scored
 
 
-def _run_algorithm(graph, idx, query, algorithm, scoring, sampling):
-    if algorithm == "baseline":
-        return search_baseline(graph, idx, query, scoring).patterns
-    if algorithm == "pattern-enum":
-        return search_pattern_enum(graph, idx, query, scoring).patterns
-    if algorithm == "linear":
-        return rank_enumeration(search_linear_enum(graph, idx, query), scoring)[: query.k]
-    if algorithm == "linear-topk":
-        return search_linear_topk(graph, idx, query, sampling, scoring).patterns
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+# Engine name -> fn(graph, idx, query, scoring, sampling) returning the ranked top k.
+ENGINES = {
+    "baseline": lambda g, idx, q, scoring, sampling: search_baseline(g, idx, q, scoring).patterns,
+    "pattern-enum": lambda g, idx, q, scoring, sampling: search_pattern_enum(g, idx, q, scoring).patterns,
+    "linear": lambda g, idx, q, scoring, sampling: rank_enumeration(search_linear_enum(g, idx, q), scoring)[: q.k],
+    "linear-topk": lambda g, idx, q, scoring, sampling: search_linear_topk(g, idx, q, sampling, scoring).patterns,
+}
+
+
+def check_engines(names) -> None:
+    """ParameterError unless every name is a key of ENGINES."""
+    unknown = [n for n in names if n not in ENGINES]
+    if unknown:
+        raise ParameterError(f"unknown engine {', '.join(unknown)}; choose from {', '.join(ENGINES)}")
 
 
 def _query_size(graph, idx, query) -> tuple[int, int]:
@@ -161,23 +150,17 @@ def run_bench(
     graph,
     idx,
     queries: list[Query],
-    algorithms=ALGORITHMS,
+    algorithms=tuple(ENGINES),
     scoring: ScoringConfig = DEFAULT_CONFIG,
     sampling: SamplingConfig = SamplingConfig(),
-    parallel: bool = False,
 ) -> BenchReport:
+    check_engines(algorithms)
     report = BenchReport()
-    sizes: list[tuple[int, int]]
-    if parallel:
-        with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
-            sizes = list(pool.map(lambda q: _query_size(graph, idx, q), queries))
-    else:
-        sizes = [_query_size(graph, idx, q) for q in queries]
-
-    for query, (n_subtrees, n_patterns) in zip(queries, sizes):
+    for query in queries:
+        n_subtrees, n_patterns = _query_size(graph, idx, query)
         for algorithm in algorithms:
             started = time.monotonic()
-            _run_algorithm(graph, idx, query, algorithm, scoring, sampling)
+            ENGINES[algorithm](graph, idx, query, scoring, sampling)
             elapsed = time.monotonic() - started
             report.timings.append(
                 QueryTiming(" ".join(query.keywords), algorithm, elapsed, n_subtrees, n_patterns)

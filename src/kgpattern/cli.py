@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: gen, build, query, bench, sweep, oracle, dump-index. Exit codes:
-0 success, 1 usage error, 2 data error (unreadable/malformed inputs).
-``KGP_THREADS`` caps benchmark parallelism; ``KGP_KERNEL`` picks the kernel
-backend (c, py, auto).
+0 success, 1 usage error (bad flags, unknown engine), 2 data error
+(unreadable/malformed inputs, or an index built from another graph). Engine
+names come from ``bench.ENGINES``. ``KGP_KERNEL`` picks the kernel backend
+(c, py, auto).
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from pathlib import Path
 from . import bench as bench_mod
 from . import kernels
 from . import patterns as pat
-from .errors import KgPatternError, ParameterError
+from .errors import IndexFormatError, KgPatternError, ParameterError
 from .generator import GenConfig, generate_graph
 from .graph import load_graph, tokenize
 from .indexio import read_index, write_index
@@ -24,14 +25,7 @@ from .oracle import count_patterns_exhaustive, enumerate_patterns_exhaustive
 from .pagerank import compute_pagerank
 from .pathindex import build_index
 from .scoring import DEFAULT_CONFIG, ScoringConfig
-from .search import (
-    Query,
-    SamplingConfig,
-    search_baseline,
-    search_linear_enum,
-    search_linear_topk,
-    search_pattern_enum,
-)
+from .search import Query, SamplingConfig
 from .tables import render_table
 
 USAGE_ERROR = 1
@@ -64,11 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--index", required=True)
     p_query.add_argument("--q", required=True, help="keywords, e.g. \"database software\"")
     p_query.add_argument("--k", type=int, default=10)
-    p_query.add_argument(
-        "--algo",
-        choices=["baseline", "pattern-enum", "linear", "linear-topk"],
-        default="linear-topk",
-    )
+    p_query.add_argument("--algo", choices=list(bench_mod.ENGINES), default="linear-topk")
     p_query.add_argument("--lambda", dest="threshold", default="inf",
                          help="sampling threshold (number or 'inf')")
     p_query.add_argument("--rho", type=float, default=1.0, help="sampling rate in (0,1]")
@@ -82,11 +72,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--index", required=True)
     p_bench.add_argument("--queries", required=True, help="file with one query per line")
     p_bench.add_argument("--k", type=int, default=10)
-    p_bench.add_argument("--algos", default=",".join(bench_mod.ALGORITHMS))
+    p_bench.add_argument("--algos", default=",".join(bench_mod.ENGINES))
     p_bench.add_argument("--lambda", dest="threshold", default="inf")
     p_bench.add_argument("--rho", type=float, default=1.0)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--parallel", action="store_true")
     p_bench.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p_bench.add_argument("--out")
 
@@ -186,24 +175,28 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _run_query(graph, idx, args, scoring):
-    query = Query(tuple(tokenize(args.q)), args.k)
-    sampling = SamplingConfig(_parse_threshold(args.threshold), args.rho, args.seed)
-    if args.algo == "baseline":
-        return query, search_baseline(graph, idx, query, scoring).patterns
-    if args.algo == "pattern-enum":
-        return query, search_pattern_enum(graph, idx, query, scoring).patterns
-    if args.algo == "linear":
-        ranked = bench_mod.rank_enumeration(search_linear_enum(graph, idx, query), scoring)
-        return query, ranked[: query.k]
-    return query, search_linear_topk(graph, idx, query, sampling, scoring).patterns
+def _load_graph_and_index(args):
+    """Load --graph and --index; IndexFormatError when the index header does
+    not describe the graph (the index was built from another graph)."""
+    graph = load_graph(args.graph)
+    idx = read_index(args.index)
+    index_header = (idx.n_entities, idx.n_types, idx.n_attrs, idx.type_names, idx.attr_names)
+    graph_header = (graph.n_entities, graph.n_types, graph.n_attrs, graph.type_names, graph.attr_names)
+    if index_header != graph_header:
+        raise IndexFormatError(
+            f"index {args.index} was not built from graph {args.graph}: their entity, type or "
+            f"attribute counts or names differ (index {idx.n_entities}/{idx.n_types}/{idx.n_attrs}, "
+            f"graph {graph.n_entities}/{graph.n_types}/{graph.n_attrs})"
+        )
+    return graph, idx
 
 
 def _cmd_query(args) -> int:
-    graph = load_graph(args.graph)
-    idx = read_index(args.index)
+    graph, idx = _load_graph_and_index(args)
     scoring = _scoring_from(args.config)
-    query, ranked = _run_query(graph, idx, args, scoring)
+    query = Query(tuple(tokenize(args.q)), args.k)
+    sampling = SamplingConfig(_parse_threshold(args.threshold), args.rho, args.seed)
+    ranked = bench_mod.ENGINES[args.algo](graph, idx, query, scoring, sampling)
     if args.format == "json":
         doc = {
             "query": list(query.keywords),
@@ -265,25 +258,18 @@ def _emit_report(report, fmt, out) -> None:
 
 
 def _cmd_bench(args) -> int:
-    graph = load_graph(args.graph)
-    idx = read_index(args.index)
+    algorithms = tuple(a.strip() for a in args.algos.split(",") if a.strip())
+    bench_mod.check_engines(algorithms)
+    graph, idx = _load_graph_and_index(args)
     queries = _read_queries(args.queries, args.k)
     sampling = SamplingConfig(_parse_threshold(args.threshold), args.rho, args.seed)
-    report = bench_mod.run_bench(
-        graph,
-        idx,
-        queries,
-        algorithms=tuple(a.strip() for a in args.algos.split(",") if a.strip()),
-        sampling=sampling,
-        parallel=args.parallel,
-    )
+    report = bench_mod.run_bench(graph, idx, queries, algorithms=algorithms, sampling=sampling)
     _emit_report(report, args.format, args.out)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    graph = load_graph(args.graph)
-    idx = read_index(args.index)
+    graph, idx = _load_graph_and_index(args)
     queries = _read_queries(args.queries, args.k)
     thresholds = [_parse_threshold(x) for x in args.lambdas.split(",") if x.strip()]
     rates = [float(x) for x in args.rhos.split(",") if x.strip()]

@@ -5,24 +5,22 @@ class KgPatternError(Exception):
     """Base class for all kgpattern errors."""
 
 
-class GraphParseError(KgPatternError):
+class _GraphLineError(KgPatternError):
+    """A graph file error, prefixed with its line number when known."""
+
+    def __init__(self, message, line=None):
+        self.line = line
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+
+
+class GraphParseError(_GraphLineError):
     """Malformed graph record."""
 
-    def __init__(self, message, line=None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
-
-class GraphLinkError(KgPatternError):
+class GraphLinkError(_GraphLineError):
     """Reference to an entity that was never declared."""
-
-    def __init__(self, message, line=None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class IndexFormatError(KgPatternError):

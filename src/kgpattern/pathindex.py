@@ -59,6 +59,13 @@ class IndexedPath:
     sim_term: float
     pattern: pat.PathPattern
 
+    @classmethod
+    def from_hit(cls, root: int, hit: "PathHit", locus: int, sim: float) -> "IndexedPath":
+        """The record for one word match (`locus`, `sim`) found on `hit`."""
+        return cls(
+            root, hit.nodes, hit.attrs, hit.edge_match, locus, len(hit.nodes), hit.pr_term, sim, hit.pattern
+        )
+
     def sort_key(self):
         return (pat.sort_key(self.pattern), self.root, self.nodes, self.attrs)
 
@@ -270,21 +277,9 @@ def build_index(graph: KnowledgeGraph, pagerank: PageRankVector, depth: int) -> 
         if graph.entity_type[root] == TEXT_TYPE_ID:
             continue
         for hit in iter_root_paths(graph, scores, depth, root):
-            n = len(hit.nodes)
-            stats.cost_proxy += n * len(hit.matches)
+            stats.cost_proxy += len(hit.nodes) * len(hit.matches)
             for word, locus, sim in hit.matches:
-                rec = IndexedPath(
-                    root=root,
-                    nodes=hit.nodes,
-                    attrs=hit.attrs,
-                    edge_match=hit.edge_match,
-                    locus=locus,
-                    node_count=n,
-                    pr_term=hit.pr_term,
-                    sim_term=sim,
-                    pattern=hit.pattern,
-                )
-                per_word.setdefault(word, []).append(rec)
+                per_word.setdefault(word, []).append(IndexedPath.from_hit(root, hit, locus, sim))
                 stats.entry_count += 1
 
     words = {w: _WordIndex(per_word[w]) for w in sorted(per_word)}

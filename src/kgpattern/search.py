@@ -21,9 +21,12 @@
   patterns are materialized exactly and pushed into the global queue. With
   threshold = inf and rate = 1 it returns the exact top k.
 
-Path tuples whose union is not a rooted tree are rejected everywhere (the
-union must be a subtree of the graph); rejected counts are reported in stats
-and logged per query. Ordering is deterministic end to end: scores descending,
+The three index engines differ only in which (root, tree pattern) pairs they
+visit: each pair goes through one shared join, ``_join_root``, and all four
+engines score a pattern in one step, ``ScoredPattern.from_members``. Path
+tuples whose union is not a rooted tree are rejected everywhere (the union
+must be a subtree of the graph); rejected counts are reported in stats and
+logged per query. Ordering is deterministic end to end: scores descending,
 canonical pattern key ascending, members by (root, path keys).
 """
 from __future__ import annotations
@@ -33,6 +36,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field
+from operator import getitem
 from typing import Optional
 
 from . import kernels
@@ -40,7 +44,7 @@ from . import patterns as pat
 from .errors import ParameterError
 from .graph import TEXT_TYPE_ID, KnowledgeGraph, tokenize
 from .pathindex import IndexedPath, PathIndex, iter_root_paths
-from .scoring import DEFAULT_CONFIG, ScoringConfig, estimate_pattern_score, pattern_score, tree_score
+from .scoring import DEFAULT_CONFIG, ScoringConfig, pattern_score, tree_score
 
 logger = logging.getLogger(__name__)
 
@@ -113,6 +117,19 @@ class ScoredPattern:
     score: float
     subtrees: list[ValidSubtree]
     estimated_score: Optional[float] = None
+
+    @classmethod
+    def from_members(
+        cls,
+        pattern: pat.TreePattern,
+        members: list[ValidSubtree],
+        config: ScoringConfig = DEFAULT_CONFIG,
+        estimated_score: Optional[float] = None,
+    ) -> "ScoredPattern":
+        """Score a pattern from its member subtrees; the score is exact when
+        `members` is the pattern's complete member set."""
+        score = pattern_score([tree_score(m.paths, config) for m in members], config)
+        return cls(pattern, score, members, estimated_score)
 
     @property
     def subtree_count(self) -> int:
@@ -196,44 +213,42 @@ def _intersect_sorted(lists: list[list[int]]) -> list[int]:
     return sorted(common)
 
 
+def _join_root(idx: PathIndex, words, root: int, combo, members: list, stats) -> None:
+    """Append to `members` every tuple of `combo`'s per-keyword paths under
+    `root` whose union is a tree; count the tuples into `stats` unless None."""
+    rec_lists = [idx.paths(w, pattern=p, root=root) for w, p in zip(words, combo)]
+    checked = 1
+    for rl in rec_lists:
+        if not rl:
+            return
+        checked *= len(rl)
+    rows = kernels.join_tree_tuples([idx.block(w, root, p) for w, p in zip(words, combo)])
+    if stats is not None:
+        stats["path_tuples_checked"] += checked
+        stats["subtrees_accepted"] += len(rows)
+        stats["tuples_rejected"] += checked - len(rows)
+    for row in rows:
+        members.append(ValidSubtree(root, tuple(map(getitem, rec_lists, row))))
+
+
 def _expand_root(idx: PathIndex, words, root: int, tree_dict, stats) -> None:
-    """Enumerate all valid subtrees under `root` into tree_dict (pattern product
-    then path product, with the tree-consistency filter)."""
+    """Enumerate all valid subtrees under `root` into tree_dict, one join per
+    combination of the root's per-keyword patterns."""
     pattern_lists = [idx.patterns(w, root=root) for w in words]
     if any(not pl for pl in pattern_lists):
         return
     for combo in itertools.product(*pattern_lists):
-        blocks = [idx.block(words[i], root, combo[i]) for i in range(len(words))]
-        rec_lists = [idx.paths(words[i], pattern=combo[i], root=root) for i in range(len(words))]
-        checked = 1
-        for rl in rec_lists:
-            checked *= len(rl)
-        rows = kernels.join_tree_tuples(blocks)
-        stats["path_tuples_checked"] += checked
-        stats["subtrees_accepted"] += len(rows)
-        stats["tuples_rejected"] += checked - len(rows)
-        if rows:
-            members = tree_dict.setdefault(combo, [])
-            for row in rows:
-                members.append(
-                    ValidSubtree(root, tuple(rec_lists[i][row[i]] for i in range(len(words))))
-                )
+        members = tree_dict.get(combo) or []
+        _join_root(idx, words, root, combo, members, stats)
+        if members:
+            tree_dict[combo] = members
 
 
-def _materialize_pattern(idx: PathIndex, words, tree_pattern, roots) -> list[ValidSubtree]:
+def _materialize_pattern(idx: PathIndex, words, tree_pattern, roots, stats=None) -> list[ValidSubtree]:
     """Exact member set of one tree pattern over the given candidate roots."""
     members: list[ValidSubtree] = []
     for root in roots:
-        rec_lists = [
-            idx.paths(words[i], pattern=tree_pattern[i], root=root) for i in range(len(words))
-        ]
-        if any(not rl for rl in rec_lists):
-            continue
-        blocks = [idx.block(words[i], root, tree_pattern[i]) for i in range(len(words))]
-        for row in kernels.join_tree_tuples(blocks):
-            members.append(
-                ValidSubtree(root, tuple(rec_lists[i][row[i]] for i in range(len(words))))
-            )
+        _join_root(idx, words, root, tree_pattern, members, stats)
     return members
 
 
@@ -282,19 +297,7 @@ def search_baseline(
         for hit in iter_root_paths(graph, scores, idx.depth, root):
             for word, locus, sim in hit.matches:
                 if word in wanted:
-                    per_word[word].append(
-                        IndexedPath(
-                            root=root,
-                            nodes=hit.nodes,
-                            attrs=hit.attrs,
-                            edge_match=hit.edge_match,
-                            locus=locus,
-                            node_count=len(hit.nodes),
-                            pr_term=hit.pr_term,
-                            sim_term=sim,
-                            pattern=hit.pattern,
-                        )
-                    )
+                    per_word[word].append(IndexedPath.from_hit(root, hit, locus, sim))
         if any(not per_word[w] for w in wanted):
             continue
         stats["candidate_roots"] += 1
@@ -311,8 +314,7 @@ def search_baseline(
 
     queue = TopKQueue(query.k)
     for tree_pattern, members in tree_dict.items():
-        member_scores = [tree_score(m.paths, config) for m in members]
-        queue.offer(ScoredPattern(tree_pattern, pattern_score(member_scores, config), members))
+        queue.offer(ScoredPattern.from_members(tree_pattern, members, config))
     stats["patterns_found"] = len(tree_dict)
     _log_rejections("baseline", query, stats)
     return SearchResult(queue.ranked(), stats)
@@ -349,29 +351,12 @@ def search_pattern_enum(
             if not roots:
                 stats["empty_combos"] += 1
                 continue
-            members: list[ValidSubtree] = []
-            for root in roots:
-                rec_lists = [
-                    idx.paths(words[i], pattern=combo[i], root=root) for i in range(len(words))
-                ]
-                blocks = [idx.block(words[i], root, combo[i]) for i in range(len(words))]
-                checked = 1
-                for rl in rec_lists:
-                    checked *= len(rl)
-                rows = kernels.join_tree_tuples(blocks)
-                stats["path_tuples_checked"] += checked
-                stats["subtrees_accepted"] += len(rows)
-                stats["tuples_rejected"] += checked - len(rows)
-                for row in rows:
-                    members.append(
-                        ValidSubtree(root, tuple(rec_lists[i][row[i]] for i in range(len(words))))
-                    )
+            members = _materialize_pattern(idx, words, combo, roots, stats)
             if not members:
                 stats["empty_combos"] += 1
                 continue
             stats["patterns_found"] += 1
-            member_scores = [tree_score(m.paths, config) for m in members]
-            queue.offer(ScoredPattern(combo, pattern_score(member_scores, config), members))
+            queue.offer(ScoredPattern.from_members(combo, members, config))
     _log_rejections("pattern-enum", query, stats)
     return SearchResult(queue.ranked(), stats)
 
@@ -443,26 +428,21 @@ def search_linear_topk(
         if not tree_dict:
             continue
 
-        estimates = []
-        for tree_pattern, members in tree_dict.items():
-            member_scores = [tree_score(m.paths, config) for m in members]
-            if rate == 1.0 and config.aggregator != "sum":
-                est = pattern_score(member_scores, config)
-            else:
-                est = estimate_pattern_score(member_scores, rate)
-            estimates.append((est, tree_pattern, members, member_scores))
-        estimates.sort(key=lambda e: (-e[0], pat.tree_sort_key(e[1])))
+        # Score the sampled members of every pattern; with rate = 1 the sample
+        # is complete, so these are the exact scores. Otherwise (sum
+        # aggregation only) the sample's sum scaled by 1/rate is the unbiased
+        # estimate of scoring.estimate_pattern_score.
+        candidates = [ScoredPattern.from_members(p, members, config) for p, members in tree_dict.items()]
+        for sp in candidates:
+            sp.estimated_score = sp.score / rate
+        candidates.sort(key=lambda sp: (-sp.estimated_score, pat.tree_sort_key(sp.pattern)))
 
-        for est, tree_pattern, sampled_members, sampled_scores in estimates[: query.k]:
-            if rate == 1.0:
-                # The sample is complete: reuse members and scores as exact.
-                members = sampled_members
-                member_scores = sampled_scores
-            else:
-                members = _materialize_pattern(idx, words, tree_pattern, roots)
-                member_scores = [tree_score(m.paths, config) for m in members]
-            exact = pattern_score(member_scores, config)
-            queue.offer(ScoredPattern(tree_pattern, exact, members, estimated_score=est))
+        for sp in candidates[: query.k]:
+            if rate != 1.0:
+                # Re-score sampled winners exactly over all of the type's roots.
+                members = _materialize_pattern(idx, words, sp.pattern, roots)
+                sp = ScoredPattern.from_members(sp.pattern, members, config, sp.estimated_score)
+            queue.offer(sp)
     _log_rejections("linear-topk", query, stats)
     return SearchResult(queue.ranked(), stats)
 

@@ -57,22 +57,18 @@ class TableAnswer:
         return {"columns": self.column_names, "rows": self.rows}
 
 
-def _column_keys(tree_pattern) -> list[tuple]:
-    keys: list[tuple] = []
-    seen = set()
-    for path_pattern in tree_pattern:
-        n_listed = len(path_pattern) // 2 + 1 if not pat.is_edge_ending(path_pattern) else len(path_pattern) // 2
+def _columns(tree_pattern) -> dict[tuple, list[tuple[int, int]]]:
+    """Column key -> the (keyword position, node position) pairs feeding that
+    column, with the keys in column order (left to right)."""
+    feeders: dict[tuple, list[tuple[int, int]]] = {}
+    for kw_pos, path_pattern in enumerate(tree_pattern):
+        edge_ending = pat.is_edge_ending(path_pattern)
+        n_listed = len(path_pattern) // 2 + (0 if edge_ending else 1)
         for depth in range(n_listed):
-            key = path_pattern[: 2 * depth + 1]
-            if key not in seen:
-                seen.add(key)
-                keys.append(key)
-        if pat.is_edge_ending(path_pattern):
-            key = path_pattern
-            if key not in seen:
-                seen.add(key)
-                keys.append(key)
-    return keys
+            feeders.setdefault(path_pattern[: 2 * depth + 1], []).append((kw_pos, depth))
+        if edge_ending:  # the edge's own column shows its target node
+            feeders.setdefault(path_pattern, []).append((kw_pos, len(path_pattern) // 2))
+    return feeders
 
 
 def _display_name(graph: KnowledgeGraph, key: tuple) -> str:
@@ -84,17 +80,6 @@ def _display_name(graph: KnowledgeGraph, key: tuple) -> str:
     return graph.type_names[type_id]
 
 
-def _full_path_name(graph: KnowledgeGraph, key: tuple) -> str:
-    return pat.pattern_names(graph, key)
-
-
-def _node_position(key: tuple) -> int:
-    """Index into a path's node list for the value this column shows."""
-    if len(key) % 2 == 0:  # edge column shows the edge's target node
-        return len(key) // 2
-    return (len(key) + 1) // 2 - 1
-
-
 def render_table(graph: KnowledgeGraph, tree_pattern, subtrees) -> TableAnswer:
     """Build the table answer for `tree_pattern` from its member subtrees."""
     for subtree in subtrees:
@@ -103,31 +88,21 @@ def render_table(graph: KnowledgeGraph, tree_pattern, subtrees) -> TableAnswer:
                 f"subtree rooted at {subtree.root} does not match the pattern"
             )
 
-    keys = _column_keys(tree_pattern)
+    feeders = _columns(tree_pattern)
+    keys = list(feeders)
     names = [_display_name(graph, key) for key in keys]
     counts: dict[str, int] = {}
     for name in names:
         counts[name] = counts.get(name, 0) + 1
     names = [
-        _full_path_name(graph, key) if counts[name] > 1 else name
+        pat.pattern_names(graph, key) if counts[name] > 1 else name
         for key, name in zip(keys, names)
     ]
-
-    # For each column, which (keyword position, node position) pairs feed it.
-    feeders: list[list[tuple[int, int]]] = [[] for _ in keys]
-    key_index = {key: i for i, key in enumerate(keys)}
-    for kw_pos, path_pattern in enumerate(tree_pattern):
-        n_listed = len(path_pattern) // 2 + 1 if not pat.is_edge_ending(path_pattern) else len(path_pattern) // 2
-        for depth in range(n_listed):
-            key = path_pattern[: 2 * depth + 1]
-            feeders[key_index[key]].append((kw_pos, depth))
-        if pat.is_edge_ending(path_pattern):
-            feeders[key_index[path_pattern]].append((kw_pos, len(path_pattern) // 2))
 
     rows = []
     for subtree in subtrees:
         row = []
-        for col_feeders in feeders:
+        for col_feeders in feeders.values():
             values: list[str] = []
             for kw_pos, node_pos in col_feeders:
                 text = graph.entity_text[subtree.paths[kw_pos].nodes[node_pos]]

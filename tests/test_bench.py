@@ -11,7 +11,9 @@ from kgpattern import (
     search_linear_topk,
     uniform_pagerank,
 )
+from kgpattern import bench
 from kgpattern.bench import geometric_mean, precision_against_exact, size_bucket
+from kgpattern.errors import ParameterError
 
 from conftest import graph_from_text
 
@@ -111,12 +113,10 @@ def test_report_deterministic_except_wall_clock(sample_graph, sample_index):
     assert docs[0] == docs[1]
 
 
-def test_parallel_matches_serial(sample_graph, sample_index, monkeypatch):
-    monkeypatch.setenv("KGP_THREADS", "4")
-    queries = [Query(("database", "software"), 5), Query(("company", "revenue"), 5)]
-    serial = run_bench(sample_graph, sample_index, queries, algorithms=("linear-topk",))
-    parallel = run_bench(
-        sample_graph, sample_index, queries, algorithms=("linear-topk",), parallel=True
-    )
-    strip = lambda r: [(t.query, t.algorithm, t.subtree_total, t.pattern_total) for t in r.timings]
-    assert strip(serial) == strip(parallel)
+def test_unknown_engine_is_rejected_before_sizing(sample_graph, sample_index, monkeypatch):
+    def no_sizing(*args):
+        raise AssertionError("queries were sized before the engine names were checked")
+
+    monkeypatch.setattr(bench, "_query_size", no_sizing)
+    with pytest.raises(ParameterError, match="foo"):
+        run_bench(sample_graph, sample_index, [Query(("database",), 5)], algorithms=("linear-topk", "foo"))

@@ -155,12 +155,10 @@ class TestBenchSweep:
         assert len(doc["timings"]) == 4
         assert {t["algorithm"] for t in doc["timings"]} == {"baseline", "linear-topk"}
 
-    def test_bench_parallel_csv(self, workspace, capsys, monkeypatch):
-        monkeypatch.setenv("KGP_THREADS", "2")
+    def test_bench_csv(self, workspace, capsys):
         rc = main(
             ["bench", "--graph", str(workspace["graph"]), "--index", str(workspace["index"]),
-             "--queries", str(workspace["queries"]), "--parallel", "--format", "csv",
-             "--algos", "linear-topk"]
+             "--queries", str(workspace["queries"]), "--format", "csv", "--algos", "linear-topk"]
         )
         assert rc == 0
         rows = capsys.readouterr().out.strip().splitlines()
@@ -222,6 +220,24 @@ class TestExitCodes:
         assert main(common + ["--q", "database", "--algo", "linear-topk", "--rho", "0"]) == 1
         assert main(common + ["--q", "database", "--lambda", "notanumber"]) == 1
         assert main(common + ["--q", "   "]) == 1
+
+    def test_unknown_engine_is_usage_error(self, workspace, capsys):
+        rc = main(
+            ["bench", "--graph", str(workspace["graph"]), "--index", str(workspace["index"]),
+             "--queries", str(workspace["queries"]), "--algos", "linear-topk,foo"]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: unknown engine foo")
+
+    @pytest.mark.parametrize("command", ["query", "bench", "sweep"])
+    def test_index_of_another_graph_is_data_error(self, command, workspace, capsys):
+        args = [command, "--graph", str(sample_graph_path()), "--index", str(workspace["index"])]
+        if command == "query":
+            args += ["--q", "database software"]
+        else:
+            args += ["--queries", str(workspace["queries"])]
+        assert main(args) == 2
+        assert "was not built from graph" in capsys.readouterr().err
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

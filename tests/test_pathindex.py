@@ -4,13 +4,25 @@ from kgpattern import ParameterError, build_index, compute_pagerank, uniform_pag
 from kgpattern import patterns as pat
 from kgpattern.graph import jaccard_similarity
 from kgpattern.oracle import _paths_reaching
-from kgpattern.pathindex import EDGE_TYPE, NODE_TEXT, NODE_TYPE
+from kgpattern.pathindex import EDGE_TYPE, NODE_TEXT, NODE_TYPE, IndexedPath, iter_root_paths
 
 from conftest import graph_from_text, random_instance
 
 
 def names(graph, pattern_list):
     return [pat.pattern_names(graph, p) for p in pattern_list]
+
+
+def test_from_hit_copies_the_hit_per_match(sample_graph, sample_index):
+    root = sample_graph.entity_keys.index("sql_server")
+    scores = sample_index.pagerank.scores
+    for hit in iter_root_paths(sample_graph, scores, sample_index.depth, root):
+        for word, locus, sim in hit.matches:
+            rec = IndexedPath.from_hit(root, hit, locus, sim)
+            assert (rec.root, rec.nodes, rec.attrs, rec.pattern) == (root, hit.nodes, hit.attrs, hit.pattern)
+            assert (rec.edge_match, rec.locus, rec.sim_term) == (hit.edge_match, locus, sim)
+            assert (rec.node_count, rec.pr_term) == (len(hit.nodes), hit.pr_term)
+            assert rec in sample_index.paths(word, pattern=hit.pattern, root=root)
 
 
 class TestSampleGraph:

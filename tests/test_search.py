@@ -12,11 +12,13 @@ from kgpattern import (
     assemble_subtree,
     build_index,
     compute_pagerank,
+    pattern_score,
     rank_enumeration,
     search_baseline,
     search_linear_enum,
     search_linear_topk,
     search_pattern_enum,
+    tree_score,
     uniform_pagerank,
 )
 from kgpattern import patterns as pat
@@ -118,6 +120,18 @@ class TestAssemble:
         p = sample_index.paths("database", root=book)[0]
         with pytest.raises(ParameterError):
             assemble_subtree(0, (p,))
+
+
+class TestScoredPatternFromMembers:
+    @pytest.mark.parametrize("aggregator", ["sum", "avg", "max", "count"])
+    def test_scores_members_with_config(self, sample_graph, sample_index, sample_query, aggregator):
+        config = ScoringConfig(aggregator=aggregator)
+        ((tree_pattern, members),) = [
+            kv for kv in search_linear_enum(sample_graph, sample_index, sample_query) if len(kv[1]) == 2
+        ]
+        sp = ScoredPattern.from_members(tree_pattern, members, config, estimated_score=1.5)
+        assert sp.score == pattern_score([tree_score(m.paths, config) for m in members], config)
+        assert (sp.pattern, sp.subtrees, sp.estimated_score) == (tree_pattern, members, 1.5)
 
 
 class TestTopKQueue:
