@@ -307,16 +307,6 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_dump_index(args) -> int:
     idx = read_index(args.index)
-
-    def pattern_names(p):
-        parts = []
-        for i, el in enumerate(p):
-            if i % 2 == 0:
-                parts.append(idx.type_names[el] if el < len(idx.type_names) else str(el))
-            else:
-                parts.append(idx.attr_names[el] if el < len(idx.attr_names) else str(el))
-        return ".".join(parts)
-
     doc = {
         "depth": idx.depth,
         "entities": idx.n_entities,
@@ -327,7 +317,7 @@ def _cmd_dump_index(args) -> int:
         "words": {
             w: {
                 "entries": len(idx.words[w].records),
-                "patterns": [pattern_names(p) for p in idx.patterns(w)],
+                "patterns": [pat.pattern_names(idx, p) for p in idx.patterns(w)],
                 "roots": idx.roots(w),
             }
             for w in idx.vocabulary()

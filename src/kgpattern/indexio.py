@@ -1,6 +1,6 @@
 """Binary serialization of the path index.
 
-Little-endian throughout, 64-bit offsets. Layout::
+Little-endian throughout. Layout::
 
     magic "KGPX" | version u32 | depth u32
     n_entities u32 | n_types u32 | n_attrs u32
@@ -17,17 +17,19 @@ Little-endian throughout, 64-bit offsets. Layout::
             pattern_id u32 | root u32 | n_nodes u8 | edge_match u8 | locus u8
             | pad u8 | nodes u32 * n_nodes | attrs u32 * (n_nodes - 1)
             | pr f64 | sim f64
-        pattern-first runs: count u32, then (pattern_id u32, root u32,
-            start u64, count u64) into the record array
-        root-first permutation: u64 * record-count record indices
-        root-first runs: count u32, then (root u32, pattern_id u32,
-            start u64, count u64) into the permutation
     stats: entry_count u64 | cost_proxy u64
     trailer "XPGK"
 
 A string table is a u32 count followed by (u32 byte length, UTF-8 bytes) per
-entry. Bad magic or version raises IndexFormatError; any short read or a
-missing trailer raises IndexCorruptError.
+entry. Only the records are stored: reading passes them to the `PathIndex`
+constructor, which builds both layouts, as `build_index` does.
+
+Bad magic or version raises IndexFormatError. A short read, a missing
+trailer, an entry count that disagrees with the records, a name table whose
+length disagrees with its header count, or an id out of range (a pattern id
+past the pattern table, a node id >= n_entities, an attribute id >= n_attrs,
+a pattern type id >= n_types, a root that is not the record's first node)
+raises IndexCorruptError.
 """
 from __future__ import annotations
 
@@ -41,11 +43,11 @@ import numpy as np
 from . import patterns as pat
 from .errors import IndexCorruptError, IndexFormatError
 from .pagerank import PageRankVector
-from .pathindex import IndexedPath, IndexStats, PathIndex, _WordIndex
+from .pathindex import IndexedPath, PathIndex
 
 MAGIC = b"KGPX"
 TRAILER = b"XPGK"
-VERSION = 1
+VERSION = 2
 
 
 class _Writer:
@@ -106,8 +108,8 @@ def serialize(idx: PathIndex) -> bytes:
     w.pack("II", VERSION, idx.depth)
     w.pack("III", idx.n_entities, idx.n_types, idx.n_attrs)
     w.pack("dd", idx.pagerank.damping, idx.pagerank.tolerance)
-    w.string_table(getattr(idx, "type_names", None) or [])
-    w.string_table(getattr(idx, "attr_names", None) or [])
+    w.string_table(idx.type_names)
+    w.string_table(idx.attr_names)
 
     scores = np.asarray(idx.pagerank.scores, dtype="<f8")
     w.pack("I", len(scores))
@@ -127,10 +129,8 @@ def serialize(idx: PathIndex) -> bytes:
     w.string_table(vocab)
 
     for word in vocab:
-        wi = idx.words[word]
-        records = wi.records
+        records = idx.words[word].records
         w.pack("Q", len(records))
-        positions = {id(rec): i for i, rec in enumerate(records)}
         for rec in records:
             n = len(rec.nodes)
             w.pack("IIBBBB", pattern_id[rec.pattern], rec.root, n, int(rec.edge_match), rec.locus, 0)
@@ -138,27 +138,6 @@ def serialize(idx: PathIndex) -> bytes:
             if n > 1:
                 w.pack(f"{n - 1}I", *rec.attrs)
             w.pack("dd", rec.pr_term, rec.sim_term)
-
-        pf_runs = []
-        start = 0
-        for p, roots in wi.pattern_first.items():
-            for root, plist in roots.items():
-                pf_runs.append((pattern_id[p], root, start, len(plist)))
-                start += len(plist)
-        w.pack("I", len(pf_runs))
-        for pid, root, run_start, count in pf_runs:
-            w.pack("IIQQ", pid, root, run_start, count)
-
-        perm = []
-        rf_runs = []
-        for root, pats in wi.root_first.items():
-            for p, plist in pats.items():
-                rf_runs.append((root, pattern_id[p], len(perm), len(plist)))
-                perm.extend(positions[id(rec)] for rec in plist)
-        w.raw(np.asarray(perm, dtype="<u8").tobytes())
-        w.pack("I", len(rf_runs))
-        for root, pid, run_start, count in rf_runs:
-            w.pack("IIQQ", root, pid, run_start, count)
 
     w.pack("QQ", idx.stats.entry_count, idx.stats.cost_proxy)
     w.raw(TRAILER)
@@ -185,6 +164,11 @@ def _deserialize(data: bytes) -> PathIndex:
     damping, tolerance = r.unpack("dd")
     type_names = r.string_table()
     attr_names = r.string_table()
+    if (len(type_names), len(attr_names)) != (n_types, n_attrs):
+        raise IndexCorruptError(
+            f"name tables hold {len(type_names)} types and {len(attr_names)} attributes, "
+            f"header says {n_types} and {n_attrs}"
+        )
 
     (n_scores,) = r.unpack("I")
     scores = np.frombuffer(r.take(8 * n_scores), dtype="<f8").astype(np.float64)
@@ -194,21 +178,29 @@ def _deserialize(data: bytes) -> PathIndex:
     all_patterns = []
     for _ in range(n_patterns):
         (n_el,) = r.unpack("H")
-        all_patterns.append(tuple(r.unpack(f"{n_el}I")))
+        p = r.unpack(f"{n_el}I")
+        if max(p[0::2], default=-1) >= n_types or max(p[1::2], default=-1) >= n_attrs:
+            raise IndexCorruptError(f"pattern {p} references an unknown type or attribute id")
+        all_patterns.append(p)
 
     vocab = r.string_table()
-    words: dict[str, _WordIndex] = {}
-    entry_count = 0
+    per_word: dict[str, list[IndexedPath]] = {}
     for word in vocab:
         (n_records,) = r.unpack("Q")
         records: list[IndexedPath] = []
         for _ in range(n_records):
             pid, root, n_nodes, edge_match, locus, _pad = r.unpack("IIBBBB")
-            nodes = tuple(r.unpack(f"{n_nodes}I"))
-            attrs = tuple(r.unpack(f"{n_nodes - 1}I")) if n_nodes > 1 else ()
+            nodes = r.unpack(f"{n_nodes}I")
+            attrs = r.unpack(f"{n_nodes - 1}I") if n_nodes > 1 else ()
             pr_term, sim_term = r.unpack("dd")
-            if pid >= len(all_patterns):
+            if pid >= n_patterns:
                 raise IndexCorruptError(f"record references unknown pattern id {pid}")
+            if not nodes or nodes[0] != root:
+                raise IndexCorruptError(f"record root {root} is not the first node of {nodes}")
+            if max(nodes) >= n_entities or max(attrs, default=-1) >= n_attrs:
+                raise IndexCorruptError(
+                    f"record path {nodes} / {attrs} references an unknown entity or attribute id"
+                )
             records.append(
                 IndexedPath(
                     root=root,
@@ -222,52 +214,16 @@ def _deserialize(data: bytes) -> PathIndex:
                     pattern=all_patterns[pid],
                 )
             )
-        wi = _WordIndex.__new__(_WordIndex)
-        wi.records = records
-        wi.pattern_first = {}
-        (n_pf,) = r.unpack("I")
-        for _ in range(n_pf):
-            pid, root, run_start, count = r.unpack("IIQQ")
-            if run_start + count > n_records:
-                raise IndexCorruptError("pattern-first run overruns the record array")
-            if pid >= len(all_patterns):
-                raise IndexCorruptError(f"run references unknown pattern id {pid}")
-            wi.pattern_first.setdefault(all_patterns[pid], {})[root] = records[
-                run_start : run_start + count
-            ]
-        perm = np.frombuffer(r.take(8 * n_records), dtype="<u8")
-        if len(perm) and perm.max() >= n_records:
-            raise IndexCorruptError("root-first permutation references a missing record")
-        wi.root_first = {}
-        (n_rf,) = r.unpack("I")
-        for _ in range(n_rf):
-            root, pid, run_start, count = r.unpack("IIQQ")
-            if run_start + count > n_records:
-                raise IndexCorruptError("root-first run overruns the permutation")
-            if pid >= len(all_patterns):
-                raise IndexCorruptError(f"run references unknown pattern id {pid}")
-            wi.root_first.setdefault(root, {})[all_patterns[pid]] = [
-                records[perm[i]] for i in range(run_start, run_start + count)
-            ]
-        words[word] = wi
-        entry_count += n_records
+        per_word[word] = records
 
     stored_entries, cost_proxy = r.unpack("QQ")
-    if stored_entries != entry_count:
-        raise IndexCorruptError(
-            f"entry count mismatch: header says {stored_entries}, records say {entry_count}"
-        )
     if r.take(4) != TRAILER:
         raise IndexCorruptError("missing trailer; file truncated?")
-
-    stats = IndexStats(
-        entry_count=entry_count,
-        cost_proxy=cost_proxy,
-        word_sizes={w: len(words[w].records) for w in words},
-    )
-    idx = PathIndex(depth, pagerank, words, stats, n_entities, n_types, n_attrs)
-    idx.type_names = type_names
-    idx.attr_names = attr_names
+    idx = PathIndex(depth, pagerank, n_entities, type_names, attr_names, per_word, cost_proxy)
+    if stored_entries != idx.stats.entry_count:
+        raise IndexCorruptError(
+            f"entry count mismatch: header says {stored_entries}, records say {idx.stats.entry_count}"
+        )
     return idx
 
 

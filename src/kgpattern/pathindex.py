@@ -15,11 +15,12 @@ Each entry precomputes the three per-path score terms (node count, PageRank of
 the matched node or of the matched edge's source, Jaccard similarity), so
 query-time scoring is pure arithmetic.
 
-The same entry multiset is kept in two orders: word -> pattern -> root ->
-paths (pattern-first) and word -> root -> pattern -> paths (root-first). Keys
-are sorted (patterns length-lexicographically, roots by id), and the leaf path
-lists share one canonical order, so both layouts flatten to the same sorted
-sequence.
+Each word's records are kept once, sorted pattern-first (pattern
+length-lexicographically, then root, nodes, attrs), and viewed in two orders:
+word -> pattern -> root -> paths (pattern-first) and word -> root -> pattern ->
+paths (root-first). Both views are built from that record list when the index
+is constructed, whether by `build_index` or by reading a file, so both
+flatten to the same sorted sequence.
 
 Literal (dummy TEXT) entities are never used as roots: they stand for
 attribute *values*, carry no type, and cannot anchor a table answer. They do
@@ -28,7 +29,8 @@ appear as path terminals.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, Optional
 
 from . import patterns as pat
@@ -91,9 +93,9 @@ class PathHit:
 
 @dataclass
 class IndexStats:
-    entry_count: int = 0
-    cost_proxy: int = 0  # sum over enumerated paths of node_count * matched-word count
-    word_sizes: dict[str, int] = field(default_factory=dict)
+    entry_count: int
+    cost_proxy: int  # sum over enumerated paths of node_count * matched-word count
+    word_sizes: dict[str, int]
 
 
 class _WordIndex:
@@ -107,8 +109,9 @@ class _WordIndex:
         self.pattern_first: dict[pat.PathPattern, dict[int, list[IndexedPath]]] = {}
         for rec in records:
             self.pattern_first.setdefault(rec.pattern, {}).setdefault(rec.root, []).append(rec)
+        # A stable sort keeps each root's records in (pattern, nodes, attrs) order.
         self.root_first: dict[int, dict[pat.PathPattern, list[IndexedPath]]] = {}
-        for rec in sorted(records, key=lambda r: (r.root, pat.sort_key(r.pattern), r.nodes, r.attrs)):
+        for rec in sorted(records, key=attrgetter("root")):
             self.root_first.setdefault(rec.root, {}).setdefault(rec.pattern, []).append(rec)
 
 
@@ -169,16 +172,28 @@ def iter_root_paths(
 class PathIndex:
     """Dual-layout path index plus the PageRank vector it was built with."""
 
-    def __init__(self, depth, pagerank, words, stats, n_entities, n_types, n_attrs):
-        self.depth: int = depth
-        self.pagerank: PageRankVector = pagerank
-        self.words: dict[str, _WordIndex] = words
-        self.stats: IndexStats = stats
+    def __init__(
+        self,
+        depth: int,
+        pagerank: PageRankVector,
+        n_entities: int,
+        type_names: list[str],
+        attr_names: list[str],
+        per_word: dict[str, list[IndexedPath]],
+        cost_proxy: int,
+    ):
+        """Index `per_word` (word -> its records, in any order; the lists are
+        sorted in place) for a graph with these entity count and name tables."""
+        self.depth = depth
+        self.pagerank = pagerank
         self.n_entities = n_entities
-        self.n_types = n_types
-        self.n_attrs = n_attrs
-        self.type_names: list[str] = []
-        self.attr_names: list[str] = []
+        self.type_names = type_names
+        self.attr_names = attr_names
+        self.n_types = len(type_names)
+        self.n_attrs = len(attr_names)
+        self.words: dict[str, _WordIndex] = {w: _WordIndex(per_word[w]) for w in sorted(per_word)}
+        word_sizes = {w: len(wi.records) for w, wi in self.words.items()}
+        self.stats = IndexStats(sum(word_sizes.values()), cost_proxy, word_sizes)
         self._blocks: dict[tuple[str, int, pat.PathPattern], tuple] = {}
 
     # -- access methods ------------------------------------------------
@@ -271,25 +286,20 @@ def build_index(graph: KnowledgeGraph, pagerank: PageRankVector, depth: int) -> 
     if depth < 1:
         raise ParameterError(f"depth must be >= 1, got {depth}")
     per_word: dict[str, list[IndexedPath]] = {}
-    stats = IndexStats()
+    cost_proxy = 0
     scores = pagerank.scores
     for root in range(graph.n_entities):
         if graph.entity_type[root] == TEXT_TYPE_ID:
             continue
         for hit in iter_root_paths(graph, scores, depth, root):
-            stats.cost_proxy += len(hit.nodes) * len(hit.matches)
+            cost_proxy += len(hit.nodes) * len(hit.matches)
             for word, locus, sim in hit.matches:
                 per_word.setdefault(word, []).append(IndexedPath.from_hit(root, hit, locus, sim))
-                stats.entry_count += 1
 
-    words = {w: _WordIndex(per_word[w]) for w in sorted(per_word)}
-    stats.word_sizes = {w: len(words[w].records) for w in words}
-    logger.debug(
-        "built index: depth=%d, %d words, %d entries", depth, len(words), stats.entry_count
-    )
     idx = PathIndex(
-        depth, pagerank, words, stats, graph.n_entities, graph.n_types, graph.n_attrs
+        depth, pagerank, graph.n_entities, list(graph.type_names), list(graph.attr_names), per_word, cost_proxy
     )
-    idx.type_names = list(graph.type_names)
-    idx.attr_names = list(graph.attr_names)
+    logger.debug(
+        "built index: depth=%d, %d words, %d entries", depth, len(idx.words), idx.stats.entry_count
+    )
     return idx

@@ -244,10 +244,9 @@ class TestExitCodes:
 
 
 class TestByteDeterminism:
-    def run_query(self, env_threads, ws, out_path):
+    def run_query(self, ws, out_path):
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC
-        env["KGP_THREADS"] = env_threads
         cmd = [
             sys.executable, "-m", "kgpattern.cli", "query",
             "--graph", str(sample_graph_path()), "--index", str(ws["index"]),
@@ -260,8 +259,5 @@ class TestByteDeterminism:
         return out_path.read_bytes()
 
     def test_identical_across_runs_and_threads(self, sample_ws, tmp_path):
-        blobs = [
-            self.run_query(threads, sample_ws, tmp_path / f"out{i}.json")
-            for i, threads in enumerate(["1", "1", "4"])
-        ]
+        blobs = [self.run_query(sample_ws, tmp_path / f"out{i}.json") for i in range(3)]
         assert blobs[0] == blobs[1] == blobs[2]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,14 @@ def test_roundtrip_empty_index():
     assert again.vocabulary() == [] and again.stats.entry_count == 0
 
 
+def test_roundtrip_graph_without_attributes():
+    g = graph_from_text("E a Thing red apple\nE b Thing green apple\n")
+    assert g.n_attrs == 0
+    idx = build_index(g, compute_pagerank(g), 2)
+    assert idx.stats.entry_count > 0
+    assert_structurally_equal(deserialize(serialize(idx)), idx)
+
+
 def test_file_roundtrip(tmp_path, sample_index):
     path = tmp_path / "sample.kgpx"
     write_index(sample_index, path)
@@ -73,11 +83,40 @@ def test_bad_magic(sample_index):
         deserialize(bytes(blob))
 
 
-def test_bad_version(sample_index):
+@pytest.mark.parametrize("version", [1, 99])
+def test_bad_version(sample_index, version):
     blob = bytearray(serialize(sample_index))
-    blob[4:8] = (99).to_bytes(4, "little")
+    blob[4:8] = version.to_bytes(4, "little")
     with pytest.raises(IndexFormatError):
         deserialize(bytes(blob))
+
+
+# Each maps one record with at least two nodes to the fields that make it
+# reference an id its index cannot hold.
+OUT_OF_RANGE = {
+    "root-not-first-node": lambda rec, idx: {"root": (rec.root + 1) % idx.n_entities},
+    "node-id": lambda rec, idx: {"nodes": rec.nodes[:-1] + (idx.n_entities,)},
+    "attr-id": lambda rec, idx: {"attrs": rec.attrs[:-1] + (idx.n_attrs,)},
+    "pattern-type-id": lambda rec, idx: {"pattern": (idx.n_types,) + rec.pattern[1:]},
+    "pattern-attr-id": lambda rec, idx: {"pattern": rec.pattern[:1] + (idx.n_attrs,) + rec.pattern[2:]},
+}
+
+
+@pytest.mark.parametrize("corruption", list(OUT_OF_RANGE))
+def test_out_of_range_ids_are_corrupt(sample_graph, corruption):
+    idx = build_index(sample_graph, uniform_pagerank(sample_graph), 3)
+    records = idx.words["database"].records
+    i = next(i for i, rec in enumerate(records) if len(rec.nodes) > 1)
+    records[i] = dataclasses.replace(records[i], **OUT_OF_RANGE[corruption](records[i], idx))
+    with pytest.raises(IndexCorruptError):
+        deserialize(serialize(idx))
+
+
+def test_name_table_shorter_than_its_count_is_corrupt(sample_graph):
+    idx = build_index(sample_graph, uniform_pagerank(sample_graph), 3)
+    idx.attr_names = idx.attr_names[:-1]
+    with pytest.raises(IndexCorruptError):
+        deserialize(serialize(idx))
 
 
 @pytest.mark.parametrize("fraction", [0.05, 0.3, 0.7, 0.999])

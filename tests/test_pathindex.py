@@ -127,6 +127,7 @@ class TestInvariants:
             b = idx.flatten(word, "root")
             assert sorted(r.sort_key() for r in a) == sorted(r.sort_key() for r in b)
             assert sorted(a, key=lambda r: r.sort_key()) == sorted(b, key=lambda r: r.sort_key())
+            assert b == sorted(idx.paths(word), key=lambda r: (r.root, pat.sort_key(r.pattern), r.nodes, r.attrs))
 
     @pytest.mark.parametrize("case", range(10))
     def test_completeness_vs_dfs_oracle(self, case):
