@@ -3,19 +3,18 @@
 Subcommands: gen, build, query, bench, sweep, oracle, dump-index. Exit codes:
 0 success, 1 usage error (bad flags, unknown engine), 2 data error
 (unreadable/malformed inputs, or an index built from another graph). Engine
-names come from ``bench.ENGINES``. ``KGP_KERNEL`` picks the kernel backend
-(c, py, auto).
+names come from ``bench.ENGINES``.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 from pathlib import Path
 
 from . import bench as bench_mod
-from . import kernels
 from . import patterns as pat
 from .errors import IndexFormatError, KgPatternError, ParameterError
 from .generator import GenConfig, generate_graph
@@ -127,12 +126,13 @@ def _scoring_from(path) -> ScoringConfig:
     if not path:
         return DEFAULT_CONFIG
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return ScoringConfig(
-        z1=data.get("z1", -1.0),
-        z2=data.get("z2", 1.0),
-        z3=data.get("z3", 1.0),
-        aggregator=data.get("aggregator", "sum"),
-    )
+    if not isinstance(data, dict):
+        raise ParameterError(f"--config {path} must hold a JSON object, not {type(data).__name__}")
+    keys = [f.name for f in dataclasses.fields(ScoringConfig)]
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise ParameterError(f"--config {path} has unknown keys {unknown}; allowed keys are {keys}")
+    return ScoringConfig(**data)
 
 
 def _pattern_json(graph, sp, include_table=True) -> dict:
@@ -170,7 +170,7 @@ def _cmd_build(args) -> int:
     write_index(idx, args.index)
     print(
         f"indexed {idx.stats.entry_count} entries over {len(idx.words)} words "
-        f"(d={args.d}, cost proxy {idx.stats.cost_proxy}, kernel backend {kernels.backend_name()})"
+        f"(d={args.d}, cost proxy {idx.stats.cost_proxy})"
     )
     return 0
 

@@ -18,36 +18,41 @@ Little-endian throughout. Layout::
             | pad u8 | nodes u32 * n_nodes | attrs u32 * (n_nodes - 1)
             | pr f64 | sim f64
     stats: entry_count u64 | cost_proxy u64
-    trailer "XPGK"
+    crc u32: zlib.crc32 of every byte before it
 
 A string table is a u32 count followed by (u32 byte length, UTF-8 bytes) per
 entry. Only the records are stored: reading passes them to the `PathIndex`
-constructor, which builds both layouts, as `build_index` does.
+constructor, which builds both layouts, as `build_index` does. A path holds
+at most 255 nodes (`n_nodes` is a u8); `serialize` raises ParameterError
+for a longer one before it writes anything.
 
-Bad magic or version raises IndexFormatError. A short read, a missing
-trailer, an entry count that disagrees with the records, a name table whose
-length disagrees with its header count, or an id out of range (a pattern id
-past the pattern table, a node id >= n_entities, an attribute id >= n_attrs,
-a pattern type id >= n_types, a root that is not the record's first node)
-raises IndexCorruptError.
+Reading checks the magic, then the version, then the CRC, before it decodes
+anything else. Bad magic or version raises IndexFormatError. A CRC mismatch
+(any single-bit flip after the version field, or a truncated file), a short
+read, bytes left over after the stats, an entry count that disagrees with
+the records, a name table whose length disagrees with its header count, or
+an id out of range (a pattern id past the pattern table, a node id >=
+n_entities, an attribute id >= n_attrs, a pattern type id >= n_types, a root
+that is not the record's first node) raises IndexCorruptError.
 """
 from __future__ import annotations
 
 import io
 import struct
+import zlib
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
 from . import patterns as pat
-from .errors import IndexCorruptError, IndexFormatError
+from .errors import IndexCorruptError, IndexFormatError, ParameterError
 from .pagerank import PageRankVector
 from .pathindex import IndexedPath, PathIndex
 
 MAGIC = b"KGPX"
-TRAILER = b"XPGK"
-VERSION = 2
+VERSION = 3
+MAX_PATH_NODES = 255
 
 
 class _Writer:
@@ -133,6 +138,11 @@ def serialize(idx: PathIndex) -> bytes:
         w.pack("Q", len(records))
         for rec in records:
             n = len(rec.nodes)
+            if n > MAX_PATH_NODES:
+                raise ParameterError(
+                    f"a path of {n} nodes exceeds the index file's limit of {MAX_PATH_NODES} "
+                    f"nodes per path; build with a smaller --d"
+                )
             w.pack("IIBBBB", pattern_id[rec.pattern], rec.root, n, int(rec.edge_match), rec.locus, 0)
             w.pack(f"{n}I", *rec.nodes)
             if n > 1:
@@ -140,8 +150,8 @@ def serialize(idx: PathIndex) -> bytes:
             w.pack("dd", rec.pr_term, rec.sim_term)
 
     w.pack("QQ", idx.stats.entry_count, idx.stats.cost_proxy)
-    w.raw(TRAILER)
-    return w.getvalue()
+    body = w.getvalue()
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 def deserialize(data: bytes) -> PathIndex:
@@ -157,9 +167,14 @@ def _deserialize(data: bytes) -> PathIndex:
     r = _Reader(data)
     if r.take(4) != MAGIC:
         raise IndexFormatError("not a path-index file (bad magic)")
-    version, depth = r.unpack("II")
+    (version,) = r.unpack("I")
     if version != VERSION:
         raise IndexFormatError(f"unsupported index version {version}")
+    body, crc = data[:-4], data[-4:]
+    if len(body) < r.pos or zlib.crc32(body) != int.from_bytes(crc, "little"):
+        raise IndexCorruptError("checksum mismatch: the index file is corrupt or truncated")
+    r.data = body  # decode only the bytes the CRC covers
+    (depth,) = r.unpack("I")
     n_entities, n_types, n_attrs = r.unpack("III")
     damping, tolerance = r.unpack("dd")
     type_names = r.string_table()
@@ -217,8 +232,8 @@ def _deserialize(data: bytes) -> PathIndex:
         per_word[word] = records
 
     stored_entries, cost_proxy = r.unpack("QQ")
-    if r.take(4) != TRAILER:
-        raise IndexCorruptError("missing trailer; file truncated?")
+    if r.pos != len(body):
+        raise IndexCorruptError(f"{len(body) - r.pos} unexpected bytes after the stats")
     idx = PathIndex(depth, pagerank, n_entities, type_names, attr_names, per_word, cost_proxy)
     if stored_entries != idx.stats.entry_count:
         raise IndexCorruptError(

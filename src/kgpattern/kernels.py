@@ -1,4 +1,4 @@
-"""Hot tuple-join kernel with compiled and pure-Python backends.
+"""Hot tuple-join kernel.
 
 The inner loop of the enumeration engines is: given one candidate root and one
 per-keyword choice of path lists, walk the cross product of those lists and
@@ -13,24 +13,16 @@ node of the path. A tuple is rejected exactly when some node would receive two
 different (parent, attr) assignments, i.e. when the union is not a tree.
 
 Rows come back as ``list[tuple[int, ...]]`` of per-keyword path indices, in
-lexicographic order (last keyword varies fastest), identically for both
-backends. Scoring never happens here, so backend choice cannot change any
-float.
-
-Backend selection happens at import: the compiled ``kgpattern._ckernels``
-module is used when importable, else the pure-Python fallback. Override with
-the ``KGP_KERNEL`` environment variable (``c``, ``py`` or ``auto``) or
-``set_backend()``.
+lexicographic order (last keyword varies fastest). Scoring never happens here.
 """
 from __future__ import annotations
-
-import os
 
 Block = tuple  # (child: list[int], parent: list[int], attr: list[int], offsets: list[int])
 
 
-def join_tree_tuples_py(blocks: list[Block]) -> list[tuple[int, ...]]:
-    """Pure-Python reference implementation of the tuple-join kernel."""
+def join_tree_tuples(blocks: list[Block]) -> list[tuple[int, ...]]:
+    """Per-keyword path-index tuples whose path union is a tree rooted at the
+    blocks' shared root."""
     m = len(blocks)
     counts = []
     for _, _, _, offsets in blocks:
@@ -71,44 +63,7 @@ def join_tree_tuples_py(blocks: list[Block]) -> list[tuple[int, ...]]:
     return out
 
 
-try:
-    from ._ckernels import join_tree_tuples as _join_tree_tuples_c
-
-    _HAVE_C = True
-except ImportError:
-    _join_tree_tuples_c = None
-    _HAVE_C = False
-
-_BACKENDS = {"py": join_tree_tuples_py}
-if _HAVE_C:
-    _BACKENDS["c"] = _join_tree_tuples_c
-
-_active_name = "py"
-_active = join_tree_tuples_py
-
-
-def set_backend(name: str = "auto") -> str:
-    """Select the kernel backend; returns the name actually in effect."""
-    global _active, _active_name
-    if name == "auto":
-        name = "c" if _HAVE_C else "py"
-    if name not in _BACKENDS:
-        raise ValueError(f"kernel backend {name!r} not available (have {sorted(_BACKENDS)})")
-    _active = _BACKENDS[name]
-    _active_name = name
-    return name
-
-
 def backend_name() -> str:
-    return _active_name
-
-
-def available_backends() -> list[str]:
-    return sorted(_BACKENDS)
-
-
-def join_tree_tuples(blocks: list[Block]) -> list[tuple[int, ...]]:
-    return _active(blocks)
-
-
-set_backend(os.environ.get("KGP_KERNEL", "auto"))
+    """Always ``"py"``: the kernel has one implementation. Kept because run
+    records of the benchmark harness label themselves with it."""
+    return "py"

@@ -18,6 +18,7 @@ negative exponent raises ScoreDomainError as a guard.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -34,6 +35,10 @@ class ScoringConfig:
     aggregator: str = "sum"
 
     def __post_init__(self):
+        for name in ("z1", "z2", "z3"):
+            z = getattr(self, name)
+            if isinstance(z, bool) or not isinstance(z, numbers.Real) or not math.isfinite(z):
+                raise ParameterError(f"exponent {name} must be a finite number, got {z!r}")
         if self.aggregator not in AGGREGATORS:
             raise ParameterError(f"aggregator must be one of {AGGREGATORS}, got {self.aggregator!r}")
 

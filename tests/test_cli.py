@@ -221,6 +221,20 @@ class TestExitCodes:
         assert main(common + ["--q", "database", "--lambda", "notanumber"]) == 1
         assert main(common + ["--q", "   "]) == 1
 
+    @pytest.mark.parametrize(
+        "config", ["[1]", '{"z1": "x"}', '{"z1": NaN}', '{"z2": true}', '{"agregator": "max"}'],
+        ids=["not-an-object", "string-exponent", "nan-exponent", "bool-exponent", "unknown-key"],
+    )
+    def test_bad_scoring_config_is_usage_error(self, sample_ws, tmp_path, capsys, config):
+        cfg = tmp_path / "scoring.json"
+        cfg.write_text(config)
+        rc = main(
+            ["query", "--graph", str(sample_graph_path()), "--index", str(sample_ws["index"]),
+             "--q", "database software", "--format", "json", "--config", str(cfg)]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_unknown_engine_is_usage_error(self, workspace, capsys):
         rc = main(
             ["bench", "--graph", str(workspace["graph"]), "--index", str(workspace["index"]),

@@ -1,4 +1,5 @@
 import dataclasses
+import zlib
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from kgpattern import (
     IndexCorruptError,
     IndexFormatError,
+    KgPatternError,
+    ParameterError,
     Query,
     build_index,
     compute_pagerank,
@@ -83,7 +86,7 @@ def test_bad_magic(sample_index):
         deserialize(bytes(blob))
 
 
-@pytest.mark.parametrize("version", [1, 99])
+@pytest.mark.parametrize("version", [1, 2, 99])
 def test_bad_version(sample_index, version):
     blob = bytearray(serialize(sample_index))
     blob[4:8] = version.to_bytes(4, "little")
@@ -112,6 +115,14 @@ def test_out_of_range_ids_are_corrupt(sample_graph, corruption):
         deserialize(serialize(idx))
 
 
+def test_path_longer_than_255_nodes_is_rejected_before_writing(sample_graph):
+    idx = build_index(sample_graph, uniform_pagerank(sample_graph), 3)
+    records = idx.words["database"].records
+    records[0] = dataclasses.replace(records[0], nodes=(records[0].root,) * 256, attrs=(0,) * 255)
+    with pytest.raises(ParameterError, match="255 nodes"):
+        serialize(idx)
+
+
 def test_name_table_shorter_than_its_count_is_corrupt(sample_graph):
     idx = build_index(sample_graph, uniform_pagerank(sample_graph), 3)
     idx.attr_names = idx.attr_names[:-1]
@@ -127,24 +138,29 @@ def test_truncation(sample_index, fraction):
         deserialize(cut)
 
 
-def test_byte_flip_fuzz_never_crashes(sample_index):
-    """Any single-byte corruption either still parses or raises a package error."""
-    import random
+def test_bytes_after_the_stats_are_corrupt(sample_index):
+    body = serialize(sample_index)[:-4] + b"\0"
+    with pytest.raises(IndexCorruptError, match="after the stats"):
+        deserialize(body + zlib.crc32(body).to_bytes(4, "little"))
 
-    from kgpattern import KgPatternError
+
+def test_byte_flip_fuzz_never_crashes(sample_index):
+    """Every single-bit corruption is rejected with a package error: the
+    magic and version checks catch flips in the first 8 bytes, the CRC all
+    others."""
+    import random
 
     blob = bytearray(serialize(sample_index))
     rng = random.Random(0)
-    for _ in range(300):
+    for _ in range(3000):
         pos = rng.randrange(len(blob))
-        old = blob[pos]
-        blob[pos] = rng.randrange(256)
+        bit = 1 << rng.randrange(8)
+        blob[pos] ^= bit
         try:
-            deserialize(bytes(blob))
-        except KgPatternError:
-            pass
+            with pytest.raises(KgPatternError):
+                deserialize(bytes(blob))
         finally:
-            blob[pos] = old
+            blob[pos] ^= bit
 
 
 def test_queries_identical_after_roundtrip(sample_graph, sample_index, sample_query):

@@ -1,103 +1,32 @@
 import itertools
-import random
 
 import pytest
 
-from kgpattern import Query, assemble_subtree, build_index, compute_pagerank, kernels
+from kgpattern import assemble_subtree, build_index, compute_pagerank, kernels
 
 from conftest import random_instance
 
-needs_c = pytest.mark.skipif(
-    "c" not in kernels.available_backends(), reason="compiled kernel not built"
-)
-
-
-def random_blocks(rng):
-    blocks = []
-    for _ in range(rng.randint(1, 4)):
-        child, parent, attr, off = [], [], [], [0]
-        for _ in range(rng.randint(0, 4)):
-            prev = 0
-            for _ in range(rng.randint(0, 3)):
-                node = rng.randint(1, 6)
-                child.append(node)
-                parent.append(prev)
-                attr.append(rng.randint(0, 2))
-                prev = node
-            off.append(len(child))
-        blocks.append((child, parent, attr, off))
-    return blocks
-
 
 def test_empty_keyword_short_circuits():
-    assert kernels.join_tree_tuples_py([([], [], [], [0])]) == []
+    assert kernels.join_tree_tuples([([], [], [], [0])]) == []
 
 
 def test_single_node_paths_always_join():
     b = ([], [], [], [0, 0])
-    assert kernels.join_tree_tuples_py([b, b, b]) == [(0, 0, 0)]
+    assert kernels.join_tree_tuples([b, b, b]) == [(0, 0, 0)]
 
 
 def test_conflict_rejected():
     via_a = ([5, 9], [0, 5], [1, 2], [0, 2])
     via_b = ([6, 9], [0, 6], [1, 2], [0, 2])
-    assert kernels.join_tree_tuples_py([via_a, via_b]) == []
-    assert kernels.join_tree_tuples_py([via_a, via_a]) == [(0, 0)]
+    assert kernels.join_tree_tuples([via_a, via_b]) == []
+    assert kernels.join_tree_tuples([via_a, via_a]) == [(0, 0)]
 
 
 def test_lexicographic_order():
     b = ([], [], [], [0, 0, 0])  # two empty paths per keyword
-    rows = kernels.join_tree_tuples_py([b, b])
+    rows = kernels.join_tree_tuples([b, b])
     assert rows == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-
-@needs_c
-def test_backends_agree_randomized():
-    rng = random.Random(99)
-    for _ in range(800):
-        blocks = random_blocks(rng)
-        assert kernels.join_tree_tuples_py(blocks) == kernels._join_tree_tuples_c(blocks)
-
-
-@needs_c
-def test_backend_switching():
-    original = kernels.backend_name()
-    try:
-        assert kernels.set_backend("py") == "py"
-        assert kernels.backend_name() == "py"
-        assert kernels.set_backend("auto") == "c"
-    finally:
-        kernels.set_backend(original)
-
-
-def test_unknown_backend():
-    with pytest.raises(ValueError):
-        kernels.set_backend("fortran")
-
-
-@needs_c
-@pytest.mark.parametrize("case", [2, 5])
-def test_engines_identical_across_backends(case):
-    """Full engine runs must not depend on the kernel backend at all."""
-    from kgpattern import Query as Q
-    from kgpattern import search_linear_topk
-
-    g, depth, words = random_instance(case)
-    idx = build_index(g, compute_pagerank(g), depth)
-    query = Q(words, k=5)
-    original = kernels.backend_name()
-    try:
-        results = {}
-        for backend in ("py", "c"):
-            kernels.set_backend(backend)
-            res = search_linear_topk(g, idx, query)
-            results[backend] = [
-                (sp.score, sp.pattern, [m.sort_key() for m in sp.subtrees])
-                for sp in res.patterns
-            ]
-        assert results["py"] == results["c"]
-    finally:
-        kernels.set_backend(original)
 
 
 @pytest.mark.parametrize("case", [0, 3, 6])

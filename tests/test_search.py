@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgpattern import (
     ParameterError,
@@ -337,6 +339,30 @@ class TestSampling:
         # exact mode works for every aggregator
         res = search_linear_topk(sample_graph, sample_index, sample_query, SamplingConfig(), cfg)
         assert res.patterns
+
+
+@pytest.fixture(scope="module")
+def sampling_instances(sample_graph, sample_index, sample_query):
+    """(graph, index, query, exact members by pattern) per instance."""
+    out = [(sample_graph, sample_index, sample_query)]
+    for case in (5, 8, 11, 13):  # random instances whose queries have answers
+        g, depth, words = random_instance(case)
+        out.append((g, build_index(g, compute_pagerank(g), depth), Query(words, k=10)))
+    return [(g, idx, q, dict(search_linear_enum(g, idx, q))) for g, idx, q in out]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), rho=st.floats(0.1, 0.9))
+def test_sampled_winners_are_rescored_exactly(sampling_instances, data, seed, rho):
+    """Every pattern sampled linear-topk returns carries its estimate, and its
+    score and members are exactly those of the full enumeration."""
+    graph, idx, query, exact = data.draw(st.sampled_from(sampling_instances))
+    result = search_linear_topk(graph, idx, query, SamplingConfig(threshold=0, rate=rho, seed=seed))
+    for sp in result.patterns:
+        assert sp.estimated_score is not None
+        reference = ScoredPattern.from_members(sp.pattern, exact[sp.pattern])
+        assert sp.score == reference.score
+        assert [m.sort_key() for m in sp.subtrees] == [m.sort_key() for m in reference.subtrees]
 
 
 class TestUniformStream:
