@@ -4,17 +4,20 @@ Every score starts at 1/n; each iteration applies
 
     PR(v) <- (1 - a)/n + a * sum over in-edges (u, v) of PR(u)/outdeg(u)
 
-and the loop stops once no score moves by `tolerance` or more. There is no
-dangling-mass redistribution, so scores need not sum to 1; every converged
-score lies in [(1 - a)/n, 1]. Edge contributions are accumulated in a fixed
+and the loop stops once no score moves by `tolerance` or more. The damping
+`a` must lie in [0, 1) and `tolerance` be finite and >= 0 (ParameterError
+otherwise). There is no dangling-mass redistribution, so scores need not sum
+to 1; every converged score lies in [(1 - a)/n, 1], so it is positive. Edge contributions are accumulated in a fixed
 (target, source, attr) order, so results are bit-identical run to run.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParameterError
 from .graph import KnowledgeGraph
 
 
@@ -34,6 +37,10 @@ def compute_pagerank(
     tolerance: float = 1e-8,
     max_iterations: int = 10_000,
 ) -> PageRankVector:
+    if not 0.0 <= damping < 1.0:
+        raise ParameterError(f"damping must be in [0, 1), got {damping}")
+    if not 0.0 <= tolerance < math.inf:
+        raise ParameterError(f"tolerance must be finite and >= 0, got {tolerance}")
     n = graph.n_entities
     if n == 0:
         return PageRankVector(np.zeros(0), damping, tolerance)

@@ -18,9 +18,9 @@ query-time scoring is pure arithmetic.
 Each word's records are kept once, sorted pattern-first (pattern
 length-lexicographically, then root, nodes, attrs), and viewed in two orders:
 word -> pattern -> root -> paths (pattern-first) and word -> root -> pattern ->
-paths (root-first). Both views are built from that record list when the index
-is constructed, whether by `build_index` or by reading a file, so both
-flatten to the same sorted sequence.
+paths (root-first). Both views are built from that record list, whether it
+came from `build_index` or from a file, so both flatten to the same sorted
+sequence. A word's records and views are built when first read.
 
 Literal (dummy TEXT) entities are never used as roots: they stand for
 attribute *values*, carry no type, and cannot anchor a table answer. They do
@@ -31,7 +31,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional, Union
 
 from . import patterns as pat
 from .errors import ParameterError
@@ -98,21 +98,43 @@ class IndexStats:
     word_sizes: dict[str, int]
 
 
+# A word's records in any order, or their count and a function that returns them.
+WordRecords = Union[list[IndexedPath], tuple[int, Callable[[], list[IndexedPath]]]]
+
+
 class _WordIndex:
-    """Both layouts for one word, over one shared record list."""
+    """Both layouts for one word, over one shared record list.
 
-    __slots__ = ("records", "pattern_first", "root_first")
+    Each slot is filled from `source` on its first read (a record list is
+    sorted in place), so a word that no query touches costs no objects; a
+    filled slot is read without reaching `__getattr__`.
+    """
 
-    def __init__(self, records: list[IndexedPath]):
-        records.sort(key=IndexedPath.sort_key)
-        self.records = records
-        self.pattern_first: dict[pat.PathPattern, dict[int, list[IndexedPath]]] = {}
-        for rec in records:
-            self.pattern_first.setdefault(rec.pattern, {}).setdefault(rec.root, []).append(rec)
-        # A stable sort keeps each root's records in (pattern, nodes, attrs) order.
-        self.root_first: dict[int, dict[pat.PathPattern, list[IndexedPath]]] = {}
-        for rec in sorted(records, key=attrgetter("root")):
-            self.root_first.setdefault(rec.root, {}).setdefault(rec.pattern, []).append(rec)
+    __slots__ = ("size", "_source", "records", "pattern_first", "root_first")
+
+    def __init__(self, source: WordRecords):
+        if isinstance(source, list):
+            self.size, self._source = len(source), lambda: source
+        else:
+            self.size, self._source = source
+
+    def __getattr__(self, name: str):
+        # Called only for an unset slot.
+        if name == "records":
+            self.records = self._source()
+            del self._source
+            self.records.sort(key=IndexedPath.sort_key)
+        elif name in ("pattern_first", "root_first"):
+            self.pattern_first: dict[pat.PathPattern, dict[int, list[IndexedPath]]] = {}
+            for rec in self.records:
+                self.pattern_first.setdefault(rec.pattern, {}).setdefault(rec.root, []).append(rec)
+            # A stable sort keeps each root's records in (pattern, nodes, attrs) order.
+            self.root_first: dict[int, dict[pat.PathPattern, list[IndexedPath]]] = {}
+            for rec in sorted(self.records, key=attrgetter("root")):
+                self.root_first.setdefault(rec.root, {}).setdefault(rec.pattern, []).append(rec)
+        else:
+            raise AttributeError(name)
+        return getattr(self, name)
 
 
 def iter_root_paths(
@@ -179,10 +201,10 @@ class PathIndex:
         n_entities: int,
         type_names: list[str],
         attr_names: list[str],
-        per_word: dict[str, list[IndexedPath]],
+        per_word: dict[str, WordRecords],
         cost_proxy: int,
     ):
-        """Index `per_word` (word -> its records, in any order; the lists are
+        """Index `per_word` (word -> its records, see `_WordIndex`; a list is
         sorted in place) for a graph with these entity count and name tables."""
         self.depth = depth
         self.pagerank = pagerank
@@ -192,7 +214,7 @@ class PathIndex:
         self.n_types = len(type_names)
         self.n_attrs = len(attr_names)
         self.words: dict[str, _WordIndex] = {w: _WordIndex(per_word[w]) for w in sorted(per_word)}
-        word_sizes = {w: len(wi.records) for w, wi in self.words.items()}
+        word_sizes = {w: wi.size for w, wi in self.words.items()}
         self.stats = IndexStats(sum(word_sizes.values()), cost_proxy, word_sizes)
         self._blocks: dict[tuple[str, int, pat.PathPattern], tuple] = {}
 

@@ -79,6 +79,8 @@ class SamplingConfig:
     def __post_init__(self):
         if not 0.0 < self.rate <= 1.0:
             raise ParameterError(f"sampling rate must be in (0, 1], got {self.rate}")
+        if math.isnan(self.threshold):
+            raise ParameterError("sampling threshold must be a number or inf, got nan")
 
 
 EXACT_SAMPLING = SamplingConfig()

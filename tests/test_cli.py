@@ -235,6 +235,27 @@ class TestExitCodes:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "flags", [["--damping", "1.5"], ["--damping", "nan"], ["--damping", "1"], ["--damping", "-0.1"],
+                  ["--tol", "nan"], ["--tol", "-1"], ["--tol", "inf"]],
+        ids=["damping-1.5", "damping-nan", "damping-1", "damping-negative", "tol-nan", "tol-negative", "tol-inf"],
+    )
+    def test_bad_pagerank_parameters_are_usage_errors(self, tmp_path, capsys, flags):
+        index = tmp_path / "i.kgpx"
+        assert main(["build", "--graph", str(sample_graph_path()), "--index", str(index), *flags]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not index.exists()
+
+    @pytest.mark.parametrize("command", ["query", "sweep"])
+    def test_nan_lambda_is_usage_error(self, command, workspace, capsys):
+        args = [command, "--graph", str(workspace["graph"]), "--index", str(workspace["index"])]
+        if command == "query":
+            args += ["--q", "w0 w1", "--lambda", "nan", "--rho", "0.5"]
+        else:
+            args += ["--queries", str(workspace["queries"]), "--lambdas", "nan"]
+        assert main(args) == 1
+        assert "threshold" in capsys.readouterr().err
+
     def test_unknown_engine_is_usage_error(self, workspace, capsys):
         rc = main(
             ["bench", "--graph", str(workspace["graph"]), "--index", str(workspace["index"]),

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import zlib
 
 import numpy as np
@@ -19,6 +20,7 @@ from kgpattern import (
     uniform_pagerank,
     write_index,
 )
+from kgpattern.pathindex import EDGE_TYPE, NODE_TEXT
 
 from conftest import graph_from_text, random_instance
 
@@ -73,6 +75,37 @@ def test_roundtrip_graph_without_attributes():
     assert_structurally_equal(deserialize(serialize(idx)), idx)
 
 
+@pytest.mark.parametrize("case", [None, 0, 1, 2, 3, 4])
+def test_reserialize_untouched_index_is_byte_identical(sample_index, case):
+    if case is None:
+        idx = sample_index
+    else:
+        g, depth, _ = random_instance(case)
+        idx = build_index(g, compute_pagerank(g), depth)
+    blob = serialize(idx)
+    assert serialize(deserialize(blob)) == blob
+
+
+def test_a_read_word_is_built_on_first_use(sample_index):
+    again = deserialize(serialize(sample_index))
+
+    def built():
+        # The slot's own descriptor raises for an unset slot instead of building it.
+        slot = type(again.words["database"]).records
+        out = []
+        for w in again.vocabulary():
+            try:
+                slot.__get__(again.words[w])
+                out.append(w)
+            except AttributeError:
+                pass
+        return out
+
+    assert built() == []
+    assert again.roots("database") == sample_index.roots("database")
+    assert built() == ["database"]
+
+
 def test_file_roundtrip(tmp_path, sample_index):
     path = tmp_path / "sample.kgpx"
     write_index(sample_index, path)
@@ -86,7 +119,7 @@ def test_bad_magic(sample_index):
         deserialize(bytes(blob))
 
 
-@pytest.mark.parametrize("version", [1, 2, 99])
+@pytest.mark.parametrize("version", [1, 2, 3, 99])
 def test_bad_version(sample_index, version):
     blob = bytearray(serialize(sample_index))
     blob[4:8] = version.to_bytes(4, "little")
@@ -113,6 +146,67 @@ def test_out_of_range_ids_are_corrupt(sample_graph, corruption):
     records[i] = dataclasses.replace(records[i], **OUT_OF_RANGE[corruption](records[i], idx))
     with pytest.raises(IndexCorruptError):
         deserialize(serialize(idx))
+
+
+# Each names the kind of record it changes (an edge match or not) and maps one
+# such record with at least two nodes to fields that no index build writes.
+INCONSISTENT = {
+    "pr-nan": (False, lambda rec: {"pr_term": math.nan}),
+    "pr-zero": (False, lambda rec: {"pr_term": 0.0}),
+    "pr-negative": (False, lambda rec: {"pr_term": -1.0}),
+    "sim-inf": (False, lambda rec: {"sim_term": math.inf}),
+    "sim-zero": (False, lambda rec: {"sim_term": 0.0}),
+    "locus-7": (False, lambda rec: {"locus": 7}),
+    "edge-match-2": (True, lambda rec: {"edge_match": 2}),
+    "edge-match-on-node-pattern": (False, lambda rec: {"edge_match": True}),
+    "node-match-on-edge-pattern": (True, lambda rec: {"edge_match": False}),
+    "edge-locus-on-node-match": (False, lambda rec: {"locus": EDGE_TYPE}),
+    "node-locus-on-edge-match": (True, lambda rec: {"locus": NODE_TEXT}),
+    "node-count": (False, lambda rec: {"nodes": rec.nodes + rec.nodes[-1:], "attrs": rec.attrs + (0,)}),
+    "no-nodes": (False, lambda rec: {"nodes": (), "attrs": ()}),
+}
+
+
+@pytest.mark.parametrize("corruption", list(INCONSISTENT))
+def test_inconsistent_records_are_corrupt(sample_graph, corruption):
+    edge_match, fields = INCONSISTENT[corruption]
+    idx = build_index(sample_graph, compute_pagerank(sample_graph), 3)
+    records, i = next(
+        (idx.words[w].records, i)
+        for w in idx.vocabulary()
+        for i, rec in enumerate(idx.words[w].records)
+        if rec.edge_match == edge_match and len(rec.nodes) > 1
+    )
+    records[i] = dataclasses.replace(records[i], **fields(records[i]))
+    with pytest.raises(IndexCorruptError):
+        deserialize(serialize(idx))
+
+
+@pytest.mark.parametrize("edit", ["one-short", "nan", "zero"])
+def test_bad_pagerank_vector_is_corrupt(sample_graph, edit):
+    idx = build_index(sample_graph, compute_pagerank(sample_graph), 3)
+    scores = idx.pagerank.scores.copy()
+    if edit == "one-short":
+        scores = scores[:-1]
+    else:
+        scores[0] = math.nan if edit == "nan" else 0.0
+    idx.pagerank.scores = scores
+    with pytest.raises(IndexCorruptError):
+        deserialize(serialize(idx))
+
+
+def test_pattern_id_past_the_table_is_corrupt(sample_index):
+    """No writer stores one, so patch the first record's pattern id in the
+    file and seal it with a fresh CRC."""
+    body = bytearray(serialize(sample_index)[:-4])
+    records = [rec for w in sample_index.vocabulary() for rec in sample_index.words[w].records]
+    n, n_nodes = len(records), sum(len(rec.nodes) for rec in records)
+    # From the end: the stats, the attrs and nodes columns, then 27 bytes a
+    # record in the seven fixed-width columns, the first of which is pattern_id.
+    at = len(body) - 16 - 4 * (2 * n_nodes - n) - 27 * n
+    body[at : at + 4] = len({rec.pattern for rec in records}).to_bytes(4, "little")
+    with pytest.raises(IndexCorruptError, match="unknown pattern id"):
+        deserialize(bytes(body) + zlib.crc32(body).to_bytes(4, "little"))
 
 
 def test_path_longer_than_255_nodes_is_rejected_before_writing(sample_graph):
