@@ -2,6 +2,7 @@ import io
 import random
 
 import pytest
+from hypothesis import settings
 
 from kgpattern import (
     GenConfig,
@@ -13,6 +14,11 @@ from kgpattern import (
     uniform_pagerank,
 )
 from kgpattern.fixtures import load_sample_graph
+
+# The same examples on every run: derandomized, and no example database to
+# replay earlier failures from. Each test's own max_examples still applies.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 QUERY_WORDS = ("database", "software", "company", "revenue")
 

@@ -1,14 +1,21 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgpattern import (
+    GenConfig,
     build_index,
     compute_pagerank,
     count_patterns_exhaustive,
     enumerate_patterns_exhaustive,
+    generate_graph,
     Query,
     search_linear_enum,
 )
 from kgpattern import patterns as pat
+from kgpattern.bench import ENGINES
+from kgpattern.scoring import DEFAULT_CONFIG
+from kgpattern.search import EXACT_SAMPLING
 
 from conftest import graph_from_text, random_instance
 
@@ -79,3 +86,47 @@ def test_matches_linear_enumeration(case):
     assert as_comparable(pairs) == oracle_comparable(
         enumerate_patterns_exhaustive(g, words, depth)
     )
+
+
+def oracle_members(members):
+    """Oracle members (root, raw paths) in the oracle's own order."""
+    return [(root, tuple((n, a, e) for n, a, e in combo)) for root, combo in members]
+
+
+def engine_members(sp):
+    return [(m.root, tuple((x.nodes, x.attrs, x.edge_match) for x in m.paths)) for m in sp.subtrees]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    entities=st.integers(4, 25),
+    types=st.integers(1, 5),
+    attr_types=st.integers(1, 5),
+    avg_out_degree=st.floats(0.5, 2.5),
+    vocab=st.integers(2, 8),
+    seed=st.integers(0, 2**16),
+    depth=st.sampled_from([2, 3]),
+    data=st.data(),
+)
+def test_every_engine_matches_the_oracle(entities, types, attr_types, avg_out_degree, vocab, seed, depth, data):
+    """Every engine in exact mode, asked for at least as many patterns as
+    exist, returns exactly the oracle's patterns with the oracle's members in
+    the oracle's order; scores agree across engines and rank the answer."""
+    cfg = GenConfig(entities, types, attr_types, avg_out_degree, vocab, words_per_text=2, literal_fraction=0.2, seed=seed)
+    graph = graph_from_text(generate_graph(cfg))
+    words = tuple(data.draw(st.lists(st.sampled_from([f"w{i}" for i in range(vocab)]), min_size=1, max_size=3, unique=True)))
+    expected = enumerate_patterns_exhaustive(graph, words, depth)
+    idx = build_index(graph, compute_pagerank(graph), depth)
+    query = Query(words, k=max(1, len(expected)))
+
+    scores = {}
+    for name, engine in ENGINES.items():
+        ranked = engine(graph, idx, query, DEFAULT_CONFIG, EXACT_SAMPLING)
+        assert sorted(sp.pattern for sp in ranked) == sorted(expected), name
+        for sp in ranked:
+            assert engine_members(sp) == oracle_members(expected[sp.pattern]), (name, sp.pattern)
+        order = [(-sp.score, pat.tree_sort_key(sp.pattern)) for sp in ranked]
+        assert order == sorted(order), name
+        for sp in ranked:
+            reference = scores.setdefault(sp.pattern, sp.score)
+            assert sp.score == pytest.approx(reference, rel=1e-9), (name, sp.pattern)
