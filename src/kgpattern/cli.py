@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -113,13 +112,12 @@ def _emit(text: str, out_path) -> None:
             sys.stdout.write("\n")
 
 
-def _parse_threshold(raw: str) -> float:
-    if raw.strip().lower() in ("inf", "+inf", "infinity"):
-        return math.inf
+def _parse_number(raw: str, flag: str) -> float:
+    """`raw` as a float ('inf' included); ParameterError naming `flag` otherwise."""
     try:
         return float(raw)
     except ValueError:
-        raise ParameterError(f"--lambda must be a number or 'inf', got {raw!r}") from None
+        raise ParameterError(f"{flag} must be a number, got {raw!r}") from None
 
 
 def _scoring_from(path) -> ScoringConfig:
@@ -195,7 +193,7 @@ def _cmd_query(args) -> int:
     graph, idx = _load_graph_and_index(args)
     scoring = _scoring_from(args.config)
     query = Query(tuple(tokenize(args.q)), args.k)
-    sampling = SamplingConfig(_parse_threshold(args.threshold), args.rho, args.seed)
+    sampling = SamplingConfig(_parse_number(args.threshold, "--lambda"), args.rho, args.seed)
     ranked = bench_mod.ENGINES[args.algo](graph, idx, query, scoring, sampling)
     if args.format == "json":
         doc = {
@@ -262,17 +260,19 @@ def _cmd_bench(args) -> int:
     bench_mod.check_engines(algorithms)
     graph, idx = _load_graph_and_index(args)
     queries = _read_queries(args.queries, args.k)
-    sampling = SamplingConfig(_parse_threshold(args.threshold), args.rho, args.seed)
+    sampling = SamplingConfig(_parse_number(args.threshold, "--lambda"), args.rho, args.seed)
     report = bench_mod.run_bench(graph, idx, queries, algorithms=algorithms, sampling=sampling)
     _emit_report(report, args.format, args.out)
     return 0
 
 
 def _cmd_sweep(args) -> int:
+    thresholds = [_parse_number(x, "--lambdas") for x in args.lambdas.split(",") if x.strip()]
+    rates = [_parse_number(x, "--rhos") for x in args.rhos.split(",") if x.strip()]
+    if args.seeds < 1:
+        raise ParameterError(f"--seeds must be >= 1, got {args.seeds}")
     graph, idx = _load_graph_and_index(args)
     queries = _read_queries(args.queries, args.k)
-    thresholds = [_parse_threshold(x) for x in args.lambdas.split(",") if x.strip()]
-    rates = [float(x) for x in args.rhos.split(",") if x.strip()]
     report = bench_mod.run_precision_sweep(
         graph, idx, queries, thresholds, rates, args.k, seeds=range(args.seeds)
     )

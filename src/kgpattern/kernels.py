@@ -9,8 +9,12 @@ keep the tuples whose path union forms a rooted tree. That is what
 
 four flat int lists; path j of the block owns the triple slice
 ``offsets[j]:offsets[j+1]``, one ``(child, parent, attr)`` triple per non-root
-node of the path. A tuple is rejected exactly when some node would receive two
-different (parent, attr) assignments, i.e. when the union is not a tree.
+node of the path. The path index keeps one block per (word, pattern, root)
+leaf: its child, parent and attr lists are the word's step lists, shared by
+all of the word's leaves, and its offsets are the leaf's own slice of the
+word's step offsets, so they need not start at 0. A tuple is rejected exactly
+when some node would receive two different (parent, attr) assignments, i.e.
+when the union is not a tree.
 
 Rows come back as ``list[tuple[int, ...]]`` of per-keyword path indices, in
 lexicographic order (last keyword varies fastest). Scoring never happens here.

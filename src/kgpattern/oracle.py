@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
+from .errors import ParameterError
 from .graph import TEXT_TYPE_ID, KnowledgeGraph
 
 # A raw path is (nodes, attrs, edge_match); a member is (root, tuple_of_raw_paths).
@@ -87,6 +88,8 @@ def enumerate_patterns_exhaustive(
     graph: KnowledgeGraph, keywords, depth: int
 ) -> dict[tuple, list]:
     """Mapping tree pattern -> sorted list of members (root, raw path tuple)."""
+    if depth < 1:
+        raise ParameterError(f"depth must be >= 1, got {depth}")
     keywords = list(keywords)
     results: dict[tuple, list] = {}
     for root in range(graph.n_entities):

@@ -16,11 +16,15 @@ the matched node or of the matched edge's source, Jaccard similarity), so
 query-time scoring is pure arithmetic.
 
 Each word's records are kept once, sorted pattern-first (pattern
-length-lexicographically, then root, nodes, attrs), and viewed in two orders:
-word -> pattern -> root -> paths (pattern-first) and word -> root -> pattern ->
-paths (root-first). Both views are built from that record list, whether it
-came from `build_index` or from a file, so both flatten to the same sorted
-sequence. A word's records and views are built when first read.
+length-lexicographically, then root, nodes, attrs). Each run of records that
+share a (pattern, root) pair is one *leaf*: its record list plus its kernel
+block (see `kernels`). A leaf is built once and referenced from both layouts,
+word -> pattern -> root -> leaf (pattern-first) and word -> root -> pattern ->
+leaf (root-first), so both flatten to the same sorted sequence. A leaf's block
+shares the word's (child, parent, attr) step lists; its offsets are the
+leaf's own slice of the word's step offsets. A word's records, leaves and
+layouts are built when first read, the same way whether the records came
+from `build_index` or from a file.
 
 Literal (dummy TEXT) entities are never used as roots: they stand for
 attribute *values*, carry no type, and cannot anchor a table answer. They do
@@ -30,7 +34,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import accumulate, groupby
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterator, Optional, Union
 
 from . import patterns as pat
@@ -71,13 +76,6 @@ class IndexedPath:
     def sort_key(self):
         return (pat.sort_key(self.pattern), self.root, self.nodes, self.attrs)
 
-    def steps(self) -> tuple[list[int], list[int], list[int]]:
-        """(child, parent, attr) triples for every non-root node on the path."""
-        child = list(self.nodes[1:])
-        parent = list(self.nodes[:-1])
-        attr = list(self.attrs)
-        return child, parent, attr
-
 
 @dataclass(slots=True)
 class PathHit:
@@ -102,8 +100,18 @@ class IndexStats:
 WordRecords = Union[list[IndexedPath], tuple[int, Callable[[], list[IndexedPath]]]]
 
 
+class Leaf:
+    """The paths of one (word, pattern, root), sorted, with their kernel block."""
+
+    __slots__ = ("paths", "block")
+
+    def __init__(self, paths: list[IndexedPath], block: tuple):
+        self.paths = paths
+        self.block = block
+
+
 class _WordIndex:
-    """Both layouts for one word, over one shared record list.
+    """Both layouts for one word, over one shared set of leaves.
 
     Each slot is filled from `source` on its first read (a record list is
     sorted in place), so a word that no query touches costs no objects; a
@@ -125,13 +133,24 @@ class _WordIndex:
             del self._source
             self.records.sort(key=IndexedPath.sort_key)
         elif name in ("pattern_first", "root_first"):
-            self.pattern_first: dict[pat.PathPattern, dict[int, list[IndexedPath]]] = {}
-            for rec in self.records:
-                self.pattern_first.setdefault(rec.pattern, {}).setdefault(rec.root, []).append(rec)
-            # A stable sort keeps each root's records in (pattern, nodes, attrs) order.
-            self.root_first: dict[int, dict[pat.PathPattern, list[IndexedPath]]] = {}
-            for rec in sorted(self.records, key=attrgetter("root")):
-                self.root_first.setdefault(rec.root, {}).setdefault(rec.pattern, []).append(rec)
+            records = self.records
+            child = [v for rec in records for v in rec.nodes[1:]]
+            parent = [v for rec in records for v in rec.nodes[:-1]]
+            attr = [v for rec in records for v in rec.attrs]
+            offsets = list(accumulate((len(rec.attrs) for rec in records), initial=0))
+            self.pattern_first: dict[pat.PathPattern, dict[int, Leaf]] = {}
+            leaves = []
+            start = 0
+            for (pattern, root), run in groupby(records, key=attrgetter("pattern", "root")):
+                stop = start + sum(1 for _ in run)
+                leaf = Leaf(records[start:stop], (child, parent, attr, offsets[start : stop + 1]))
+                self.pattern_first.setdefault(pattern, {})[root] = leaf
+                leaves.append((root, pattern, leaf))
+                start = stop
+            self.root_first: dict[int, dict[pat.PathPattern, Leaf]] = {}
+            # A stable sort by root keeps each root's leaves in pattern order.
+            for root, pattern, leaf in sorted(leaves, key=itemgetter(0)):
+                self.root_first.setdefault(root, {})[pattern] = leaf
         else:
             raise AttributeError(name)
         return getattr(self, name)
@@ -216,27 +235,32 @@ class PathIndex:
         self.words: dict[str, _WordIndex] = {w: _WordIndex(per_word[w]) for w in sorted(per_word)}
         word_sizes = {w: wi.size for w, wi in self.words.items()}
         self.stats = IndexStats(sum(word_sizes.values()), cost_proxy, word_sizes)
-        self._blocks: dict[tuple[str, int, pat.PathPattern], tuple] = {}
 
     # -- access methods ------------------------------------------------
+
+    def root_leaves(self, word: str, root: int) -> dict[pat.PathPattern, Leaf]:
+        """The leaves of `word` under `root`, by pattern in pattern order (read-only)."""
+        wi = self.words.get(word)
+        return {} if wi is None else wi.root_first.get(root, {})
+
+    def pattern_leaves(self, word: str, pattern: pat.PathPattern) -> dict[int, Leaf]:
+        """The leaves of `word` under `pattern`, by root in root order (read-only)."""
+        wi = self.words.get(word)
+        return {} if wi is None else wi.pattern_first.get(pattern, {})
 
     def patterns(self, word: str, root: Optional[int] = None) -> list[pat.PathPattern]:
         """Patterns under which some root (or the given root) reaches `word`."""
         wi = self.words.get(word)
         if wi is None:
             return []
-        if root is None:
-            return list(wi.pattern_first.keys())
-        return list(wi.root_first.get(root, {}).keys())
+        return list(wi.pattern_first if root is None else wi.root_first.get(root, {}))
 
     def roots(self, word: str, pattern: Optional[pat.PathPattern] = None) -> list[int]:
         """Roots reaching `word`, optionally restricted to one pattern."""
         wi = self.words.get(word)
         if wi is None:
             return []
-        if pattern is None:
-            return list(wi.root_first.keys())
-        return list(wi.pattern_first.get(pattern, {}).keys())
+        return list(wi.root_first if pattern is None else wi.pattern_first.get(pattern, {}))
 
     def paths(
         self,
@@ -244,63 +268,36 @@ class PathIndex:
         pattern: Optional[pat.PathPattern] = None,
         root: Optional[int] = None,
     ) -> list[IndexedPath]:
-        """Materialized paths for (word, pattern, root); any selector may be omitted."""
-        wi = self.words.get(word)
-        if wi is None:
-            return []
+        """Materialized paths for (word, pattern, root) in a new list; any
+        selector may be omitted."""
         if pattern is not None and root is not None:
-            return list(wi.pattern_first.get(pattern, {}).get(root, []))
+            leaf = self.pattern_leaves(word, pattern).get(root)
+            return list(leaf.paths) if leaf else []
         if root is not None:
-            out: list[IndexedPath] = []
-            for plist in wi.root_first.get(root, {}).values():
-                out.extend(plist)
-            return out
-        if pattern is not None:
-            out = []
-            for plist in wi.pattern_first.get(pattern, {}).values():
-                out.extend(plist)
-            return out
-        return list(wi.records)
+            leaves = self.root_leaves(word, root).values()
+        elif pattern is not None:
+            leaves = self.pattern_leaves(word, pattern).values()
+        else:
+            wi = self.words.get(word)
+            return list(wi.records) if wi else []
+        return [rec for leaf in leaves for rec in leaf.paths]
 
     def flatten(self, word: str, layout: str = "pattern") -> list[IndexedPath]:
         """All records for a word by walking one layout (for agreement checks)."""
         wi = self.words.get(word)
         if wi is None:
             return []
-        out: list[IndexedPath] = []
-        if layout == "pattern":
-            for roots in wi.pattern_first.values():
-                for plist in roots.values():
-                    out.extend(plist)
-        else:
-            for pats in wi.root_first.values():
-                for plist in pats.values():
-                    out.extend(plist)
-        return out
+        nested = wi.pattern_first if layout == "pattern" else wi.root_first
+        return [rec for leaves in nested.values() for leaf in leaves.values() for rec in leaf.paths]
 
     def vocabulary(self) -> list[str]:
         return list(self.words.keys())
 
-    # -- kernel plumbing -------------------------------------------------
-
     def block(self, word: str, root: int, pattern: pat.PathPattern):
-        """Cached (child, parent, attr, offsets) lists for a leaf path list."""
-        key = (word, root, pattern)
-        blk = self._blocks.get(key)
-        if blk is None:
-            child: list[int] = []
-            parent: list[int] = []
-            attr: list[int] = []
-            offsets = [0]
-            for rec in self.paths(word, pattern=pattern, root=root):
-                c, p, a = rec.steps()
-                child.extend(c)
-                parent.extend(p)
-                attr.extend(a)
-                offsets.append(len(child))
-            blk = (child, parent, attr, offsets)
-            self._blocks[key] = blk
-        return blk
+        """The kernel block of the (word, pattern, root) leaf; an empty block
+        when there is no such leaf."""
+        leaf = self.pattern_leaves(word, pattern).get(root)
+        return leaf.block if leaf else ([], [], [], [0])
 
 
 def build_index(graph: KnowledgeGraph, pagerank: PageRankVector, depth: int) -> PathIndex:

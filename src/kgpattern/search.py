@@ -22,8 +22,9 @@
   threshold = inf and rate = 1 it returns the exact top k.
 
 The three index engines differ only in which (root, tree pattern) pairs they
-visit: each pair goes through one shared join, ``_join_root``, and all four
-engines score a pattern in one step, ``ScoredPattern.from_members``. Path
+visit: each reads a root's (or a pattern's) index leaves once per keyword and
+hands each pair's leaves to one shared join, ``_join``, and all four engines
+score a pattern in one step, ``ScoredPattern.from_members``. Path
 tuples whose union is not a rooted tree are rejected everywhere (the union
 must be a subtree of the graph); rejected counts are reported in stats and
 logged per query. Ordering is deterministic end to end: scores descending,
@@ -204,7 +205,8 @@ class TopKQueue:
 # ---------------------------------------------------------------------------
 
 
-def _intersect_sorted(lists: list[list[int]]) -> list[int]:
+def _intersect_sorted(lists) -> list[int]:
+    """The sorted ids common to every list (or set, or dict's keys)."""
     if not lists:
         return []
     common = set(lists[0])
@@ -215,42 +217,39 @@ def _intersect_sorted(lists: list[list[int]]) -> list[int]:
     return sorted(common)
 
 
-def _join_root(idx: PathIndex, words, root: int, combo, members: list, stats) -> None:
-    """Append to `members` every tuple of `combo`'s per-keyword paths under
-    `root` whose union is a tree; count the tuples into `stats` unless None."""
-    rec_lists = [idx.paths(w, pattern=p, root=root) for w, p in zip(words, combo)]
-    checked = 1
-    for rl in rec_lists:
-        if not rl:
-            return
-        checked *= len(rl)
-    rows = kernels.join_tree_tuples([idx.block(w, root, p) for w, p in zip(words, combo)])
+def _join(root: int, leaves, members: list, stats) -> None:
+    """Append to `members` every tuple of the leaves' paths (one leaf per
+    keyword, all under `root`) whose union is a tree; count the tuples into
+    `stats` unless None."""
+    rows = kernels.join_tree_tuples([leaf.block for leaf in leaves])
     if stats is not None:
+        checked = math.prod(len(leaf.paths) for leaf in leaves)
         stats["path_tuples_checked"] += checked
         stats["subtrees_accepted"] += len(rows)
         stats["tuples_rejected"] += checked - len(rows)
+    path_lists = [leaf.paths for leaf in leaves]
     for row in rows:
-        members.append(ValidSubtree(root, tuple(map(getitem, rec_lists, row))))
+        members.append(ValidSubtree(root, tuple(map(getitem, path_lists, row))))
 
 
 def _expand_root(idx: PathIndex, words, root: int, tree_dict, stats) -> None:
     """Enumerate all valid subtrees under `root` into tree_dict, one join per
     combination of the root's per-keyword patterns."""
-    pattern_lists = [idx.patterns(w, root=root) for w in words]
-    if any(not pl for pl in pattern_lists):
-        return
-    for combo in itertools.product(*pattern_lists):
+    leaf_maps = [idx.root_leaves(w, root) for w in words]
+    for combo in itertools.product(*leaf_maps):
         members = tree_dict.get(combo) or []
-        _join_root(idx, words, root, combo, members, stats)
+        _join(root, list(map(getitem, leaf_maps, combo)), members, stats)
         if members:
             tree_dict[combo] = members
 
 
-def _materialize_pattern(idx: PathIndex, words, tree_pattern, roots, stats=None) -> list[ValidSubtree]:
-    """Exact member set of one tree pattern over the given candidate roots."""
+def _materialize_pattern(idx: PathIndex, words, tree_pattern, stats=None) -> list[ValidSubtree]:
+    """Exact member set of one tree pattern: one join under each root that
+    reaches every keyword by its path pattern."""
+    leaf_maps = [idx.pattern_leaves(w, p) for w, p in zip(words, tree_pattern)]
     members: list[ValidSubtree] = []
-    for root in roots:
-        _join_root(idx, words, root, tree_pattern, members, stats)
+    for root in _intersect_sorted(leaf_maps):
+        _join(root, [leaves[root] for leaves in leaf_maps], members, stats)
     return members
 
 
@@ -347,13 +346,7 @@ def search_pattern_enum(
         pattern_lists = [groups[type_id] for groups in by_type]
         for combo in itertools.product(*pattern_lists):
             stats["pattern_combos_checked"] += 1
-            roots = _intersect_sorted(
-                [idx.roots(words[i], pattern=combo[i]) for i in range(len(words))]
-            )
-            if not roots:
-                stats["empty_combos"] += 1
-                continue
-            members = _materialize_pattern(idx, words, combo, roots, stats)
+            members = _materialize_pattern(idx, words, combo, stats)
             if not members:
                 stats["empty_combos"] += 1
                 continue
@@ -409,12 +402,10 @@ def search_linear_topk(
     stats = _new_stats(candidate_roots=len(all_roots), roots_expanded=0, types=[])
     for type_id in sorted(by_type):
         roots = by_type[type_id]
-        bound = 0
-        for r in roots:
-            prod = 1
-            for w in words:
-                prod *= len(idx.paths(w, root=r))
-            bound += prod
+        bound = sum(
+            math.prod(sum(len(leaf.paths) for leaf in idx.root_leaves(w, r).values()) for w in words)
+            for r in roots
+        )
         rate = sampling.rate if bound >= sampling.threshold else 1.0
 
         tree_dict: dict[pat.TreePattern, list[ValidSubtree]] = {}
@@ -441,8 +432,8 @@ def search_linear_topk(
 
         for sp in candidates[: query.k]:
             if rate != 1.0:
-                # Re-score sampled winners exactly over all of the type's roots.
-                members = _materialize_pattern(idx, words, sp.pattern, roots)
+                # Re-score sampled winners exactly over every root of their pattern.
+                members = _materialize_pattern(idx, words, sp.pattern)
                 sp = ScoredPattern.from_members(sp.pattern, members, config, sp.estimated_score)
             queue.offer(sp)
     _log_rejections("linear-topk", query, stats)

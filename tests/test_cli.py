@@ -256,6 +256,22 @@ class TestExitCodes:
         assert main(args) == 1
         assert "threshold" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags", [["--rhos", "abc"], ["--rhos", "0.5,x"], ["--seeds", "0"], ["--seeds", "-2"]],
+        ids=["rhos-abc", "rhos-partly-bad", "seeds-0", "seeds-negative"],
+    )
+    def test_bad_sweep_flags_are_usage_errors(self, workspace, capsys, flags):
+        args = ["sweep", "--graph", str(workspace["graph"]), "--index", str(workspace["index"]),
+                "--queries", str(workspace["queries"]), *flags]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("count", [[], ["--count"]], ids=["list", "count"])
+    @pytest.mark.parametrize("depth", ["0", "-3"])
+    def test_oracle_depth_below_one_is_usage_error(self, capsys, depth, count):
+        assert main(["oracle", "--graph", str(sample_graph_path()), "--q", "database", "--d", depth, *count]) == 1
+        assert capsys.readouterr().err == f"error: depth must be >= 1, got {depth}\n"
+
     def test_unknown_engine_is_usage_error(self, workspace, capsys):
         rc = main(
             ["bench", "--graph", str(workspace["graph"]), "--index", str(workspace["index"]),

@@ -14,6 +14,7 @@ from kgpattern import (
 )
 from kgpattern import patterns as pat
 from kgpattern.bench import ENGINES
+from kgpattern.errors import ParameterError
 from kgpattern.scoring import DEFAULT_CONFIG
 from kgpattern.search import EXACT_SAMPLING
 
@@ -69,6 +70,15 @@ def test_literal_roots_excluded():
     assert len(found) == 1
     ((root, _),) = list(found.values())[0]
     assert root == 0
+
+
+@pytest.mark.parametrize("depth", [0, -3])
+def test_depth_below_one_is_rejected_like_build(sample_graph, depth):
+    with pytest.raises(ParameterError) as oracle_error:
+        enumerate_patterns_exhaustive(sample_graph, ["database"], depth)
+    with pytest.raises(ParameterError) as build_error:
+        build_index(sample_graph, compute_pagerank(sample_graph), depth)
+    assert str(oracle_error.value) == str(build_error.value)
 
 
 def test_count_matches_enumeration(sample_graph):

@@ -1,8 +1,10 @@
 import pytest
 
 from kgpattern import ParameterError, build_index, compute_pagerank, uniform_pagerank
+from kgpattern import kernels
 from kgpattern import patterns as pat
 from kgpattern.graph import jaccard_similarity
+from kgpattern.indexio import deserialize, serialize
 from kgpattern.oracle import _paths_reaching
 from kgpattern.pathindex import EDGE_TYPE, NODE_TEXT, NODE_TYPE, IndexedPath, iter_root_paths
 
@@ -214,3 +216,55 @@ class TestInvariants:
             for r in roots:
                 rps = idx.patterns(word, root=r)
                 assert rps == sorted(rps, key=pat.sort_key)
+
+
+class TestLeafBlocks:
+    """The kernel block of a (word, pattern, root) leaf: one (child, parent,
+    attr) step per non-root node of each of the leaf's paths, in path order."""
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_block_holds_each_paths_steps(self, case):
+        g, depth, _ = random_instance(case)
+        built = build_index(g, compute_pagerank(g), depth)
+        for idx in (built, deserialize(serialize(built))):
+            for word in idx.vocabulary():
+                for p in idx.patterns(word):
+                    for root in idx.roots(word, pattern=p):
+                        paths = idx.paths(word, pattern=p, root=root)
+                        child, parent, attr, offsets = idx.block(word, root, p)
+                        assert len(offsets) - 1 == len(paths)
+                        for j, rec in enumerate(paths):
+                            span = slice(offsets[j], offsets[j + 1])
+                            steps = list(zip(child[span], parent[span], attr[span]))
+                            assert steps == list(zip(rec.nodes[1:], rec.nodes[:-1], rec.attrs))
+
+    def test_missing_leaf_joins_to_no_rows(self, sample_graph, sample_index):
+        sql = sample_graph.entity_keys.index("sql_server")
+        present = sample_index.block("database", sql, sample_index.patterns("database", root=sql)[0])
+        assert kernels.join_tree_tuples([present]) != []
+        for missing in (
+            sample_index.block("database", 12345, sample_index.patterns("database")[0]),
+            sample_index.block("database", sql, (99,)),
+            sample_index.block("nosuchword", sql, (0,)),
+        ):
+            assert kernels.join_tree_tuples([missing]) == []
+            assert kernels.join_tree_tuples([present, missing]) == []
+
+    def test_mutating_returned_paths_leaves_the_index_unchanged(self, sample_graph):
+        idx = build_index(sample_graph, uniform_pagerank(sample_graph), 3)
+        word = "database"
+        selectors = [{}]
+        for p in idx.patterns(word):
+            selectors.append({"pattern": p})
+            selectors += [{"pattern": p, "root": r} for r in idx.roots(word, pattern=p)]
+        selectors += [{"root": r} for r in idx.roots(word)]
+        before = [idx.paths(word, **sel) for sel in selectors]
+        blocks = [idx.block(word, sel["root"], sel["pattern"]) for sel in selectors if len(sel) == 2]
+        for sel in selectors:
+            got = idx.paths(word, **sel)
+            assert got
+            got.clear()
+        assert [idx.paths(word, **sel) for sel in selectors] == before
+        assert [idx.block(word, sel["root"], sel["pattern"]) for sel in selectors if len(sel) == 2] == blocks
+        assert idx.flatten(word, "pattern") == before[0]
+        assert sorted(idx.flatten(word, "root"), key=IndexedPath.sort_key) == before[0]
