@@ -35,7 +35,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from itertools import accumulate, groupby
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, Iterator, Optional, Union
 
 from . import patterns as pat
@@ -139,18 +139,19 @@ class _WordIndex:
             attr = [v for rec in records for v in rec.attrs]
             offsets = list(accumulate((len(rec.attrs) for rec in records), initial=0))
             self.pattern_first: dict[pat.PathPattern, dict[int, Leaf]] = {}
-            leaves = []
+            # The records are sorted pattern-first: a leaf is a run of equal (pattern, root).
             start = 0
             for (pattern, root), run in groupby(records, key=attrgetter("pattern", "root")):
                 stop = start + sum(1 for _ in run)
                 leaf = Leaf(records[start:stop], (child, parent, attr, offsets[start : stop + 1]))
                 self.pattern_first.setdefault(pattern, {})[root] = leaf
-                leaves.append((root, pattern, leaf))
                 start = stop
-            self.root_first: dict[int, dict[pat.PathPattern, Leaf]] = {}
-            # A stable sort by root keeps each root's leaves in pattern order.
-            for root, pattern, leaf in sorted(leaves, key=itemgetter(0)):
-                self.root_first.setdefault(root, {})[pattern] = leaf
+            # Patterns are visited in order, so each root's leaves come in pattern order.
+            root_first: dict[int, dict[pat.PathPattern, Leaf]] = {}
+            for pattern, leaves in self.pattern_first.items():
+                for root, leaf in leaves.items():
+                    root_first.setdefault(root, {})[pattern] = leaf
+            self.root_first = dict(sorted(root_first.items()))
         else:
             raise AttributeError(name)
         return getattr(self, name)

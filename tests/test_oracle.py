@@ -98,12 +98,8 @@ def test_matches_linear_enumeration(case):
     )
 
 
-def oracle_members(members):
-    """Oracle members (root, raw paths) in the oracle's own order."""
-    return [(root, tuple((n, a, e) for n, a, e in combo)) for root, combo in members]
-
-
 def engine_members(sp):
+    """A pattern's members in the oracle's (root, raw paths) form, in engine order."""
     return [(m.root, tuple((x.nodes, x.attrs, x.edge_match) for x in m.paths)) for m in sp.subtrees]
 
 
@@ -122,9 +118,12 @@ def test_every_engine_matches_the_oracle(entities, types, attr_types, avg_out_de
     """Every engine in exact mode, asked for at least as many patterns as
     exist, returns exactly the oracle's patterns with the oracle's members in
     the oracle's order; scores agree across engines and rank the answer."""
-    cfg = GenConfig(entities, types, attr_types, avg_out_degree, vocab, words_per_text=2, literal_fraction=0.2, seed=seed)
+    cfg = GenConfig(
+        entities, types, attr_types, avg_out_degree, vocab, words_per_text=2, literal_fraction=0.2, seed=seed
+    )
     graph = graph_from_text(generate_graph(cfg))
-    words = tuple(data.draw(st.lists(st.sampled_from([f"w{i}" for i in range(vocab)]), min_size=1, max_size=3, unique=True)))
+    vocabulary = [f"w{i}" for i in range(vocab)]
+    words = tuple(data.draw(st.lists(st.sampled_from(vocabulary), min_size=1, max_size=3, unique=True)))
     expected = enumerate_patterns_exhaustive(graph, words, depth)
     idx = build_index(graph, compute_pagerank(graph), depth)
     query = Query(words, k=max(1, len(expected)))
@@ -134,7 +133,7 @@ def test_every_engine_matches_the_oracle(entities, types, attr_types, avg_out_de
         ranked = engine(graph, idx, query, DEFAULT_CONFIG, EXACT_SAMPLING)
         assert sorted(sp.pattern for sp in ranked) == sorted(expected), name
         for sp in ranked:
-            assert engine_members(sp) == oracle_members(expected[sp.pattern]), (name, sp.pattern)
+            assert engine_members(sp) == expected[sp.pattern], (name, sp.pattern)
         order = [(-sp.score, pat.tree_sort_key(sp.pattern)) for sp in ranked]
         assert order == sorted(order), name
         for sp in ranked:
