@@ -259,12 +259,10 @@ class TestLeafBlocks:
             selectors += [{"pattern": p, "root": r} for r in idx.roots(word, pattern=p)]
         selectors += [{"root": r} for r in idx.roots(word)]
         before = [idx.paths(word, **sel) for sel in selectors]
-        blocks = [idx.block(word, sel["root"], sel["pattern"]) for sel in selectors if len(sel) == 2]
         for sel in selectors:
             got = idx.paths(word, **sel)
             assert got
             got.clear()
         assert [idx.paths(word, **sel) for sel in selectors] == before
-        assert [idx.block(word, sel["root"], sel["pattern"]) for sel in selectors if len(sel) == 2] == blocks
         assert idx.flatten(word, "pattern") == before[0]
         assert sorted(idx.flatten(word, "root"), key=IndexedPath.sort_key) == before[0]
