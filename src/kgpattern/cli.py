@@ -120,6 +120,14 @@ def _parse_number(raw: str, flag: str) -> float:
         raise ParameterError(f"{flag} must be a number, got {raw!r}") from None
 
 
+def _parse_list(raw: str, flag: str) -> list[str]:
+    """The non-blank items of the comma list `raw`; ParameterError naming `flag` if there are none."""
+    items = [x.strip() for x in raw.split(",") if x.strip()]
+    if not items:
+        raise ParameterError(f"{flag} must list at least one value, got {raw!r}")
+    return items
+
+
 def _scoring_from(path) -> ScoringConfig:
     if not path:
         return DEFAULT_CONFIG
@@ -256,7 +264,7 @@ def _emit_report(report, fmt, out) -> None:
 
 
 def _cmd_bench(args) -> int:
-    algorithms = tuple(a.strip() for a in args.algos.split(",") if a.strip())
+    algorithms = tuple(_parse_list(args.algos, "--algos"))
     bench_mod.check_engines(algorithms)
     graph, idx = _load_graph_and_index(args)
     queries = _read_queries(args.queries, args.k)
@@ -267,8 +275,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    thresholds = [_parse_number(x, "--lambdas") for x in args.lambdas.split(",") if x.strip()]
-    rates = [_parse_number(x, "--rhos") for x in args.rhos.split(",") if x.strip()]
+    thresholds = [_parse_number(x, "--lambdas") for x in _parse_list(args.lambdas, "--lambdas")]
+    rates = [_parse_number(x, "--rhos") for x in _parse_list(args.rhos, "--rhos")]
     if args.seeds < 1:
         raise ParameterError(f"--seeds must be >= 1, got {args.seeds}")
     graph, idx = _load_graph_and_index(args)
@@ -316,7 +324,7 @@ def _cmd_dump_index(args) -> int:
         "cost_proxy": idx.stats.cost_proxy,
         "words": {
             w: {
-                "entries": len(idx.words[w].records),
+                "entries": idx.words[w].size,
                 "patterns": [pat.pattern_names(idx, p) for p in idx.patterns(w)],
                 "roots": idx.roots(w),
             }

@@ -21,9 +21,10 @@ Little-endian throughout. Layout::
     crc u32: zlib.crc32 of every byte before it
 
 A string table is a u32 count followed by (u32 byte length, UTF-8 bytes) per
-entry. A column is a raw array (`ndarray.tobytes`), read back as a view with
-`np.frombuffer`. A path holds at most 255 nodes (`n_nodes` is a u8);
-`serialize` raises ParameterError for a longer one before it writes anything.
+entry. The pattern table, vocabulary and columns are `PathIndex.columns`:
+`serialize` writes each column with `ndarray.tobytes`, and `deserialize`
+passes the `np.frombuffer` views it reads to the `PathIndex` constructor. A
+path holds at most 255 nodes (`n_nodes` is a u8); `build_index` refuses more.
 
 Reading checks the magic, then the version, then the CRC, before it decodes
 anything else. Bad magic or version raises IndexFormatError. Every other
@@ -38,31 +39,29 @@ first node), a record that no build writes (no nodes, `n_nodes` other than
 its pattern's node count, `edge_match` other than 1 exactly on an
 even-length (attribute-ending) pattern, `locus` other than edge-type exactly
 on edge matches, or a `pr` or `sim` term that is not finite and positive),
-or a PageRank vector that is not n_entities scores, each finite and
-positive. The `PathIndex` constructor gets each word as its record count and
-a function that builds its `IndexedPath` objects from its column slices, so
-a word's objects are built on first use.
+a PageRank vector that is not n_entities scores, each finite and positive,
+a pattern table that is not strictly increasing in canonical order, or a
+word whose records' (pattern_id, root) ever decrease. The last two make the
+file's order the in-memory order: each (word, pattern, root) leaf is one
+contiguous run of records, taken in stored order.
 """
 from __future__ import annotations
 
 import io
 import struct
 import zlib
-from functools import partial
-from itertools import accumulate
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
 from . import patterns as pat
-from .errors import IndexCorruptError, IndexFormatError, ParameterError
+from .errors import IndexCorruptError, IndexFormatError
 from .pagerank import PageRankVector
-from .pathindex import EDGE_TYPE, IndexedPath, PathIndex
+from .pathindex import EDGE_TYPE, RECORD_DTYPES, IndexColumns, PathIndex
 
 MAGIC = b"KGPX"
 VERSION = 4
-MAX_PATH_NODES = 255
 
 
 class _Writer(io.BytesIO):
@@ -118,36 +117,13 @@ def serialize(idx: PathIndex) -> bytes:
     w.pack("I", len(scores))
     w.write(scores.tobytes())
 
-    vocab = list(idx.words.keys())
-    per_word = [idx.words[word].records for word in vocab]
-    records = [rec for word_records in per_word for rec in word_records]
-    all_patterns = sorted({rec.pattern for rec in records}, key=pat.sort_key)
-    pattern_id = {p: i for i, p in enumerate(all_patterns)}
-    w.pack("I", len(all_patterns))
-    for p in all_patterns:
+    c = idx.columns
+    w.pack("I", len(c.patterns))
+    for p in c.patterns:
         w.pack(f"H{len(p)}I", len(p), *p)
-    w.string_table(vocab)
-
-    n_nodes = [len(rec.nodes) for rec in records]
-    if max(n_nodes, default=0) > MAX_PATH_NODES:
-        raise ParameterError(
-            f"a path of {max(n_nodes)} nodes exceeds the index file's limit of {MAX_PATH_NODES} "
-            f"nodes per path; build with a smaller --d"
-        )
-    columns = (
-        ("<u8", [len(word_records) for word_records in per_word]),
-        ("<u4", [pattern_id[rec.pattern] for rec in records]),
-        ("<u4", [rec.root for rec in records]),
-        ("u1", n_nodes),
-        ("u1", [rec.edge_match for rec in records]),
-        ("u1", [rec.locus for rec in records]),
-        ("<f8", [rec.pr_term for rec in records]),
-        ("<f8", [rec.sim_term for rec in records]),
-        ("<u4", [v for rec in records for v in rec.nodes]),
-        ("<u4", [v for rec in records for v in rec.attrs]),
-    )
-    for dtype, values in columns:
-        w.write(np.array(values, dtype=dtype).tobytes())
+    w.string_table(c.vocab)
+    for column in (c.counts, c.pattern_id, c.root, c.n_nodes, c.edge_match, c.locus, c.pr, c.sim, c.nodes, c.attrs):
+        w.write(column.tobytes())
 
     w.pack("QQ", idx.stats.entry_count, idx.stats.cost_proxy)
     body = w.getvalue()
@@ -208,17 +184,16 @@ def _deserialize(data: bytes) -> PathIndex:
         all_patterns.append(p)
     vocab = r.string_table()
 
-    counts = r.array("<u8", len(vocab)).tolist()
-    n = sum(counts)
-    pid, root = r.array("<u4", n), r.array("<u4", n)
-    n_nodes, edge_match, locus = r.array("u1", n), r.array("u1", n), r.array("u1", n)
-    pr, sim = r.array("<f8", n), r.array("<f8", n)
-    _require(n_nodes >= 1, "a record has no nodes")
-    node_off = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(n_nodes, out=node_off[1:])
+    counts = r.array("<u8", len(vocab))
+    n = sum(counts.tolist())
+    pid, root, n_nodes, edge_match, locus, pr, sim = (r.array(dtype, n) for dtype in RECORD_DTYPES)
+    _require(pid < n_patterns, "a record references an unknown pattern id")
+    # Every pattern covers at least one node, so this also rejects a record without nodes.
+    node_counts = np.array([pat.node_count(p) for p in all_patterns], dtype=np.int64)[pid]
+    _require(n_nodes == node_counts, "a record's node count disagrees with its pattern")
+    node_off = np.concatenate(([0], np.cumsum(n_nodes, dtype=np.int64)))
     nodes = r.array("<u4", int(node_off[-1]))
     attrs = r.array("<u4", int(node_off[-1]) - n)
-    _require(pid < n_patterns, "a record references an unknown pattern id")
     _require(nodes[node_off[:-1]] == root, "a record's root is not its first node")
     _require(nodes < n_entities, "a record references an unknown entity id")
     _require(attrs < n_attrs, "a record references an unknown attribute id")
@@ -226,41 +201,26 @@ def _deserialize(data: bytes) -> PathIndex:
     _require(edge_match == edge_ending, "a record's edge_match disagrees with its pattern")
     on_edge = np.where(edge_ending, locus == EDGE_TYPE, locus < EDGE_TYPE)
     _require(on_edge, "a record's locus disagrees with its pattern")
-    node_counts = np.array([pat.node_count(p) for p in all_patterns], dtype=np.int64)[pid]
-    _require(n_nodes == node_counts, "a record's node count disagrees with its pattern")
     for name, column in (("pr", pr), ("sim", sim)):
         _require(np.isfinite(column) & (column > 0), f"a record's {name} term is not finite and positive")
+    keys = [pat.sort_key(p) for p in all_patterns]
+    _require([a < b for a, b in zip(keys, keys[1:])], "the pattern table is not in canonical order")
+    run_key = pid.astype(np.uint64) << 32 | root
+    new_word = np.isin(np.arange(1, n), np.cumsum(counts))
+    _require(new_word | (run_key[1:] >= run_key[:-1]), "a word's records are not sorted by pattern id, then root")
 
     stored_entries, cost_proxy = r.unpack("QQ")
     if r.pos != len(body):
         raise IndexCorruptError(f"{len(body) - r.pos} unexpected bytes after the stats")
-    columns = (all_patterns, pid, root, n_nodes, edge_match, locus, pr, sim, node_off, nodes, attrs)
-    bounds = list(accumulate(counts, initial=0))
-    per_word = {
-        word: (stop - start, partial(_records, columns, start, stop))
-        for word, start, stop in zip(vocab, bounds, bounds[1:])
-    }
-    idx = PathIndex(depth, pagerank, n_entities, type_names, attr_names, per_word, cost_proxy)
+    columns = IndexColumns(
+        all_patterns, vocab, counts, pid, root, n_nodes, edge_match, locus, pr, sim, node_off, nodes, attrs
+    )
+    idx = PathIndex(depth, pagerank, n_entities, type_names, attr_names, columns, cost_proxy)
     if stored_entries != idx.stats.entry_count:
         raise IndexCorruptError(
             f"entry count mismatch: header says {stored_entries}, records say {idx.stats.entry_count}"
         )
     return idx
-
-
-def _records(columns, start: int, stop: int) -> list[IndexedPath]:
-    """Records start..stop-1 of the checked columns, as objects."""
-    all_patterns, pid, root, n_nodes, edge_match, locus, pr, sim, node_off, nodes, attrs = columns
-    first, last = int(node_off[start]), int(node_off[stop])
-    word_nodes, word_attrs = nodes[first:last].tolist(), attrs[first - start : last - stop].tolist()
-    fields = (c[start:stop].tolist() for c in (pid, root, n_nodes, edge_match, locus, pr, sim))
-    out = []
-    at = 0  # where record j's nodes start in `word_nodes`; its attributes start at `at - j`
-    for j, (p, r, n, e, loc, pr_term, sim_term) in enumerate(zip(*fields)):
-        rec_nodes, rec_attrs = tuple(word_nodes[at : at + n]), tuple(word_attrs[at - j : at - j + n - 1])
-        out.append(IndexedPath(r, rec_nodes, rec_attrs, e == 1, loc, n, pr_term, sim_term, all_patterns[p]))
-        at += n
-    return out
 
 
 def write_index(idx: PathIndex, path: Union[str, Path]) -> None:

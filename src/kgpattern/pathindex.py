@@ -15,16 +15,16 @@ Each entry precomputes the three per-path score terms (node count, PageRank of
 the matched node or of the matched edge's source, Jaccard similarity), so
 query-time scoring is pure arithmetic.
 
-Each word's records are kept once, sorted pattern-first (pattern
-length-lexicographically, then root, nodes, attrs). Each run of records that
-share a (pattern, root) pair is one *leaf*: its record list plus its kernel
-block (see `kernels`). A leaf is built once and referenced from both layouts,
-word -> pattern -> root -> leaf (pattern-first) and word -> root -> pattern ->
-leaf (root-first), so both flatten to the same sorted sequence. A leaf's block
-shares the word's (child, parent, attr) step lists; its offsets are the
-leaf's own slice of the word's step offsets. A word's records, leaves and
-layouts are built when first read, the same way whether the records came
-from `build_index` or from a file.
+The index holds its records once, as the columns of its KGPX v4 file
+(`IndexColumns`); each word's records are one slice of them, sorted
+pattern-first (pattern length-lexicographically, then root, nodes, attrs).
+`build_index` fills the columns and `indexio.deserialize` hands the file's
+columns to the same constructor. A word's first read decodes its slice into
+`IndexedPath` objects and *leaves*, one per run of records that share (pattern,
+root): the run's records and their kernel block (see `kernels`), whose step
+lists are the word's and whose offsets are the run's slice of the word's. Both
+layouts, word -> pattern -> root -> leaf and word -> root -> pattern -> leaf,
+refer to the same leaves, so both flatten to the same sorted sequence.
 
 Literal (dummy TEXT) entities are never used as roots: they stand for
 attribute *values*, carry no type, and cannot anchor a table answer. They do
@@ -33,10 +33,12 @@ appear as path terminals.
 from __future__ import annotations
 
 import logging
+from collections import namedtuple
 from dataclasses import dataclass
-from itertools import accumulate, groupby
-from operator import attrgetter
-from typing import Callable, Iterator, Optional, Union
+from itertools import accumulate, chain
+from typing import Iterator, Optional
+
+import numpy as np
 
 from . import patterns as pat
 from .errors import ParameterError
@@ -50,6 +52,9 @@ NODE_TEXT = 0
 NODE_TYPE = 1
 EDGE_TYPE = 2
 LOCUS_NAMES = {NODE_TEXT: "node-text", NODE_TYPE: "node-type", EDGE_TYPE: "edge-type"}
+MAX_PATH_NODES = 255  # a record's node count is one byte in the index file
+# The dtypes of the columns pattern_id, root, n_nodes, edge_match, locus, pr and sim.
+RECORD_DTYPES = ("<u4", "<u4", "u1", "u1", "u1", "<f8", "<f8")
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,64 +101,71 @@ class IndexStats:
     word_sizes: dict[str, int]
 
 
-# A word's records in any order, or their count and a function that returns them.
-WordRecords = Union[list[IndexedPath], tuple[int, Callable[[], list[IndexedPath]]]]
+# Every record of an index, in KGPX v4 form: the pattern table (in canonical
+# order; a pattern's id is its position), the vocabulary with each word's
+# record count, one array per field of RECORD_DTYPES with one entry per record
+# (word by word, in vocabulary order), and all records' nodes and attributes
+# in two arrays: record j's nodes are nodes[node_off[j]:node_off[j + 1]] and
+# its attributes, one fewer, start at attrs[node_off[j] - j].
+IndexColumns = namedtuple(
+    "IndexColumns", "patterns vocab counts pattern_id root n_nodes edge_match locus pr sim node_off nodes attrs"
+)
 
 
+@dataclass(slots=True)
 class Leaf:
     """The paths of one (word, pattern, root), sorted, with their kernel block."""
 
-    __slots__ = ("paths", "block")
-
-    def __init__(self, paths: list[IndexedPath], block: tuple):
-        self.paths = paths
-        self.block = block
+    paths: list[IndexedPath]
+    block: tuple
 
 
 class _WordIndex:
     """Both layouts for one word, over one shared set of leaves.
 
-    Each slot is filled from `source` on its first read (a record list is
-    sorted in place), so a word that no query touches costs no objects; a
-    filled slot is read without reaching `__getattr__`.
+    The `records`, `pattern_first` and `root_first` slots are decoded from the
+    word's column slice on the first read of any of them, so a word that no
+    query touches costs no objects; a filled slot skips `__getattr__`.
     """
 
-    __slots__ = ("size", "_source", "records", "pattern_first", "root_first")
+    __slots__ = ("size", "_columns", "_start", "records", "pattern_first", "root_first")
 
-    def __init__(self, source: WordRecords):
-        if isinstance(source, list):
-            self.size, self._source = len(source), lambda: source
-        else:
-            self.size, self._source = source
+    def __init__(self, columns: IndexColumns, start: int, size: int):
+        self.size, self._columns, self._start = size, columns, start
 
     def __getattr__(self, name: str):
         # Called only for an unset slot.
-        if name == "records":
-            self.records = self._source()
-            del self._source
-            self.records.sort(key=IndexedPath.sort_key)
-        elif name in ("pattern_first", "root_first"):
-            records = self.records
-            child = [v for rec in records for v in rec.nodes[1:]]
-            parent = [v for rec in records for v in rec.nodes[:-1]]
-            attr = [v for rec in records for v in rec.attrs]
-            offsets = list(accumulate((len(rec.attrs) for rec in records), initial=0))
-            self.pattern_first: dict[pat.PathPattern, dict[int, Leaf]] = {}
-            # The records are sorted pattern-first: a leaf is a run of equal (pattern, root).
-            start = 0
-            for (pattern, root), run in groupby(records, key=attrgetter("pattern", "root")):
-                stop = start + sum(1 for _ in run)
-                leaf = Leaf(records[start:stop], (child, parent, attr, offsets[start : stop + 1]))
-                self.pattern_first.setdefault(pattern, {})[root] = leaf
-                start = stop
-            # Patterns are visited in order, so each root's leaves come in pattern order.
-            root_first: dict[int, dict[pat.PathPattern, Leaf]] = {}
-            for pattern, leaves in self.pattern_first.items():
-                for root, leaf in leaves.items():
-                    root_first.setdefault(root, {})[pattern] = leaf
-            self.root_first = dict(sorted(root_first.items()))
-        else:
+        if name not in ("records", "pattern_first", "root_first"):
             raise AttributeError(name)
+        c, start, stop = self._columns, self._start, self._start + self.size
+        del self._columns, self._start
+        node_off = c.node_off[start : stop + 1]
+        first, last = int(node_off[0]), int(node_off[-1])
+        nodes, attrs = c.nodes[first:last], c.attrs[first - start : last - stop].tolist()
+        # Record j's nodes start at at[j] in `nodes`, and its steps (one per attribute) at steps[j].
+        at = node_off - first
+        steps = at - np.arange(self.size + 1)
+        # Step k of record j joins its nodes k + j (parent) and k + j + 1 (child).
+        parent = np.arange(len(attrs)) + np.repeat(np.arange(self.size), np.diff(steps))
+        step_lists = (nodes[parent + 1].tolist(), nodes[parent].tolist(), attrs)
+        node_list, at, steps = nodes.tolist(), at.tolist(), steps.tolist()
+        fields = (c.root, c.edge_match.view(bool), c.locus, c.pr, c.sim, c.pattern_id)
+        rows = zip(at, at[1:], steps, *(column[start:stop].tolist() for column in fields))
+        self.records = records = [
+            IndexedPath(r, tuple(node_list[a:b]), tuple(attrs[s : s + b - a - 1]), e, loc, b - a, pr, sim, c.patterns[p])
+            for a, b, s, r, e, loc, pr, sim, p in rows
+        ]
+        # A leaf is a run of equal (pattern_id, root); the runs come in pattern-first order.
+        pid, roots = c.pattern_id[start:stop], c.root[start:stop]
+        runs = np.flatnonzero(np.diff(pid, prepend=-1) | np.diff(roots, prepend=-1)).tolist()
+        self.pattern_first: dict[pat.PathPattern, dict[int, Leaf]] = {}
+        root_first: dict[int, dict[pat.PathPattern, Leaf]] = {}
+        for a, b in zip(runs, runs[1:] + [self.size]):
+            leaf = Leaf(records[a:b], (*step_lists, steps[a : b + 1]))
+            pattern, root = records[a].pattern, records[a].root
+            self.pattern_first.setdefault(pattern, {})[root] = leaf
+            root_first.setdefault(root, {})[pattern] = leaf  # in pattern order, as the runs are
+        self.root_first = dict(sorted(root_first.items()))
         return getattr(self, name)
 
 
@@ -221,11 +233,11 @@ class PathIndex:
         n_entities: int,
         type_names: list[str],
         attr_names: list[str],
-        per_word: dict[str, WordRecords],
+        columns: IndexColumns,
         cost_proxy: int,
     ):
-        """Index `per_word` (word -> its records, see `_WordIndex`; a list is
-        sorted in place) for a graph with these entity count and name tables."""
+        """Index the records in `columns` (each word's sorted pattern-first)
+        for a graph with these entity count and name tables."""
         self.depth = depth
         self.pagerank = pagerank
         self.n_entities = n_entities
@@ -233,7 +245,10 @@ class PathIndex:
         self.attr_names = attr_names
         self.n_types = len(type_names)
         self.n_attrs = len(attr_names)
-        self.words: dict[str, _WordIndex] = {w: _WordIndex(per_word[w]) for w in sorted(per_word)}
+        self.columns = columns
+        counts = columns.counts.tolist()
+        words = sorted(zip(columns.vocab, accumulate(counts, initial=0), counts))
+        self.words: dict[str, _WordIndex] = {w: _WordIndex(columns, start, size) for w, start, size in words}
         word_sizes = {w: wi.size for w, wi in self.words.items()}
         self.stats = IndexStats(sum(word_sizes.values()), cost_proxy, word_sizes)
 
@@ -305,21 +320,37 @@ def build_index(graph: KnowledgeGraph, pagerank: PageRankVector, depth: int) -> 
     """Materialize both index layouts for all paths of at most `depth` nodes."""
     if depth < 1:
         raise ParameterError(f"depth must be >= 1, got {depth}")
-    per_word: dict[str, list[IndexedPath]] = {}
+    hits = []
     cost_proxy = 0
-    scores = pagerank.scores
     for root in range(graph.n_entities):
         if graph.entity_type[root] == TEXT_TYPE_ID:
             continue
-        for hit in iter_root_paths(graph, scores, depth, root):
+        for hit in iter_root_paths(graph, pagerank.scores, depth, root):
+            if len(hit.nodes) > MAX_PATH_NODES:
+                raise ParameterError(
+                    f"a path of {len(hit.nodes)} nodes exceeds the index file's limit of {MAX_PATH_NODES} "
+                    f"nodes per path; build with a smaller --d"
+                )
             cost_proxy += len(hit.nodes) * len(hit.matches)
-            for word, locus, sim in hit.matches:
-                per_word.setdefault(word, []).append(IndexedPath.from_hit(root, hit, locus, sim))
-
+            hits.append((root, hit))
+    # No two paths share (pattern, root, nodes, attrs): sorted once, they give every word its record order.
+    hits.sort(key=lambda rh: (pat.sort_key(rh[1].pattern), rh[0], rh[1].nodes, rh[1].attrs))
+    patterns = list(dict.fromkeys(hit.pattern for _, hit in hits))
+    pattern_ids = {p: i for i, p in enumerate(patterns)}
+    per_word: dict[str, list[tuple]] = {}
+    for root, hit in hits:
+        path = (pattern_ids[hit.pattern], root, len(hit.nodes), hit.edge_match)
+        for word, locus, sim in hit.matches:
+            per_word.setdefault(word, []).append((*path, locus, hit.pr_term, sim, hit.nodes, hit.attrs))
+    vocab = sorted(per_word)
+    *fields, nodes, attrs = zip(*(rec for word in vocab for rec in per_word[word])) if vocab else [()] * 9
+    fields = [np.array(column, dtype) for column, dtype in zip(fields, RECORD_DTYPES)]
+    counts = np.array([len(per_word[word]) for word in vocab], dtype="<u8")
+    node_off = np.concatenate(([0], np.cumsum(fields[2], dtype=np.int64)))
+    flat = [np.fromiter(chain.from_iterable(column), "<u4") for column in (nodes, attrs)]
+    columns = IndexColumns(patterns, vocab, counts, *fields, node_off, *flat)
     idx = PathIndex(
-        depth, pagerank, graph.n_entities, list(graph.type_names), list(graph.attr_names), per_word, cost_proxy
+        depth, pagerank, graph.n_entities, list(graph.type_names), list(graph.attr_names), columns, cost_proxy
     )
-    logger.debug(
-        "built index: depth=%d, %d words, %d entries", depth, len(idx.words), idx.stats.entry_count
-    )
+    logger.debug("built index: depth=%d, %d words, %d entries", depth, len(idx.words), idx.stats.entry_count)
     return idx

@@ -6,6 +6,7 @@ from hypothesis import settings
 
 from kgpattern import (
     GenConfig,
+    PathIndex,
     Query,
     build_index,
     compute_pagerank,
@@ -25,6 +26,20 @@ QUERY_WORDS = ("database", "software", "company", "revenue")
 
 def graph_from_text(text, synonyms=None):
     return load_graph(io.StringIO(text), synonyms=synonyms)
+
+
+def with_columns(idx, **changes):
+    """A new index over `idx.columns._replace(**changes)`, as `build_index`
+    would make it if it wrote those columns (no column is checked)."""
+    return PathIndex(
+        idx.depth,
+        idx.pagerank,
+        idx.n_entities,
+        idx.type_names,
+        idx.attr_names,
+        idx.columns._replace(**changes),
+        idx.stats.cost_proxy,
+    )
 
 
 def random_instance(case: int):

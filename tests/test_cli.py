@@ -266,6 +266,18 @@ class TestExitCodes:
         assert main(args) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("sweep", "--rhos", ","), ("sweep", "--lambdas", " "), ("bench", "--algos", ",")],
+        ids=["sweep-rhos", "sweep-lambdas", "bench-algos"],
+    )
+    def test_empty_list_flags_are_usage_errors(self, tmp_path, capsys, command, flag, value):
+        # The graph and index do not exist: the flag must be refused before either loads.
+        args = [command, "--graph", str(tmp_path / "none.graph"), "--index", str(tmp_path / "none.kgpx"),
+                "--queries", str(tmp_path / "none.txt"), flag, value]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: {flag} must list at least one value, got {value!r}\n"
+
     @pytest.mark.parametrize("count", [[], ["--count"]], ids=["list", "count"])
     @pytest.mark.parametrize("depth", ["0", "-3"])
     def test_oracle_depth_below_one_is_usage_error(self, capsys, depth, count):

@@ -1,6 +1,6 @@
-import dataclasses
 import math
 import zlib
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -20,9 +20,10 @@ from kgpattern import (
     uniform_pagerank,
     write_index,
 )
+from kgpattern import patterns as pat
 from kgpattern.pathindex import EDGE_TYPE, NODE_TEXT
 
-from conftest import graph_from_text, random_instance
+from conftest import graph_from_text, random_instance, with_columns
 
 
 def assert_structurally_equal(a, b):
@@ -86,8 +87,11 @@ def test_reserialize_untouched_index_is_byte_identical(sample_index, case):
     assert serialize(deserialize(blob)) == blob
 
 
-def test_a_read_word_is_built_on_first_use(sample_index):
-    again = deserialize(serialize(sample_index))
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+def test_a_read_word_is_built_on_first_use(sample_graph, sample_index, loaded):
+    again = build_index(sample_graph, uniform_pagerank(sample_graph), 3)
+    if loaded:
+        again = deserialize(serialize(again))
 
     def built():
         # The slot's own descriptor raises for an unset slot instead of building it.
@@ -127,6 +131,37 @@ def test_bad_version(sample_index, version):
         deserialize(bytes(blob))
 
 
+def records_of(idx):
+    """(word, record) for every record of `idx`, in file order."""
+    return [(w, rec) for w in idx.vocabulary() for rec in idx.words[w].records]
+
+
+# The column of each single-valued record field.
+COLUMN_OF = {"root": "root", "edge_match": "edge_match", "locus": "locus", "pr_term": "pr", "sim_term": "sim"}
+
+
+def with_record(idx, j, **fields):
+    """`idx` with the fields of its record j (numbered as in `records_of`)
+    replaced, as by `dataclasses.replace`: `nodes` also sets the record's
+    node count, and `pattern` replaces its pattern's table entry."""
+    c = idx.columns
+    a, b = int(c.node_off[j]), int(c.node_off[j + 1])
+    changes = {}
+    for field, value in fields.items():
+        if field == "nodes":
+            changes["nodes"] = np.concatenate([c.nodes[:a], np.array(value, "<u4"), c.nodes[b:]])
+            changes["n_nodes"] = c.n_nodes.copy()
+            changes["n_nodes"][j] = len(value)
+        elif field == "attrs":
+            changes["attrs"] = np.concatenate([c.attrs[: a - j], np.array(value, "<u4"), c.attrs[b - j - 1 :]])
+        elif field == "pattern":
+            changes["patterns"] = [value if i == c.pattern_id[j] else p for i, p in enumerate(c.patterns)]
+        else:
+            changes[COLUMN_OF[field]] = column = getattr(c, COLUMN_OF[field]).copy()
+            column[j] = value
+    return with_columns(idx, **changes)
+
+
 # Each maps one record with at least two nodes to the fields that make it
 # reference an id its index cannot hold.
 OUT_OF_RANGE = {
@@ -141,11 +176,12 @@ OUT_OF_RANGE = {
 @pytest.mark.parametrize("corruption", list(OUT_OF_RANGE))
 def test_out_of_range_ids_are_corrupt(sample_graph, corruption):
     idx = build_index(sample_graph, uniform_pagerank(sample_graph), 3)
-    records = idx.words["database"].records
-    i = next(i for i, rec in enumerate(records) if len(rec.nodes) > 1)
-    records[i] = dataclasses.replace(records[i], **OUT_OF_RANGE[corruption](records[i], idx))
+    # A record of the table's last pattern, which keeps its place in canonical
+    # order when its type or attribute id grows past the others.
+    j, rec = next((j, rec) for j, (_, rec) in enumerate(records_of(idx)) if rec.pattern == idx.columns.patterns[-1])
+    assert len(rec.nodes) > 1
     with pytest.raises(IndexCorruptError):
-        deserialize(serialize(idx))
+        deserialize(serialize(with_record(idx, j, **OUT_OF_RANGE[corruption](rec, idx))))
 
 
 # Each names the kind of record it changes (an edge match or not) and maps one
@@ -171,15 +207,11 @@ INCONSISTENT = {
 def test_inconsistent_records_are_corrupt(sample_graph, corruption):
     edge_match, fields = INCONSISTENT[corruption]
     idx = build_index(sample_graph, compute_pagerank(sample_graph), 3)
-    records, i = next(
-        (idx.words[w].records, i)
-        for w in idx.vocabulary()
-        for i, rec in enumerate(idx.words[w].records)
-        if rec.edge_match == edge_match and len(rec.nodes) > 1
+    j, rec = next(
+        (j, rec) for j, (_, rec) in enumerate(records_of(idx)) if rec.edge_match == edge_match and len(rec.nodes) > 1
     )
-    records[i] = dataclasses.replace(records[i], **fields(records[i]))
     with pytest.raises(IndexCorruptError):
-        deserialize(serialize(idx))
+        deserialize(serialize(with_record(idx, j, **fields(rec))))
 
 
 @pytest.mark.parametrize("edit", ["one-short", "nan", "zero"])
@@ -199,22 +231,92 @@ def test_pattern_id_past_the_table_is_corrupt(sample_index):
     """No writer stores one, so patch the first record's pattern id in the
     file and seal it with a fresh CRC."""
     body = bytearray(serialize(sample_index)[:-4])
-    records = [rec for w in sample_index.vocabulary() for rec in sample_index.words[w].records]
-    n, n_nodes = len(records), sum(len(rec.nodes) for rec in records)
-    # From the end: the stats, the attrs and nodes columns, then 27 bytes a
-    # record in the seven fixed-width columns, the first of which is pattern_id.
-    at = len(body) - 16 - 4 * (2 * n_nodes - n) - 27 * n
+    records = [rec for _, rec in records_of(sample_index)]
+    at = record_columns_at(body, records)
     body[at : at + 4] = len({rec.pattern for rec in records}).to_bytes(4, "little")
     with pytest.raises(IndexCorruptError, match="unknown pattern id"):
-        deserialize(bytes(body) + zlib.crc32(body).to_bytes(4, "little"))
+        deserialize(sealed(body))
 
 
-def test_path_longer_than_255_nodes_is_rejected_before_writing(sample_graph):
-    idx = build_index(sample_graph, uniform_pagerank(sample_graph), 3)
-    records = idx.words["database"].records
-    records[0] = dataclasses.replace(records[0], nodes=(records[0].root,) * 256, attrs=(0,) * 255)
+def record_columns_at(body, records) -> int:
+    """Where the first record column (pattern_id) starts in `body`, a
+    serialized index of `records` without its CRC."""
+    n, n_nodes = len(records), sum(len(rec.nodes) for rec in records)
+    # From the end: the stats, the attrs and nodes columns, then 27 bytes a
+    # record in the seven fixed-width columns.
+    return len(body) - 16 - 4 * (2 * n_nodes - n) - 27 * n
+
+
+def swap(body, at, other, size):
+    """Swap the `size` bytes at `at` with the `size` bytes at `other`."""
+    body[at : at + size], body[other : other + size] = body[other : other + size], body[at : at + size]
+
+
+def sealed(body) -> bytes:
+    return bytes(body) + zlib.crc32(body).to_bytes(4, "little")
+
+
+def test_runs_out_of_order_are_corrupt(sample_index):
+    """No writer stores a word's (pattern, root) runs out of order, so swap
+    two one-record runs of one word and pattern in the file and seal it with
+    a fresh CRC."""
+    entries = records_of(sample_index)
+    keys = [(w, rec.pattern, rec.root) for w, rec in entries]
+    j = next(
+        j for j in range(1, len(keys) - 2) if keys[j][:2] == keys[j + 1][:2] and len(set(keys[j - 1 : j + 3])) == 4
+    )
+    records = [rec for _, rec in entries]
+    node_off = list(accumulate((len(rec.nodes) for rec in records), initial=0))
+    a, b, end = node_off[j : j + 3]
+    assert b - a == end - b  # one pattern, one node count
+    body = bytearray(serialize(sample_index)[:-4])
+    at = record_columns_at(body, records)
+    for width in (4, 4, 1, 1, 1, 8, 8):
+        swap(body, at + width * j, at + width * (j + 1), width)
+        at += width * len(records)
+    swap(body, at + 4 * a, at + 4 * b, 4 * (b - a))  # nodes
+    at += 4 * node_off[-1]
+    swap(body, at + 4 * (a - j), at + 4 * (b - j - 1), 4 * (b - a - 1))  # attrs
+    with pytest.raises(IndexCorruptError, match="not sorted by pattern id, then root"):
+        deserialize(sealed(body))
+
+
+def test_pattern_table_out_of_order_is_corrupt(sample_index):
+    """No writer stores the pattern table out of canonical order, so swap two
+    patterns of one length in the file, and the ids that point at them, and
+    seal it with a fresh CRC."""
+    records = [rec for _, rec in records_of(sample_index)]
+    patterns = sorted({rec.pattern for rec in records}, key=pat.sort_key)
+    i = next(i for i in range(len(patterns) - 1) if len(patterns[i]) == len(patterns[i + 1]))
+    body = bytearray(serialize(sample_index)[:-4])
+    names = sum(4 + len(name.encode()) for name in sample_index.type_names + sample_index.attr_names)
+    # The fixed header, two name tables, the PageRank vector and the pattern count come first.
+    at = 40 + 8 + names + 4 + 8 * sample_index.n_entities + 4 + sum(2 + 4 * len(p) for p in patterns[:i])
+    size = 2 + 4 * len(patterns[i])
+    swap(body, at, at + size, size)
+    at = record_columns_at(body, records)
+    pid = np.frombuffer(body, "<u4", len(records), at).copy()
+    was_i, was_next = pid == i, pid == i + 1
+    pid[was_i], pid[was_next] = i + 1, i
+    body[at : at + pid.nbytes] = pid.tobytes()
+    with pytest.raises(IndexCorruptError, match="pattern table is not in canonical order"):
+        deserialize(sealed(body))
+
+
+def test_path_longer_than_255_nodes_is_rejected_before_writing():
+    """`build_index` refuses the path where it finds it, so no index that
+    holds it can be written."""
+    chain = "".join(f"E e{i} Thing x\n" for i in range(256)) + "".join(f"A e{i} next @e{i + 1}\n" for i in range(255))
+    g = graph_from_text(chain)
     with pytest.raises(ParameterError, match="255 nodes"):
-        serialize(idx)
+        build_index(g, uniform_pagerank(g), 256)
+
+
+def test_entry_count_that_disagrees_with_the_records_is_corrupt(sample_index):
+    body = bytearray(serialize(sample_index)[:-4])
+    body[-16:-8] = (sample_index.stats.entry_count + 1).to_bytes(8, "little")
+    with pytest.raises(IndexCorruptError, match="entry count mismatch"):
+        deserialize(sealed(body))
 
 
 def test_name_table_shorter_than_its_count_is_corrupt(sample_graph):

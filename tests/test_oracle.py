@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,9 @@ from kgpattern import (
     enumerate_patterns_exhaustive,
     generate_graph,
     Query,
+    deserialize,
     search_linear_enum,
+    serialize,
 )
 from kgpattern import patterns as pat
 from kgpattern.bench import ENGINES
@@ -115,9 +119,10 @@ def engine_members(sp):
     data=st.data(),
 )
 def test_every_engine_matches_the_oracle(entities, types, attr_types, avg_out_degree, vocab, seed, depth, data):
-    """Every engine in exact mode, asked for at least as many patterns as
-    exist, returns exactly the oracle's patterns with the oracle's members in
-    the oracle's order; scores agree across engines and rank the answer."""
+    """Every engine in exact mode, on the built index and on it read back from
+    bytes, asked for at least as many patterns as exist, returns exactly the
+    oracle's patterns with the oracle's members in the oracle's order; scores
+    agree across engines and indexes and rank the answer."""
     cfg = GenConfig(
         entities, types, attr_types, avg_out_degree, vocab, words_per_text=2, literal_fraction=0.2, seed=seed
     )
@@ -125,11 +130,11 @@ def test_every_engine_matches_the_oracle(entities, types, attr_types, avg_out_de
     vocabulary = [f"w{i}" for i in range(vocab)]
     words = tuple(data.draw(st.lists(st.sampled_from(vocabulary), min_size=1, max_size=3, unique=True)))
     expected = enumerate_patterns_exhaustive(graph, words, depth)
-    idx = build_index(graph, compute_pagerank(graph), depth)
+    built = build_index(graph, compute_pagerank(graph), depth)
     query = Query(words, k=max(1, len(expected)))
 
     scores = {}
-    for name, engine in ENGINES.items():
+    for (name, engine), idx in itertools.product(ENGINES.items(), (built, deserialize(serialize(built)))):
         ranked = engine(graph, idx, query, DEFAULT_CONFIG, EXACT_SAMPLING)
         assert sorted(sp.pattern for sp in ranked) == sorted(expected), name
         for sp in ranked:
