@@ -2,8 +2,8 @@
 
 Subcommands: gen, build, query, bench, sweep, oracle, dump-index. Exit codes:
 0 success, 1 usage error (bad flags, unknown engine), 2 data error
-(unreadable/malformed inputs, or an index built from another graph). Engine
-names come from ``bench.ENGINES``.
+(unreadable, non-UTF-8 or malformed inputs, or an index built from another
+graph). Engine names come from ``bench.ENGINES``.
 """
 from __future__ import annotations
 
@@ -358,7 +358,7 @@ def main(argv=None) -> int:
     except ParameterError as exc:  # bad flag values (rho, lambda, k, keywords)
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (KgPatternError, FileNotFoundError, PermissionError, json.JSONDecodeError) as exc:
+    except (KgPatternError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

@@ -80,7 +80,6 @@ class KnowledgeGraph:
 
     entity_type: list[int] = field(default_factory=list)
     entity_text: list[str] = field(default_factory=list)
-    entity_tokens: list[tuple[str, ...]] = field(default_factory=list)
     entity_token_set: list[frozenset[str]] = field(default_factory=list)
     entity_keys: list[Optional[str]] = field(default_factory=list)
     type_names: list[str] = field(default_factory=list)
@@ -107,16 +106,6 @@ class KnowledgeGraph:
     def is_literal(self, entity: int) -> bool:
         """True for dummy entities created from plain-text attribute values."""
         return self.entity_type[entity] == TEXT_TYPE_ID
-
-    def out_degree(self, entity: int) -> int:
-        return len(self.adjacency[entity])
-
-    def entity_by_text(self, text: str) -> int:
-        """Id of the unique entity with this exact raw text (convenience)."""
-        hits = [e for e, t in enumerate(self.entity_text) if t == text]
-        if len(hits) != 1:
-            raise KeyError(f"{len(hits)} entities have text {text!r}")
-        return hits[0]
 
 
 class _Builder:
@@ -150,11 +139,9 @@ class _Builder:
     def _new_entity(self, type_id, text, key=None):
         g = self.g
         eid = g.n_entities
-        tokens = tuple(tokenize(text, self.synonyms))
         g.entity_type.append(type_id)
         g.entity_text.append(text)
-        g.entity_tokens.append(tokens)
-        g.entity_token_set.append(frozenset(tokens))
+        g.entity_token_set.append(frozenset(tokenize(text, self.synonyms)))
         g.entity_keys.append(key)
         g.adjacency.append([])
         return eid

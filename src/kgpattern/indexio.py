@@ -7,61 +7,65 @@ Little-endian throughout. Layout::
     damping f64 | tolerance f64
     type-name string table | attr-name string table
     pagerank: count u32, f64 * count
-    pattern table: count u32, then per pattern u16 element count + u32 ids
-                   (patterns in canonical length-lexicographic order; a
-                   pattern's table position is its id)
+    pattern table: count u32, lengths u16 * count, then every pattern's
+                   u32 ids, pattern after pattern (patterns in canonical
+                   length-lexicographic order; a pattern's table position is
+                   its id)
     vocabulary string table
     counts: u64 * n_words, each word's record count
     record columns, one entry per record: every word's records in vocabulary
     order, each word's sorted pattern-first:
-        pattern_id u32 | root u32 | n_nodes u8 | edge_match u8 | locus u8
-        | pr f64 | sim f64
+        pattern_id u32 | locus u8 | sim f64
     nodes u32 * sum(n_nodes) | attrs u32 * sum(n_nodes - 1)
     stats: entry_count u64 | cost_proxy u64
     crc u32: zlib.crc32 of every byte before it
 
 A string table is a u32 count followed by (u32 byte length, UTF-8 bytes) per
-entry. The pattern table, vocabulary and columns are `PathIndex.columns`:
-`serialize` writes each column with `ndarray.tobytes`, and `deserialize`
-passes the `np.frombuffer` views it reads to the `PathIndex` constructor. A
-path holds at most 255 nodes (`n_nodes` is a u8); `build_index` refuses more.
+entry. The file stores each fact once: a record's node count `n_nodes`
+(`len(pattern) // 2 + 1`), whether it is an edge match (its pattern has even
+length), its root (its first node) and its PageRank term (the stored score of
+its last node, or of the edge's source on an edge match) are derived at load
+by `pathindex.index_columns`, as `build_index` derives them. The pattern table,
+vocabulary and stored columns are `PathIndex.columns`: `serialize` writes each
+with `ndarray.tobytes`, and `deserialize` passes the `np.frombuffer` views it
+reads to the `PathIndex` constructor.
 
 Reading checks the magic, then the version, then the CRC, before it decodes
 anything else. Bad magic or version raises IndexFormatError. Every other
-check also runs before `deserialize` returns, the record checks each on a
-whole column, and raises IndexCorruptError: a CRC mismatch (any single-bit
-flip after the version field, or a truncated file), a short read, bytes left
-over after the stats, an entry count that disagrees with the records, a name
-table whose length disagrees with its header count, an id out of range (a
-pattern id past the pattern table, a node id >= n_entities, an attribute id
->= n_attrs, a pattern type id >= n_types, a root that is not the record's
-first node), a record that no build writes (no nodes, `n_nodes` other than
-its pattern's node count, `edge_match` other than 1 exactly on an
-even-length (attribute-ending) pattern, `locus` other than edge-type exactly
-on edge matches, or a `pr` or `sim` term that is not finite and positive),
-a PageRank vector that is not n_entities scores, each finite and positive,
-a pattern table that is not strictly increasing in canonical order, or a
-word whose records' (pattern_id, root) ever decrease. The last two make the
-file's order the in-memory order: each (word, pattern, root) leaf is one
-contiguous run of records, taken in stored order.
+check also runs before `deserialize` returns, on whole arrays, and raises
+IndexCorruptError: a CRC mismatch (any single-bit flip after the version
+field, or a truncated file), a short read, bytes left over after the stats,
+an entry count that disagrees with the records, a name table whose length
+disagrees with its header count, a PageRank vector that is not n_entities
+scores, each finite and positive, an empty pattern, an id out of range (a
+pattern type id >= n_types, a pattern attribute id >= n_attrs, a pattern id
+past the pattern table, a node id >= n_entities, an attribute id >=
+n_attrs), a record that no build writes (`locus` other than edge-type
+exactly on edge matches, or a `sim` term that is not finite and positive), a
+pattern table that is not strictly increasing in canonical order, or a word
+whose records' (pattern_id, root) ever decrease. Each derived column is
+computed only after the ids it indexes with are checked. The last two checks
+make the file's order the in-memory order: each (word, pattern, root) leaf is
+one contiguous run of records, taken in stored order.
 """
 from __future__ import annotations
 
 import io
+import operator
 import struct
 import zlib
+from itertools import chain
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from . import patterns as pat
 from .errors import IndexCorruptError, IndexFormatError
 from .pagerank import PageRankVector
-from .pathindex import EDGE_TYPE, RECORD_DTYPES, IndexColumns, PathIndex
+from .pathindex import EDGE_TYPE, RECORD_DTYPES, PathIndex, index_columns, node_offsets
 
 MAGIC = b"KGPX"
-VERSION = 4
+VERSION = 5
 
 
 class _Writer(io.BytesIO):
@@ -119,10 +123,10 @@ def serialize(idx: PathIndex) -> bytes:
 
     c = idx.columns
     w.pack("I", len(c.patterns))
-    for p in c.patterns:
-        w.pack(f"H{len(p)}I", len(p), *p)
+    w.write(np.array([len(p) for p in c.patterns], "<u2").tobytes())
+    w.write(np.fromiter(chain.from_iterable(c.patterns), "<u4").tobytes())
     w.string_table(c.vocab)
-    for column in (c.counts, c.pattern_id, c.root, c.n_nodes, c.edge_match, c.locus, c.pr, c.sim, c.nodes, c.attrs):
+    for column in (c.counts, c.pattern_id, c.locus, c.sim, c.nodes, c.attrs):
         w.write(column.tobytes())
 
     w.pack("QQ", idx.stats.entry_count, idx.stats.cost_proxy)
@@ -175,46 +179,40 @@ def _deserialize(data: bytes) -> PathIndex:
     pagerank = PageRankVector(scores, damping, tolerance)
 
     (n_patterns,) = r.unpack("I")
-    all_patterns = []
-    for _ in range(n_patterns):
-        (n_el,) = r.unpack("H")
-        p = r.unpack(f"{n_el}I")
-        if max(p[0::2], default=-1) >= n_types or max(p[1::2], default=-1) >= n_attrs:
-            raise IndexCorruptError(f"pattern {p} references an unknown type or attribute id")
-        all_patterns.append(p)
+    lengths = r.array("<u2", n_patterns)
+    elements = r.array("<u4", int(lengths.sum()))
+    _require(lengths > 0, "a pattern is empty")
+    ends = np.cumsum(lengths, dtype=np.int64)
+    # An element's position within its pattern: even positions are type ids, odd ones attribute ids.
+    position = np.arange(len(elements)) - np.repeat(ends - lengths, lengths)
+    limit = np.where(position % 2 == 0, n_types, n_attrs)
+    _require(elements < limit, "a pattern references an unknown type or attribute id")
+    flat = elements.tolist()
+    all_patterns = [tuple(flat[b - n : b]) for n, b in zip(lengths.tolist(), ends.tolist())]
+    keys = list(zip(lengths.tolist(), all_patterns))  # each pattern's `patterns.sort_key`
+    _require(list(map(operator.lt, keys, keys[1:])), "the pattern table is not in canonical order")
     vocab = r.string_table()
 
     counts = r.array("<u8", len(vocab))
     n = sum(counts.tolist())
-    pid, root, n_nodes, edge_match, locus, pr, sim = (r.array(dtype, n) for dtype in RECORD_DTYPES)
+    pid, locus, sim = (r.array(dtype, n) for dtype in RECORD_DTYPES)
     _require(pid < n_patterns, "a record references an unknown pattern id")
-    # Every pattern covers at least one node, so this also rejects a record without nodes.
-    node_counts = np.array([pat.node_count(p) for p in all_patterns], dtype=np.int64)[pid]
-    _require(n_nodes == node_counts, "a record's node count disagrees with its pattern")
-    node_off = np.concatenate(([0], np.cumsum(n_nodes, dtype=np.int64)))
-    nodes = r.array("<u4", int(node_off[-1]))
-    attrs = r.array("<u4", int(node_off[-1]) - n)
-    _require(nodes[node_off[:-1]] == root, "a record's root is not its first node")
+    n_nodes = int(node_offsets(lengths, pid)[-1])
+    nodes = r.array("<u4", n_nodes)
+    attrs = r.array("<u4", n_nodes - n)
     _require(nodes < n_entities, "a record references an unknown entity id")
     _require(attrs < n_attrs, "a record references an unknown attribute id")
-    edge_ending = np.array([pat.is_edge_ending(p) for p in all_patterns], dtype=bool)[pid]
-    _require(edge_match == edge_ending, "a record's edge_match disagrees with its pattern")
-    on_edge = np.where(edge_ending, locus == EDGE_TYPE, locus < EDGE_TYPE)
+    _require(np.isfinite(sim) & (sim > 0), "a record's sim term is not finite and positive")
+    columns = index_columns((all_patterns, vocab, counts, pid, locus, sim, nodes, attrs), lengths, scores)
+    on_edge = np.where(columns.edge_match, locus == EDGE_TYPE, locus < EDGE_TYPE)
     _require(on_edge, "a record's locus disagrees with its pattern")
-    for name, column in (("pr", pr), ("sim", sim)):
-        _require(np.isfinite(column) & (column > 0), f"a record's {name} term is not finite and positive")
-    keys = [pat.sort_key(p) for p in all_patterns]
-    _require([a < b for a, b in zip(keys, keys[1:])], "the pattern table is not in canonical order")
-    run_key = pid.astype(np.uint64) << 32 | root
+    run_key = pid.astype(np.uint64) << 32 | columns.root
     new_word = np.isin(np.arange(1, n), np.cumsum(counts))
     _require(new_word | (run_key[1:] >= run_key[:-1]), "a word's records are not sorted by pattern id, then root")
 
     stored_entries, cost_proxy = r.unpack("QQ")
     if r.pos != len(body):
         raise IndexCorruptError(f"{len(body) - r.pos} unexpected bytes after the stats")
-    columns = IndexColumns(
-        all_patterns, vocab, counts, pid, root, n_nodes, edge_match, locus, pr, sim, node_off, nodes, attrs
-    )
     idx = PathIndex(depth, pagerank, n_entities, type_names, attr_names, columns, cost_proxy)
     if stored_entries != idx.stats.entry_count:
         raise IndexCorruptError(

@@ -15,11 +15,12 @@ Each entry precomputes the three per-path score terms (node count, PageRank of
 the matched node or of the matched edge's source, Jaccard similarity), so
 query-time scoring is pure arithmetic.
 
-The index holds its records once, as the columns of its KGPX v4 file
-(`IndexColumns`); each word's records are one slice of them, sorted
-pattern-first (pattern length-lexicographically, then root, nodes, attrs).
-`build_index` fills the columns and `indexio.deserialize` hands the file's
-columns to the same constructor. A word's first read decodes its slice into
+The index holds its records once, as the columns of its KGPX v5 file plus
+the columns those determine (`IndexColumns`, `index_columns`); each word's
+records are one slice of them, sorted pattern-first (pattern
+length-lexicographically, then root, nodes, attrs). `build_index` fills the
+columns and `indexio.deserialize` hands the file's columns to the same
+constructor. A word's first read decodes its slice into
 `IndexedPath` objects and *leaves*, one per run of records that share (pattern,
 root): the run's records and their kernel block (see `kernels`), whose step
 lists are the word's and whose offsets are the run's slice of the word's. Both
@@ -51,10 +52,11 @@ logger = logging.getLogger(__name__)
 NODE_TEXT = 0
 NODE_TYPE = 1
 EDGE_TYPE = 2
-LOCUS_NAMES = {NODE_TEXT: "node-text", NODE_TYPE: "node-type", EDGE_TYPE: "edge-type"}
-MAX_PATH_NODES = 255  # a record's node count is one byte in the index file
-# The dtypes of the columns pattern_id, root, n_nodes, edge_match, locus, pr and sim.
-RECORD_DTYPES = ("<u4", "<u4", "u1", "u1", "u1", "<f8", "<f8")
+# `iter_root_paths` recurses once per node, so a much longer path would
+# overflow Python's stack (a 1,200-node chain raises RecursionError).
+MAX_PATH_NODES = 255
+# The dtypes of the stored fixed-width record columns pattern_id, locus and sim.
+RECORD_DTYPES = ("<u4", "u1", "<f8")
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,15 +103,36 @@ class IndexStats:
     word_sizes: dict[str, int]
 
 
-# Every record of an index, in KGPX v4 form: the pattern table (in canonical
-# order; a pattern's id is its position), the vocabulary with each word's
-# record count, one array per field of RECORD_DTYPES with one entry per record
-# (word by word, in vocabulary order), and all records' nodes and attributes
-# in two arrays: record j's nodes are nodes[node_off[j]:node_off[j + 1]] and
-# its attributes, one fewer, start at attrs[node_off[j] - j].
+# Every record of an index: first its KGPX v5 columns, that is the pattern
+# table (in canonical order; a pattern's id is its position), the vocabulary
+# with each word's record count, one array per field of RECORD_DTYPES with one
+# entry per record (word by word, in vocabulary order), and all records' nodes
+# and attributes in two arrays; then the columns these determine
+# (`index_columns`): record j's nodes are nodes[node_off[j]:node_off[j + 1]]
+# and its attributes, one fewer, start at attrs[node_off[j] - j].
 IndexColumns = namedtuple(
-    "IndexColumns", "patterns vocab counts pattern_id root n_nodes edge_match locus pr sim node_off nodes attrs"
+    "IndexColumns", "patterns vocab counts pattern_id locus sim nodes attrs node_off root edge_match pr"
 )
+
+
+def node_offsets(pattern_lengths: np.ndarray, pattern_id: np.ndarray) -> np.ndarray:
+    """The `node_off` column of records with these pattern ids, given each
+    pattern's length: a pattern of n elements covers n // 2 + 1 nodes
+    (`patterns.node_count`)."""
+    return np.concatenate(([0], np.cumsum(pattern_lengths[pattern_id] // 2 + 1, dtype=np.int64)))
+
+
+def index_columns(stored: tuple, pattern_lengths: np.ndarray, scores: np.ndarray) -> IndexColumns:
+    """`stored`, the v5 columns from `patterns` to `attrs`, with the columns
+    they determine. A record is an edge match exactly when its pattern has
+    even length, its root is its first node, and its pr term is the PageRank
+    score of its last node, or on an edge match of the edge's source, the node
+    before it. Every id in `stored` must be in range and no pattern empty."""
+    _, _, _, pattern_id, _, _, nodes, _ = stored
+    node_off = node_offsets(pattern_lengths, pattern_id)
+    edge_match = pattern_lengths[pattern_id] % 2 == 0
+    pr = scores[nodes[node_off[1:] - 1 - edge_match]]
+    return IndexColumns(*stored, node_off, nodes[node_off[:-1]], edge_match, pr)
 
 
 @dataclass(slots=True)
@@ -149,7 +172,7 @@ class _WordIndex:
         parent = np.arange(len(attrs)) + np.repeat(np.arange(self.size), np.diff(steps))
         step_lists = (nodes[parent + 1].tolist(), nodes[parent].tolist(), attrs)
         node_list, at, steps = nodes.tolist(), at.tolist(), steps.tolist()
-        fields = (c.root, c.edge_match.view(bool), c.locus, c.pr, c.sim, c.pattern_id)
+        fields = (c.root, c.edge_match, c.locus, c.pr, c.sim, c.pattern_id)
         rows = zip(at, at[1:], steps, *(column[start:stop].tolist() for column in fields))
         self.records = records = [
             IndexedPath(r, tuple(node_list[a:b]), tuple(attrs[s : s + b - a - 1]), e, loc, b - a, pr, sim, c.patterns[p])
@@ -328,7 +351,7 @@ def build_index(graph: KnowledgeGraph, pagerank: PageRankVector, depth: int) -> 
         for hit in iter_root_paths(graph, pagerank.scores, depth, root):
             if len(hit.nodes) > MAX_PATH_NODES:
                 raise ParameterError(
-                    f"a path of {len(hit.nodes)} nodes exceeds the index file's limit of {MAX_PATH_NODES} "
+                    f"a path of {len(hit.nodes)} nodes exceeds the index's limit of {MAX_PATH_NODES} "
                     f"nodes per path; build with a smaller --d"
                 )
             cost_proxy += len(hit.nodes) * len(hit.matches)
@@ -338,17 +361,17 @@ def build_index(graph: KnowledgeGraph, pagerank: PageRankVector, depth: int) -> 
     patterns = list(dict.fromkeys(hit.pattern for _, hit in hits))
     pattern_ids = {p: i for i, p in enumerate(patterns)}
     per_word: dict[str, list[tuple]] = {}
-    for root, hit in hits:
-        path = (pattern_ids[hit.pattern], root, len(hit.nodes), hit.edge_match)
+    for _, hit in hits:
+        pattern_id = pattern_ids[hit.pattern]
         for word, locus, sim in hit.matches:
-            per_word.setdefault(word, []).append((*path, locus, hit.pr_term, sim, hit.nodes, hit.attrs))
+            per_word.setdefault(word, []).append((pattern_id, locus, sim, hit.nodes, hit.attrs))
     vocab = sorted(per_word)
-    *fields, nodes, attrs = zip(*(rec for word in vocab for rec in per_word[word])) if vocab else [()] * 9
+    *fields, nodes, attrs = zip(*(rec for word in vocab for rec in per_word[word])) if vocab else [()] * 5
     fields = [np.array(column, dtype) for column, dtype in zip(fields, RECORD_DTYPES)]
     counts = np.array([len(per_word[word]) for word in vocab], dtype="<u8")
-    node_off = np.concatenate(([0], np.cumsum(fields[2], dtype=np.int64)))
     flat = [np.fromiter(chain.from_iterable(column), "<u4") for column in (nodes, attrs)]
-    columns = IndexColumns(patterns, vocab, counts, *fields, node_off, *flat)
+    lengths = np.array([len(p) for p in patterns], dtype=np.int64)
+    columns = index_columns((patterns, vocab, counts, *fields, *flat), lengths, pagerank.scores)
     idx = PathIndex(
         depth, pagerank, graph.n_entities, list(graph.type_names), list(graph.attr_names), columns, cost_proxy
     )

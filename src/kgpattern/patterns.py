@@ -10,11 +10,9 @@ A tree pattern is a tuple of path patterns, one per query keyword position,
 all sharing the leading (root) type.
 
 Canonical ordering everywhere is length-lexicographic: shorter patterns first,
-ties broken by the id sequence. The byte encoding preserves that order.
+ties broken by the id sequence.
 """
 from __future__ import annotations
-
-import struct
 
 PathPattern = tuple  # tuple[int, ...]
 TreePattern = tuple  # tuple[PathPattern, ...]
@@ -34,9 +32,7 @@ def node_count(pattern: PathPattern) -> int:
     Edge-ending paths also cover the matched edge's target node, so they count
     one more node than the pattern lists types for.
     """
-    if is_edge_ending(pattern):
-        return len(pattern) // 2 + 1
-    return (len(pattern) + 1) // 2
+    return len(pattern) // 2 + 1
 
 
 def sort_key(pattern: PathPattern):
@@ -49,16 +45,6 @@ def tree_sort_key(tree_pattern: TreePattern):
 
 def tree_height(tree_pattern: TreePattern) -> int:
     return max(node_count(p) for p in tree_pattern)
-
-
-def encode(pattern: PathPattern) -> bytes:
-    """Canonical bytes; lexicographic byte order matches sort_key order."""
-    return struct.pack(f">B{len(pattern)}I", len(pattern), *pattern)
-
-
-def decode(data: bytes) -> PathPattern:
-    n = data[0]
-    return struct.unpack_from(f">{n}I", data, 1)
 
 
 def path_pattern_of(graph, nodes, attrs, edge_match: bool) -> PathPattern:

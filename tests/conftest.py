@@ -30,7 +30,8 @@ def graph_from_text(text, synonyms=None):
 
 def with_columns(idx, **changes):
     """A new index over `idx.columns._replace(**changes)`, as `build_index`
-    would make it if it wrote those columns (no column is checked)."""
+    would make it if it wrote those columns. No column is checked and the
+    derived ones are not recomputed, so it is only fit to serialize."""
     return PathIndex(
         idx.depth,
         idx.pagerank,

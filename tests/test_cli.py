@@ -278,6 +278,34 @@ class TestExitCodes:
         assert main(args) == 1
         assert capsys.readouterr().err == f"error: {flag} must list at least one value, got {value!r}\n"
 
+    @pytest.mark.parametrize(
+        "command, flag, bad",
+        [("build", "--graph", "directory"), ("query", "--graph", "directory"), ("query", "--index", "directory"),
+         ("build", "--index", "directory"), ("bench", "--queries", "directory"), ("build", "--graph", "latin-1"),
+         ("bench", "--queries", "latin-1"), ("query", "--config", "latin-1")],
+        ids=["build-graph-dir", "query-graph-dir", "query-index-dir", "build-index-dir", "bench-queries-dir",
+             "graph-latin-1", "queries-latin-1", "config-latin-1"],
+    )
+    def test_unreadable_input_paths_are_data_errors(self, workspace, tmp_path, capsys, command, flag, bad):
+        if bad == "directory":
+            path = tmp_path
+        else:
+            path = tmp_path / "latin-1.txt"
+            path.write_bytes("E café Thing w0\n".encode("latin-1"))
+        graph, index, queries = workspace["graph"], workspace["index"], workspace["queries"]
+        args = {
+            "build": ["build", "--graph", graph, "--index", tmp_path / "out.kgpx"],
+            "query": ["query", "--graph", graph, "--index", index, "--q", "w0 w1"],
+            "bench": ["bench", "--graph", graph, "--index", index, "--queries", queries, "--algos", "linear-topk"],
+        }[command]
+        if flag in args:
+            args[args.index(flag) + 1] = path
+        else:
+            args += [flag, path]
+        assert main([str(a) for a in args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("count", [[], ["--count"]], ids=["list", "count"])
     @pytest.mark.parametrize("depth", ["0", "-3"])
     def test_oracle_depth_below_one_is_usage_error(self, capsys, depth, count):

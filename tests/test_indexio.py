@@ -21,7 +21,9 @@ from kgpattern import (
     write_index,
 )
 from kgpattern import patterns as pat
-from kgpattern.pathindex import EDGE_TYPE, NODE_TEXT
+from kgpattern.cli import main
+from kgpattern.fixtures import sample_graph_path
+from kgpattern.pathindex import EDGE_TYPE, NODE_TEXT, RECORD_DTYPES
 
 from conftest import graph_from_text, random_instance, with_columns
 
@@ -123,7 +125,7 @@ def test_bad_magic(sample_index):
         deserialize(bytes(blob))
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 99])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 99])
 def test_bad_version(sample_index, version):
     blob = bytearray(serialize(sample_index))
     blob[4:8] = version.to_bytes(4, "little")
@@ -137,21 +139,19 @@ def records_of(idx):
 
 
 # The column of each single-valued record field.
-COLUMN_OF = {"root": "root", "edge_match": "edge_match", "locus": "locus", "pr_term": "pr", "sim_term": "sim"}
+COLUMN_OF = {"locus": "locus", "sim_term": "sim"}
 
 
 def with_record(idx, j, **fields):
     """`idx` with the fields of its record j (numbered as in `records_of`)
-    replaced, as by `dataclasses.replace`: `nodes` also sets the record's
-    node count, and `pattern` replaces its pattern's table entry."""
+    replaced, as by `dataclasses.replace`: `pattern` replaces its pattern's
+    table entry."""
     c = idx.columns
     a, b = int(c.node_off[j]), int(c.node_off[j + 1])
     changes = {}
     for field, value in fields.items():
         if field == "nodes":
             changes["nodes"] = np.concatenate([c.nodes[:a], np.array(value, "<u4"), c.nodes[b:]])
-            changes["n_nodes"] = c.n_nodes.copy()
-            changes["n_nodes"][j] = len(value)
         elif field == "attrs":
             changes["attrs"] = np.concatenate([c.attrs[: a - j], np.array(value, "<u4"), c.attrs[b - j - 1 :]])
         elif field == "pattern":
@@ -162,14 +162,16 @@ def with_record(idx, j, **fields):
     return with_columns(idx, **changes)
 
 
-# Each maps one record with at least two nodes to the fields that make it
-# reference an id its index cannot hold.
+# Each names the error a load raises and maps one record with at least two
+# nodes to the fields that make it reference an id its index cannot hold.
 OUT_OF_RANGE = {
-    "root-not-first-node": lambda rec, idx: {"root": (rec.root + 1) % idx.n_entities},
-    "node-id": lambda rec, idx: {"nodes": rec.nodes[:-1] + (idx.n_entities,)},
-    "attr-id": lambda rec, idx: {"attrs": rec.attrs[:-1] + (idx.n_attrs,)},
-    "pattern-type-id": lambda rec, idx: {"pattern": (idx.n_types,) + rec.pattern[1:]},
-    "pattern-attr-id": lambda rec, idx: {"pattern": rec.pattern[:1] + (idx.n_attrs,) + rec.pattern[2:]},
+    "node-id": ("unknown entity id", lambda rec, idx: {"nodes": rec.nodes[:-1] + (idx.n_entities,)}),
+    "attr-id": ("unknown attribute id", lambda rec, idx: {"attrs": rec.attrs[:-1] + (idx.n_attrs,)}),
+    "pattern-type-id": ("unknown type or attribute id", lambda rec, idx: {"pattern": (idx.n_types,) + rec.pattern[1:]}),
+    "pattern-attr-id": (
+        "unknown type or attribute id",
+        lambda rec, idx: {"pattern": rec.pattern[:1] + (idx.n_attrs,) + rec.pattern[2:]},
+    ),
 }
 
 
@@ -180,26 +182,19 @@ def test_out_of_range_ids_are_corrupt(sample_graph, corruption):
     # order when its type or attribute id grows past the others.
     j, rec = next((j, rec) for j, (_, rec) in enumerate(records_of(idx)) if rec.pattern == idx.columns.patterns[-1])
     assert len(rec.nodes) > 1
-    with pytest.raises(IndexCorruptError):
-        deserialize(serialize(with_record(idx, j, **OUT_OF_RANGE[corruption](rec, idx))))
+    error, fields = OUT_OF_RANGE[corruption]
+    with pytest.raises(IndexCorruptError, match=error):
+        deserialize(serialize(with_record(idx, j, **fields(rec, idx))))
 
 
 # Each names the kind of record it changes (an edge match or not) and maps one
 # such record with at least two nodes to fields that no index build writes.
 INCONSISTENT = {
-    "pr-nan": (False, lambda rec: {"pr_term": math.nan}),
-    "pr-zero": (False, lambda rec: {"pr_term": 0.0}),
-    "pr-negative": (False, lambda rec: {"pr_term": -1.0}),
     "sim-inf": (False, lambda rec: {"sim_term": math.inf}),
     "sim-zero": (False, lambda rec: {"sim_term": 0.0}),
     "locus-7": (False, lambda rec: {"locus": 7}),
-    "edge-match-2": (True, lambda rec: {"edge_match": 2}),
-    "edge-match-on-node-pattern": (False, lambda rec: {"edge_match": True}),
-    "node-match-on-edge-pattern": (True, lambda rec: {"edge_match": False}),
     "edge-locus-on-node-match": (False, lambda rec: {"locus": EDGE_TYPE}),
     "node-locus-on-edge-match": (True, lambda rec: {"locus": NODE_TEXT}),
-    "node-count": (False, lambda rec: {"nodes": rec.nodes + rec.nodes[-1:], "attrs": rec.attrs + (0,)}),
-    "no-nodes": (False, lambda rec: {"nodes": (), "attrs": ()}),
 }
 
 
@@ -223,7 +218,7 @@ def test_bad_pagerank_vector_is_corrupt(sample_graph, edit):
     else:
         scores[0] = math.nan if edit == "nan" else 0.0
     idx.pagerank.scores = scores
-    with pytest.raises(IndexCorruptError):
+    with pytest.raises(IndexCorruptError, match="PageRank score"):
         deserialize(serialize(idx))
 
 
@@ -238,13 +233,17 @@ def test_pattern_id_past_the_table_is_corrupt(sample_index):
         deserialize(sealed(body))
 
 
+# The byte width of each fixed-width record column, in file order.
+WIDTHS = [np.dtype(dtype).itemsize for dtype in RECORD_DTYPES]
+
+
 def record_columns_at(body, records) -> int:
     """Where the first record column (pattern_id) starts in `body`, a
     serialized index of `records` without its CRC."""
     n, n_nodes = len(records), sum(len(rec.nodes) for rec in records)
-    # From the end: the stats, the attrs and nodes columns, then 27 bytes a
-    # record in the seven fixed-width columns.
-    return len(body) - 16 - 4 * (2 * n_nodes - n) - 27 * n
+    # From the end: the stats, the attrs and nodes columns, then the
+    # fixed-width columns.
+    return len(body) - 16 - 4 * (2 * n_nodes - n) - sum(WIDTHS) * n
 
 
 def swap(body, at, other, size):
@@ -271,7 +270,7 @@ def test_runs_out_of_order_are_corrupt(sample_index):
     assert b - a == end - b  # one pattern, one node count
     body = bytearray(serialize(sample_index)[:-4])
     at = record_columns_at(body, records)
-    for width in (4, 4, 1, 1, 1, 8, 8):
+    for width in WIDTHS:
         swap(body, at + width * j, at + width * (j + 1), width)
         at += width * len(records)
     swap(body, at + 4 * a, at + 4 * b, 4 * (b - a))  # nodes
@@ -290,9 +289,11 @@ def test_pattern_table_out_of_order_is_corrupt(sample_index):
     i = next(i for i in range(len(patterns) - 1) if len(patterns[i]) == len(patterns[i + 1]))
     body = bytearray(serialize(sample_index)[:-4])
     names = sum(4 + len(name.encode()) for name in sample_index.type_names + sample_index.attr_names)
-    # The fixed header, two name tables, the PageRank vector and the pattern count come first.
-    at = 40 + 8 + names + 4 + 8 * sample_index.n_entities + 4 + sum(2 + 4 * len(p) for p in patterns[:i])
-    size = 2 + 4 * len(patterns[i])
+    # The fixed header, two name tables, the PageRank vector, the pattern
+    # count and the pattern lengths come before the patterns' elements.
+    at = 40 + 8 + names + 4 + 8 * sample_index.n_entities + 4 + 2 * len(patterns)
+    at += sum(4 * len(p) for p in patterns[:i])
+    size = 4 * len(patterns[i])
     swap(body, at, at + size, size)
     at = record_columns_at(body, records)
     pid = np.frombuffer(body, "<u4", len(records), at).copy()
@@ -301,6 +302,49 @@ def test_pattern_table_out_of_order_is_corrupt(sample_index):
     body[at : at + pid.nbytes] = pid.tobytes()
     with pytest.raises(IndexCorruptError, match="pattern table is not in canonical order"):
         deserialize(sealed(body))
+
+
+def with_empty_pattern(idx):
+    """(`idx` with an empty pattern first in its table, the word it changes):
+    the pattern goes to the word's first record, which has one node, with
+    the locus of an edge match (an empty pattern has even length)."""
+    c = idx.columns
+    starts = list(accumulate(c.counts.tolist(), initial=0))[:-1]
+    j = next(j for j in starts if c.node_off[j + 1] - c.node_off[j] == 1)
+    pattern_id, locus = c.pattern_id + 1, c.locus.copy()
+    pattern_id[j], locus[j] = 0, EDGE_TYPE
+    changed = with_columns(idx, patterns=[()] + c.patterns, pattern_id=pattern_id, locus=locus)
+    return changed, c.vocab[starts.index(j)]
+
+
+def test_an_empty_pattern_is_corrupt(sample_index):
+    with pytest.raises(IndexCorruptError, match="a pattern is empty"):
+        deserialize(serialize(with_empty_pattern(sample_index)[0]))
+
+
+@pytest.mark.parametrize("algo", ["linear-topk", "pattern-enum"])
+def test_query_on_an_index_with_an_empty_pattern_is_a_data_error(tmp_path, capsys, sample_index, algo):
+    index = tmp_path / "empty-pattern.kgpx"
+    changed, word = with_empty_pattern(sample_index)
+    write_index(changed, index)
+    args = ["query", "--graph", str(sample_graph_path()), "--index", str(index), "--q", word, "--algo", algo]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_file_size_is_the_sum_of_its_sections(sample_index):
+    idx = sample_index
+    records = [rec for _, rec in records_of(idx)]
+    n, n_nodes = len(records), sum(len(rec.nodes) for rec in records)
+
+    def strings(table):
+        return 4 + sum(4 + len(s.encode()) for s in table)
+
+    header = 4 + 4 * 5 + 8 * 2 + strings(idx.type_names) + strings(idx.attr_names) + 4 + 8 * idx.n_entities
+    patterns = 4 + sum(2 + 4 * len(p) for p in idx.columns.patterns)
+    words = strings(idx.vocabulary()) + 8 * len(idx.vocabulary())
+    columns = sum(WIDTHS) * n + 4 * n_nodes + 4 * (n_nodes - n)
+    assert len(serialize(idx)) == header + patterns + words + columns + 16 + 4
 
 
 def test_path_longer_than_255_nodes_is_rejected_before_writing():
@@ -324,6 +368,11 @@ def test_name_table_shorter_than_its_count_is_corrupt(sample_graph):
     idx.attr_names = idx.attr_names[:-1]
     with pytest.raises(IndexCorruptError):
         deserialize(serialize(idx))
+
+
+def test_a_sealed_file_without_its_stats_is_corrupt(sample_index):
+    with pytest.raises(IndexCorruptError, match="truncated index"):
+        deserialize(sealed(serialize(sample_index)[:-4 - 16]))
 
 
 @pytest.mark.parametrize("fraction", [0.05, 0.3, 0.7, 0.999])

@@ -196,6 +196,22 @@ class TestInvariants:
                     )
                     assert rec.sim_term == best
 
+    @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+    @pytest.mark.parametrize("case", [None, *range(6)])
+    def test_derived_fields_agree_with_nodes_pattern_and_pagerank(self, sample_graph, case, loaded):
+        """The fields the index file does not store: root, node count,
+        edge_match and pr term."""
+        g, depth = (sample_graph, 3) if case is None else random_instance(case)[:2]
+        idx = build_index(g, compute_pagerank(g), depth)
+        if loaded:
+            idx = deserialize(serialize(idx))
+        for word in idx.vocabulary():
+            for rec in idx.paths(word):
+                assert rec.root == rec.nodes[0]
+                assert rec.node_count == len(rec.nodes) == pat.node_count(rec.pattern)
+                assert rec.edge_match == pat.is_edge_ending(rec.pattern)
+                assert rec.pr_term == idx.pagerank.scores[rec.nodes[-1 - rec.edge_match]]
+
     def test_stats_consistent(self, sample_index):
         stats = sample_index.stats
         assert stats.entry_count == sum(stats.word_sizes.values())

@@ -1,11 +1,4 @@
-from hypothesis import given
-from hypothesis import strategies as st
-
 from kgpattern import patterns as pat
-
-
-def path_pattern_strategy():
-    return st.lists(st.integers(0, 200), min_size=1, max_size=7).map(tuple)
 
 
 def test_edge_ending_by_parity():
@@ -24,16 +17,6 @@ def test_node_count_counts_edge_target():
 
 def test_tree_height():
     assert pat.tree_height(((1,), (1, 0, 2, 3))) == 3
-
-
-@given(path_pattern_strategy())
-def test_encode_roundtrip(p):
-    assert pat.decode(pat.encode(p)) == p
-
-
-@given(path_pattern_strategy(), path_pattern_strategy())
-def test_encoding_preserves_canonical_order(a, b):
-    assert (pat.encode(a) < pat.encode(b)) == (pat.sort_key(a) < pat.sort_key(b))
 
 
 def test_pattern_names(sample_graph, sample_index):
