@@ -25,9 +25,9 @@ from .search import (
     SamplingConfig,
     ScoredPattern,
     SearchResult,
-    TopKQueue,
     ValidSubtree,
     assemble_subtree,
+    rank,
     search_baseline,
     search_linear_enum,
     search_linear_topk,
@@ -58,7 +58,6 @@ __all__ = [
     "SearchResult",
     "TableAnswer",
     "TableConsistencyError",
-    "TopKQueue",
     "ValidSubtree",
     "assemble_subtree",
     "build_index",
@@ -71,6 +70,7 @@ __all__ = [
     "jaccard_similarity",
     "load_graph",
     "pattern_score",
+    "rank",
     "rank_enumeration",
     "read_index",
     "render_table",

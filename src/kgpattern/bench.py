@@ -20,6 +20,7 @@ from .search import (
     Query,
     SamplingConfig,
     ScoredPattern,
+    rank,
     search_baseline,
     search_linear_enum,
     search_linear_topk,
@@ -107,9 +108,7 @@ class BenchReport:
 
 def rank_enumeration(pairs, scoring: ScoringConfig = DEFAULT_CONFIG) -> list[ScoredPattern]:
     """Score and fully rank a (pattern, members) enumeration result."""
-    scored = [ScoredPattern.from_members(p, members, scoring) for p, members in pairs]
-    scored.sort(key=lambda sp: (-sp.score, pat.tree_sort_key(sp.pattern)))
-    return scored
+    return rank(ScoredPattern.from_members(p, members, scoring) for p, members in pairs)
 
 
 # Engine name -> fn(graph, idx, query, scoring, sampling) returning the ranked top k.

@@ -128,10 +128,18 @@ def _parse_list(raw: str, flag: str) -> list[str]:
     return items
 
 
+def _read_text(path, flag) -> str:
+    """The text of a UTF-8 file; a data error naming `flag` and `path` when it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise KgPatternError(f"{flag} {path} is not UTF-8 ({exc.reason} at byte {exc.start + 1})") from None
+
+
 def _scoring_from(path) -> ScoringConfig:
     if not path:
         return DEFAULT_CONFIG
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = json.loads(_read_text(path, "--config"))
     if not isinstance(data, dict):
         raise ParameterError(f"--config {path} must hold a JSON object, not {type(data).__name__}")
     keys = [f.name for f in dataclasses.fields(ScoringConfig)]
@@ -141,18 +149,16 @@ def _scoring_from(path) -> ScoringConfig:
     return ScoringConfig(**data)
 
 
-def _pattern_json(graph, sp, include_table=True) -> dict:
-    entry = {
+def _pattern_json(graph, sp) -> dict:
+    table = render_table(graph, sp.pattern, sp.subtrees)
+    return {
         "pattern": pat.tree_pattern_names(graph, sp.pattern),
         "score": sp.score,
         "estimated_score": sp.estimated_score,
         "count": sp.subtree_count,
+        "columns": table.column_names,
+        "rows": table.rows,
     }
-    if include_table:
-        table = render_table(graph, sp.pattern, sp.subtrees)
-        entry["columns"] = table.column_names
-        entry["rows"] = table.rows
-    return entry
 
 
 def _cmd_gen(args) -> int:
@@ -231,7 +237,7 @@ def _cmd_query(args) -> int:
 
 def _read_queries(path, k) -> list[Query]:
     queries = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in _read_text(path, "--queries").splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             queries.append(Query(tuple(tokenize(line)), k))

@@ -31,14 +31,16 @@ class GenConfig:
         for name in ("entities", "types", "attr_types", "vocab", "words_per_text"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"{name} must be positive")
-        if self.avg_out_degree <= 0:
-            raise ParameterError("avg_out_degree must be positive")
+        # _poisson compares a product of uniforms with exp(-mean), which is no
+        # normal float past a mean of about 708 (and 0 past 745); nan fails too.
+        if not 0.0 < self.avg_out_degree <= 700.0:
+            raise ParameterError(f"avg_out_degree must be in (0, 700], got {self.avg_out_degree}")
         if not 0.0 <= self.literal_fraction <= 1.0:
             raise ParameterError("literal_fraction must be in [0, 1]")
 
 
 def _poisson(rng: random.Random, mean: float) -> int:
-    # Knuth's method; fine for the small means used here.
+    # Knuth's method; GenConfig bounds the mean to where it is exact.
     limit = math.exp(-mean)
     k = 0
     p = 1.0

@@ -32,7 +32,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Optional, Union
+from typing import IO, Iterable, Optional, Union
 
 from .errors import GraphLinkError, GraphParseError
 
@@ -42,16 +42,10 @@ TEXT_TYPE_NAME = "TEXT"
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
-def tokenize(text: str, synonyms: Optional[Mapping[str, str]] = None) -> list[str]:
-    """Lowercase `text` and split on every non-alphanumeric character.
-
-    Empty tokens are dropped. If a synonym map is given, each token is
-    replaced by its canonical form after splitting.
-    """
-    tokens = _TOKEN_RE.findall(text.lower())
-    if synonyms:
-        tokens = [synonyms.get(t, t) for t in tokens]
-    return tokens
+def tokenize(text: str) -> list[str]:
+    """Lowercase `text` and split on every non-alphanumeric character;
+    empty tokens are dropped."""
+    return _TOKEN_RE.findall(text.lower())
 
 
 def jaccard_similarity(word: str, tokens) -> float:
@@ -109,9 +103,8 @@ class KnowledgeGraph:
 
 
 class _Builder:
-    def __init__(self, synonyms=None):
+    def __init__(self):
         self.g = KnowledgeGraph()
-        self.synonyms = synonyms
         self._type_ids: dict[str, int] = {}
         self._attr_ids: dict[str, int] = {}
         self._intern_type(TEXT_TYPE_NAME, text="")
@@ -124,7 +117,7 @@ class _Builder:
             desc = name if text is None else text
             self.g.type_names.append(name)
             self.g.type_text.append(desc)
-            self.g.type_token_set.append(frozenset(tokenize(desc, self.synonyms)))
+            self.g.type_token_set.append(frozenset(tokenize(desc)))
         return tid
 
     def _intern_attr(self, name):
@@ -133,7 +126,7 @@ class _Builder:
             aid = len(self.g.attr_names)
             self._attr_ids[name] = aid
             self.g.attr_names.append(name)
-            self.g.attr_token_set.append(frozenset(tokenize(name, self.synonyms)))
+            self.g.attr_token_set.append(frozenset(tokenize(name)))
         return aid
 
     def _new_entity(self, type_id, text, key=None):
@@ -141,7 +134,7 @@ class _Builder:
         eid = g.n_entities
         g.entity_type.append(type_id)
         g.entity_text.append(text)
-        g.entity_token_set.append(frozenset(tokenize(text, self.synonyms)))
+        g.entity_token_set.append(frozenset(tokenize(text)))
         g.entity_keys.append(key)
         g.adjacency.append([])
         return eid
@@ -243,24 +236,35 @@ def _parse_json_line(builder, line, lineno):
 
 def _iter_lines(source) -> Iterable[str]:
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            yield from fh
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                yield from fh
+        except UnicodeDecodeError:
+            raise _not_utf8(source) from None
     else:
         for raw in source:
             yield raw.decode("utf-8") if isinstance(raw, bytes) else raw
 
 
-def load_graph(
-    source: Union[str, Path, IO[str], IO[bytes]],
-    synonyms: Optional[Mapping[str, str]] = None,
-) -> KnowledgeGraph:
+def _not_utf8(path) -> GraphParseError:
+    """The error naming `path` and its first line that is not UTF-8."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return GraphParseError(f"{path} is not UTF-8 ({exc.reason} at byte {exc.start + 1})", lineno)
+    return GraphParseError(f"{path} is not UTF-8")
+
+
+def load_graph(source: Union[str, Path, IO[str], IO[bytes]]) -> KnowledgeGraph:
     """Load a knowledge graph from a path or an open line stream.
 
     Text and JSON-lines formats are auto-detected from the first record. Raises
     GraphParseError for malformed records (with the line number) and
     GraphLinkError for references to undeclared entities.
     """
-    builder = _Builder(synonyms=synonyms)
+    builder = _Builder()
     json_mode = None
     for lineno, raw in enumerate(_iter_lines(source), start=1):
         line = raw.strip()

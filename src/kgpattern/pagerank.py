@@ -4,7 +4,8 @@ Every score starts at 1/n; each iteration applies
 
     PR(v) <- (1 - a)/n + a * sum over in-edges (u, v) of PR(u)/outdeg(u)
 
-and the loop stops once no score moves by `tolerance` or more. The damping
+and the loop stops once no score moves by `tolerance` or more, or after
+MAX_ITERATIONS iterations. The damping
 `a` must lie in [0, 1) and `tolerance` be finite and >= 0 (ParameterError
 otherwise). There is no dangling-mass redistribution, so scores need not sum
 to 1; every converged score lies in [(1 - a)/n, 1], so it is positive. Edge contributions are accumulated in a fixed
@@ -19,6 +20,8 @@ import numpy as np
 
 from .errors import ParameterError
 from .graph import KnowledgeGraph
+
+MAX_ITERATIONS = 10_000  # power iterations before giving up on `tolerance`
 
 
 @dataclass
@@ -35,7 +38,6 @@ def compute_pagerank(
     graph: KnowledgeGraph,
     damping: float = 0.85,
     tolerance: float = 1e-8,
-    max_iterations: int = 10_000,
 ) -> PageRankVector:
     if not 0.0 <= damping < 1.0:
         raise ParameterError(f"damping must be in [0, 1), got {damping}")
@@ -56,7 +58,7 @@ def compute_pagerank(
 
     base = (1.0 - damping) / n
     pr = np.full(n, 1.0 / n)
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         if len(src):
             contrib = np.bincount(dst, weights=pr[src] / out_degree[src], minlength=n)
         else:

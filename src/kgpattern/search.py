@@ -2,7 +2,7 @@
 
 * ``search_baseline`` - index-free enumeration of all valid subtrees per root
   (the same DFS used to build the index, run online), grouped into one global
-  pattern dictionary, then scored and truncated to the top k. The reference
+  pattern dictionary, then scored and ranked to the top k. The reference
   implementation everything else must agree with.
 * ``search_pattern_enum`` - per root type, enumerate the cross product of the
   keywords' path patterns, intersect the pattern-first root sets, and for
@@ -18,17 +18,19 @@
   type's subtree count reaches the sampling threshold, only a `rate` fraction
   of its roots is expanded, pattern scores are estimated from the sample (sum
   aggregation scaled by 1/rate), and only the per-type top-k estimated
-  patterns are materialized exactly and pushed into the global queue. With
+  patterns are materialized exactly and ranked again globally. With
   threshold = inf and rate = 1 it returns the exact top k.
 
 The three index engines differ only in which (root, tree pattern) pairs they
 visit: each reads a root's (or a pattern's) index leaves once per keyword and
-hands each pair's leaves to one shared join, ``_join``, and all four engines
-score a pattern in one step, ``ScoredPattern.from_members``. Path
-tuples whose union is not a rooted tree are rejected everywhere (the union
-must be a subtree of the graph); rejected counts are reported in stats and
-logged per query. Ordering is deterministic end to end: scores descending,
-canonical pattern key ascending, members by (root, path keys).
+hands each pair's leaves to one shared join, ``_join``. All four engines
+score a pattern in one step, ``ScoredPattern.from_members``, and rank in one
+step, ``rank`` (``bench.rank_enumeration`` ranks ``search_linear_enum``'s
+output through it too). Path tuples whose union is not a rooted tree are
+rejected everywhere (the union must be a subtree of the graph); rejected
+counts are reported in stats and logged per query. Ordering is deterministic
+end to end: scores descending, canonical pattern key ascending, members by
+(root, path keys).
 """
 from __future__ import annotations
 
@@ -161,43 +163,17 @@ def assemble_subtree(root: int, paths) -> Optional[ValidSubtree]:
     return ValidSubtree(root, tuple(paths))
 
 
-class _RevKey:
-    """Inverts comparison of a wrapped key, for min-heap tie-breaking."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key):
-        self.key = key
-
-    def __lt__(self, other):
-        return self.key > other.key
-
-    def __eq__(self, other):
-        return self.key == other.key
+def _by_score(sp: ScoredPattern):
+    return (-sp.score, pat.tree_sort_key(sp.pattern))
 
 
-class TopKQueue:
-    """Bounded container keeping the k best (score desc, pattern key asc)."""
-
-    def __init__(self, k: int):
-        self.k = k
-        self._heap: list[tuple[float, _RevKey, ScoredPattern]] = []
-
-    def offer(self, item: ScoredPattern) -> None:
-        entry = (item.score, _RevKey(pat.tree_sort_key(item.pattern)), item)
-        if len(self._heap) < self.k:
-            heapq.heappush(self._heap, entry)
-        elif entry[:2] > self._heap[0][:2]:
-            heapq.heapreplace(self._heap, entry)
-
-    def __len__(self):
-        return len(self._heap)
-
-    def ranked(self) -> list[ScoredPattern]:
-        return [
-            e[2]
-            for e in sorted(self._heap, key=lambda e: (-e[0], pat.tree_sort_key(e[2].pattern)))
-        ]
+def rank(scored, k: Optional[int] = None, key=_by_score) -> list[ScoredPattern]:
+    """The scored patterns best first by `key` (score descending, then
+    canonical pattern ascending); only the first k when k is given, so at
+    most k of a generator's patterns are held at once."""
+    if k is None:
+        return sorted(scored, key=key)
+    return heapq.nsmallest(k, scored, key=key)
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +230,7 @@ def _materialize_pattern(idx: PathIndex, words, tree_pattern, stats=None) -> lis
 
 
 def _new_stats(**extra) -> dict:
-    stats = {
-        "path_tuples_checked": 0,
-        "subtrees_accepted": 0,
-        "tuples_rejected": 0,
-    }
-    stats.update(extra)
-    return stats
+    return {"path_tuples_checked": 0, "subtrees_accepted": 0, "tuples_rejected": 0, **extra}
 
 
 def _log_rejections(name: str, query: Query, stats: dict) -> None:
@@ -313,12 +283,10 @@ def search_baseline(
             stats["subtrees_accepted"] += 1
             tree_dict.setdefault(subtree.tree_pattern(), []).append(subtree)
 
-    queue = TopKQueue(query.k)
-    for tree_pattern, members in tree_dict.items():
-        queue.offer(ScoredPattern.from_members(tree_pattern, members, config))
+    ranked = rank((ScoredPattern.from_members(p, members, config) for p, members in tree_dict.items()), query.k)
     stats["patterns_found"] = len(tree_dict)
     _log_rejections("baseline", query, stats)
-    return SearchResult(queue.ranked(), stats)
+    return SearchResult(ranked, stats)
 
 
 def search_pattern_enum(
@@ -336,24 +304,24 @@ def search_pattern_enum(
             groups.setdefault(pat.root_type(p), []).append(p)
         by_type.append(groups)
 
-    common_types = set(by_type[0])
-    for groups in by_type[1:]:
-        common_types &= set(groups)
+    common_types = set(by_type[0]).intersection(*by_type[1:])
 
-    queue = TopKQueue(query.k)
     stats = _new_stats(pattern_combos_checked=0, empty_combos=0, patterns_found=0)
-    for type_id in sorted(common_types):
-        pattern_lists = [groups[type_id] for groups in by_type]
-        for combo in itertools.product(*pattern_lists):
-            stats["pattern_combos_checked"] += 1
-            members = _materialize_pattern(idx, words, combo, stats)
-            if not members:
-                stats["empty_combos"] += 1
-                continue
-            stats["patterns_found"] += 1
-            queue.offer(ScoredPattern.from_members(combo, members, config))
+
+    def scored():
+        for type_id in sorted(common_types):
+            for combo in itertools.product(*(groups[type_id] for groups in by_type)):
+                stats["pattern_combos_checked"] += 1
+                members = _materialize_pattern(idx, words, combo, stats)
+                if not members:
+                    stats["empty_combos"] += 1
+                    continue
+                stats["patterns_found"] += 1
+                yield ScoredPattern.from_members(combo, members, config)
+
+    ranked = rank(scored(), query.k)
     _log_rejections("pattern-enum", query, stats)
-    return SearchResult(queue.ranked(), stats)
+    return SearchResult(ranked, stats)
 
 
 def search_linear_enum(
@@ -364,10 +332,8 @@ def search_linear_enum(
 ) -> list[tuple[pat.TreePattern, list[ValidSubtree]]]:
     """Full enumeration: every tree pattern with its complete subtree set."""
     words = list(query.keywords)
-    if stats is None:
-        stats = _new_stats()
-    else:
-        stats.update(_new_stats())
+    stats = {} if stats is None else stats
+    stats.update(_new_stats())
     roots = _intersect_sorted([idx.roots(w) for w in words])
     stats["candidate_roots"] = len(roots)
     tree_dict: dict[pat.TreePattern, list[ValidSubtree]] = {}
@@ -389,16 +355,14 @@ def search_linear_topk(
     words = list(query.keywords)
     may_sample = sampling.rate < 1.0 and sampling.threshold != math.inf
     if may_sample and config.aggregator != "sum":
-        raise ParameterError(
-            f"sampling supports only the sum aggregator, not {config.aggregator!r}"
-        )
+        raise ParameterError(f"sampling supports only the sum aggregator, not {config.aggregator!r}")
 
     all_roots = _intersect_sorted([idx.roots(w) for w in words])
     by_type: dict[int, list[int]] = {}
     for r in all_roots:
         by_type.setdefault(graph.entity_type[r], []).append(r)
 
-    queue = TopKQueue(query.k)
+    finalists: list[ScoredPattern] = []
     stats = _new_stats(candidate_roots=len(all_roots), roots_expanded=0, types=[])
     for type_id in sorted(by_type):
         roots = by_type[type_id]
@@ -415,29 +379,24 @@ def search_linear_topk(
                 _expand_root(idx, words, root, tree_dict, stats)
                 expanded += 1
         stats["roots_expanded"] += expanded
-        stats["types"].append(
-            {"type": type_id, "roots": len(roots), "bound": bound, "rate": rate, "expanded": expanded}
-        )
-        if not tree_dict:
-            continue
+        stats["types"].append({"type": type_id, "roots": len(roots), "bound": bound, "rate": rate, "expanded": expanded})
 
         # Score the sampled members of every pattern; with rate = 1 the sample
         # is complete, so these are the exact scores. Otherwise (sum
         # aggregation only) the sample's sum scaled by 1/rate is the unbiased
-        # estimate of scoring.estimate_pattern_score.
-        candidates = [ScoredPattern.from_members(p, members, config) for p, members in tree_dict.items()]
-        for sp in candidates:
+        # estimate of scoring.estimate_pattern_score. The type's k best by
+        # that estimate go on (by the estimate, not the sample score: two
+        # different sample sums can become equal once divided by rate).
+        scored = (ScoredPattern.from_members(p, members, config) for p, members in tree_dict.items())
+        for sp in rank(scored, query.k, key=lambda sp: (-sp.score / rate, pat.tree_sort_key(sp.pattern))):
             sp.estimated_score = sp.score / rate
-        candidates.sort(key=lambda sp: (-sp.estimated_score, pat.tree_sort_key(sp.pattern)))
-
-        for sp in candidates[: query.k]:
             if rate != 1.0:
                 # Re-score sampled winners exactly over every root of their pattern.
                 members = _materialize_pattern(idx, words, sp.pattern)
                 sp = ScoredPattern.from_members(sp.pattern, members, config, sp.estimated_score)
-            queue.offer(sp)
+            finalists.append(sp)
     _log_rejections("linear-topk", query, stats)
-    return SearchResult(queue.ranked(), stats)
+    return SearchResult(rank(finalists, query.k), stats)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ settings.load_profile("deterministic")
 QUERY_WORDS = ("database", "software", "company", "revenue")
 
 
-def graph_from_text(text, synonyms=None):
-    return load_graph(io.StringIO(text), synonyms=synonyms)
+def graph_from_text(text):
+    return load_graph(io.StringIO(text))
 
 
 def with_columns(idx, **changes):

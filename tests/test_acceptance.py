@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from kgpattern import (
+    GenConfig,
     Query,
     SamplingConfig,
     build_index,
@@ -23,6 +24,7 @@ from kgpattern import (
     deserialize,
     enumerate_patterns_exhaustive,
     estimate_pattern_score,
+    generate_graph,
     search_baseline,
     search_linear_enum,
     search_linear_topk,
@@ -210,6 +212,30 @@ def test_c5_estimator_unbiasedness():
     mean = statistics.fmean(estimates)
     stderr = statistics.stdev(estimates) / math.sqrt(len(estimates))
     assert abs(mean - exact) <= 3.0 * stderr, (mean, exact, stderr)
+
+
+@criterion(5, "linear-topk's sampled estimates are unbiased and its winners re-scored exactly")
+def test_c5_linear_topk_estimates_are_unbiased():
+    text = generate_graph(GenConfig(entities=30, types=3, attr_types=4, avg_out_degree=2.0, vocab=6, seed=1))
+    graph = graph_from_text(text)
+    idx = build_index(graph, compute_pagerank(graph), 2)
+    query = Query(("w0", "w1"), k=10_000)  # more than the patterns: every sampled pattern is returned
+    exact = {sp.pattern: sp.score for sp in search_linear_topk(graph, idx, query).patterns}
+    assert len(exact) > 50
+    estimates = {p: [] for p in exact}
+    seeds = 300
+    for seed in range(seeds):
+        found = search_linear_topk(graph, idx, query, SamplingConfig(0.0, 0.5, seed)).patterns
+        assert len(found) < len(exact)  # rho = 0.5 leaves some pattern unsampled
+        by_pattern = {sp.pattern: sp for sp in found}
+        for p, values in estimates.items():
+            sp = by_pattern.get(p)
+            if sp is not None:
+                assert sp.score == exact[p]
+            values.append(0.0 if sp is None else sp.estimated_score)
+    for p, values in estimates.items():
+        stderr = statistics.stdev(values) / math.sqrt(seeds)
+        assert abs(statistics.fmean(values) - exact[p]) <= 4.0 * stderr, (p, exact[p], statistics.fmean(values))
 
 
 @criterion(6, "dual layouts agree and index round-trips")

@@ -305,6 +305,10 @@ class TestExitCodes:
         assert main([str(a) for a in args]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert str(path) in err
+        if bad == "latin-1":
+            where = "line 1: " if flag == "--graph" else f"{flag} "
+            assert err == f"error: {where}{path} is not UTF-8 (invalid continuation byte at byte 6)\n"
 
     @pytest.mark.parametrize("count", [[], ["--count"]], ids=["list", "count"])
     @pytest.mark.parametrize("depth", ["0", "-3"])

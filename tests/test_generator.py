@@ -1,6 +1,9 @@
+import math
+
 import pytest
 
 from kgpattern import GenConfig, ParameterError, generate_graph
+from kgpattern.cli import main
 
 from conftest import graph_from_text
 
@@ -47,3 +50,24 @@ def test_config_validation():
         GenConfig(avg_out_degree=0)
     with pytest.raises(ParameterError):
         GenConfig(literal_fraction=1.5)
+
+
+@pytest.mark.parametrize("degree", [math.nan, math.inf, 1000.0, 746.0, -1.0])
+def test_degree_outside_the_poisson_range_is_refused(degree):
+    # nan made the Poisson draw loop forever; inf and means past ~745 drew about 745 edges each.
+    with pytest.raises(ParameterError, match="avg_out_degree"):
+        GenConfig(avg_out_degree=degree)
+
+
+@pytest.mark.parametrize("degree", ["inf", "1000"])
+def test_gen_refuses_a_degree_outside_the_poisson_range(tmp_path, capsys, degree):
+    out = tmp_path / "g.txt"
+    assert main(["gen", "--entities", "5", "--avg-degree", degree, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: avg_out_degree must be in (0, 700]")
+    assert not out.exists()
+
+
+def test_largest_degree_is_drawn_with_its_mean():
+    text = generate_graph(GenConfig(entities=20, avg_out_degree=700.0, seed=5))
+    edges = sum(1 for line in text.splitlines() if line.startswith("A "))
+    assert abs(edges / 20 - 700.0) < 4 * math.sqrt(700.0 / 20)

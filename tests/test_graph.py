@@ -33,9 +33,6 @@ class TestTokenize:
     def test_underscore_splits(self):
         assert tokenize("written_in") == ["written", "in"]
 
-    def test_synonyms_applied(self):
-        assert tokenize("DB engine", synonyms={"db": "database"}) == ["database", "engine"]
-
     @given(st.text(max_size=60))
     def test_idempotent(self, s):
         once = tokenize(s)
@@ -68,6 +65,16 @@ class TestJaccard:
 
 
 class TestLoadGraph:
+    def test_non_utf8_file_names_its_path_and_line(self, tmp_path):
+        # The bad line lies beyond the text decoder's first read buffer.
+        path = tmp_path / "latin-1.graph"
+        good = "".join(f"E e{i} Thing w{i}\n" for i in range(3000)).encode()
+        path.write_bytes(good + "E x Thing café\r\nE y Thing w1\n".encode("latin-1"))
+        with pytest.raises(GraphParseError) as info:
+            load_graph(path)
+        assert info.value.line == 3001
+        assert str(info.value) == f"line 3001: {path} is not UTF-8 (invalid continuation byte at byte 14)"
+
     def test_sample_fixture(self, sample_graph):
         g = sample_graph
         assert g.type_names[TEXT_TYPE_ID] == "TEXT"
@@ -137,10 +144,6 @@ class TestLoadGraph:
     def test_each_literal_gets_own_dummy(self):
         g = graph_from_text('E a T x\nA a r "same"\nA a r "same"\n')
         assert g.n_entities == 3  # a + two dummies
-
-    def test_synonyms_at_load(self):
-        g = graph_from_text("E a T relational db\n", synonyms={"db": "database"})
-        assert "database" in g.entity_token_set[0]
 
     def test_duplicate_edge_declarations_collapse(self):
         once = graph_from_text("E a T x\nE b T y\nA a r @b\n")

@@ -10,11 +10,11 @@ from kgpattern import (
     SamplingConfig,
     ScoredPattern,
     ScoringConfig,
-    TopKQueue,
     assemble_subtree,
     build_index,
     compute_pagerank,
     pattern_score,
+    rank,
     rank_enumeration,
     search_baseline,
     search_linear_enum,
@@ -136,25 +136,28 @@ class TestScoredPatternFromMembers:
         assert (sp.pattern, sp.subtrees, sp.estimated_score) == (tree_pattern, members, 1.5)
 
 
-class TestTopKQueue:
-    def test_tie_break_and_capacity(self):
-        def sp(score, tag):
-            return ScoredPattern(((tag,),), score, [])
+def _tagged(score, tag):
+    return ScoredPattern(((tag,),), score, [])
 
-        q = TopKQueue(2)
-        for score, tag in [(1.0, 5), (2.0, 9), (2.0, 3), (0.5, 1), (3.0, 7)]:
-            q.offer(sp(score, tag))
-        ranked = q.ranked()
+
+class TestRank:
+    def test_tie_break_and_capacity(self):
+        offered = (_tagged(score, tag) for score, tag in [(1.0, 5), (2.0, 9), (2.0, 3), (0.5, 1), (3.0, 7)])
+        ranked = rank(offered, 2)
         assert [(r.score, r.pattern[0][0]) for r in ranked] == [(3.0, 7), (2.0, 3)]
 
     def test_orders_by_key_on_ties(self):
-        def sp(score, tag):
-            return ScoredPattern(((tag,),), score, [])
+        ranked = rank([_tagged(1.0, tag) for tag in (9, 3, 7)], 3)
+        assert [r.pattern[0][0] for r in ranked] == [3, 7, 9]
 
-        q = TopKQueue(3)
-        for tag in (9, 3, 7):
-            q.offer(sp(1.0, tag))
-        assert [r.pattern[0][0] for r in q.ranked()] == [3, 7, 9]
+    def test_without_k_ranks_everything(self):
+        ranked = rank(_tagged(score, tag) for score, tag in [(1.0, 2), (0.0, 1), (1.0, 1), (5.0, 9)])
+        assert [(r.score, r.pattern[0][0]) for r in ranked] == [(5.0, 9), (1.0, 1), (1.0, 2), (0.0, 1)]
+
+    def test_key_replaces_the_score_order(self):
+        items = [_tagged(score, tag) for score, tag in [(1.0, 1), (3.0, 2), (2.0, 3)]]
+        ranked = rank(items, 2, key=lambda sp: sp.score)
+        assert [r.pattern[0][0] for r in ranked] == [1, 3]
 
 
 class TestSampleGraphEngines:
