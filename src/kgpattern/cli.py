@@ -236,11 +236,15 @@ def _cmd_query(args) -> int:
 
 
 def _read_queries(path, k) -> list[Query]:
+    """The queries of a --queries file, one per line that is neither blank
+    nor a comment; a data error naming `path` when there are none."""
     queries = []
     for line in _read_text(path, "--queries").splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             queries.append(Query(tuple(tokenize(line)), k))
+    if not queries:
+        raise KgPatternError(f"--queries {path} holds no query")
     return queries
 
 
@@ -272,8 +276,8 @@ def _emit_report(report, fmt, out) -> None:
 def _cmd_bench(args) -> int:
     algorithms = tuple(_parse_list(args.algos, "--algos"))
     bench_mod.check_engines(algorithms)
-    graph, idx = _load_graph_and_index(args)
     queries = _read_queries(args.queries, args.k)
+    graph, idx = _load_graph_and_index(args)
     sampling = SamplingConfig(_parse_number(args.threshold, "--lambda"), args.rho, args.seed)
     report = bench_mod.run_bench(graph, idx, queries, algorithms=algorithms, sampling=sampling)
     _emit_report(report, args.format, args.out)
@@ -285,8 +289,8 @@ def _cmd_sweep(args) -> int:
     rates = [_parse_number(x, "--rhos") for x in _parse_list(args.rhos, "--rhos")]
     if args.seeds < 1:
         raise ParameterError(f"--seeds must be >= 1, got {args.seeds}")
-    graph, idx = _load_graph_and_index(args)
     queries = _read_queries(args.queries, args.k)
+    graph, idx = _load_graph_and_index(args)
     report = bench_mod.run_precision_sweep(
         graph, idx, queries, thresholds, rates, args.k, seeds=range(args.seeds)
     )

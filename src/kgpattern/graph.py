@@ -77,7 +77,6 @@ class KnowledgeGraph:
     entity_token_set: list[frozenset[str]] = field(default_factory=list)
     entity_keys: list[Optional[str]] = field(default_factory=list)
     type_names: list[str] = field(default_factory=list)
-    type_text: list[str] = field(default_factory=list)
     type_token_set: list[frozenset[str]] = field(default_factory=list)
     attr_names: list[str] = field(default_factory=list)
     attr_token_set: list[frozenset[str]] = field(default_factory=list)
@@ -114,10 +113,8 @@ class _Builder:
         if tid is None:
             tid = len(self.g.type_names)
             self._type_ids[name] = tid
-            desc = name if text is None else text
             self.g.type_names.append(name)
-            self.g.type_text.append(desc)
-            self.g.type_token_set.append(frozenset(tokenize(desc)))
+            self.g.type_token_set.append(frozenset(tokenize(name if text is None else text)))
         return tid
 
     def _intern_attr(self, name):
@@ -242,8 +239,7 @@ def _iter_lines(source) -> Iterable[str]:
         except UnicodeDecodeError:
             raise _not_utf8(source) from None
     else:
-        for raw in source:
-            yield raw.decode("utf-8") if isinstance(raw, bytes) else raw
+        yield from source
 
 
 def _not_utf8(path) -> GraphParseError:
@@ -257,8 +253,8 @@ def _not_utf8(path) -> GraphParseError:
     return GraphParseError(f"{path} is not UTF-8")
 
 
-def load_graph(source: Union[str, Path, IO[str], IO[bytes]]) -> KnowledgeGraph:
-    """Load a knowledge graph from a path or an open line stream.
+def load_graph(source: Union[str, Path, IO[str]]) -> KnowledgeGraph:
+    """Load a knowledge graph from a path or an open text stream of lines.
 
     Text and JSON-lines formats are auto-detected from the first record. Raises
     GraphParseError for malformed records (with the line number) and

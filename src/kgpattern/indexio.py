@@ -15,17 +15,18 @@ Little-endian throughout. Layout::
     counts: u64 * n_words, each word's record count
     record columns, one entry per record: every word's records in vocabulary
     order, each word's sorted pattern-first:
-        pattern_id u32 | locus u8 | sim f64
+        pattern_id u32 | sim f64
     nodes u32 * sum(n_nodes) | attrs u32 * sum(n_nodes - 1)
     stats: entry_count u64 | cost_proxy u64
     crc u32: zlib.crc32 of every byte before it
 
 A string table is a u32 count followed by (u32 byte length, UTF-8 bytes) per
-entry. The file stores each fact once: a record's node count `n_nodes`
-(`len(pattern) // 2 + 1`), whether it is an edge match (its pattern has even
-length), its root (its first node) and its PageRank term (the stored score of
-its last node, or of the edge's source on an edge match) are derived at load
-by `pathindex.index_columns`, as `build_index` derives them. The pattern table,
+entry. The file stores each fact once, and a record stores only its pattern
+id, its similarity term, its nodes and its attributes. Its node count
+`n_nodes` (`len(pattern) // 2 + 1`), its root (its first node) and its
+PageRank term (the stored score of its last node, or of the edge's source on
+an edge match, whose pattern has even length) are derived at load by
+`pathindex.index_columns`, as `build_index` derives them. The pattern table,
 vocabulary and stored columns are `PathIndex.columns`: `serialize` writes each
 with `ndarray.tobytes`, and `deserialize` passes the `np.frombuffer` views it
 reads to the `PathIndex` constructor.
@@ -40,10 +41,9 @@ disagrees with its header count, a PageRank vector that is not n_entities
 scores, each finite and positive, an empty pattern, an id out of range (a
 pattern type id >= n_types, a pattern attribute id >= n_attrs, a pattern id
 past the pattern table, a node id >= n_entities, an attribute id >=
-n_attrs), a record that no build writes (`locus` other than edge-type
-exactly on edge matches, or a `sim` term that is not finite and positive), a
-pattern table that is not strictly increasing in canonical order, or a word
-whose records' (pattern_id, root) ever decrease. Each derived column is
+n_attrs), a record's `sim` term that is not finite and positive, a pattern
+table that is not strictly increasing in canonical order, or a word whose
+records' (pattern_id, root) ever decrease. Each derived column is
 computed only after the ids it indexes with are checked. The last two checks
 make the file's order the in-memory order: each (word, pattern, root) leaf is
 one contiguous run of records, taken in stored order.
@@ -62,10 +62,10 @@ import numpy as np
 
 from .errors import IndexCorruptError, IndexFormatError
 from .pagerank import PageRankVector
-from .pathindex import EDGE_TYPE, RECORD_DTYPES, PathIndex, index_columns, node_offsets
+from .pathindex import RECORD_DTYPES, PathIndex, index_columns, node_offsets
 
 MAGIC = b"KGPX"
-VERSION = 5
+VERSION = 6
 
 
 class _Writer(io.BytesIO):
@@ -126,7 +126,7 @@ def serialize(idx: PathIndex) -> bytes:
     w.write(np.array([len(p) for p in c.patterns], "<u2").tobytes())
     w.write(np.fromiter(chain.from_iterable(c.patterns), "<u4").tobytes())
     w.string_table(c.vocab)
-    for column in (c.counts, c.pattern_id, c.locus, c.sim, c.nodes, c.attrs):
+    for column in (c.counts, c.pattern_id, c.sim, c.nodes, c.attrs):
         w.write(column.tobytes())
 
     w.pack("QQ", idx.stats.entry_count, idx.stats.cost_proxy)
@@ -195,7 +195,7 @@ def _deserialize(data: bytes) -> PathIndex:
 
     counts = r.array("<u8", len(vocab))
     n = sum(counts.tolist())
-    pid, locus, sim = (r.array(dtype, n) for dtype in RECORD_DTYPES)
+    pid, sim = (r.array(dtype, n) for dtype in RECORD_DTYPES)
     _require(pid < n_patterns, "a record references an unknown pattern id")
     n_nodes = int(node_offsets(lengths, pid)[-1])
     nodes = r.array("<u4", n_nodes)
@@ -203,9 +203,7 @@ def _deserialize(data: bytes) -> PathIndex:
     _require(nodes < n_entities, "a record references an unknown entity id")
     _require(attrs < n_attrs, "a record references an unknown attribute id")
     _require(np.isfinite(sim) & (sim > 0), "a record's sim term is not finite and positive")
-    columns = index_columns((all_patterns, vocab, counts, pid, locus, sim, nodes, attrs), lengths, scores)
-    on_edge = np.where(columns.edge_match, locus == EDGE_TYPE, locus < EDGE_TYPE)
-    _require(on_edge, "a record's locus disagrees with its pattern")
+    columns = index_columns((all_patterns, vocab, counts, pid, sim, nodes, attrs), lengths, scores)
     run_key = pid.astype(np.uint64) << 32 | columns.root
     new_word = np.isin(np.arange(1, n), np.cumsum(counts))
     _require(new_word | (run_key[1:] >= run_key[:-1]), "a word's records are not sorted by pattern id, then root")

@@ -30,9 +30,6 @@ class PageRankVector:
     damping: float
     tolerance: float
 
-    def __len__(self) -> int:
-        return len(self.scores)
-
 
 def compute_pagerank(
     graph: KnowledgeGraph,

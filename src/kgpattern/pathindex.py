@@ -5,8 +5,8 @@ directed paths with at most ``depth`` nodes that start at some (non-literal)
 root entity and end at a node or edge containing the word:
 
 * node match - the word occurs in the terminal node's own text or in the text
-  of its type; both loci collapse into one entry whose similarity term is the
-  larger of the two Jaccard scores;
+  of its type; either way it is one entry, whose similarity term is the larger
+  of the two Jaccard scores;
 * edge match - the word occurs in the terminal edge's attribute text; the
   stored node list includes the edge's target, so ``node_count`` counts it,
   while the pattern ends on the attribute type.
@@ -15,17 +15,18 @@ Each entry precomputes the three per-path score terms (node count, PageRank of
 the matched node or of the matched edge's source, Jaccard similarity), so
 query-time scoring is pure arithmetic.
 
-The index holds its records once, as the columns of its KGPX v5 file plus
+The index holds its records once, as the columns of its KGPX v6 file plus
 the columns those determine (`IndexColumns`, `index_columns`); each word's
 records are one slice of them, sorted pattern-first (pattern
-length-lexicographically, then root, nodes, attrs). `build_index` fills the
-columns and `indexio.deserialize` hands the file's columns to the same
-constructor. A word's first read decodes its slice into
-`IndexedPath` objects and *leaves*, one per run of records that share (pattern,
+length-lexicographically, then nodes, whose first is the root, then attrs).
+`build_index` fills the columns and `indexio.deserialize` hands the file's
+columns to the same constructor. A word's first read decodes its slice into
+`IndexedPath` objects (nodes, attrs and the three score terms, under the
+record's pattern) and *leaves*, one per run of records that share (pattern,
 root): the run's records and their kernel block (see `kernels`), whose step
 lists are the word's and whose offsets are the run's slice of the word's. Both
 layouts, word -> pattern -> root -> leaf and word -> root -> pattern -> leaf,
-refer to the same leaves, so both flatten to the same sorted sequence.
+refer to the same leaves, so walking either visits the same records.
 
 Literal (dummy TEXT) entities are never used as roots: they stand for
 attribute *values*, carry no type, and cannot anchor a table answer. They do
@@ -48,40 +49,32 @@ from .pagerank import PageRankVector
 
 logger = logging.getLogger(__name__)
 
-# Match loci
-NODE_TEXT = 0
-NODE_TYPE = 1
-EDGE_TYPE = 2
 # `iter_root_paths` recurses once per node, so a much longer path would
 # overflow Python's stack (a 1,200-node chain raises RecursionError).
 MAX_PATH_NODES = 255
-# The dtypes of the stored fixed-width record columns pattern_id, locus and sim.
-RECORD_DTYPES = ("<u4", "u1", "<f8")
+# The dtypes of the stored fixed-width record columns pattern_id and sim.
+RECORD_DTYPES = ("<u4", "<f8")
 
 
 @dataclass(frozen=True, slots=True)
 class IndexedPath:
-    """One materialized root-to-match path for one word."""
+    """One materialized root-to-match path for one word; its root is
+    `nodes[0]`, and it is an edge match when its pattern has even length."""
 
-    root: int
     nodes: tuple[int, ...]
     attrs: tuple[int, ...]
-    edge_match: bool
-    locus: int
     node_count: int
     pr_term: float
     sim_term: float
     pattern: pat.PathPattern
 
     @classmethod
-    def from_hit(cls, root: int, hit: "PathHit", locus: int, sim: float) -> "IndexedPath":
-        """The record for one word match (`locus`, `sim`) found on `hit`."""
-        return cls(
-            root, hit.nodes, hit.attrs, hit.edge_match, locus, len(hit.nodes), hit.pr_term, sim, hit.pattern
-        )
+    def from_hit(cls, hit: "PathHit", sim: float) -> "IndexedPath":
+        """The record for one word match, of similarity `sim`, found on `hit`."""
+        return cls(hit.nodes, hit.attrs, len(hit.nodes), hit.pr_term, sim, hit.pattern)
 
     def sort_key(self):
-        return (pat.sort_key(self.pattern), self.root, self.nodes, self.attrs)
+        return (pat.sort_key(self.pattern), self.nodes, self.attrs)
 
 
 @dataclass(slots=True)
@@ -90,10 +83,9 @@ class PathHit:
 
     nodes: tuple[int, ...]
     attrs: tuple[int, ...]
-    edge_match: bool
     pattern: pat.PathPattern
     pr_term: float
-    matches: list[tuple[str, int, float]]  # (word, locus, sim)
+    matches: list[tuple[str, float]]  # (word, sim)
 
 
 @dataclass
@@ -103,16 +95,14 @@ class IndexStats:
     word_sizes: dict[str, int]
 
 
-# Every record of an index: first its KGPX v5 columns, that is the pattern
+# Every record of an index: first its KGPX v6 columns, that is the pattern
 # table (in canonical order; a pattern's id is its position), the vocabulary
 # with each word's record count, one array per field of RECORD_DTYPES with one
 # entry per record (word by word, in vocabulary order), and all records' nodes
 # and attributes in two arrays; then the columns these determine
 # (`index_columns`): record j's nodes are nodes[node_off[j]:node_off[j + 1]]
 # and its attributes, one fewer, start at attrs[node_off[j] - j].
-IndexColumns = namedtuple(
-    "IndexColumns", "patterns vocab counts pattern_id locus sim nodes attrs node_off root edge_match pr"
-)
+IndexColumns = namedtuple("IndexColumns", "patterns vocab counts pattern_id sim nodes attrs node_off root pr")
 
 
 def node_offsets(pattern_lengths: np.ndarray, pattern_id: np.ndarray) -> np.ndarray:
@@ -123,16 +113,16 @@ def node_offsets(pattern_lengths: np.ndarray, pattern_id: np.ndarray) -> np.ndar
 
 
 def index_columns(stored: tuple, pattern_lengths: np.ndarray, scores: np.ndarray) -> IndexColumns:
-    """`stored`, the v5 columns from `patterns` to `attrs`, with the columns
-    they determine. A record is an edge match exactly when its pattern has
-    even length, its root is its first node, and its pr term is the PageRank
-    score of its last node, or on an edge match of the edge's source, the node
-    before it. Every id in `stored` must be in range and no pattern empty."""
-    _, _, _, pattern_id, _, _, nodes, _ = stored
+    """`stored`, the v6 columns from `patterns` to `attrs`, with the columns
+    they determine. A record's root is its first node, and its pr term is the
+    PageRank score of its last node, or on an edge match (a pattern of even
+    length) of the edge's source, the node before it. Every id in `stored`
+    must be in range and no pattern empty."""
+    _, _, _, pattern_id, _, nodes, _ = stored
     node_off = node_offsets(pattern_lengths, pattern_id)
     edge_match = pattern_lengths[pattern_id] % 2 == 0
     pr = scores[nodes[node_off[1:] - 1 - edge_match]]
-    return IndexColumns(*stored, node_off, nodes[node_off[:-1]], edge_match, pr)
+    return IndexColumns(*stored, node_off, nodes[node_off[:-1]], pr)
 
 
 @dataclass(slots=True)
@@ -172,11 +162,10 @@ class _WordIndex:
         parent = np.arange(len(attrs)) + np.repeat(np.arange(self.size), np.diff(steps))
         step_lists = (nodes[parent + 1].tolist(), nodes[parent].tolist(), attrs)
         node_list, at, steps = nodes.tolist(), at.tolist(), steps.tolist()
-        fields = (c.root, c.edge_match, c.locus, c.pr, c.sim, c.pattern_id)
-        rows = zip(at, at[1:], steps, *(column[start:stop].tolist() for column in fields))
+        rows = zip(at, at[1:], steps, *(column[start:stop].tolist() for column in (c.pr, c.sim, c.pattern_id)))
         self.records = records = [
-            IndexedPath(r, tuple(node_list[a:b]), tuple(attrs[s : s + b - a - 1]), e, loc, b - a, pr, sim, c.patterns[p])
-            for a, b, s, r, e, loc, pr, sim, p in rows
+            IndexedPath(tuple(node_list[a:b]), tuple(attrs[s : s + b - a - 1]), b - a, pr, sim, c.patterns[p])
+            for a, b, s, pr, sim, p in rows
         ]
         # A leaf is a run of equal (pattern_id, root); the runs come in pattern-first order.
         pid, roots = c.pattern_id[start:stop], c.root[start:stop]
@@ -185,7 +174,7 @@ class _WordIndex:
         root_first: dict[int, dict[pat.PathPattern, Leaf]] = {}
         for a, b in zip(runs, runs[1:] + [self.size]):
             leaf = Leaf(records[a:b], (*step_lists, steps[a : b + 1]))
-            pattern, root = records[a].pattern, records[a].root
+            pattern, root = records[a].pattern, records[a].nodes[0]
             self.pattern_first.setdefault(pattern, {})[root] = leaf
             root_first.setdefault(root, {})[pattern] = leaf  # in pattern order, as the runs are
         self.root_first = dict(sorted(root_first.items()))
@@ -211,26 +200,20 @@ def iter_root_paths(
         words = text_set | type_set
         pattern = pat.path_pattern_of(graph, nodes, attrs, edge_match=False)
         if words:
-            matches = []
-            for w in sorted(words):
-                sim_text = jaccard_similarity(w, text_set) if w in text_set else 0.0
-                sim_type = jaccard_similarity(w, type_set) if w in type_set else 0.0
-                locus = NODE_TEXT if sim_text >= sim_type else NODE_TYPE
-                matches.append((w, locus, max(sim_text, sim_type)))
-            yield PathHit(tuple(nodes), tuple(attrs), False, pattern, float(pr_scores[terminal]), matches)
+            matches = [
+                (w, max(jaccard_similarity(w, text_set), jaccard_similarity(w, type_set))) for w in sorted(words)
+            ]
+            yield PathHit(tuple(nodes), tuple(attrs), pattern, float(pr_scores[terminal]), matches)
         if len(nodes) < depth:
             for attr_id, target in graph.adjacency[terminal]:
                 if target in on_path:
                     continue
                 attr_set = graph.attr_token_set[attr_id]
                 if attr_set:
-                    matches = [
-                        (w, EDGE_TYPE, jaccard_similarity(w, attr_set)) for w in sorted(attr_set)
-                    ]
+                    matches = [(w, jaccard_similarity(w, attr_set)) for w in sorted(attr_set)]
                     yield PathHit(
                         tuple(nodes) + (target,),
                         tuple(attrs) + (attr_id,),
-                        True,
                         pattern + (attr_id,),
                         float(pr_scores[terminal]),
                         matches,
@@ -321,14 +304,6 @@ class PathIndex:
             return list(wi.records) if wi else []
         return [rec for leaf in leaves for rec in leaf.paths]
 
-    def flatten(self, word: str, layout: str = "pattern") -> list[IndexedPath]:
-        """All records for a word by walking one layout (for agreement checks)."""
-        wi = self.words.get(word)
-        if wi is None:
-            return []
-        nested = wi.pattern_first if layout == "pattern" else wi.root_first
-        return [rec for leaves in nested.values() for leaf in leaves.values() for rec in leaf.paths]
-
     def vocabulary(self) -> list[str]:
         return list(self.words.keys())
 
@@ -355,18 +330,18 @@ def build_index(graph: KnowledgeGraph, pagerank: PageRankVector, depth: int) -> 
                     f"nodes per path; build with a smaller --d"
                 )
             cost_proxy += len(hit.nodes) * len(hit.matches)
-            hits.append((root, hit))
-    # No two paths share (pattern, root, nodes, attrs): sorted once, they give every word its record order.
-    hits.sort(key=lambda rh: (pat.sort_key(rh[1].pattern), rh[0], rh[1].nodes, rh[1].attrs))
-    patterns = list(dict.fromkeys(hit.pattern for _, hit in hits))
+            hits.append(hit)
+    # No two paths share (pattern, nodes, attrs): sorted once, they give every word its record order.
+    hits.sort(key=lambda hit: (pat.sort_key(hit.pattern), hit.nodes, hit.attrs))
+    patterns = list(dict.fromkeys(hit.pattern for hit in hits))
     pattern_ids = {p: i for i, p in enumerate(patterns)}
     per_word: dict[str, list[tuple]] = {}
-    for _, hit in hits:
+    for hit in hits:
         pattern_id = pattern_ids[hit.pattern]
-        for word, locus, sim in hit.matches:
-            per_word.setdefault(word, []).append((pattern_id, locus, sim, hit.nodes, hit.attrs))
+        for word, sim in hit.matches:
+            per_word.setdefault(word, []).append((pattern_id, sim, hit.nodes, hit.attrs))
     vocab = sorted(per_word)
-    *fields, nodes, attrs = zip(*(rec for word in vocab for rec in per_word[word])) if vocab else [()] * 5
+    *fields, nodes, attrs = zip(*(rec for word in vocab for rec in per_word[word])) if vocab else [()] * 4
     fields = [np.array(column, dtype) for column, dtype in zip(fields, RECORD_DTYPES)]
     counts = np.array([len(per_word[word]) for word in vocab], dtype="<u8")
     flat = [np.fromiter(chain.from_iterable(column), "<u4") for column in (nodes, attrs)]

@@ -266,9 +266,9 @@ def search_baseline(
             continue
         per_word: dict[str, list[IndexedPath]] = {w: [] for w in wanted}
         for hit in iter_root_paths(graph, scores, idx.depth, root):
-            for word, locus, sim in hit.matches:
+            for word, sim in hit.matches:
                 if word in wanted:
-                    per_word[word].append(IndexedPath.from_hit(root, hit, locus, sim))
+                    per_word[word].append(IndexedPath.from_hit(hit, sim))
         if any(not per_word[w] for w in wanted):
             continue
         stats["candidate_roots"] += 1

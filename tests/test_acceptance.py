@@ -120,7 +120,7 @@ def test_c2_oracle_equivalence(corpus):
         pairs = search_linear_enum(graph, idx, Query(words, k=1))
         engine = {
             p: sorted(
-                (m.root, tuple((x.nodes, x.attrs, x.edge_match) for x in m.paths))
+                (m.root, tuple((x.nodes, x.attrs, pat.is_edge_ending(x.pattern)) for x in m.paths))
                 for m in members
             )
             for p, members in pairs
@@ -244,9 +244,11 @@ def test_c6_layouts_and_roundtrip(corpus):
     idx = build_index(graph, uniform_pagerank(graph), 3)
     for check_idx in [idx] + [corpus[i][1] for i in range(0, 20, 4)]:
         for word in check_idx.vocabulary():
-            a = check_idx.flatten(word, "pattern")
-            b = check_idx.flatten(word, "root")
-            assert sorted(a, key=lambda r: r.sort_key()) == sorted(b, key=lambda r: r.sort_key())
+            records = check_idx.paths(word)
+            by_pattern = [rec for p in check_idx.patterns(word) for rec in check_idx.paths(word, pattern=p)]
+            by_root = [rec for r in check_idx.roots(word) for rec in check_idx.paths(word, root=r)]
+            assert by_pattern == records
+            assert sorted(by_root, key=lambda r: r.sort_key()) == records
 
     again = deserialize(serialize(idx))
     assert again.depth == idx.depth
@@ -285,7 +287,7 @@ def test_c7_index_cost_trend():
             idx.stats.cost_proxy,
         )
         entry_sets[depth] = {
-            (w, r.root, r.nodes, r.attrs, r.edge_match, r.locus)
+            (w, r.nodes, r.attrs, r.pattern, r.sim_term)
             for w in idx.vocabulary()
             for r in idx.paths(w)
         }

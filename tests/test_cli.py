@@ -278,6 +278,17 @@ class TestExitCodes:
         assert main(args) == 1
         assert capsys.readouterr().err == f"error: {flag} must list at least one value, got {value!r}\n"
 
+    @pytest.mark.parametrize("text", ["", "# a comment\n\n   \n"], ids=["empty", "comments-only"])
+    @pytest.mark.parametrize("command", ["bench", "sweep"])
+    def test_queries_file_without_a_query_is_data_error(self, tmp_path, capsys, command, text):
+        # The graph and index do not exist: the file must be refused before either loads.
+        queries = tmp_path / "queries.txt"
+        queries.write_text(text, encoding="utf-8")
+        args = [command, "--graph", str(tmp_path / "none.graph"), "--index", str(tmp_path / "none.kgpx"),
+                "--queries", str(queries)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: --queries {queries} holds no query\n"
+
     @pytest.mark.parametrize(
         "command, flag, bad",
         [("build", "--graph", "directory"), ("query", "--graph", "directory"), ("query", "--index", "directory"),

@@ -78,7 +78,7 @@ class TestLoadGraph:
     def test_sample_fixture(self, sample_graph):
         g = sample_graph
         assert g.type_names[TEXT_TYPE_ID] == "TEXT"
-        assert g.type_text[TEXT_TYPE_ID] == ""
+        assert g.type_token_set[TEXT_TYPE_ID] == frozenset()
         assert "Software" in g.type_names and "Company" in g.type_names
         assert {"Developer", "Founder", "Revenue"} <= set(g.attr_names)
         sql = g.key_to_id["sql_server"]

@@ -1,6 +1,8 @@
 import math
+import re
 import zlib
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,8 @@ from kgpattern import (
 from kgpattern import patterns as pat
 from kgpattern.cli import main
 from kgpattern.fixtures import sample_graph_path
-from kgpattern.pathindex import EDGE_TYPE, NODE_TEXT, RECORD_DTYPES
+from kgpattern.indexio import VERSION
+from kgpattern.pathindex import RECORD_DTYPES
 
 from conftest import graph_from_text, random_instance, with_columns
 
@@ -125,7 +128,7 @@ def test_bad_magic(sample_index):
         deserialize(bytes(blob))
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 99])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 99])
 def test_bad_version(sample_index, version):
     blob = bytearray(serialize(sample_index))
     blob[4:8] = version.to_bytes(4, "little")
@@ -133,13 +136,14 @@ def test_bad_version(sample_index, version):
         deserialize(bytes(blob))
 
 
+def test_readme_states_the_format_version():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    assert re.findall(r"format version \((\d+)\)", readme) == [str(VERSION)]
+
+
 def records_of(idx):
     """(word, record) for every record of `idx`, in file order."""
     return [(w, rec) for w in idx.vocabulary() for rec in idx.words[w].records]
-
-
-# The column of each single-valued record field.
-COLUMN_OF = {"locus": "locus", "sim_term": "sim"}
 
 
 def with_record(idx, j, **fields):
@@ -156,9 +160,9 @@ def with_record(idx, j, **fields):
             changes["attrs"] = np.concatenate([c.attrs[: a - j], np.array(value, "<u4"), c.attrs[b - j - 1 :]])
         elif field == "pattern":
             changes["patterns"] = [value if i == c.pattern_id[j] else p for i, p in enumerate(c.patterns)]
-        else:
-            changes[COLUMN_OF[field]] = column = getattr(c, COLUMN_OF[field]).copy()
-            column[j] = value
+        elif field == "sim_term":
+            changes["sim"] = sim = c.sim.copy()
+            sim[j] = value
     return with_columns(idx, **changes)
 
 
@@ -187,26 +191,15 @@ def test_out_of_range_ids_are_corrupt(sample_graph, corruption):
         deserialize(serialize(with_record(idx, j, **fields(rec, idx))))
 
 
-# Each names the kind of record it changes (an edge match or not) and maps one
-# such record with at least two nodes to fields that no index build writes.
-INCONSISTENT = {
-    "sim-inf": (False, lambda rec: {"sim_term": math.inf}),
-    "sim-zero": (False, lambda rec: {"sim_term": 0.0}),
-    "locus-7": (False, lambda rec: {"locus": 7}),
-    "edge-locus-on-node-match": (False, lambda rec: {"locus": EDGE_TYPE}),
-    "node-locus-on-edge-match": (True, lambda rec: {"locus": NODE_TEXT}),
-}
+# Similarity terms that no index build writes.
+INCONSISTENT = {"sim-inf": math.inf, "sim-zero": 0.0}
 
 
 @pytest.mark.parametrize("corruption", list(INCONSISTENT))
 def test_inconsistent_records_are_corrupt(sample_graph, corruption):
-    edge_match, fields = INCONSISTENT[corruption]
     idx = build_index(sample_graph, compute_pagerank(sample_graph), 3)
-    j, rec = next(
-        (j, rec) for j, (_, rec) in enumerate(records_of(idx)) if rec.edge_match == edge_match and len(rec.nodes) > 1
-    )
-    with pytest.raises(IndexCorruptError):
-        deserialize(serialize(with_record(idx, j, **fields(rec))))
+    with pytest.raises(IndexCorruptError, match="sim term"):
+        deserialize(serialize(with_record(idx, 0, sim_term=INCONSISTENT[corruption])))
 
 
 @pytest.mark.parametrize("edit", ["one-short", "nan", "zero"])
@@ -260,7 +253,7 @@ def test_runs_out_of_order_are_corrupt(sample_index):
     two one-record runs of one word and pattern in the file and seal it with
     a fresh CRC."""
     entries = records_of(sample_index)
-    keys = [(w, rec.pattern, rec.root) for w, rec in entries]
+    keys = [(w, rec.pattern, rec.nodes[0]) for w, rec in entries]
     j = next(
         j for j in range(1, len(keys) - 2) if keys[j][:2] == keys[j + 1][:2] and len(set(keys[j - 1 : j + 3])) == 4
     )
@@ -306,14 +299,13 @@ def test_pattern_table_out_of_order_is_corrupt(sample_index):
 
 def with_empty_pattern(idx):
     """(`idx` with an empty pattern first in its table, the word it changes):
-    the pattern goes to the word's first record, which has one node, with
-    the locus of an edge match (an empty pattern has even length)."""
+    the pattern goes to the word's first record, which has one node."""
     c = idx.columns
     starts = list(accumulate(c.counts.tolist(), initial=0))[:-1]
     j = next(j for j in starts if c.node_off[j + 1] - c.node_off[j] == 1)
-    pattern_id, locus = c.pattern_id + 1, c.locus.copy()
-    pattern_id[j], locus[j] = 0, EDGE_TYPE
-    changed = with_columns(idx, patterns=[()] + c.patterns, pattern_id=pattern_id, locus=locus)
+    pattern_id = c.pattern_id + 1
+    pattern_id[j] = 0
+    changed = with_columns(idx, patterns=[()] + c.patterns, pattern_id=pattern_id)
     return changed, c.vocab[starts.index(j)]
 
 

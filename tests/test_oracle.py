@@ -28,7 +28,7 @@ from conftest import graph_from_text, random_instance
 def as_comparable(pairs):
     """linear-enum output -> {pattern: sorted member shapes} for oracle diffing."""
     return {
-        p: sorted((m.root, tuple((x.nodes, x.attrs, x.edge_match) for x in m.paths)) for m in members)
+        p: sorted((m.root, tuple((x.nodes, x.attrs, pat.is_edge_ending(x.pattern)) for x in m.paths)) for m in members)
         for p, members in pairs
     }
 
@@ -104,7 +104,7 @@ def test_matches_linear_enumeration(case):
 
 def engine_members(sp):
     """A pattern's members in the oracle's (root, raw paths) form, in engine order."""
-    return [(m.root, tuple((x.nodes, x.attrs, x.edge_match) for x in m.paths)) for m in sp.subtrees]
+    return [(m.root, tuple((x.nodes, x.attrs, pat.is_edge_ending(x.pattern)) for x in m.paths)) for m in sp.subtrees]
 
 
 @settings(max_examples=40, deadline=None)

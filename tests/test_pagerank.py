@@ -36,7 +36,7 @@ def test_three_node_chain_matches_hand_iteration():
 
 def test_empty_graph():
     g = graph_from_text("")
-    assert len(compute_pagerank(g)) == 0
+    assert len(compute_pagerank(g).scores) == 0
 
 
 def test_deterministic():

@@ -6,7 +6,7 @@ from kgpattern import patterns as pat
 from kgpattern.graph import jaccard_similarity
 from kgpattern.indexio import deserialize, serialize
 from kgpattern.oracle import _paths_reaching
-from kgpattern.pathindex import EDGE_TYPE, NODE_TEXT, NODE_TYPE, IndexedPath, iter_root_paths
+from kgpattern.pathindex import IndexedPath, iter_root_paths
 
 from conftest import graph_from_text, random_instance
 
@@ -19,11 +19,10 @@ def test_from_hit_copies_the_hit_per_match(sample_graph, sample_index):
     root = sample_graph.entity_keys.index("sql_server")
     scores = sample_index.pagerank.scores
     for hit in iter_root_paths(sample_graph, scores, sample_index.depth, root):
-        for word, locus, sim in hit.matches:
-            rec = IndexedPath.from_hit(root, hit, locus, sim)
-            assert (rec.root, rec.nodes, rec.attrs, rec.pattern) == (root, hit.nodes, hit.attrs, hit.pattern)
-            assert (rec.edge_match, rec.locus, rec.sim_term) == (hit.edge_match, locus, sim)
-            assert (rec.node_count, rec.pr_term) == (len(hit.nodes), hit.pr_term)
+        for word, sim in hit.matches:
+            rec = IndexedPath.from_hit(hit, sim)
+            assert (rec.nodes[0], rec.nodes, rec.attrs, rec.pattern) == (root, hit.nodes, hit.attrs, hit.pattern)
+            assert (rec.node_count, rec.pr_term, rec.sim_term) == (len(hit.nodes), hit.pr_term, sim)
             assert rec in sample_index.paths(word, pattern=hit.pattern, root=root)
 
 
@@ -69,9 +68,8 @@ class TestSampleGraph:
         # "revenue" matches only attribute text; every entry is an edge match
         # whose PageRank term is the source node's score (stubbed to 1).
         recs = sample_index.paths("revenue")
-        assert recs and all(r.edge_match and r.locus == EDGE_TYPE for r in recs)
+        assert recs and all(pat.is_edge_ending(r.pattern) for r in recs)
         assert all(r.sim_term == 1.0 and r.pr_term == 1.0 for r in recs)
-        assert all(pat.is_edge_ending(r.pattern) for r in recs)
 
     def test_literals_never_roots(self, sample_graph, sample_index):
         for word in sample_index.vocabulary():
@@ -88,9 +86,10 @@ class TestSampleGraph:
     def test_locus_collapse_takes_max_sim(self, sample_graph, sample_index):
         # "software": in sql_server's case only via its type -> one entry, sim 1.
         sql = sample_graph.key_to_id["sql_server"]
+        assert "software" not in sample_graph.entity_token_set[sql]
         recs = [r for r in sample_index.paths("software", root=sql) if len(r.nodes) == 1]
         assert len(recs) == 1
-        assert recs[0].locus == NODE_TYPE and recs[0].sim_term == 1.0
+        assert recs[0].sim_term == 1.0
 
 
 class TestSmallCases:
@@ -100,7 +99,7 @@ class TestSmallCases:
         recs = idx.paths("database")
         assert len(recs) == 1
         assert recs[0].pattern == (g.entity_type[0],)
-        assert recs[0].node_count == 1 and recs[0].locus == NODE_TEXT
+        assert recs[0].node_count == 1 and recs[0].sim_term == jaccard_similarity("database", g.entity_token_set[0])
 
     def test_d1_has_no_edge_matches(self):
         g = graph_from_text("E a T x\nE b T y\nA a revenue @b\n")
@@ -125,11 +124,11 @@ class TestInvariants:
         g, depth, _ = random_instance(case)
         idx = build_index(g, compute_pagerank(g), depth)
         for word in idx.vocabulary():
-            a = idx.flatten(word, "pattern")
-            b = idx.flatten(word, "root")
-            assert sorted(r.sort_key() for r in a) == sorted(r.sort_key() for r in b)
-            assert sorted(a, key=lambda r: r.sort_key()) == sorted(b, key=lambda r: r.sort_key())
-            assert b == sorted(idx.paths(word), key=lambda r: (r.root, pat.sort_key(r.pattern), r.nodes, r.attrs))
+            records = idx.paths(word)
+            by_pattern = [rec for p in idx.patterns(word) for rec in idx.paths(word, pattern=p)]
+            by_root = [rec for r in idx.roots(word) for rec in idx.paths(word, root=r)]
+            assert by_pattern == records == sorted(records, key=IndexedPath.sort_key)
+            assert by_root == sorted(records, key=lambda r: (r.nodes[0], pat.sort_key(r.pattern), r.nodes, r.attrs))
 
     @pytest.mark.parametrize("case", range(10))
     def test_completeness_vs_dfs_oracle(self, case):
@@ -152,7 +151,7 @@ class TestInvariants:
                 for nodes, attrs, edge in _paths_reaching(g, root, word, depth):
                     expected.add((word, root, nodes, attrs, edge))
         got = {
-            (word, r.root, r.nodes, r.attrs, r.edge_match)
+            (word, r.nodes[0], r.nodes, r.attrs, pat.is_edge_ending(r.pattern))
             for word in idx.vocabulary()
             for r in idx.paths(word)
         }
@@ -166,7 +165,7 @@ class TestInvariants:
         for depth in (1, 2, 3):
             idx = build_index(g, pr, depth)
             entries = {
-                (w, r.root, r.nodes, r.attrs, r.edge_match, r.locus)
+                (w, r.nodes, r.attrs, r.pattern, r.sim_term)
                 for w in idx.vocabulary()
                 for r in idx.paths(w)
             }
@@ -181,8 +180,9 @@ class TestInvariants:
         idx = build_index(g, pr, depth)
         for word in idx.vocabulary():
             for rec in idx.paths(word):
-                assert rec.pattern == pat.path_pattern_of(g, rec.nodes, rec.attrs, rec.edge_match)
-                if rec.edge_match:
+                edge_match = pat.is_edge_ending(rec.pattern)
+                assert rec.pattern == pat.path_pattern_of(g, rec.nodes, rec.attrs, edge_match)
+                if edge_match:
                     assert rec.pr_term == pr.scores[rec.nodes[-2]]
                     assert rec.sim_term == jaccard_similarity(word, g.attr_token_set[rec.attrs[-1]])
                 else:
@@ -199,18 +199,17 @@ class TestInvariants:
     @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
     @pytest.mark.parametrize("case", [None, *range(6)])
     def test_derived_fields_agree_with_nodes_pattern_and_pagerank(self, sample_graph, case, loaded):
-        """The fields the index file does not store: root, node count,
-        edge_match and pr term."""
+        """What the index file does not store: node count, root and pr term."""
         g, depth = (sample_graph, 3) if case is None else random_instance(case)[:2]
         idx = build_index(g, compute_pagerank(g), depth)
         if loaded:
             idx = deserialize(serialize(idx))
         for word in idx.vocabulary():
             for rec in idx.paths(word):
-                assert rec.root == rec.nodes[0]
                 assert rec.node_count == len(rec.nodes) == pat.node_count(rec.pattern)
-                assert rec.edge_match == pat.is_edge_ending(rec.pattern)
-                assert rec.pr_term == idx.pagerank.scores[rec.nodes[-1 - rec.edge_match]]
+                assert rec in idx.paths(word, pattern=rec.pattern, root=rec.nodes[0])
+                edge_match = pat.is_edge_ending(rec.pattern)
+                assert rec.pr_term == idx.pagerank.scores[rec.nodes[-1 - edge_match]]
 
     def test_stats_consistent(self, sample_index):
         stats = sample_index.stats
@@ -280,5 +279,3 @@ class TestLeafBlocks:
             assert got
             got.clear()
         assert [idx.paths(word, **sel) for sel in selectors] == before
-        assert idx.flatten(word, "pattern") == before[0]
-        assert sorted(idx.flatten(word, "root"), key=IndexedPath.sort_key) == before[0]

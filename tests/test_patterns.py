@@ -27,5 +27,5 @@ def test_pattern_names(sample_graph, sample_index):
 def test_reconstruction_matches_stored(sample_graph, sample_index):
     for word in sample_index.vocabulary():
         for rec in sample_index.paths(word):
-            rebuilt = pat.path_pattern_of(sample_graph, rec.nodes, rec.attrs, rec.edge_match)
+            rebuilt = pat.path_pattern_of(sample_graph, rec.nodes, rec.attrs, pat.is_edge_ending(rec.pattern))
             assert rebuilt == rec.pattern
