@@ -237,12 +237,16 @@ def _cmd_query(args) -> int:
 
 def _read_queries(path, k) -> list[Query]:
     """The queries of a --queries file, one per line that is neither blank
-    nor a comment; a data error naming `path` when there are none."""
+    nor a comment; a data error naming `path` when there are none, or naming
+    the line of a query with no keyword."""
     queries = []
-    for line in _read_text(path, "--queries").splitlines():
+    for number, line in enumerate(_read_text(path, "--queries").splitlines(), start=1):
         line = line.strip()
         if line and not line.startswith("#"):
-            queries.append(Query(tuple(tokenize(line)), k))
+            keywords = tuple(tokenize(line))
+            if not keywords:
+                raise KgPatternError(f"--queries {path} line {number}: {line!r} holds no keyword")
+            queries.append(Query(keywords, k))
     if not queries:
         raise KgPatternError(f"--queries {path} holds no query")
     return queries

@@ -20,13 +20,14 @@ the columns those determine (`IndexColumns`, `index_columns`); each word's
 records are one slice of them, sorted pattern-first (pattern
 length-lexicographically, then nodes, whose first is the root, then attrs).
 `build_index` fills the columns and `indexio.deserialize` hands the file's
-columns to the same constructor. A word's first read decodes its slice into
-`IndexedPath` objects (nodes, attrs and the three score terms, under the
-record's pattern) and *leaves*, one per run of records that share (pattern,
+columns to the same constructor. Exact linear-topk reads a word's slice
+(`idx.words[w].start` and `.size`) straight from the columns. For the other
+engines, a word's first read decodes its slice into `IndexedPath` objects
+(`decode_records`) and *leaves*, one per run of records that share (pattern,
 root): the run's records and their kernel block (see `kernels`), whose step
 lists are the word's and whose offsets are the run's slice of the word's. Both
 layouts, word -> pattern -> root -> leaf and word -> root -> pattern -> leaf,
-refer to the same leaves, so walking either visits the same records.
+refer to the same leaves.
 
 Literal (dummy TEXT) entities are never used as roots: they stand for
 attribute *values*, carry no type, and cannot anchor a table answer. They do
@@ -35,9 +36,9 @@ appear as path terminals.
 from __future__ import annotations
 
 import logging
-from collections import namedtuple
+from collections import deque, namedtuple
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from typing import Iterator, Optional
 
 import numpy as np
@@ -133,40 +134,65 @@ class Leaf:
     block: tuple
 
 
+def build_all(cls, *columns: list) -> list:
+    """`list(map(cls, *columns))` for a slots dataclass without `__post_init__`, setting each field
+    of all objects through its slot descriptor: under half the cost of a frozen `__init__`."""
+    objects = list(map(object.__new__, repeat(cls, len(columns[0]))))
+    for name, values in zip(cls.__slots__, columns):
+        deque(map(getattr(cls, name).__set__, objects, values), maxlen=0)
+    return objects
+
+
+def decode_records(c: IndexColumns, ids: np.ndarray) -> list[IndexedPath]:
+    """The `IndexedPath` of each record in `ids`, in that order, of Python ints and floats."""
+    first = c.node_off[ids]
+    size = c.node_off[ids + 1] - first
+    # Record i's nodes are nodes[at[i]:at[i + 1]], and its attributes attrs[at[i] - i:at[i + 1] - i - 1].
+    at = np.concatenate(([0], np.cumsum(size)))
+    where = np.repeat(first - at[:-1], size) + np.arange(at[-1])
+    nodes = tuple(c.nodes[where].tolist())
+    attrs = tuple(c.attrs[np.delete(where - np.repeat(ids, size), at[1:] - 1)].tolist())
+    at = at.tolist()
+    return build_all(
+        IndexedPath,
+        [nodes[a:b] for a, b in zip(at, at[1:])],
+        [attrs[a - i : b - i - 1] for i, a, b in zip(range(len(ids)), at, at[1:])],
+        size.tolist(),
+        c.pr[ids].tolist(),
+        c.sim[ids].tolist(),
+        list(map(c.patterns.__getitem__, c.pattern_id[ids].tolist())),
+    )
+
+
 class _WordIndex:
-    """Both layouts for one word, over one shared set of leaves.
+    """Both layouts for one word (its column rows start:start + size), over one shared set of leaves.
 
     The `records`, `pattern_first` and `root_first` slots are decoded from the
     word's column slice on the first read of any of them, so a word that no
     query touches costs no objects; a filled slot skips `__getattr__`.
     """
 
-    __slots__ = ("size", "_columns", "_start", "records", "pattern_first", "root_first")
+    __slots__ = ("size", "start", "_columns", "records", "pattern_first", "root_first")
 
     def __init__(self, columns: IndexColumns, start: int, size: int):
-        self.size, self._columns, self._start = size, columns, start
+        self.size, self._columns, self.start = size, columns, start
 
     def __getattr__(self, name: str):
         # Called only for an unset slot.
         if name not in ("records", "pattern_first", "root_first"):
             raise AttributeError(name)
-        c, start, stop = self._columns, self._start, self._start + self.size
-        del self._columns, self._start
+        c, start, stop = self._columns, self.start, self.start + self.size
+        del self._columns
         node_off = c.node_off[start : stop + 1]
         first, last = int(node_off[0]), int(node_off[-1])
         nodes, attrs = c.nodes[first:last], c.attrs[first - start : last - stop].tolist()
-        # Record j's nodes start at at[j] in `nodes`, and its steps (one per attribute) at steps[j].
-        at = node_off - first
-        steps = at - np.arange(self.size + 1)
+        # Record j's steps (one per attribute) start at steps[j] in `attrs`.
+        steps = node_off - first - np.arange(self.size + 1)
         # Step k of record j joins its nodes k + j (parent) and k + j + 1 (child).
         parent = np.arange(len(attrs)) + np.repeat(np.arange(self.size), np.diff(steps))
         step_lists = (nodes[parent + 1].tolist(), nodes[parent].tolist(), attrs)
-        node_list, at, steps = nodes.tolist(), at.tolist(), steps.tolist()
-        rows = zip(at, at[1:], steps, *(column[start:stop].tolist() for column in (c.pr, c.sim, c.pattern_id)))
-        self.records = records = [
-            IndexedPath(tuple(node_list[a:b]), tuple(attrs[s : s + b - a - 1]), b - a, pr, sim, c.patterns[p])
-            for a, b, s, pr, sim, p in rows
-        ]
+        steps = steps.tolist()
+        self.records = records = decode_records(c, np.arange(start, stop))
         # A leaf is a run of equal (pattern_id, root); the runs come in pattern-first order.
         pid, roots = c.pattern_id[start:stop], c.root[start:stop]
         runs = np.flatnonzero(np.diff(pid, prepend=-1) | np.diff(roots, prepend=-1)).tolist()

@@ -43,10 +43,6 @@ def tree_sort_key(tree_pattern: TreePattern):
     return tuple(sort_key(p) for p in tree_pattern)
 
 
-def tree_height(tree_pattern: TreePattern) -> int:
-    return max(node_count(p) for p in tree_pattern)
-
-
 def path_pattern_of(graph, nodes, attrs, edge_match: bool) -> PathPattern:
     """Reconstruct the pattern of a concrete path from the graph's types."""
     if edge_match:

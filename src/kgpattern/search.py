@@ -18,22 +18,22 @@
   type's subtree count reaches the sampling threshold, only a `rate` fraction
   of its roots is expanded, pattern scores are estimated from the sample (sum
   aggregation scaled by 1/rate), and only the per-type top-k estimated
-  patterns are materialized exactly and ranked again globally. With
-  threshold = inf and rate = 1 it returns the exact top k.
+  patterns are materialized exactly and ranked again globally. With sampling
+  off (threshold = inf or rate = 1) it returns the exact top k, computed by
+  ``_exact_topk`` array at a time on the index columns: no word is decoded.
 
-The three index engines differ only in which (root, tree pattern) pairs they
-visit: each reads a root's (or a pattern's) index leaves once per keyword and
-hands each pair's leaves to one shared join, ``_join``. All four engines
-score a pattern in one step, ``ScoredPattern.from_members``, and rank in one
-step, ``rank`` (``bench.rank_enumeration`` ranks ``search_linear_enum``'s
-output through it too). Path tuples whose union is not a rooted tree are
-rejected everywhere (the union must be a subtree of the graph); rejected
-counts are reported in stats and logged per query. Ordering is deterministic
-end to end: scores descending, canonical pattern key ascending, members by
-(root, path keys).
+The other index engines differ only in which (root, tree pattern) pairs they
+visit: each reads a root's (or a pattern's) decoded index leaves once per
+keyword and hands each pair's leaves to one shared join, ``_join``. They
+score a pattern in ``ScoredPattern.from_members`` and rank in ``rank`` (as
+``bench.rank_enumeration`` does); ``_exact_topk`` does that arithmetic on arrays.
+Path tuples whose union is not a rooted tree are rejected, counted in stats
+and logged. Ordering is deterministic end to end: scores descending, canonical
+pattern key ascending, members by (root, path keys).
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import logging
@@ -42,11 +42,13 @@ from dataclasses import dataclass, field
 from operator import getitem
 from typing import Optional
 
+import numpy as np
+
 from . import kernels
 from . import patterns as pat
-from .errors import ParameterError
+from .errors import ParameterError, ScoreDomainError
 from .graph import TEXT_TYPE_ID, KnowledgeGraph, tokenize
-from .pathindex import IndexedPath, PathIndex, iter_root_paths
+from .pathindex import IndexedPath, PathIndex, build_all, decode_records, iter_root_paths
 from .scoring import DEFAULT_CONFIG, ScoringConfig, pattern_score, tree_score
 
 logger = logging.getLogger(__name__)
@@ -101,19 +103,6 @@ class ValidSubtree:
 
     def sort_key(self):
         return (self.root, tuple(p.sort_key() for p in self.paths))
-
-    def node_ids(self) -> set[int]:
-        out = set()
-        for p in self.paths:
-            out.update(p.nodes)
-        return out
-
-    def edge_set(self) -> set[tuple[int, int, int]]:
-        out = set()
-        for p in self.paths:
-            for i in range(1, len(p.nodes)):
-                out.add((p.nodes[i - 1], p.attrs[i - 1], p.nodes[i]))
-        return out
 
 
 @dataclass
@@ -357,6 +346,9 @@ def search_linear_topk(
     if may_sample and config.aggregator != "sum":
         raise ParameterError(f"sampling supports only the sum aggregator, not {config.aggregator!r}")
 
+    if not may_sample:
+        return _exact_topk(graph, idx, query, sampling, config)
+
     all_roots = _intersect_sorted([idx.roots(w) for w in words])
     by_type: dict[int, list[int]] = {}
     for r in all_roots:
@@ -397,6 +389,138 @@ def search_linear_topk(
             finalists.append(sp)
     _log_rejections("linear-topk", query, stats)
     return SearchResult(rank(finalists, query.k), stats)
+
+
+# The most path tuples `_exact_topk` joins and tree-checks at once (its working set).
+CHUNK_ROWS = 1 << 13
+
+
+def _steps(c, ids: np.ndarray, n_attrs: int):
+    """Each record's steps as two (width, records) int64 arrays padded with -1:
+    the child node, and its parent and attribute as parent * (n_attrs + 1) + attr."""
+    first = c.node_off[ids]
+    size = c.node_off[ids + 1] - first - 1
+    child, edge = np.full((2, int(size.max(initial=0)), len(ids)), -1, np.int64)
+    step, record = np.nonzero(np.arange(len(child))[:, None] < size)
+    at = first[record] + step
+    child[step, record] = c.nodes[at + 1]
+    edge[step, record] = c.nodes[at].astype(np.int64) * (n_attrs + 1) + c.attrs[at - ids[record]]
+    return child, edge
+
+
+def _powers(factor: np.ndarray, exponent: float) -> np.ndarray:
+    """`math.pow(x, exponent)` of each x in `factor`, one call per distinct x
+    (`np.power` can differ from it in the last bit); pow(x, 1.0) is x."""
+    if exponent < 0.0 and not factor.all():
+        raise ScoreDomainError(f"zero score factor with negative exponent {exponent}")
+    if exponent == 1.0:
+        return factor
+    values, inverse = np.unique(factor, return_inverse=True)
+    return np.array([math.pow(x, exponent) for x in values.tolist()])[inverse]
+
+
+def _tree_rows(c, ids: list, run_start: list, run_size: list, offsets: np.ndarray, n_attrs: int) -> list:
+    """The record ids, one array per keyword, of the rows that form a tree. Row r
+    of root i (offsets[i] <= r < offsets[i + 1]) picks ids[j][run_start[j][i] + d[j]],
+    d being r - offsets[i] in the mixed radix run_size[.][i]; CHUNK_ROWS rows at a time."""
+    steps = [_steps(c, word_ids, n_attrs) for word_ids in ids]
+    accepted = [[word_ids[:0] for word_ids in ids]]
+    for first in range(0, int(offsets[-1]), CHUNK_ROWS):
+        row = np.arange(first, min(first + CHUNK_ROWS, int(offsets[-1])))
+        at = np.searchsorted(offsets, row, "right") - 1
+        rest, picks = row - offsets[at], [None] * len(ids)
+        for j in reversed(range(len(ids))):
+            rest, digit = np.divmod(rest, run_size[j][at])
+            picks[j] = run_start[j][at] + digit
+        tree = np.ones(len(row), bool)
+        picked = [(child.take(pick, axis=1), edge.take(pick, axis=1)) for (child, edge), pick in zip(steps, picks)]
+        for (child_a, edge_a), (child_b, edge_b) in itertools.combinations(picked, 2):
+            for s, t in itertools.product(range(len(child_a)), range(len(child_b))):
+                # Not a tree when both paths reach a node through different (parent, attr) steps.
+                tree &= (child_a[s] != child_b[t]) | (edge_a[s] == edge_b[t])
+        accepted.append([word_ids[pick[tree]] for word_ids, pick in zip(ids, picks)])
+    return [np.concatenate(column) for column in zip(*accepted)]
+
+
+def _pattern_scores(c, rows: list, config: ScoringConfig):
+    """Each pattern's first row, size and score, and the rows in pattern order; patterns
+    come in tree_sort_key order, and scores use the arithmetic of `tree_score` (factors
+    summed in keyword order) and `pattern_score` (members summed in row order)."""
+    factors = np.zeros((3, len(rows[0])))
+    for record in rows:
+        factors += (c.node_off[record + 1] - c.node_off[record], c.pr[record], c.sim[record])
+    score = functools.reduce(np.multiply, map(_powers, factors, (config.z1, config.z2, config.z3)))
+    # Each keyword refines the key by its dense pattern rank, keeping it dense.
+    key = np.zeros(len(rows[0]), np.int64)
+    for record in rows:
+        pattern_ids, rank_of = np.unique(c.pattern_id[record], return_inverse=True)
+        key = np.unique(key * len(pattern_ids) + rank_of, return_inverse=True)[1]
+    _, first_row, group, sizes = np.unique(key, return_index=True, return_inverse=True, return_counts=True)
+    if config.aggregator == "max":
+        scores = np.full(len(sizes), -math.inf)
+        np.maximum.at(scores, group, score)
+    elif config.aggregator == "count":
+        scores = sizes.astype(float)
+    else:
+        scores = np.bincount(group, weights=score, minlength=len(sizes))
+        if config.aggregator == "avg":
+            scores = scores / sizes
+    return first_row, sizes, scores, np.argsort(group, kind="stable")
+
+
+def _members(c, rows: list, order: np.ndarray) -> list[ValidSubtree]:
+    """The `ValidSubtree` of each row, in `order`, over one `IndexedPath` per
+    record a keyword uses."""
+    columns = []
+    for record in rows:
+        used, where = np.unique(record[order], return_inverse=True)
+        columns.append(list(map(decode_records(c, used).__getitem__, where.tolist())))
+    return build_all(ValidSubtree, c.root[rows[0][order]].tolist(), list(zip(*columns)))
+
+
+def _exact_topk(graph, idx: PathIndex, query: Query, sampling: SamplingConfig, config: ScoringConfig) -> SearchResult:
+    """Exact linear-topk, array at a time on `idx.columns`; no word is decoded. A row
+    (path tuple) picks one record per keyword under a shared root; rows go root by root,
+    the last keyword fastest, each keyword's records in pattern-first order within a
+    root (a stable argsort by root), so a pattern's rows come in its member order. Each
+    phase is a function, so its temporary arrays are freed before the next starts."""
+    c = idx.columns
+    stats = _new_stats(candidate_roots=0, roots_expanded=0, types=[])
+    ids, sorted_roots = [], []
+    for wi in map(idx.words.get, query.keywords):
+        start, stop = (wi.start, wi.start + wi.size) if wi else (0, 0)
+        order = np.argsort(c.root[start:stop], kind="stable")
+        ids.append(order + start)
+        sorted_roots.append(c.root[start:stop][order])
+    candidates = functools.reduce(np.intersect1d, sorted_roots[1:], np.unique(sorted_roots[0]))
+    run_start = [np.searchsorted(r, candidates) for r in sorted_roots]
+    run_size = [np.searchsorted(r, candidates, "right") - s for r, s in zip(sorted_roots, run_start)]
+    tuples = functools.reduce(np.multiply, run_size, np.ones(len(candidates), np.int64))
+    offsets = np.concatenate(([0], np.cumsum(tuples)))
+    types = np.array([graph.entity_type[r] for r in candidates.tolist()], np.int64)
+    for type_id in np.unique(types).tolist():
+        of_type = types == type_id
+        roots, bound = int(of_type.sum()), int(tuples[of_type].sum())
+        rate = sampling.rate if bound >= sampling.threshold else 1.0
+        stats["types"].append({"type": type_id, "roots": roots, "bound": bound, "rate": rate, "expanded": roots})
+    rows = _tree_rows(c, ids, run_start, run_size, offsets, idx.n_attrs)
+    total, accepted = int(offsets[-1]), len(rows[0])
+    stats.update(candidate_roots=len(candidates), roots_expanded=len(candidates), path_tuples_checked=total)
+    stats.update(subtrees_accepted=accepted, tuples_rejected=total - accepted)
+    _log_rejections("linear-topk", query, stats)
+    if not accepted:
+        return SearchResult([], stats)
+    first_row, sizes, scores, order = _pattern_scores(c, rows, config)
+    # Members of every pattern, so that the time does not grow with k.
+    subtrees = _members(c, rows, order)
+    top = np.argsort(-scores, kind="stable")[: query.k]
+    ends = np.cumsum(sizes)[top].tolist()
+    patterns = zip(*(c.pattern_id[record[first_row[top]]].tolist() for record in rows))
+    ranked = [
+        ScoredPattern(tuple(map(c.patterns.__getitem__, pattern)), score, subtrees[end - size : end], score)
+        for pattern, score, size, end in zip(patterns, scores[top].tolist(), sizes[top].tolist(), ends)
+    ]
+    return SearchResult(ranked, stats)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from kgpattern import (
     load_graph,
     uniform_pagerank,
 )
+from kgpattern import patterns as pat
 from kgpattern.fixtures import load_sample_graph
 
 # The same examples on every run: derandomized, and no example database to
@@ -41,6 +42,11 @@ def with_columns(idx, **changes):
         idx.columns._replace(**changes),
         idx.stats.cost_proxy,
     )
+
+
+def tree_height(tree_pattern):
+    """The most nodes on one root-to-match path of the tree pattern."""
+    return max(pat.node_count(p) for p in tree_pattern)
 
 
 def random_instance(case: int):

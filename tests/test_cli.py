@@ -289,6 +289,16 @@ class TestExitCodes:
         assert main(args) == 2
         assert capsys.readouterr().err == f"error: --queries {queries} holds no query\n"
 
+    @pytest.mark.parametrize("command", ["bench", "sweep"])
+    def test_queries_line_without_a_keyword_is_data_error(self, tmp_path, capsys, command):
+        # The graph and index do not exist: the line must be refused before either loads.
+        queries = tmp_path / "queries.txt"
+        queries.write_text("w0 w1\n# a comment\n  !!!  \nw2\n", encoding="utf-8")
+        args = [command, "--graph", str(tmp_path / "none.graph"), "--index", str(tmp_path / "none.kgpx"),
+                "--queries", str(queries)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: --queries {queries} line 3: '!!!' holds no keyword\n"
+
     @pytest.mark.parametrize(
         "command, flag, bad",
         [("build", "--graph", "directory"), ("query", "--graph", "directory"), ("query", "--index", "directory"),

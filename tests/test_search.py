@@ -1,18 +1,24 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgpattern import (
+    GenConfig,
     ParameterError,
     Query,
     SamplingConfig,
+    ScoreDomainError,
     ScoredPattern,
     ScoringConfig,
     assemble_subtree,
     build_index,
     compute_pagerank,
+    deserialize,
+    generate_graph,
     pattern_score,
     rank,
     rank_enumeration,
@@ -20,13 +26,17 @@ from kgpattern import (
     search_linear_enum,
     search_linear_topk,
     search_pattern_enum,
+    serialize,
     tree_score,
     uniform_pagerank,
 )
 from kgpattern import patterns as pat
-from kgpattern.search import _uniform01
+from kgpattern import search
+from kgpattern.pathindex import _WordIndex
+from kgpattern.scoring import AGGREGATORS
+from kgpattern.search import _powers, _uniform01
 
-from conftest import graph_from_text, random_instance
+from conftest import graph_from_text, random_instance, tree_height
 
 DIAMOND = """
 E r Root hub
@@ -49,6 +59,15 @@ def adversarial_text(p):
         lines.append(f"E u{i} ritekind{i} beta")
         lines.append(f"A r2 ra{i} @u{i}")
     return "\n".join(lines) + "\n"
+
+
+def node_ids(subtree):
+    return {n for p in subtree.paths for n in p.nodes}
+
+
+def edge_set(subtree):
+    """The (source, attr, target) edges of a subtree's paths."""
+    return {(p.nodes[i - 1], p.attrs[i - 1], p.nodes[i]) for p in subtree.paths for i in range(1, len(p.nodes))}
 
 
 def signature(result_patterns):
@@ -93,15 +112,15 @@ class TestAssemble:
         subtree = assemble_subtree(sql, paths)
         assert subtree is not None
         assert subtree.root == sql
-        assert len(subtree.node_ids()) == 4
-        assert len(subtree.edge_set()) == 3
+        assert len(node_ids(subtree)) == 4
+        assert len(edge_set(subtree)) == 3
 
     def test_identical_single_node_paths(self, sample_graph, sample_index):
         book = sample_graph.key_to_id["db_book"]
         p_db = next(p for p in sample_index.paths("database", root=book) if len(p.nodes) == 1)
         p_sw = next(p for p in sample_index.paths("software", root=book) if len(p.nodes) == 1)
         subtree = assemble_subtree(book, (p_db, p_sw))
-        assert subtree is not None and subtree.node_ids() == {book}
+        assert subtree is not None and node_ids(subtree) == {book}
 
     def test_diamond_rejected(self):
         g = graph_from_text(DIAMOND)
@@ -218,7 +237,7 @@ class TestSampleGraphEngines:
 
     def test_height_bound(self, sample_graph, sample_index, sample_query):
         for sp in search_baseline(sample_graph, sample_index, sample_query).patterns:
-            assert pat.tree_height(sp.pattern) <= sample_index.depth
+            assert tree_height(sp.pattern) <= sample_index.depth
 
 
 class TestDiamondStats:
@@ -268,7 +287,7 @@ class TestEngineAgreement:
         assert signature(ranked[: q.k]) == signature(base.patterns)
 
         for sp in base.patterns:
-            assert pat.tree_height(sp.pattern) <= depth
+            assert tree_height(sp.pattern) <= depth
 
     @pytest.mark.parametrize("case", [2, 5, 9])
     def test_every_leaf_hosts_a_keyword(self, case):
@@ -278,8 +297,8 @@ class TestEngineAgreement:
         pairs = search_linear_enum(g, idx, Query(words, k=1))
         for _, members in pairs:
             for m in members:
-                sources = {s for s, _, _ in m.edge_set()}
-                leaves = m.node_ids() - sources
+                sources = {s for s, _, _ in edge_set(m)}
+                leaves = node_ids(m) - sources
                 terminals = {p.nodes[-1] for p in m.paths}
                 assert leaves <= terminals
 
@@ -383,3 +402,114 @@ class TestUniformStream:
     def test_mean_roughly_half(self):
         draws = [_uniform01(7, 0, i) for i in range(4000)]
         assert abs(sum(draws) / len(draws) - 0.5) < 0.03
+
+
+def _answers(patterns):
+    """Everything of a ranking that query JSON and tables read, score bits included."""
+    return [(sp.pattern, sp.score.hex(), repr(sp.subtrees)) for sp in patterns]
+
+
+def _column_instance(seed, depth, n_words):
+    rng = random.Random(seed)
+    cfg = GenConfig(rng.randint(12, 30), rng.randint(2, 4), rng.randint(2, 4), 2.0, 8, words_per_text=2, seed=seed)
+    g = graph_from_text(generate_graph(cfg))
+    words = tuple(rng.sample([f"w{i}" for i in range(8)], n_words))
+    return g, build_index(g, compute_pagerank(g), depth), words
+
+
+CONFIGS = [ScoringConfig(z1=z1, z2=z2, aggregator=agg) for z1, z2 in ((-1.0, 1.0), (-0.7, 2.5)) for agg in AGGREGATORS]
+COUNTERS = ("path_tuples_checked", "subtrees_accepted", "tuples_rejected", "candidate_roots")
+
+
+class TestExactTopkOnColumns:
+    """Exact linear-topk answers from the index columns, array at a time; the
+    object path's full enumeration, scored and ranked, is its reference."""
+
+    @pytest.mark.parametrize("n_words", [1, 2, 3, 4])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bit_equal_to_ranked_enumeration(self, seed, depth, n_words):
+        g, idx, words = _column_instance(100 * seed + 10 * depth + n_words, depth, n_words)
+        stats = {}
+        pairs = search_linear_enum(g, idx, Query(words), stats=stats)
+        for config in CONFIGS:
+            reference = rank_enumeration(pairs, config)
+            for k in (1, 3, max(1, len(reference))):
+                result = search_linear_topk(g, idx, Query(words, k), config=config)
+                assert _answers(result.patterns) == _answers(reference[:k])
+                assert [sp.estimated_score for sp in result.patterns] == [sp.score for sp in reference[:k]]
+                assert {c: result.stats[c] for c in COUNTERS} == {c: stats[c] for c in COUNTERS}
+
+    @pytest.mark.parametrize("case", [1, 2, 3, 5, 7, 11])
+    def test_stats_equal_the_object_path(self, case):
+        # A finite threshold that no type reaches keeps sampling on the object
+        # path, which then expands every root: the exact answer by the old route.
+        g, depth, words = random_instance(case)
+        idx = build_index(g, compute_pagerank(g), depth)
+        q = Query(words, k=4)
+        objects = search_linear_topk(g, idx, q, SamplingConfig(threshold=2.0**62, rate=0.5))
+        columns = search_linear_topk(g, idx, q)
+        assert _answers(columns.patterns) == _answers(objects.patterns)
+        assert columns.stats == objects.stats
+
+    @pytest.mark.parametrize("z2", [-1.0, -0.5])
+    def test_zero_factor_with_negative_exponent(self, z2):
+        g, _, words = _column_instance(7, 3, 2)
+        idx = build_index(g, uniform_pagerank(g, 0.0), 3)
+        config = ScoringConfig(z2=z2)
+        with pytest.raises(ScoreDomainError):
+            rank_enumeration(search_linear_enum(g, idx, Query(words)), config)
+        with pytest.raises(ScoreDomainError):
+            search_linear_topk(g, idx, Query(words), config=config)
+
+    def test_chunks_change_nothing(self, monkeypatch):
+        # 20 hubs with 12 alpha and 12 beta children each, of varied PageRank
+        # and similarity: a pattern of 2,880 members, summed across chunks.
+        entities, edges = [], []
+        for i in range(20):
+            entities.append(f"E r{i} hub anchor")
+            for j in range(12):
+                entities += [f"E a{i}_{j} kindA alpha" + " x" * (j % 4), f"E b{i}_{j} kindB beta" + " y" * (j % 5)]
+                edges += [f"A r{i} relA @a{i}_{j}", f"A r{i} relB @b{i}_{j}", f"A a{i}_{j} link @b{i * j % 20}_{j % 7}"]
+        g = graph_from_text("\n".join(entities + edges) + "\n")
+        idx = build_index(g, compute_pagerank(g), 2)
+        q = Query(("alpha", "beta"), k=5)
+        whole = search_linear_topk(g, idx, q)
+        assert [sp.subtree_count for sp in whole.patterns] == [2880, 240]
+        monkeypatch.setattr(search, "CHUNK_ROWS", 7)
+        chunked = search_linear_topk(g, idx, q)
+        assert _answers(chunked.patterns) == _answers(whole.patterns)
+        assert chunked.stats == whole.stats
+
+    def test_answers_hold_python_numbers(self, sample_graph, sample_index_pr, sample_query):
+        # numpy 2 reprs its scalars as np.float64(...), which would change every
+        # member repr and the query JSON.
+        result = search_linear_topk(sample_graph, sample_index_pr, sample_query)
+        assert result.patterns
+        for sp in result.patterns:
+            assert type(sp.score) is float and type(sp.estimated_score) is float
+            for m in sp.subtrees:
+                assert type(m.root) is int
+                for p in m.paths:
+                    assert [type(x) for x in (p.node_count, p.pr_term, p.sim_term)] == [int, float, float]
+                    assert {type(x) for x in p.nodes + p.attrs + p.pattern} == {int}
+        assert "np." not in repr(result)
+
+    def test_no_word_is_decoded(self, monkeypatch, sample_graph, sample_index_pr, sample_query):
+        loaded = deserialize(serialize(sample_index_pr))
+        expected = search_linear_topk(sample_graph, sample_index_pr, sample_query)
+
+        def refuse(wi, name):
+            raise AssertionError(f"a word was decoded for {name!r}")
+
+        monkeypatch.setattr(_WordIndex, "__getattr__", refuse)
+        result = search_linear_topk(sample_graph, loaded, sample_query)
+        assert result.patterns and _answers(result.patterns) == _answers(expected.patterns)
+        assert result.stats == expected.stats
+
+    @pytest.mark.parametrize("exponent", [-1.0, -0.7, 2.5])
+    def test_powers_are_math_pow(self, exponent):
+        # np.power differs from math.pow by one ulp on some inputs.
+        values = np.random.default_rng(5).uniform(0.01, 40.0, 5000)
+        got = _powers(values, exponent)
+        assert [x.hex() for x in got.tolist()] == [math.pow(x, exponent).hex() for x in values.tolist()]
