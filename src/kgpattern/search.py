@@ -469,8 +469,7 @@ def _pattern_scores(c, rows: list, config: ScoringConfig):
 
 
 def _members(c, rows: list, order: np.ndarray) -> list[ValidSubtree]:
-    """The `ValidSubtree` of each row, in `order`, over one `IndexedPath` per
-    record a keyword uses."""
+    """The `ValidSubtree` of each row in `order`, over one `IndexedPath` per record a keyword uses."""
     columns = []
     for record in rows:
         used, where = np.unique(record[order], return_inverse=True)
@@ -492,13 +491,14 @@ def _exact_topk(graph, idx: PathIndex, query: Query, sampling: SamplingConfig, c
         order = np.argsort(c.root[start:stop], kind="stable")
         ids.append(order + start)
         sorted_roots.append(c.root[start:stop][order])
-    candidates = functools.reduce(np.intersect1d, sorted_roots[1:], np.unique(sorted_roots[0]))
+    distinct = [np.unique(roots, return_index=True)[0] for roots in sorted_roots]  # no option: imports numpy.ma
+    candidates = functools.reduce(functools.partial(np.intersect1d, assume_unique=True), distinct)
     run_start = [np.searchsorted(r, candidates) for r in sorted_roots]
     run_size = [np.searchsorted(r, candidates, "right") - s for r, s in zip(sorted_roots, run_start)]
     tuples = functools.reduce(np.multiply, run_size, np.ones(len(candidates), np.int64))
     offsets = np.concatenate(([0], np.cumsum(tuples)))
     types = np.array([graph.entity_type[r] for r in candidates.tolist()], np.int64)
-    for type_id in np.unique(types).tolist():
+    for type_id in sorted(set(types.tolist())):
         of_type = types == type_id
         roots, bound = int(of_type.sum()), int(tuples[of_type].sum())
         rate = sampling.rate if bound >= sampling.threshold else 1.0
