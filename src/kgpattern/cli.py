@@ -200,6 +200,11 @@ def _load_graph_and_index(args):
             f"attribute counts or names differ (index {idx.n_entities}/{idx.n_types}/{idx.n_attrs}, "
             f"graph {graph.n_entities}/{graph.n_types}/{graph.n_attrs})"
         )
+    if idx.fingerprint != graph.fingerprint():
+        raise IndexFormatError(
+            f"index {args.index} was not built from graph {args.graph}: the graph's entity types, "
+            f"texts or edges differ from those the index was built from"
+        )
     return graph, idx
 
 
@@ -338,7 +343,7 @@ def _cmd_dump_index(args) -> int:
         "cost_proxy": idx.stats.cost_proxy,
         "words": {
             w: {
-                "entries": idx.words[w].size,
+                "entries": len(idx.words[w]),
                 "patterns": [pat.pattern_names(idx, p) for p in idx.patterns(w)],
                 "roots": idx.roots(w),
             }

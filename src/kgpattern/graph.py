@@ -28,9 +28,12 @@ graphs.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import re
+import struct
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Optional, Union
 
@@ -95,6 +98,18 @@ class KnowledgeGraph:
     @property
     def n_attrs(self) -> int:
         return len(self.attr_names)
+
+    def fingerprint(self) -> bytes:
+        """SHA-256 of the entity types, the entity texts and the edges (in
+        adjacency order): with the name tables, all an index depends on."""
+        texts = [t.encode("utf-8") for t in self.entity_text]
+        edges = [(s, a, t) for s, out in enumerate(self.adjacency) for a, t in out]
+        digest = hashlib.sha256(struct.pack("<QQ", len(texts), len(edges)))
+        digest.update(struct.pack(f"<{len(texts)}I", *self.entity_type))
+        digest.update(struct.pack(f"<{len(texts)}Q", *map(len, texts)))
+        digest.update(struct.pack(f"<{3 * len(edges)}I", *chain.from_iterable(edges)))
+        digest.update(b"".join(texts))
+        return digest.digest()
 
     def is_literal(self, entity: int) -> bool:
         """True for dummy entities created from plain-text attribute values."""

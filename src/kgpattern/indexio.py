@@ -5,6 +5,8 @@ Little-endian throughout. Layout::
     magic "KGPX" | version u32 | depth u32
     n_entities u32 | n_types u32 | n_attrs u32
     damping f64 | tolerance f64
+    graph fingerprint: 32 bytes, `KnowledgeGraph.fingerprint` of the graph
+                       the index was built from
     type-name string table | attr-name string table
     pagerank: count u32, f64 * count
     pattern table: count u32, lengths u16 * count, then every pattern's
@@ -45,7 +47,7 @@ n_attrs), a record's `sim` term that is not finite and positive, a pattern
 table that is not strictly increasing in canonical order, or a word whose
 records' (pattern_id, root) ever decrease. Each derived column is
 computed only after the ids it indexes with are checked. The last two checks
-make the file's order the in-memory order: each (word, pattern, root) leaf is
+make the file's order the in-memory order: each (word, pattern, root) is
 one contiguous run of records, taken in stored order.
 """
 from __future__ import annotations
@@ -65,7 +67,8 @@ from .pagerank import PageRankVector
 from .pathindex import RECORD_DTYPES, PathIndex, index_columns, node_offsets
 
 MAGIC = b"KGPX"
-VERSION = 6
+VERSION = 7
+FINGERPRINT_BYTES = 32
 
 
 class _Writer(io.BytesIO):
@@ -114,6 +117,7 @@ def serialize(idx: PathIndex) -> bytes:
     w.pack("II", VERSION, idx.depth)
     w.pack("III", idx.n_entities, idx.n_types, idx.n_attrs)
     w.pack("dd", idx.pagerank.damping, idx.pagerank.tolerance)
+    w.write(idx.fingerprint)
     w.string_table(idx.type_names)
     w.string_table(idx.attr_names)
 
@@ -163,6 +167,7 @@ def _deserialize(data: bytes) -> PathIndex:
     (depth,) = r.unpack("I")
     n_entities, n_types, n_attrs = r.unpack("III")
     damping, tolerance = r.unpack("dd")
+    fingerprint = r.take(FINGERPRINT_BYTES)
     type_names = r.string_table()
     attr_names = r.string_table()
     if (len(type_names), len(attr_names)) != (n_types, n_attrs):
@@ -211,7 +216,7 @@ def _deserialize(data: bytes) -> PathIndex:
     stored_entries, cost_proxy = r.unpack("QQ")
     if r.pos != len(body):
         raise IndexCorruptError(f"{len(body) - r.pos} unexpected bytes after the stats")
-    idx = PathIndex(depth, pagerank, n_entities, type_names, attr_names, columns, cost_proxy)
+    idx = PathIndex(depth, pagerank, n_entities, type_names, attr_names, columns, cost_proxy, bytes(fingerprint))
     if stored_entries != idx.stats.entry_count:
         raise IndexCorruptError(
             f"entry count mismatch: header says {stored_entries}, records say {idx.stats.entry_count}"

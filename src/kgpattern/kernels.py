@@ -1,20 +1,18 @@
-"""Hot tuple-join kernel.
+"""Scalar tuple-join reference.
 
-The inner loop of the enumeration engines is: given one candidate root and one
-per-keyword choice of path lists, walk the cross product of those lists and
-keep the tuples whose path union forms a rooted tree. That is what
-``join_tree_tuples`` does. Each keyword's paths arrive as a *block*::
+Given one candidate root and one per-keyword choice of path lists,
+``join_tree_tuples`` walks the cross product of those lists and keeps the
+tuples whose path union forms a rooted tree. It is the scalar reference for
+the engines' array join (``search._tree_rows``), which the tests check
+against it; no engine calls it. Each keyword's paths arrive as a *block*::
 
     (child, parent, attr, offsets)
 
 four flat int lists; path j of the block owns the triple slice
 ``offsets[j]:offsets[j+1]``, one ``(child, parent, attr)`` triple per non-root
-node of the path. The path index keeps one block per (word, pattern, root)
-leaf: its child, parent and attr lists are the word's step lists, shared by
-all of the word's leaves, and its offsets are the leaf's own slice of the
-word's step offsets, so they need not start at 0. A tuple is rejected exactly
-when some node would receive two different (parent, attr) assignments, i.e.
-when the union is not a tree.
+node of the path (``PathIndex.block`` makes one for a (word, pattern, root)).
+A tuple is rejected exactly when some node would receive two different
+(parent, attr) assignments, i.e. when the union is not a tree.
 
 Rows come back as ``list[tuple[int, ...]]`` of per-keyword path indices, in
 lexicographic order (last keyword varies fastest). Scoring never happens here.

@@ -1,4 +1,4 @@
-"""Materialized path index in pattern-first and root-first layouts.
+"""Materialized path index, held as columns.
 
 For every word occurring in the graph's text, the index stores all simple
 directed paths with at most ``depth`` nodes that start at some (non-literal)
@@ -15,19 +15,17 @@ Each entry precomputes the three per-path score terms (node count, PageRank of
 the matched node or of the matched edge's source, Jaccard similarity), so
 query-time scoring is pure arithmetic.
 
-The index holds its records once, as the columns of its KGPX v6 file plus
-the columns those determine (`IndexColumns`, `index_columns`); each word's
-records are one slice of them, sorted pattern-first (pattern
-length-lexicographically, then nodes, whose first is the root, then attrs).
-`build_index` fills the columns and `indexio.deserialize` hands the file's
-columns to the same constructor. Exact linear-topk reads a word's slice
-(`idx.words[w].start` and `.size`) straight from the columns. For the other
-engines, a word's first read decodes its slice into `IndexedPath` objects
-(`decode_records`) and *leaves*, one per run of records that share (pattern,
-root): the run's records and their kernel block (see `kernels`), whose step
-lists are the word's and whose offsets are the run's slice of the word's. Both
-layouts, word -> pattern -> root -> leaf and word -> root -> pattern -> leaf,
-refer to the same leaves.
+The index holds its records once, as the columns of its KGPX file plus the
+columns those determine (`IndexColumns`, `index_columns`); each word's
+records are one slice of them (`idx.words[w]`, a range of column rows),
+sorted pattern-first (pattern length-lexicographically, then nodes, whose
+first is the root, then attrs), so a (pattern, root) is one run of a word's
+slice. `build_index` fills the columns and `indexio.deserialize` hands the
+file's columns to the same constructor. Nothing is decoded, laid out or
+cached beside them: the engines join on the columns (see `search`), and the
+access methods read a word's slice directly, finding a pattern's run by a
+binary search of its sorted pattern ids and a root's records by a mask;
+`decode_records` makes `IndexedPath` objects of just the records asked for.
 
 Literal (dummy TEXT) entities are never used as roots: they stand for
 attribute *values*, carry no type, and cannot anchor a table answer. They do
@@ -35,6 +33,7 @@ appear as path terminals.
 """
 from __future__ import annotations
 
+import bisect
 import logging
 from collections import deque, namedtuple
 from dataclasses import dataclass
@@ -96,7 +95,7 @@ class IndexStats:
     word_sizes: dict[str, int]
 
 
-# Every record of an index: first its KGPX v6 columns, that is the pattern
+# Every record of an index: first its stored KGPX columns, that is the pattern
 # table (in canonical order; a pattern's id is its position), the vocabulary
 # with each word's record count, one array per field of RECORD_DTYPES with one
 # entry per record (word by word, in vocabulary order), and all records' nodes
@@ -114,7 +113,7 @@ def node_offsets(pattern_lengths: np.ndarray, pattern_id: np.ndarray) -> np.ndar
 
 
 def index_columns(stored: tuple, pattern_lengths: np.ndarray, scores: np.ndarray) -> IndexColumns:
-    """`stored`, the v6 columns from `patterns` to `attrs`, with the columns
+    """`stored`, the stored columns from `patterns` to `attrs`, with the columns
     they determine. A record's root is its first node, and its pr term is the
     PageRank score of its last node, or on an edge match (a pattern of even
     length) of the edge's source, the node before it. Every id in `stored`
@@ -124,14 +123,6 @@ def index_columns(stored: tuple, pattern_lengths: np.ndarray, scores: np.ndarray
     edge_match = pattern_lengths[pattern_id] % 2 == 0
     pr = scores[nodes[node_off[1:] - 1 - edge_match]]
     return IndexColumns(*stored, node_off, nodes[node_off[:-1]], pr)
-
-
-@dataclass(slots=True)
-class Leaf:
-    """The paths of one (word, pattern, root), sorted, with their kernel block."""
-
-    paths: list[IndexedPath]
-    block: tuple
 
 
 def build_all(cls, *columns: list) -> list:
@@ -162,49 +153,6 @@ def decode_records(c: IndexColumns, ids: np.ndarray) -> list[IndexedPath]:
         c.sim[ids].tolist(),
         list(map(c.patterns.__getitem__, c.pattern_id[ids].tolist())),
     )
-
-
-class _WordIndex:
-    """Both layouts for one word (its column rows start:start + size), over one shared set of leaves.
-
-    The `records`, `pattern_first` and `root_first` slots are decoded from the
-    word's column slice on the first read of any of them, so a word that no
-    query touches costs no objects; a filled slot skips `__getattr__`.
-    """
-
-    __slots__ = ("size", "start", "_columns", "records", "pattern_first", "root_first")
-
-    def __init__(self, columns: IndexColumns, start: int, size: int):
-        self.size, self._columns, self.start = size, columns, start
-
-    def __getattr__(self, name: str):
-        # Called only for an unset slot.
-        if name not in ("records", "pattern_first", "root_first"):
-            raise AttributeError(name)
-        c, start, stop = self._columns, self.start, self.start + self.size
-        del self._columns
-        node_off = c.node_off[start : stop + 1]
-        first, last = int(node_off[0]), int(node_off[-1])
-        nodes, attrs = c.nodes[first:last], c.attrs[first - start : last - stop].tolist()
-        # Record j's steps (one per attribute) start at steps[j] in `attrs`.
-        steps = node_off - first - np.arange(self.size + 1)
-        # Step k of record j joins its nodes k + j (parent) and k + j + 1 (child).
-        parent = np.arange(len(attrs)) + np.repeat(np.arange(self.size), np.diff(steps))
-        step_lists = (nodes[parent + 1].tolist(), nodes[parent].tolist(), attrs)
-        steps = steps.tolist()
-        self.records = records = decode_records(c, np.arange(start, stop))
-        # A leaf is a run of equal (pattern_id, root); the runs come in pattern-first order.
-        pid, roots = c.pattern_id[start:stop], c.root[start:stop]
-        runs = np.flatnonzero(np.diff(pid, prepend=-1) | np.diff(roots, prepend=-1)).tolist()
-        self.pattern_first: dict[pat.PathPattern, dict[int, Leaf]] = {}
-        root_first: dict[int, dict[pat.PathPattern, Leaf]] = {}
-        for a, b in zip(runs, runs[1:] + [self.size]):
-            leaf = Leaf(records[a:b], (*step_lists, steps[a : b + 1]))
-            pattern, root = records[a].pattern, records[a].nodes[0]
-            self.pattern_first.setdefault(pattern, {})[root] = leaf
-            root_first.setdefault(root, {})[pattern] = leaf  # in pattern order, as the runs are
-        self.root_first = dict(sorted(root_first.items()))
-        return getattr(self, name)
 
 
 def iter_root_paths(
@@ -256,7 +204,8 @@ def iter_root_paths(
 
 
 class PathIndex:
-    """Dual-layout path index plus the PageRank vector it was built with."""
+    """The path index: its record columns, each word's slice of them, and the
+    PageRank vector it was built with."""
 
     def __init__(
         self,
@@ -267,9 +216,11 @@ class PathIndex:
         attr_names: list[str],
         columns: IndexColumns,
         cost_proxy: int,
+        fingerprint: bytes,
     ):
         """Index the records in `columns` (each word's sorted pattern-first)
-        for a graph with these entity count and name tables."""
+        for a graph with these entity count, name tables and fingerprint
+        (`KnowledgeGraph.fingerprint`)."""
         self.depth = depth
         self.pagerank = pagerank
         self.n_entities = n_entities
@@ -278,70 +229,60 @@ class PathIndex:
         self.n_types = len(type_names)
         self.n_attrs = len(attr_names)
         self.columns = columns
+        self.fingerprint = fingerprint
         counts = columns.counts.tolist()
         words = sorted(zip(columns.vocab, accumulate(counts, initial=0), counts))
-        self.words: dict[str, _WordIndex] = {w: _WordIndex(columns, start, size) for w, start, size in words}
-        word_sizes = {w: wi.size for w, wi in self.words.items()}
+        self.words: dict[str, range] = {w: range(start, start + size) for w, start, size in words}
+        word_sizes = {w: len(span) for w, span in self.words.items()}
         self.stats = IndexStats(sum(word_sizes.values()), cost_proxy, word_sizes)
 
     # -- access methods ------------------------------------------------
 
-    def root_leaves(self, word: str, root: int) -> dict[pat.PathPattern, Leaf]:
-        """The leaves of `word` under `root`, by pattern in pattern order (read-only)."""
-        wi = self.words.get(word)
-        return {} if wi is None else wi.root_first.get(root, {})
-
-    def pattern_leaves(self, word: str, pattern: pat.PathPattern) -> dict[int, Leaf]:
-        """The leaves of `word` under `pattern`, by root in root order (read-only)."""
-        wi = self.words.get(word)
-        return {} if wi is None else wi.pattern_first.get(pattern, {})
+    def _records(self, word: str, pattern: Optional[pat.PathPattern] = None, root: Optional[int] = None) -> np.ndarray:
+        """The ids of `word`'s records (of `pattern`, under `root`, when given) in pattern-first order."""
+        c, span = self.columns, self.words.get(word, range(0))
+        start, stop = span.start, span.stop
+        if pattern is not None:
+            # A pattern's id is its position in the canonical pattern table.
+            i = bisect.bisect_left(c.patterns, pat.sort_key(pattern), key=pat.sort_key)
+            if i == len(c.patterns) or c.patterns[i] != pattern:
+                return np.arange(0)
+            start, stop = (start + np.searchsorted(c.pattern_id[start:stop], (i, i + 1))).tolist()
+        ids = np.arange(start, stop)
+        return ids if root is None else ids[c.root[start:stop] == root]
 
     def patterns(self, word: str, root: Optional[int] = None) -> list[pat.PathPattern]:
         """Patterns under which some root (or the given root) reaches `word`."""
-        wi = self.words.get(word)
-        if wi is None:
-            return []
-        return list(wi.pattern_first if root is None else wi.root_first.get(root, {}))
+        c = self.columns
+        pattern_ids = dict.fromkeys(c.pattern_id[self._records(word, root=root)].tolist())  # in canonical order
+        return list(map(c.patterns.__getitem__, pattern_ids))
 
     def roots(self, word: str, pattern: Optional[pat.PathPattern] = None) -> list[int]:
         """Roots reaching `word`, optionally restricted to one pattern."""
-        wi = self.words.get(word)
-        if wi is None:
-            return []
-        return list(wi.root_first if pattern is None else wi.pattern_first.get(pattern, {}))
+        return sorted(set(self.columns.root[self._records(word, pattern)].tolist()))
 
-    def paths(
-        self,
-        word: str,
-        pattern: Optional[pat.PathPattern] = None,
-        root: Optional[int] = None,
-    ) -> list[IndexedPath]:
+    def paths(self, word: str, pattern: Optional[pat.PathPattern] = None, root: Optional[int] = None) -> list[IndexedPath]:
         """Materialized paths for (word, pattern, root) in a new list; any
         selector may be omitted."""
-        if pattern is not None and root is not None:
-            leaf = self.pattern_leaves(word, pattern).get(root)
-            return list(leaf.paths) if leaf else []
-        if root is not None:
-            leaves = self.root_leaves(word, root).values()
-        elif pattern is not None:
-            leaves = self.pattern_leaves(word, pattern).values()
-        else:
-            wi = self.words.get(word)
-            return list(wi.records) if wi else []
-        return [rec for leaf in leaves for rec in leaf.paths]
+        return decode_records(self.columns, self._records(word, pattern, root))
 
     def vocabulary(self) -> list[str]:
-        return list(self.words.keys())
+        return list(self.words)
 
     def block(self, word: str, root: int, pattern: pat.PathPattern):
-        """The kernel block of the (word, pattern, root) leaf; an empty block
-        when there is no such leaf."""
-        leaf = self.pattern_leaves(word, pattern).get(root)
-        return leaf.block if leaf else ([], [], [], [0])
+        """The kernel block (see `kernels`) of `word`'s paths of `pattern`
+        under `root`; an empty block when there are none."""
+        c, ids = self.columns, self._records(word, pattern, root)
+        n_steps = c.node_off[ids + 1] - c.node_off[ids] - 1
+        offsets = np.concatenate(([0], np.cumsum(n_steps)))
+        # Step t of record j joins its nodes node_off[j] + t and + t + 1 by attrs[node_off[j] - j + t].
+        parent = np.repeat(c.node_off[ids] - offsets[:-1], n_steps) + np.arange(offsets[-1])
+        attr = c.attrs[parent - np.repeat(ids, n_steps)]
+        return c.nodes[parent + 1].tolist(), c.nodes[parent].tolist(), attr.tolist(), offsets.tolist()
 
 
 def build_index(graph: KnowledgeGraph, pagerank: PageRankVector, depth: int) -> PathIndex:
-    """Materialize both index layouts for all paths of at most `depth` nodes."""
+    """Materialize the index columns for all paths of at most `depth` nodes."""
     if depth < 1:
         raise ParameterError(f"depth must be >= 1, got {depth}")
     hits = []
@@ -373,8 +314,7 @@ def build_index(graph: KnowledgeGraph, pagerank: PageRankVector, depth: int) -> 
     flat = [np.fromiter(chain.from_iterable(column), "<u4") for column in (nodes, attrs)]
     lengths = np.array([len(p) for p in patterns], dtype=np.int64)
     columns = index_columns((patterns, vocab, counts, *fields, *flat), lengths, pagerank.scores)
-    idx = PathIndex(
-        depth, pagerank, graph.n_entities, list(graph.type_names), list(graph.attr_names), columns, cost_proxy
-    )
+    names = list(graph.type_names), list(graph.attr_names)
+    idx = PathIndex(depth, pagerank, graph.n_entities, *names, columns, cost_proxy, graph.fingerprint())
     logger.debug("built index: depth=%d, %d words, %d entries", depth, len(idx.words), idx.stats.entry_count)
     return idx

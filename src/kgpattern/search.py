@@ -1,35 +1,38 @@
-"""The four query engines over the path index.
+"""The four query engines.
 
 * ``search_baseline`` - index-free enumeration of all valid subtrees per root
   (the same DFS used to build the index, run online), grouped into one global
   pattern dictionary, then scored and ranked to the top k. The reference
   implementation everything else must agree with.
 * ``search_pattern_enum`` - per root type, enumerate the cross product of the
-  keywords' path patterns, intersect the pattern-first root sets, and for
-  non-empty intersections materialize the member subtrees. Fast when queries
-  have few patterns; wasted intersections on empty pattern combinations are
-  its worst case.
+  keywords' path patterns and intersect each combination's per-keyword root
+  sets; the rows of the non-empty (combination, root) units are joined. Fast
+  when queries have few patterns; wasted intersections on empty pattern
+  combinations are its worst case.
 * ``search_linear_enum`` - candidate roots are the intersection of the
-  root-first root sets; every root is expanded into its pattern and path
-  products, so no time is spent on empty patterns. Returns the complete
-  pattern -> subtrees mapping, unranked.
+  keywords' root sets, and every row under each candidate is joined, so no
+  time is spent on empty patterns. Returns the complete pattern -> subtrees
+  mapping, unranked.
 * ``search_linear_topk`` - the linear enumeration partitioned by root type
   with optional per-type Bernoulli root sampling: when the upper bound on a
-  type's subtree count reaches the sampling threshold, only a `rate` fraction
-  of its roots is expanded, pattern scores are estimated from the sample (sum
-  aggregation scaled by 1/rate), and only the per-type top-k estimated
-  patterns are materialized exactly and ranked again globally. With sampling
-  off (threshold = inf or rate = 1) it returns the exact top k, computed by
-  ``_exact_topk`` array at a time on the index columns: no word is decoded.
+  type's subtree count reaches the sampling threshold, only the roots its
+  draws keep (each with probability `rate`) are joined, pattern scores are
+  estimated from the sample (sum aggregation scaled by 1/rate), and only the
+  per-type top-k estimated patterns are re-scored exactly, by one more join,
+  and ranked again globally. With sampling off (threshold = inf or rate = 1)
+  it returns the exact top k.
 
-The other index engines differ only in which (root, tree pattern) pairs they
-visit: each reads a root's (or a pattern's) decoded index leaves once per
-keyword and hands each pair's leaves to one shared join, ``_join``. They
-score a pattern in ``ScoredPattern.from_members`` and rank in ``rank`` (as
-``bench.rank_enumeration`` does); ``_exact_topk`` does that arithmetic on arrays.
-Path tuples whose union is not a rooted tree are rejected, counted in stats
-and logged. Ordering is deterministic end to end: scores descending, canonical
-pattern key ascending, members by (root, path keys).
+The three index engines run one join on the index columns (`idx.columns`),
+array at a time, and differ only in which rows they join. A row (path tuple)
+picks one record per keyword under a shared root; a *unit* is a root with one
+run of records per keyword, and its rows are the runs' cross product.
+``_tree_rows`` keeps the rows whose paths' union is a rooted tree,
+``_group`` groups them by tree pattern, ``_pattern_scores`` scores each
+pattern with the arithmetic of ``tree_score`` and ``pattern_score``, and
+``_members`` makes the member subtrees. No word is decoded: only the records
+that returned members use become ``IndexedPath`` objects. Rejected rows are
+counted in stats and logged. Ordering is deterministic end to end: scores
+descending, canonical pattern key ascending, members by (root, path keys).
 """
 from __future__ import annotations
 
@@ -38,13 +41,13 @@ import heapq
 import itertools
 import logging
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from operator import getitem
 from typing import Optional
 
 import numpy as np
 
-from . import kernels
 from . import patterns as pat
 from .errors import ParameterError, ScoreDomainError
 from .graph import TEXT_TYPE_ID, KnowledgeGraph, tokenize
@@ -165,59 +168,6 @@ def rank(scored, k: Optional[int] = None, key=_by_score) -> list[ScoredPattern]:
     return heapq.nsmallest(k, scored, key=key)
 
 
-# ---------------------------------------------------------------------------
-# Shared expansion machinery
-# ---------------------------------------------------------------------------
-
-
-def _intersect_sorted(lists) -> list[int]:
-    """The sorted ids common to every list (or set, or dict's keys)."""
-    if not lists:
-        return []
-    common = set(lists[0])
-    for other in lists[1:]:
-        common &= set(other)
-        if not common:
-            return []
-    return sorted(common)
-
-
-def _join(root: int, leaves, members: list, stats) -> None:
-    """Append to `members` every tuple of the leaves' paths (one leaf per
-    keyword, all under `root`) whose union is a tree; count the tuples into
-    `stats` unless None."""
-    rows = kernels.join_tree_tuples([leaf.block for leaf in leaves])
-    if stats is not None:
-        checked = math.prod(len(leaf.paths) for leaf in leaves)
-        stats["path_tuples_checked"] += checked
-        stats["subtrees_accepted"] += len(rows)
-        stats["tuples_rejected"] += checked - len(rows)
-    path_lists = [leaf.paths for leaf in leaves]
-    for row in rows:
-        members.append(ValidSubtree(root, tuple(map(getitem, path_lists, row))))
-
-
-def _expand_root(idx: PathIndex, words, root: int, tree_dict, stats) -> None:
-    """Enumerate all valid subtrees under `root` into tree_dict, one join per
-    combination of the root's per-keyword patterns."""
-    leaf_maps = [idx.root_leaves(w, root) for w in words]
-    for combo in itertools.product(*leaf_maps):
-        members = tree_dict.get(combo) or []
-        _join(root, list(map(getitem, leaf_maps, combo)), members, stats)
-        if members:
-            tree_dict[combo] = members
-
-
-def _materialize_pattern(idx: PathIndex, words, tree_pattern, stats=None) -> list[ValidSubtree]:
-    """Exact member set of one tree pattern: one join under each root that
-    reaches every keyword by its path pattern."""
-    leaf_maps = [idx.pattern_leaves(w, p) for w, p in zip(words, tree_pattern)]
-    members: list[ValidSubtree] = []
-    for root in _intersect_sorted(leaf_maps):
-        _join(root, [leaves[root] for leaves in leaf_maps], members, stats)
-    return members
-
-
 def _new_stats(**extra) -> dict:
     return {"path_tuples_checked": 0, "subtrees_accepted": 0, "tuples_rejected": 0, **extra}
 
@@ -284,33 +234,43 @@ def search_pattern_enum(
     query: Query,
     config: ScoringConfig = DEFAULT_CONFIG,
 ) -> SearchResult:
-    """Pattern-product engine over the pattern-first layout."""
-    words = list(query.keywords)
-    by_type: list[dict[int, list[pat.PathPattern]]] = []
-    for w in words:
-        groups: dict[int, list[pat.PathPattern]] = {}
-        for p in idx.patterns(w):
-            groups.setdefault(pat.root_type(p), []).append(p)
-        by_type.append(groups)
-
-    common_types = set(by_type[0]).intersection(*by_type[1:])
+    """Pattern-product engine: per root type, the cross product of the
+    keywords' path patterns, each combination's roots being the intersection
+    of its patterns' root sets; all (combination, root) units are joined at once."""
+    c, words = idx.columns, list(query.keywords)
+    ids, runs, by_type = [], [], []
+    for word in words:
+        span = idx.words.get(word, range(0))
+        ids.append(np.arange(span.start, span.stop))
+        pattern_id, roots = c.pattern_id[ids[-1]], c.root[ids[-1]]
+        # The word's (pattern, root) runs: pattern id -> root -> (first record, record count).
+        firsts = np.flatnonzero(np.diff(pattern_id, prepend=-1) | np.diff(roots, prepend=-1))
+        run_keys = zip(pattern_id[firsts].tolist(), roots[firsts].tolist())
+        runs.append({})
+        for (p, root), first, size in zip(run_keys, firsts.tolist(), np.diff(firsts, append=len(span)).tolist()):
+            runs[-1].setdefault(p, {})[root] = (first, size)
+        by_type.append({})
+        for p in runs[-1]:  # in canonical order
+            by_type[-1].setdefault(c.patterns[p][0], []).append(p)
 
     stats = _new_stats(pattern_combos_checked=0, empty_combos=0, patterns_found=0)
-
-    def scored():
-        for type_id in sorted(common_types):
-            for combo in itertools.product(*(groups[type_id] for groups in by_type)):
-                stats["pattern_combos_checked"] += 1
-                members = _materialize_pattern(idx, words, combo, stats)
-                if not members:
-                    stats["empty_combos"] += 1
-                    continue
-                stats["patterns_found"] += 1
-                yield ScoredPattern.from_members(combo, members, config)
-
-    ranked = rank(scored(), query.k)
+    units = []
+    for type_id in sorted(set(by_type[0]).intersection(*by_type[1:])):
+        for combo in itertools.product(*(groups[type_id] for groups in by_type)):
+            stats["pattern_combos_checked"] += 1
+            root_runs = list(map(getitem, runs, combo))
+            for root in sorted(set(root_runs[0]).intersection(*root_runs[1:])):
+                units.append([run[root] for run in root_runs])
+    run_start, run_size = np.array(units, np.int64).reshape(len(units), len(words), 2).transpose(2, 1, 0)
+    rows = _tree_rows(c, ids, run_start, run_size, idx.n_attrs, stats)
+    patterns = _group(c, rows)
+    stats["patterns_found"] = len(patterns.sizes)
+    stats["empty_combos"] = stats["pattern_combos_checked"] - stats["patterns_found"]
     _log_rejections("pattern-enum", query, stats)
-    return SearchResult(ranked, stats)
+    scores = _pattern_scores(c, rows, patterns, config)
+    top = np.argsort(-scores, kind="stable")[: query.k]
+    answers = _answers(c, rows, patterns, top)
+    return SearchResult([ScoredPattern(p, score, m) for (p, m), score in zip(answers, scores[top].tolist())], stats)
 
 
 def search_linear_enum(
@@ -320,17 +280,16 @@ def search_linear_enum(
     stats: Optional[dict] = None,
 ) -> list[tuple[pat.TreePattern, list[ValidSubtree]]]:
     """Full enumeration: every tree pattern with its complete subtree set."""
-    words = list(query.keywords)
+    c = idx.columns
     stats = {} if stats is None else stats
     stats.update(_new_stats())
-    roots = _intersect_sorted([idx.roots(w) for w in words])
-    stats["candidate_roots"] = len(roots)
-    tree_dict: dict[pat.TreePattern, list[ValidSubtree]] = {}
-    for root in roots:
-        _expand_root(idx, words, root, tree_dict, stats)
-    stats["patterns_found"] = len(tree_dict)
+    ids, candidates, run_start, run_size = _root_runs(idx, query.keywords)
+    stats["candidate_roots"] = len(candidates)
+    rows = _tree_rows(c, ids, run_start, run_size, idx.n_attrs, stats)
+    patterns = _group(c, rows)
+    stats["patterns_found"] = len(patterns.sizes)
     _log_rejections("linear-enum", query, stats)
-    return sorted(tree_dict.items(), key=lambda kv: pat.tree_sort_key(kv[0]))
+    return _answers(c, rows, patterns, np.arange(len(patterns.sizes)))
 
 
 def search_linear_topk(
@@ -341,58 +300,93 @@ def search_linear_topk(
     config: ScoringConfig = DEFAULT_CONFIG,
 ) -> SearchResult:
     """Type-partitioned linear enumeration with optional root sampling."""
-    words = list(query.keywords)
     may_sample = sampling.rate < 1.0 and sampling.threshold != math.inf
     if may_sample and config.aggregator != "sum":
         raise ParameterError(f"sampling supports only the sum aggregator, not {config.aggregator!r}")
 
-    if not may_sample:
-        return _exact_topk(graph, idx, query, sampling, config)
-
-    all_roots = _intersect_sorted([idx.roots(w) for w in words])
-    by_type: dict[int, list[int]] = {}
-    for r in all_roots:
-        by_type.setdefault(graph.entity_type[r], []).append(r)
-
-    finalists: list[ScoredPattern] = []
-    stats = _new_stats(candidate_roots=len(all_roots), roots_expanded=0, types=[])
-    for type_id in sorted(by_type):
-        roots = by_type[type_id]
-        bound = sum(
-            math.prod(sum(len(leaf.paths) for leaf in idx.root_leaves(w, r).values()) for w in words)
-            for r in roots
-        )
+    c = idx.columns
+    ids, candidates, run_start, run_size = _root_runs(idx, query.keywords)
+    tuples = functools.reduce(np.multiply, run_size, np.ones(len(candidates), np.int64))
+    types = np.array([graph.entity_type[r] for r in candidates.tolist()], np.int64)
+    rates, joined = np.ones(len(candidates)), np.ones(len(candidates), bool)
+    stats = _new_stats(candidate_roots=len(candidates), roots_expanded=0, types=[])
+    for type_id in sorted(set(types.tolist())):
+        of_type = types == type_id
+        roots, bound = int(of_type.sum()), int(tuples[of_type].sum())
         rate = sampling.rate if bound >= sampling.threshold else 1.0
-
-        tree_dict: dict[pat.TreePattern, list[ValidSubtree]] = {}
-        expanded = 0
-        for position, root in enumerate(roots):
-            if _uniform01(sampling.seed, type_id, position) < rate:
-                _expand_root(idx, words, root, tree_dict, stats)
-                expanded += 1
+        expanded = roots
+        if rate < 1.0:
+            draws = [_uniform01(sampling.seed, type_id, position) < rate for position in range(roots)]
+            rates[of_type], joined[of_type], expanded = rate, draws, sum(draws)
         stats["roots_expanded"] += expanded
-        stats["types"].append({"type": type_id, "roots": len(roots), "bound": bound, "rate": rate, "expanded": expanded})
-
-        # Score the sampled members of every pattern; with rate = 1 the sample
-        # is complete, so these are the exact scores. Otherwise (sum
-        # aggregation only) the sample's sum scaled by 1/rate is the unbiased
-        # estimate of scoring.estimate_pattern_score. The type's k best by
-        # that estimate go on (by the estimate, not the sample score: two
-        # different sample sums can become equal once divided by rate).
-        scored = (ScoredPattern.from_members(p, members, config) for p, members in tree_dict.items())
-        for sp in rank(scored, query.k, key=lambda sp: (-sp.score / rate, pat.tree_sort_key(sp.pattern))):
-            sp.estimated_score = sp.score / rate
-            if rate != 1.0:
-                # Re-score sampled winners exactly over every root of their pattern.
-                members = _materialize_pattern(idx, words, sp.pattern)
-                sp = ScoredPattern.from_members(sp.pattern, members, config, sp.estimated_score)
-            finalists.append(sp)
+        stats["types"].append({"type": type_id, "roots": roots, "bound": bound, "rate": rate, "expanded": expanded})
+    rows = _tree_rows(c, ids, [s[joined] for s in run_start], [s[joined] for s in run_size], idx.n_attrs, stats)
     _log_rejections("linear-topk", query, stats)
-    return SearchResult(rank(finalists, query.k), stats)
+
+    # With rate = 1 a pattern's score is exact and is its own estimate.
+    patterns = _group(c, rows)
+    scores = _pattern_scores(c, rows, patterns, config)
+    estimates, finalists, exact_group = scores, np.arange(len(scores)), {}
+    if rates.min(initial=1.0) < 1.0:
+        # Otherwise (sum aggregation only) the sample's sum scaled by 1/rate
+        # is the unbiased estimate of scoring.estimate_pattern_score. A
+        # sampled type's k best by that estimate go on (by the estimate, not
+        # the sample score: two different sample sums can become equal once
+        # divided by rate), ties in canonical order.
+        at = np.searchsorted(candidates, c.root[rows[0][patterns.first_row]])
+        estimates = scores / rates[at]
+        sampled = np.flatnonzero(rates[at] < 1.0)
+        by_type = sampled[np.lexsort((-estimates[sampled], types[at[sampled]]))]
+        type_of = types[at[by_type]]
+        winners = by_type[np.arange(len(by_type)) - np.searchsorted(type_of, type_of) < query.k]
+        finalists = np.sort(np.concatenate((np.flatnonzero(rates[at] == 1.0), winners)))
+        # Re-score the winners exactly: one more join, over the records of
+        # their path patterns only.
+        wanted = [c.pattern_id[record[patterns.first_row[winners]]] for record in rows]
+        ids, _, run_start, run_size = _root_runs(idx, query.keywords, wanted)
+        exact_rows = _tree_rows(c, ids, run_start, run_size, idx.n_attrs)
+        exact = _group(c, exact_rows)
+        keys = zip(*(c.pattern_id[record[exact.first_row]].tolist() for record in exact_rows))
+        group_of = dict(zip(keys, range(len(exact.sizes))))
+        exact_group = dict(zip(winners.tolist(), map(group_of.get, zip(*(p.tolist() for p in wanted)))))
+        scores[winners] = _pattern_scores(c, exact_rows, exact, config)[list(exact_group.values())]
+    # The k best finalists by exact score; group ids are in canonical order.
+    top = finalists[np.argsort(-scores[finalists], kind="stable")][: query.k].tolist()
+    whole = [g for g in top if g not in exact_group]
+    answers = dict(zip(whole, _answers(c, rows, patterns, whole))) if whole else {}
+    if len(whole) < len(top):
+        rescored = [g for g in top if g in exact_group]
+        answers.update(zip(rescored, _answers(c, exact_rows, exact, list(map(exact_group.get, rescored)))))
+    ranked = zip(map(answers.get, top), scores[top].tolist(), estimates[top].tolist())
+    return SearchResult([ScoredPattern(p, score, members, estimate) for (p, members), score, estimate in ranked], stats)
 
 
-# The most path tuples `_exact_topk` joins and tree-checks at once (its working set).
+# ---------------------------------------------------------------------------
+# The join on the index columns
+# ---------------------------------------------------------------------------
+
+# The most path tuples `_tree_rows` joins and tree-checks at once (its working set).
 CHUNK_ROWS = 1 << 13
+
+
+def _root_runs(idx: PathIndex, words, allowed=None):
+    """Each keyword's record ids put root-first (pattern-first within a root:
+    a stable sort), the candidate roots (those every keyword reaches), and
+    each keyword's run start and size per candidate. `allowed`, when given,
+    holds per keyword the pattern ids whose records are taken."""
+    c, ids = idx.columns, []
+    for j, word in enumerate(words):
+        span = idx.words.get(word, range(0))
+        word_ids = np.arange(span.start, span.stop)
+        if allowed is not None:
+            word_ids = word_ids[np.isin(c.pattern_id[word_ids], allowed[j])]
+        ids.append(word_ids[np.argsort(c.root[word_ids], kind="stable")])
+    sorted_roots = [c.root[word_ids] for word_ids in ids]
+    distinct = [np.unique(roots, return_index=True)[0] for roots in sorted_roots]  # no option: imports numpy.ma
+    candidates = functools.reduce(functools.partial(np.intersect1d, assume_unique=True), distinct)
+    run_start = [np.searchsorted(r, candidates) for r in sorted_roots]
+    run_size = [np.searchsorted(r, candidates, "right") - s for r, s in zip(sorted_roots, run_start)]
+    return ids, candidates, run_start, run_size
 
 
 def _steps(c, ids: np.ndarray, n_attrs: int):
@@ -408,21 +402,13 @@ def _steps(c, ids: np.ndarray, n_attrs: int):
     return child, edge
 
 
-def _powers(factor: np.ndarray, exponent: float) -> np.ndarray:
-    """`math.pow(x, exponent)` of each x in `factor`, one call per distinct x
-    (`np.power` can differ from it in the last bit); pow(x, 1.0) is x."""
-    if exponent < 0.0 and not factor.all():
-        raise ScoreDomainError(f"zero score factor with negative exponent {exponent}")
-    if exponent == 1.0:
-        return factor
-    values, inverse = np.unique(factor, return_inverse=True)
-    return np.array([math.pow(x, exponent) for x in values.tolist()])[inverse]
-
-
-def _tree_rows(c, ids: list, run_start: list, run_size: list, offsets: np.ndarray, n_attrs: int) -> list:
-    """The record ids, one array per keyword, of the rows that form a tree. Row r
-    of root i (offsets[i] <= r < offsets[i + 1]) picks ids[j][run_start[j][i] + d[j]],
-    d being r - offsets[i] in the mixed radix run_size[.][i]; CHUNK_ROWS rows at a time."""
+def _tree_rows(c, ids: list, run_start: list, run_size: list, n_attrs: int, stats=None) -> list:
+    """The record ids, one array per keyword, of the rows (path tuples) that form a tree.
+    Unit i's rows pick ids[j][run_start[j][i] + d[j]] for every keyword j, d going through
+    the mixed radix run_size[.][i] (the last keyword fastest); units follow each other, and
+    CHUNK_ROWS rows are checked at a time. Counts the rows into `stats` unless None."""
+    tuples = functools.reduce(np.multiply, run_size, np.ones(len(run_start[0]), np.int64))
+    offsets = np.concatenate(([0], np.cumsum(tuples)))
     steps = [_steps(c, word_ids, n_attrs) for word_ids in ids]
     accepted = [[word_ids[:0] for word_ids in ids]]
     for first in range(0, int(offsets[-1]), CHUNK_ROWS):
@@ -439,33 +425,55 @@ def _tree_rows(c, ids: list, run_start: list, run_size: list, offsets: np.ndarra
                 # Not a tree when both paths reach a node through different (parent, attr) steps.
                 tree &= (child_a[s] != child_b[t]) | (edge_a[s] == edge_b[t])
         accepted.append([word_ids[pick[tree]] for word_ids, pick in zip(ids, picks)])
-    return [np.concatenate(column) for column in zip(*accepted)]
+    rows = [np.concatenate(column) for column in zip(*accepted)]
+    if stats is not None:
+        checked, kept = int(offsets[-1]), len(rows[0])
+        stats.update(path_tuples_checked=checked, subtrees_accepted=kept, tuples_rejected=checked - kept)
+    return rows
 
 
-def _pattern_scores(c, rows: list, config: ScoringConfig):
-    """Each pattern's first row, size and score, and the rows in pattern order; patterns
-    come in tree_sort_key order, and scores use the arithmetic of `tree_score` (factors
-    summed in keyword order) and `pattern_score` (members summed in row order)."""
-    factors = np.zeros((3, len(rows[0])))
-    for record in rows:
-        factors += (c.node_off[record + 1] - c.node_off[record], c.pr[record], c.sim[record])
-    score = functools.reduce(np.multiply, map(_powers, factors, (config.z1, config.z2, config.z3)))
+# The tree patterns of some rows, in tree_sort_key order: each one's first row and row
+# count, each row's pattern (its group), and the rows in pattern order, stable.
+Groups = namedtuple("Groups", "first_row sizes group order")
+
+
+def _group(c, rows: list) -> Groups:
     # Each keyword refines the key by its dense pattern rank, keeping it dense.
     key = np.zeros(len(rows[0]), np.int64)
     for record in rows:
         pattern_ids, rank_of = np.unique(c.pattern_id[record], return_inverse=True)
         key = np.unique(key * len(pattern_ids) + rank_of, return_inverse=True)[1]
     _, first_row, group, sizes = np.unique(key, return_index=True, return_inverse=True, return_counts=True)
+    return Groups(first_row, sizes, group, np.argsort(group, kind="stable"))
+
+
+def _powers(factor: np.ndarray, exponent: float) -> np.ndarray:
+    """`math.pow(x, exponent)` of each x in `factor`, one call per distinct x
+    (`np.power` can differ from it in the last bit); pow(x, 1.0) is x."""
+    if exponent < 0.0 and not factor.all():
+        raise ScoreDomainError(f"zero score factor with negative exponent {exponent}")
+    if exponent == 1.0:
+        return factor
+    values, inverse = np.unique(factor, return_inverse=True)
+    return np.array([math.pow(x, exponent) for x in values.tolist()])[inverse]
+
+
+def _pattern_scores(c, rows: list, patterns: Groups, config: ScoringConfig) -> np.ndarray:
+    """Each pattern's score, with the arithmetic of `tree_score` (factors summed
+    in keyword order) and `pattern_score` (members summed in row order)."""
+    factors = np.zeros((3, len(rows[0])))
+    for record in rows:
+        factors += (c.node_off[record + 1] - c.node_off[record], c.pr[record], c.sim[record])
+    score = functools.reduce(np.multiply, map(_powers, factors, (config.z1, config.z2, config.z3)))
+    group, sizes = patterns.group, patterns.sizes
     if config.aggregator == "max":
         scores = np.full(len(sizes), -math.inf)
         np.maximum.at(scores, group, score)
-    elif config.aggregator == "count":
-        scores = sizes.astype(float)
-    else:
-        scores = np.bincount(group, weights=score, minlength=len(sizes))
-        if config.aggregator == "avg":
-            scores = scores / sizes
-    return first_row, sizes, scores, np.argsort(group, kind="stable")
+        return scores
+    if config.aggregator == "count":
+        return sizes.astype(float)
+    scores = np.bincount(group, weights=score, minlength=len(sizes))
+    return scores / sizes if config.aggregator == "avg" else scores
 
 
 def _members(c, rows: list, order: np.ndarray) -> list[ValidSubtree]:
@@ -477,50 +485,16 @@ def _members(c, rows: list, order: np.ndarray) -> list[ValidSubtree]:
     return build_all(ValidSubtree, c.root[rows[0][order]].tolist(), list(zip(*columns)))
 
 
-def _exact_topk(graph, idx: PathIndex, query: Query, sampling: SamplingConfig, config: ScoringConfig) -> SearchResult:
-    """Exact linear-topk, array at a time on `idx.columns`; no word is decoded. A row
-    (path tuple) picks one record per keyword under a shared root; rows go root by root,
-    the last keyword fastest, each keyword's records in pattern-first order within a
-    root (a stable argsort by root), so a pattern's rows come in its member order. Each
-    phase is a function, so its temporary arrays are freed before the next starts."""
-    c = idx.columns
-    stats = _new_stats(candidate_roots=0, roots_expanded=0, types=[])
-    ids, sorted_roots = [], []
-    for wi in map(idx.words.get, query.keywords):
-        start, stop = (wi.start, wi.start + wi.size) if wi else (0, 0)
-        order = np.argsort(c.root[start:stop], kind="stable")
-        ids.append(order + start)
-        sorted_roots.append(c.root[start:stop][order])
-    distinct = [np.unique(roots, return_index=True)[0] for roots in sorted_roots]  # no option: imports numpy.ma
-    candidates = functools.reduce(functools.partial(np.intersect1d, assume_unique=True), distinct)
-    run_start = [np.searchsorted(r, candidates) for r in sorted_roots]
-    run_size = [np.searchsorted(r, candidates, "right") - s for r, s in zip(sorted_roots, run_start)]
-    tuples = functools.reduce(np.multiply, run_size, np.ones(len(candidates), np.int64))
-    offsets = np.concatenate(([0], np.cumsum(tuples)))
-    types = np.array([graph.entity_type[r] for r in candidates.tolist()], np.int64)
-    for type_id in sorted(set(types.tolist())):
-        of_type = types == type_id
-        roots, bound = int(of_type.sum()), int(tuples[of_type].sum())
-        rate = sampling.rate if bound >= sampling.threshold else 1.0
-        stats["types"].append({"type": type_id, "roots": roots, "bound": bound, "rate": rate, "expanded": roots})
-    rows = _tree_rows(c, ids, run_start, run_size, offsets, idx.n_attrs)
-    total, accepted = int(offsets[-1]), len(rows[0])
-    stats.update(candidate_roots=len(candidates), roots_expanded=len(candidates), path_tuples_checked=total)
-    stats.update(subtrees_accepted=accepted, tuples_rejected=total - accepted)
-    _log_rejections("linear-topk", query, stats)
-    if not accepted:
-        return SearchResult([], stats)
-    first_row, sizes, scores, order = _pattern_scores(c, rows, config)
-    # Members of every pattern, so that the time does not grow with k.
-    subtrees = _members(c, rows, order)
-    top = np.argsort(-scores, kind="stable")[: query.k]
-    ends = np.cumsum(sizes)[top].tolist()
-    patterns = zip(*(c.pattern_id[record[first_row[top]]].tolist() for record in rows))
-    ranked = [
-        ScoredPattern(tuple(map(c.patterns.__getitem__, pattern)), score, subtrees[end - size : end], score)
-        for pattern, score, size, end in zip(patterns, scores[top].tolist(), sizes[top].tolist(), ends)
+def _answers(c, rows: list, patterns: Groups, chosen) -> list[tuple[pat.TreePattern, list[ValidSubtree]]]:
+    """(tree pattern, members) of each chosen pattern. Members are made for
+    every pattern, so that the time does not grow with the number chosen."""
+    subtrees = _members(c, rows, patterns.order)
+    ends = np.cumsum(patterns.sizes)[chosen].tolist()
+    keys = zip(*(c.pattern_id[record[patterns.first_row[chosen]]].tolist() for record in rows))
+    return [
+        (tuple(map(c.patterns.__getitem__, key)), subtrees[end - size : end])
+        for key, size, end in zip(keys, patterns.sizes[chosen].tolist(), ends)
     ]
-    return SearchResult(ranked, stats)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ def with_columns(idx, **changes):
         idx.attr_names,
         idx.columns._replace(**changes),
         idx.stats.cost_proxy,
+        idx.fingerprint,
     )
 
 

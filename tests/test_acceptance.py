@@ -238,7 +238,7 @@ def test_c5_linear_topk_estimates_are_unbiased():
         assert abs(statistics.fmean(values) - exact[p]) <= 4.0 * stderr, (p, exact[p], statistics.fmean(values))
 
 
-@criterion(6, "dual layouts agree and index round-trips")
+@criterion(6, "by-pattern and by-root reads agree and index round-trips")
 def test_c6_layouts_and_roundtrip(corpus):
     graph = load_sample_graph()
     idx = build_index(graph, uniform_pagerank(graph), 3)
@@ -253,7 +253,7 @@ def test_c6_layouts_and_roundtrip(corpus):
     again = deserialize(serialize(idx))
     assert again.depth == idx.depth
     for word in idx.vocabulary():
-        assert idx.words[word].records == again.words[word].records
+        assert idx.paths(word) == again.paths(word)
         assert idx.patterns(word) == again.patterns(word)
         assert idx.roots(word) == again.roots(word)
 

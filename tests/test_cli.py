@@ -355,6 +355,25 @@ class TestExitCodes:
         assert main(args) == 2
         assert "was not built from graph" in capsys.readouterr().err
 
+    def test_index_of_an_edited_graph_is_data_error(self, tmp_path, capsys):
+        # The edit keeps the entity count and the name tables: only the graph
+        # fingerprint tells the graphs apart.
+        graph, index = tmp_path / "g.graph", tmp_path / "g.kgpx"
+        assert main(["gen", "--entities", "60", "--types", "3", "--attrs", "3", "--vocab", "10", "--seed", "1",
+                     "--out", str(graph)]) == 0
+        assert main(["build", "--graph", str(graph), "--index", str(index), "--d", "3"]) == 0
+        text = graph.read_text(encoding="utf-8")
+        edited = text.replace("E e0 kind0 w2 w5 w0\n", "E e0 kind0 w2 w5 w7\n").replace(
+            "E e1 kind0 w1 w1 w3\n", "E e1 kind0 w4 w4 w3\n")
+        assert edited.count("\n") == text.count("\n") and edited != text
+        graph.write_text(edited, encoding="utf-8")
+        capsys.readouterr()
+        for q in ("w0 w1", "w1 w3", "w0", "w1"):
+            assert main(["query", "--graph", str(graph), "--index", str(index), "--q", q, "--format", "json"]) == 2
+            assert "was not built from graph" in capsys.readouterr().err
+        assert main(["build", "--graph", str(graph), "--index", str(index), "--d", "3"]) == 0
+        assert main(["query", "--graph", str(graph), "--index", str(index), "--q", "w0 w1"]) == 0
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 

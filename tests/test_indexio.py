@@ -25,7 +25,7 @@ from kgpattern import (
 from kgpattern import patterns as pat
 from kgpattern.cli import main
 from kgpattern.fixtures import sample_graph_path
-from kgpattern.indexio import VERSION
+from kgpattern.indexio import FINGERPRINT_BYTES, VERSION
 from kgpattern.pathindex import RECORD_DTYPES
 
 from conftest import graph_from_text, random_instance, with_columns
@@ -38,12 +38,13 @@ def assert_structurally_equal(a, b):
     assert a.pagerank.damping == b.pagerank.damping
     assert a.pagerank.tolerance == b.pagerank.tolerance
     assert a.type_names == b.type_names and a.attr_names == b.attr_names
+    assert a.fingerprint == b.fingerprint
     assert a.vocabulary() == b.vocabulary()
     assert a.stats.entry_count == b.stats.entry_count
     assert a.stats.cost_proxy == b.stats.cost_proxy
     assert a.stats.word_sizes == b.stats.word_sizes
     for word in a.vocabulary():
-        assert a.words[word].records == b.words[word].records
+        assert a.paths(word) == b.paths(word)
         assert a.patterns(word) == b.patterns(word)
         assert a.roots(word) == b.roots(word)
         for p in a.patterns(word):
@@ -92,29 +93,6 @@ def test_reserialize_untouched_index_is_byte_identical(sample_index, case):
     assert serialize(deserialize(blob)) == blob
 
 
-@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
-def test_a_read_word_is_built_on_first_use(sample_graph, sample_index, loaded):
-    again = build_index(sample_graph, uniform_pagerank(sample_graph), 3)
-    if loaded:
-        again = deserialize(serialize(again))
-
-    def built():
-        # The slot's own descriptor raises for an unset slot instead of building it.
-        slot = type(again.words["database"]).records
-        out = []
-        for w in again.vocabulary():
-            try:
-                slot.__get__(again.words[w])
-                out.append(w)
-            except AttributeError:
-                pass
-        return out
-
-    assert built() == []
-    assert again.roots("database") == sample_index.roots("database")
-    assert built() == ["database"]
-
-
 def test_file_roundtrip(tmp_path, sample_index):
     path = tmp_path / "sample.kgpx"
     write_index(sample_index, path)
@@ -128,7 +106,7 @@ def test_bad_magic(sample_index):
         deserialize(bytes(blob))
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 99])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 99])
 def test_bad_version(sample_index, version):
     blob = bytearray(serialize(sample_index))
     blob[4:8] = version.to_bytes(4, "little")
@@ -143,7 +121,7 @@ def test_readme_states_the_format_version():
 
 def records_of(idx):
     """(word, record) for every record of `idx`, in file order."""
-    return [(w, rec) for w in idx.vocabulary() for rec in idx.words[w].records]
+    return [(w, rec) for w in idx.vocabulary() for rec in idx.paths(w)]
 
 
 def with_record(idx, j, **fields):
@@ -282,9 +260,10 @@ def test_pattern_table_out_of_order_is_corrupt(sample_index):
     i = next(i for i in range(len(patterns) - 1) if len(patterns[i]) == len(patterns[i + 1]))
     body = bytearray(serialize(sample_index)[:-4])
     names = sum(4 + len(name.encode()) for name in sample_index.type_names + sample_index.attr_names)
-    # The fixed header, two name tables, the PageRank vector, the pattern
-    # count and the pattern lengths come before the patterns' elements.
-    at = 40 + 8 + names + 4 + 8 * sample_index.n_entities + 4 + 2 * len(patterns)
+    # The fixed header, the graph fingerprint, two name tables, the PageRank
+    # vector, the pattern count and the pattern lengths come before the
+    # patterns' elements.
+    at = 40 + FINGERPRINT_BYTES + 8 + names + 4 + 8 * sample_index.n_entities + 4 + 2 * len(patterns)
     at += sum(4 * len(p) for p in patterns[:i])
     size = 4 * len(patterns[i])
     swap(body, at, at + size, size)
@@ -332,7 +311,7 @@ def test_file_size_is_the_sum_of_its_sections(sample_index):
     def strings(table):
         return 4 + sum(4 + len(s.encode()) for s in table)
 
-    header = 4 + 4 * 5 + 8 * 2 + strings(idx.type_names) + strings(idx.attr_names) + 4 + 8 * idx.n_entities
+    header = 4 + 4 * 5 + 8 * 2 + FINGERPRINT_BYTES + strings(idx.type_names) + strings(idx.attr_names) + 4 + 8 * idx.n_entities
     patterns = 4 + sum(2 + 4 * len(p) for p in idx.columns.patterns)
     words = strings(idx.vocabulary()) + 8 * len(idx.vocabulary())
     columns = sum(WIDTHS) * n + 4 * n_nodes + 4 * (n_nodes - n)

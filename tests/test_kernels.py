@@ -1,8 +1,9 @@
 import itertools
 
+import numpy as np
 import pytest
 
-from kgpattern import assemble_subtree, build_index, compute_pagerank, kernels
+from kgpattern import assemble_subtree, build_index, compute_pagerank, kernels, search
 
 from conftest import random_instance
 
@@ -31,19 +32,32 @@ def test_lexicographic_order():
 
 @pytest.mark.parametrize("case", [0, 3, 6])
 def test_kernel_matches_assemble(case):
-    """The kernel must accept exactly the tuples assemble_subtree accepts."""
+    """The kernel, and the array join of the engines, must accept exactly the
+    tuples assemble_subtree accepts. The array join runs every (root, pattern
+    combination) unit at once."""
     g, depth, words = random_instance(case)
     idx = build_index(g, compute_pagerank(g), depth)
-    roots = set.intersection(*(set(idx.roots(w)) for w in words)) if words else set()
+    roots = set.intersection(*(set(idx.roots(w)) for w in words))
+    expected, kernel, units = set(), set(), []
     for root in sorted(roots):
         pattern_lists = [idx.patterns(w, root=root) for w in words]
         for combo in itertools.product(*pattern_lists):
             rec_lists = [idx.paths(words[i], pattern=combo[i], root=root) for i in range(len(words))]
             blocks = [idx.block(words[i], root, combo[i]) for i in range(len(words))]
-            rows = set(kernels.join_tree_tuples(blocks))
-            expected = set()
+            kernel |= {(root, combo, row) for row in kernels.join_tree_tuples(blocks)}
             for choice in itertools.product(*(range(len(rl)) for rl in rec_lists)):
                 tup = tuple(rec_lists[i][choice[i]] for i in range(len(words)))
                 if assemble_subtree(root, tup) is not None:
-                    expected.add(choice)
-            assert rows == expected
+                    expected.add((root, combo, choice))
+            runs = [idx._records(w, p, root) for w, p in zip(words, combo)]
+            units.append([(run[0] - idx._records(w)[0], len(run)) for w, run in zip(words, runs)])
+    run_start, run_size = np.array(units, np.int64).reshape(len(units), len(words), 2).transpose(2, 1, 0)
+    ids = [idx._records(w) for w in words]
+    rows = search._tree_rows(idx.columns, ids, run_start, run_size, idx.n_attrs)
+    joined = set()
+    for record_ids in zip(*(r.tolist() for r in rows)):
+        root = int(idx.columns.root[record_ids[0]])
+        combo = tuple(idx.columns.patterns[idx.columns.pattern_id[r]] for r in record_ids)
+        choice = tuple(r - idx._records(w, p, root)[0] for r, w, p in zip(record_ids, words, combo))
+        joined.add((root, combo, choice))
+    assert kernel == expected == joined

@@ -32,8 +32,7 @@ from kgpattern import (
 )
 from kgpattern import patterns as pat
 from kgpattern import search
-from kgpattern.pathindex import _WordIndex
-from kgpattern.scoring import AGGREGATORS
+from kgpattern.scoring import AGGREGATORS, DEFAULT_CONFIG
 from kgpattern.search import _powers, _uniform01
 
 from conftest import graph_from_text, random_instance, tree_height
@@ -365,26 +364,31 @@ class TestSampling:
 
 @pytest.fixture(scope="module")
 def sampling_instances(sample_graph, sample_index, sample_query):
-    """(graph, index, query, exact members by pattern) per instance."""
+    """(graph, index, query, exact answer by pattern) per instance; the exact
+    answers come from the index-free baseline."""
     out = [(sample_graph, sample_index, sample_query)]
     for case in (5, 8, 11, 13):  # random instances whose queries have answers
         g, depth, words = random_instance(case)
         out.append((g, build_index(g, compute_pagerank(g), depth), Query(words, k=10)))
-    return [(g, idx, q, dict(search_linear_enum(g, idx, q))) for g, idx, q in out]
+    exact = []
+    for g, idx, q in out:
+        everything = search_baseline(g, idx, Query(q.keywords, k=10**9)).patterns
+        exact.append((g, idx, q, {sp.pattern: sp for sp in everything}))
+    return exact
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1), rho=st.floats(0.1, 0.9))
 def test_sampled_winners_are_rescored_exactly(sampling_instances, data, seed, rho):
     """Every pattern sampled linear-topk returns carries its estimate, and its
-    score and members are exactly those of the full enumeration."""
+    score and members are exactly those of the index-free baseline."""
     graph, idx, query, exact = data.draw(st.sampled_from(sampling_instances))
     result = search_linear_topk(graph, idx, query, SamplingConfig(threshold=0, rate=rho, seed=seed))
     for sp in result.patterns:
         assert sp.estimated_score is not None
-        reference = ScoredPattern.from_members(sp.pattern, exact[sp.pattern])
+        reference = exact[sp.pattern]
         assert sp.score == reference.score
-        assert [m.sort_key() for m in sp.subtrees] == [m.sort_key() for m in reference.subtrees]
+        assert repr(sp.subtrees) == repr(reference.subtrees)
 
 
 class TestUniformStream:
@@ -418,39 +422,63 @@ def _column_instance(seed, depth, n_words):
 
 
 CONFIGS = [ScoringConfig(z1=z1, z2=z2, aggregator=agg) for z1, z2 in ((-1.0, 1.0), (-0.7, 2.5)) for agg in AGGREGATORS]
-COUNTERS = ("path_tuples_checked", "subtrees_accepted", "tuples_rejected", "candidate_roots")
+COUNTERS = ("path_tuples_checked", "subtrees_accepted", "tuples_rejected", "candidate_roots", "patterns_found")
+# A finite threshold no type reaches: linear-topk samples no type, so it joins every root.
+UNREACHED = SamplingConfig(threshold=2.0**62, rate=0.5)
+
+
+def index_engines(g, idx, query, config=DEFAULT_CONFIG, sampling=UNREACHED):
+    """(name, ranked patterns, stats) of each engine that reads the index."""
+    topk = search_linear_topk(g, idx, query, config=config)
+    penum = search_pattern_enum(g, idx, query, config)
+    stats = {}
+    ranked = rank_enumeration(search_linear_enum(g, idx, query, stats=stats), config)[: query.k]
+    out = [("linear-topk", topk.patterns, topk.stats), ("pattern-enum", penum.patterns, penum.stats)]
+    out.append(("linear", ranked, stats))
+    if config.aggregator == "sum":  # the only aggregator sampling takes
+        sampled = search_linear_topk(g, idx, query, sampling, config)
+        out.append(("sampled", sampled.patterns, sampled.stats))
+    return out
+
+
+def assert_same_as_baseline(g, idx, words, ks, config=DEFAULT_CONFIG):
+    """Every index engine's top k, for each k in `ks`, equals the index-free
+    baseline's in patterns, score bits and member reprs, and so do the
+    counters both keep; k = None stands for every pattern."""
+    reference = search_baseline(g, idx, Query(words, 10**9), config)
+    for k in ks:
+        expected = reference.patterns[:k]
+        for name, patterns, stats in index_engines(g, idx, Query(words, k or 10**9), config):
+            assert _answers(patterns) == _answers(expected), (name, k)
+            shared = [c for c in COUNTERS if c in stats]
+            assert {c: stats[c] for c in shared} == {c: reference.stats[c] for c in shared}, (name, k)
+            if name in ("linear-topk", "sampled"):
+                assert [sp.estimated_score for sp in patterns] == [sp.score for sp in patterns]
 
 
 class TestExactTopkOnColumns:
-    """Exact linear-topk answers from the index columns, array at a time; the
-    object path's full enumeration, scored and ranked, is its reference."""
+    """Every index engine answers from one join on the index columns; the
+    index-free baseline, the object path (its DFS, `assemble_subtree`,
+    `tree_score` and `pattern_score`), is their reference."""
 
     @pytest.mark.parametrize("n_words", [1, 2, 3, 4])
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_bit_equal_to_ranked_enumeration(self, seed, depth, n_words):
         g, idx, words = _column_instance(100 * seed + 10 * depth + n_words, depth, n_words)
-        stats = {}
-        pairs = search_linear_enum(g, idx, Query(words), stats=stats)
         for config in CONFIGS:
-            reference = rank_enumeration(pairs, config)
-            for k in (1, 3, max(1, len(reference))):
-                result = search_linear_topk(g, idx, Query(words, k), config=config)
-                assert _answers(result.patterns) == _answers(reference[:k])
-                assert [sp.estimated_score for sp in result.patterns] == [sp.score for sp in reference[:k]]
-                assert {c: result.stats[c] for c in COUNTERS} == {c: stats[c] for c in COUNTERS}
+            assert_same_as_baseline(g, idx, words, (1, 3, None), config)
 
     @pytest.mark.parametrize("case", [1, 2, 3, 5, 7, 11])
     def test_stats_equal_the_object_path(self, case):
-        # A finite threshold that no type reaches keeps sampling on the object
-        # path, which then expands every root: the exact answer by the old route.
         g, depth, words = random_instance(case)
         idx = build_index(g, compute_pagerank(g), depth)
+        assert_same_as_baseline(g, idx, words, (4,))
         q = Query(words, k=4)
-        objects = search_linear_topk(g, idx, q, SamplingConfig(threshold=2.0**62, rate=0.5))
-        columns = search_linear_topk(g, idx, q)
-        assert _answers(columns.patterns) == _answers(objects.patterns)
-        assert columns.stats == objects.stats
+        sampled = search_linear_topk(g, idx, q, UNREACHED)
+        assert sampled.stats == search_linear_topk(g, idx, q).stats
+        assert sampled.stats["roots_expanded"] == sampled.stats["candidate_roots"]
+        assert all(t["rate"] == 1.0 for t in sampled.stats["types"])
 
     @pytest.mark.parametrize("z2", [-1.0, -0.5])
     def test_zero_factor_with_negative_exponent(self, z2):
@@ -474,12 +502,16 @@ class TestExactTopkOnColumns:
         g = graph_from_text("\n".join(entities + edges) + "\n")
         idx = build_index(g, compute_pagerank(g), 2)
         q = Query(("alpha", "beta"), k=5)
-        whole = search_linear_topk(g, idx, q)
-        assert [sp.subtree_count for sp in whole.patterns] == [2880, 240]
+        assert [sp.subtree_count for sp in search_linear_topk(g, idx, q).patterns] == [2880, 240]
+        # Sampling every type: the sample's join and the winners' exact one.
+        sampling = SamplingConfig(threshold=0, rate=0.5, seed=3)
+        whole = index_engines(g, idx, q, sampling=sampling)
         monkeypatch.setattr(search, "CHUNK_ROWS", 7)
-        chunked = search_linear_topk(g, idx, q)
-        assert _answers(chunked.patterns) == _answers(whole.patterns)
-        assert chunked.stats == whole.stats
+        chunked = index_engines(g, idx, q, sampling=sampling)
+        assert [name for name, _, _ in chunked] == ["linear-topk", "pattern-enum", "linear", "sampled"]
+        for (name, patterns, stats), (_, whole_patterns, whole_stats) in zip(chunked, whole):
+            assert _answers(patterns) == _answers(whole_patterns), name
+            assert stats == whole_stats, name
 
     def test_answers_hold_python_numbers(self, sample_graph, sample_index_pr, sample_query):
         # numpy 2 reprs its scalars as np.float64(...), which would change every
@@ -495,17 +527,18 @@ class TestExactTopkOnColumns:
                     assert {type(x) for x in p.nodes + p.attrs + p.pattern} == {int}
         assert "np." not in repr(result)
 
-    def test_no_word_is_decoded(self, monkeypatch, sample_graph, sample_index_pr, sample_query):
-        loaded = deserialize(serialize(sample_index_pr))
-        expected = search_linear_topk(sample_graph, sample_index_pr, sample_query)
-
-        def refuse(wi, name):
-            raise AssertionError(f"a word was decoded for {name!r}")
-
-        monkeypatch.setattr(_WordIndex, "__getattr__", refuse)
-        result = search_linear_topk(sample_graph, loaded, sample_query)
-        assert result.patterns and _answers(result.patterns) == _answers(expected.patterns)
-        assert result.stats == expected.stats
+    @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+    def test_queries_leave_the_index_as_built(self, sample_graph, sample_query, loaded):
+        idx = build_index(sample_graph, compute_pagerank(sample_graph), 3)
+        if loaded:
+            idx = deserialize(serialize(idx))
+        before, words = dict(vars(idx)), dict(idx.words)
+        index_engines(sample_graph, idx, sample_query, sampling=SamplingConfig(0, 0.5, 1))
+        for word in sample_query.keywords:
+            idx.paths(word), idx.patterns(word), idx.roots(word)
+        # The index holds its columns and, per word, the range of its records: nothing is cached.
+        assert vars(idx).keys() == before.keys() and all(vars(idx)[key] is value for key, value in before.items())
+        assert idx.words == words and all(type(span) is range for span in words.values())
 
     @pytest.mark.parametrize("exponent", [-1.0, -0.7, 2.5])
     def test_powers_are_math_pow(self, exponent):
