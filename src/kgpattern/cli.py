@@ -15,13 +15,13 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from . import patterns as pat
-from .errors import IndexFormatError, KgPatternError, ParameterError
+from .errors import IndexCorruptError, IndexFormatError, KgPatternError, ParameterError
 from .generator import GenConfig, generate_graph
 from .graph import load_graph, tokenize
 from .indexio import read_index, write_index
 from .oracle import count_patterns_exhaustive, enumerate_patterns_exhaustive
 from .pagerank import compute_pagerank
-from .pathindex import build_index
+from .pathindex import build_index, mismatched_records
 from .scoring import DEFAULT_CONFIG, ScoringConfig
 from .search import Query, SamplingConfig
 from .tables import render_table
@@ -205,6 +205,9 @@ def _load_graph_and_index(args):
             f"index {args.index} was not built from graph {args.graph}: the graph's entity types, "
             f"texts or edges differ from those the index was built from"
         )
+    if len(bad := mismatched_records(idx.columns, graph)):
+        raise IndexCorruptError(f"index {args.index} is corrupt: the patterns of {len(bad)} records "
+                                f"(the first is record {bad[0]}) disagree with their paths in graph {args.graph}")
     return graph, idx
 
 

@@ -16,13 +16,13 @@ the matched node or of the matched edge's source, Jaccard similarity), so
 query-time scoring is pure arithmetic.
 
 The index holds its records once, as the columns of its KGPX file plus the
-columns those determine (`IndexColumns`, `index_columns`); each word's
-records are one slice of them (`idx.words[w]`, a range of column rows),
-sorted pattern-first (pattern length-lexicographically, then nodes, whose
-first is the root, then attrs), so a (pattern, root) is one run of a word's
-slice. `build_index` fills the columns and `indexio.deserialize` hands the
-file's columns to the same constructor. Nothing is decoded, laid out or
-cached beside them: the engines join on the columns (see `search`), and the
+columns those determine (`IndexColumns`, `index_columns`); each word's records
+are one slice of them (`idx.words[w]`, a range of rows), sorted pattern-first
+(pattern length-lexicographically, then nodes, whose first is the root, then
+attrs), so a (pattern, root) is one run of a word's slice. `build_index` fills
+them straight from its level-by-level path search, and `indexio.deserialize`
+hands the file's columns to the same constructor. Nothing is decoded, laid out
+or cached beside them: the engines join on the columns (see `search`), and the
 access methods read a word's slice directly, finding a pattern's run by a
 binary search of its sorted pattern ids and a root's records by a mask;
 `decode_records` makes `IndexedPath` objects of just the records asked for.
@@ -49,8 +49,8 @@ from .pagerank import PageRankVector
 
 logger = logging.getLogger(__name__)
 
-# `iter_root_paths` recurses once per node, so a much longer path would
-# overflow Python's stack (a 1,200-node chain raises RecursionError).
+# No path is indexed that the baseline engine could not walk: `iter_root_paths`
+# recurses once per node, and a 1,200-node chain overflows Python's stack.
 MAX_PATH_NODES = 255
 # The dtypes of the stored fixed-width record columns pattern_id and sim.
 RECORD_DTYPES = ("<u4", "<f8")
@@ -159,10 +159,8 @@ def iter_root_paths(
     graph: KnowledgeGraph, pr_scores, depth: int, root: int
 ) -> Iterator[PathHit]:
     """Enumerate every simple path from `root` (at most `depth` nodes) that
-    ends at a word-bearing node or edge, yielding its matches.
-
-    Shared by index construction and by the index-free baseline engine.
-    """
+    ends at a word-bearing node or edge, yielding its matches: the index-free
+    baseline engine's search (`build_index` finds the same paths level by level)."""
     nodes = [root]
     attrs: list[int] = []
     on_path = {root}
@@ -281,40 +279,89 @@ class PathIndex:
         return c.nodes[parent + 1].tolist(), c.nodes[parent].tolist(), attr.tolist(), offsets.tolist()
 
 
+def pattern_rows(entity_type: np.ndarray, nodes: np.ndarray, attrs: np.ndarray) -> np.ndarray:
+    """The (type, attr, type, ...) row of each path of `nodes` and `attrs`
+    rows: a node match's pattern, or without its last type an edge match's."""
+    rows = np.empty((len(nodes), 2 * nodes.shape[1] - 1), np.int64)
+    rows[:, 0::2], rows[:, 1::2] = entity_type[nodes], attrs
+    return rows
+
+
+def mismatched_records(c: IndexColumns, graph: KnowledgeGraph) -> np.ndarray:
+    """The ids of the records whose pattern is not the `pattern_rows` row of their path in `graph`."""
+    lengths, entity_type = np.array([len(p) for p in c.patterns], np.int64), np.array(graph.entity_type, np.int64)
+    bad = [np.arange(0)]
+    for size in set(lengths.tolist()):
+        first, stop = np.searchsorted(lengths, (size, size + 1)).tolist()  # the patterns are in canonical order
+        ids = np.flatnonzero(lengths[c.pattern_id] == size)
+        at = c.node_off[ids, None] + np.arange(size // 2 + 1)
+        rows = pattern_rows(entity_type, c.nodes[at], c.attrs[at[:, :-1] - ids[:, None]])
+        bad.append(ids[(rows[:, :size] != np.array(c.patterns[first:stop])[c.pattern_id[ids] - first]).any(1)])
+    return np.sort(np.concatenate(bad))
+
+
+def _ranges(off: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions off[i]:off[i + 1] of every i in `items`, concatenated, and the index into `items` each came from."""
+    size = off[items + 1] - off[items]
+    owner = np.repeat(np.arange(len(items)), size)
+    return owner, np.arange(len(owner)) + np.repeat(off[items] + size - np.cumsum(size), size)
+
+
+def _csr(lists: list, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+    """The offsets of per-item lists of pairs, and all their pairs as the rows of one array."""
+    pairs = np.array(list(chain.from_iterable(lists)), dtype).reshape(-1, 2)
+    return np.fromiter(accumulate(map(len, lists), initial=0), np.int64, len(lists) + 1), pairs
+
+
 def build_index(graph: KnowledgeGraph, pagerank: PageRankVector, depth: int) -> PathIndex:
-    """Materialize the index columns for all paths of at most `depth` nodes."""
+    """Materialize the index columns for all paths of at most `depth` nodes,
+    enumerated level by level on arrays: level L holds each simple path of L
+    nodes from a non-literal root as a row. As in `iter_root_paths`, a path
+    matches each word of its last node, and its extension by an edge to a node
+    not on it matches each word of the edge's attribute and is on level L + 1."""
     if depth < 1:
         raise ParameterError(f"depth must be >= 1, got {depth}")
-    hits = []
-    cost_proxy = 0
-    for root in range(graph.n_entities):
-        if graph.entity_type[root] == TEXT_TYPE_ID:
-            continue
-        for hit in iter_root_paths(graph, pagerank.scores, depth, root):
-            if len(hit.nodes) > MAX_PATH_NODES:
-                raise ParameterError(
-                    f"a path of {len(hit.nodes)} nodes exceeds the index's limit of {MAX_PATH_NODES} "
-                    f"nodes per path; build with a smaller --d"
-                )
-            cost_proxy += len(hit.nodes) * len(hit.matches)
-            hits.append(hit)
-    # No two paths share (pattern, nodes, attrs): sorted once, they give every word its record order.
-    hits.sort(key=lambda hit: (pat.sort_key(hit.pattern), hit.nodes, hit.attrs))
-    patterns = list(dict.fromkeys(hit.pattern for hit in hits))
-    pattern_ids = {p: i for i, p in enumerate(patterns)}
-    per_word: dict[str, list[tuple]] = {}
-    for hit in hits:
-        pattern_id = pattern_ids[hit.pattern]
-        for word, sim in hit.matches:
-            per_word.setdefault(word, []).append((pattern_id, sim, hit.nodes, hit.attrs))
-    vocab = sorted(per_word)
-    *fields, nodes, attrs = zip(*(rec for word in vocab for rec in per_word[word])) if vocab else [()] * 4
-    fields = [np.array(column, dtype) for column, dtype in zip(fields, RECORD_DTYPES)]
-    counts = np.array([len(per_word[word]) for word in vocab], dtype="<u8")
-    flat = [np.fromiter(chain.from_iterable(column), "<u4") for column in (nodes, attrs)]
-    lengths = np.array([len(p) for p in patterns], dtype=np.int64)
-    columns = index_columns((patterns, vocab, counts, *fields, *flat), lengths, pagerank.scores)
+    words = sorted(set().union(*graph.entity_token_set, *graph.type_token_set, *graph.attr_token_set))
+    word_id = {w: i for i, w in enumerate(words)}
+    entity_matches = _csr([
+        [(word_id[w], max(jaccard_similarity(w, text), jaccard_similarity(w, kind))) for w in sorted(text | kind)]
+        for text, kind in zip(graph.entity_token_set, map(graph.type_token_set.__getitem__, graph.entity_type))
+    ])
+    attr_matches = _csr([[(word_id[w], jaccard_similarity(w, s)) for w in sorted(s)] for s in graph.attr_token_set])
+    entity_type = np.array(graph.entity_type, np.int64)
+    adj_off, edges = _csr(graph.adjacency, np.int64)  # edges: (attr, target) rows
+    paths = np.flatnonzero(entity_type != TEXT_TYPE_ID)[:, None]  # a row per path: node, attr, node, ...
+    groups = [(paths, False)]  # the paths of pattern length 1, 2, 3, ...
+    while len(paths) and paths.shape[1] < 2 * depth - 1:
+        parent, edge = _ranges(adj_off, paths[:, -1])
+        keep = (paths[parent, ::2] != edges[edge, 1:]).all(1)  # no target already on the path
+        if paths.shape[1] == 2 * MAX_PATH_NODES - 1 and keep.any():
+            raise ParameterError(f"a path of {MAX_PATH_NODES + 1} nodes exceeds the index's limit of "
+                                 f"{MAX_PATH_NODES} nodes per path; build with a smaller --d")
+        paths = np.column_stack((paths[parent[keep]], edges[edge[keep]]))
+        groups += [(paths, True), (paths, False)]
+    patterns, parts = [], []  # parts: per group, each record's word id, pattern id, sim and path padded with -1
+    for paths, edge_match in groups:
+        off, matches = attr_matches if edge_match else entity_matches  # rows: (word id, sim)
+        paths = paths[np.diff(off)[paths[:, -1 - edge_match]] > 0]  # the paths with a match
+        rows = pattern_rows(entity_type, paths[:, ::2], paths[:, 1::2])[:, : paths.shape[1] - edge_match]
+        # Pattern-first: by pattern row, then by nodes (the pattern fixes the attrs).
+        order = np.lexsort(np.hstack((rows, paths[:, ::2])).T[::-1])
+        paths, rows = paths[order], rows[order]
+        new = (np.diff(rows, axis=0, prepend=-1) != 0).any(1)  # the first row of each pattern
+        pattern_id = len(patterns) + np.cumsum(new) - 1
+        patterns += map(tuple, rows[new].tolist())
+        owner, at = _ranges(off, paths[:, -1 - edge_match])
+        padded = np.pad(paths[owner], ((0, 0), (0, groups[-1][0].shape[1] - paths.shape[1])), constant_values=-1)
+        parts.append((matches[at, 0].astype(np.int64), pattern_id[owner], matches[at, 1], padded))
+    word, pattern_id, sim, paths = map(np.concatenate, zip(*parts))
+    order = np.argsort(word, kind="stable")  # each word's records stay in the groups' pattern-first order
+    vocab, counts = np.unique(word, return_counts=True)
+    nodes, attrs = paths[order, ::2], paths[order, 1::2]
+    stored = patterns, [words[i] for i in vocab.tolist()], counts.astype("<u8"), pattern_id[order].astype("<u4")
+    stored += sim[order], nodes[nodes >= 0].astype("<u4"), attrs[attrs >= 0].astype("<u4")
+    columns = index_columns(stored, np.array([len(p) for p in patterns], np.int64), pagerank.scores)
     names = list(graph.type_names), list(graph.attr_names)
-    idx = PathIndex(depth, pagerank, graph.n_entities, *names, columns, cost_proxy, graph.fingerprint())
+    idx = PathIndex(depth, pagerank, graph.n_entities, *names, columns, len(columns.nodes), graph.fingerprint())
     logger.debug("built index: depth=%d, %d words, %d entries", depth, len(idx.words), idx.stats.entry_count)
     return idx

@@ -22,10 +22,6 @@ def is_edge_ending(pattern: PathPattern) -> bool:
     return len(pattern) % 2 == 0
 
 
-def root_type(pattern: PathPattern) -> int:
-    return pattern[0]
-
-
 def node_count(pattern: PathPattern) -> int:
     """Number of graph nodes a path with this pattern covers.
 
@@ -45,19 +41,10 @@ def tree_sort_key(tree_pattern: TreePattern):
 
 def path_pattern_of(graph, nodes, attrs, edge_match: bool) -> PathPattern:
     """Reconstruct the pattern of a concrete path from the graph's types."""
-    if edge_match:
-        node_part, attr_tail = nodes[:-1], attrs[-1]
-        seq = [graph.entity_type[node_part[0]]]
-        for a, v in zip(attrs[:-1], node_part[1:]):
-            seq.append(a)
-            seq.append(graph.entity_type[v])
-        seq.append(attr_tail)
-    else:
-        seq = [graph.entity_type[nodes[0]]]
-        for a, v in zip(attrs, nodes[1:]):
-            seq.append(a)
-            seq.append(graph.entity_type[v])
-    return tuple(seq)
+    seq = [graph.entity_type[nodes[0]]]
+    for a, v in zip(attrs, nodes[1:]):
+        seq += a, graph.entity_type[v]
+    return tuple(seq[:-1] if edge_match else seq)
 
 
 def pattern_names(graph, pattern: PathPattern) -> str:

@@ -1,6 +1,8 @@
 import io
 import random
+from itertools import chain
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -16,6 +18,8 @@ from kgpattern import (
 )
 from kgpattern import patterns as pat
 from kgpattern.fixtures import load_sample_graph
+from kgpattern.graph import TEXT_TYPE_ID
+from kgpattern.pathindex import RECORD_DTYPES, index_columns, iter_root_paths
 
 # The same examples on every run: derandomized, and no example database to
 # replay earlier failures from. Each test's own max_examples still applies.
@@ -43,6 +47,36 @@ def with_columns(idx, **changes):
         idx.stats.cost_proxy,
         idx.fingerprint,
     )
+
+
+def reference_build(graph, pagerank, depth):
+    """`build_index` one path at a time: the records of the DFS
+    `iter_root_paths`, sorted pattern-first, per word in vocabulary order."""
+    hits = []
+    cost_proxy = 0
+    for root in range(graph.n_entities):
+        if graph.entity_type[root] == TEXT_TYPE_ID:
+            continue
+        for hit in iter_root_paths(graph, pagerank.scores, depth, root):
+            cost_proxy += len(hit.nodes) * len(hit.matches)
+            hits.append(hit)
+    # No two paths share (pattern, nodes, attrs): sorted once, they give every word its record order.
+    hits.sort(key=lambda hit: (pat.sort_key(hit.pattern), hit.nodes, hit.attrs))
+    patterns = list(dict.fromkeys(hit.pattern for hit in hits))
+    pattern_ids = {p: i for i, p in enumerate(patterns)}
+    per_word = {}
+    for hit in hits:
+        for word, sim in hit.matches:
+            per_word.setdefault(word, []).append((pattern_ids[hit.pattern], sim, hit.nodes, hit.attrs))
+    vocab = sorted(per_word)
+    *fields, nodes, attrs = zip(*(rec for word in vocab for rec in per_word[word])) if vocab else [()] * 4
+    fields = [np.array(column, dtype) for column, dtype in zip(fields, RECORD_DTYPES)]
+    counts = np.array([len(per_word[word]) for word in vocab], dtype="<u8")
+    flat = [np.fromiter(chain.from_iterable(column), "<u4") for column in (nodes, attrs)]
+    lengths = np.array([len(p) for p in patterns], dtype=np.int64)
+    columns = index_columns((patterns, vocab, counts, *fields, *flat), lengths, pagerank.scores)
+    names = list(graph.type_names), list(graph.attr_names)
+    return PathIndex(depth, pagerank, graph.n_entities, *names, columns, cost_proxy, graph.fingerprint())
 
 
 def tree_height(tree_pattern):

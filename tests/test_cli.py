@@ -4,10 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kgpattern.cli import main
 from kgpattern.fixtures import sample_graph_path
+from kgpattern.indexio import read_index, write_index
+
+from conftest import with_columns
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -374,8 +378,36 @@ class TestExitCodes:
         assert main(["build", "--graph", str(graph), "--index", str(index), "--d", "3"]) == 0
         assert main(["query", "--graph", str(graph), "--index", str(index), "--q", "w0 w1"]) == 0
 
+    def test_index_whose_pattern_ids_disagree_with_its_paths_is_data_error(self, sample_ws, tmp_path, capsys):
+        # One record's pattern id moves to another pattern of the same length,
+        # so the file passes every check `read_index` makes: the last record
+        # of a word, moved to a later pattern, keeps its word's records sorted.
+        idx = read_index(sample_ws["index"])
+        c = idx.columns
+        lengths = np.array([len(p) for p in c.patterns])
+        for record in (np.cumsum(c.counts) - 1).tolist():
+            old = c.pattern_id[record]
+            later = np.flatnonzero((lengths == lengths[old]) & (np.arange(len(lengths)) > old))
+            if len(later):
+                break
+        pattern_id = c.pattern_id.copy()
+        pattern_id[record] = later[0]
+        corrupt = tmp_path / "corrupt.kgpx"
+        write_index(with_columns(idx, pattern_id=pattern_id), corrupt)
+        read_index(corrupt)
+        capsys.readouterr()
+        args = ["query", "--graph", str(sample_graph_path()), "--index", str(corrupt), "--q", "database"]
+        assert main(args) == 2
+        assert f"is corrupt: the patterns of 1 records (the first is record {record})" in capsys.readouterr().err
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    def test_runs_as_a_module(self):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        res = subprocess.run([sys.executable, "-m", "kgpattern", "--help"], env=env, capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("usage: kgpattern")
 
 
 class TestByteDeterminism:

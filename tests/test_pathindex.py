@@ -1,14 +1,16 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kgpattern import ParameterError, build_index, compute_pagerank, uniform_pagerank
-from kgpattern import kernels
+from kgpattern import GenConfig, ParameterError, build_index, compute_pagerank, generate_graph, uniform_pagerank
+from kgpattern import kernels, pathindex
 from kgpattern import patterns as pat
 from kgpattern.graph import jaccard_similarity
 from kgpattern.indexio import deserialize, serialize
 from kgpattern.oracle import _paths_reaching
 from kgpattern.pathindex import IndexedPath, iter_root_paths
 
-from conftest import graph_from_text, random_instance
+from conftest import graph_from_text, random_instance, reference_build
 
 
 def names(graph, pattern_list):
@@ -279,3 +281,65 @@ class TestLeafBlocks:
             assert got
             got.clear()
         assert [idx.paths(word, **sel) for sel in selectors] == before
+
+
+def assert_builds_agree(graph, depth):
+    """`build_index` writes the same file, cost proxy and word sizes as the
+    one-path-at-a-time reference build; returns its index."""
+    pagerank = compute_pagerank(graph)
+    built, reference = build_index(graph, pagerank, depth), reference_build(graph, pagerank, depth)
+    assert serialize(built) == serialize(reference)
+    assert built.stats.cost_proxy == reference.stats.cost_proxy
+    assert built.stats.word_sizes == reference.stats.word_sizes
+    return built
+
+
+class TestArrayBuild:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entities=st.integers(1, 30),
+        types=st.integers(1, 5),
+        attr_types=st.integers(1, 5),
+        avg_out_degree=st.floats(0.3, 3.0),
+        vocab=st.integers(1, 10),
+        literal_fraction=st.sampled_from([0.0, 0.2, 0.6]),
+        seed=st.integers(0, 2**16),
+        depth=st.integers(1, 4),
+    )
+    def test_equals_the_reference_build(
+        self, entities, types, attr_types, avg_out_degree, vocab, literal_fraction, seed, depth
+    ):
+        cfg = GenConfig(entities, types, attr_types, avg_out_degree, vocab, 2, literal_fraction, seed)
+        assert_builds_agree(graph_from_text(generate_graph(cfg)), depth)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "E a ___ ___\nE b ___ _\nA a ___ @b\nA b ___ \"__\"\n",
+            "E a T x\nA a r @a\nA a s @a\n",
+            "E a T x\nE b T y\nE c T z\nA a r @b\nA a r @c\nA b r @c\n",
+            'E a T x\nA a r "alpha beta"\nA a s "gamma"\nA a s "alpha"\n',
+            "E a T x\nE b U y\nA a r @b\nA b r @a\n",
+        ],
+        ids=["empty", "no-word", "self-loop", "same-source-and-attr", "literal-terminals", "two-cycle"],
+    )
+    def test_small_graphs_equal_the_reference_build(self, text, depth):
+        idx = assert_builds_agree(graph_from_text(text), depth)
+        assert (idx.stats.entry_count == 0) == (text.startswith("E a ___") or not text)
+
+    def test_depth_past_the_longest_path(self):
+        g = graph_from_text("E a T x\nE b T y\nE c T z\nA a r @b\nA b r @c\n")
+        shallow, deep = assert_builds_agree(g, 3), assert_builds_agree(g, 7)
+        shallow.depth = deep.depth
+        assert serialize(shallow) == serialize(deep)
+
+    def test_builds_no_path_object(self, sample_graph, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("build_index enumerated paths one at a time")
+
+        expected = serialize(build_index(sample_graph, uniform_pagerank(sample_graph), 3))
+        monkeypatch.setattr(pathindex, "iter_root_paths", fail)
+        monkeypatch.setattr(pathindex, "PathHit", fail)
+        assert serialize(build_index(sample_graph, uniform_pagerank(sample_graph), 3)) == expected
