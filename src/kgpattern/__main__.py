@@ -1,3 +1,3 @@
-from .cli import run
-
-run()
+if __name__ == "__main__":
+    from .cli import run
+    run()
