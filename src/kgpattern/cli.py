@@ -2,8 +2,8 @@
 
 Subcommands: gen, build, query, bench, sweep, oracle, dump-index. Exit codes:
 0 success, 1 usage error (bad flags, unknown engine), 2 data error
-(unreadable, non-UTF-8 or malformed inputs, or an index built from another
-graph). Engine names come from ``bench.ENGINES``.
+(unreadable, non-UTF-8 or malformed inputs, an index built from another
+graph, or a score past the float range). Engine names come from ``bench.ENGINES``.
 """
 from __future__ import annotations
 

@@ -32,7 +32,7 @@ class IndexCorruptError(KgPatternError):
 
 
 class ScoreDomainError(KgPatternError):
-    """A score factor hit zero with a negative exponent."""
+    """A score factor hit zero with a negative exponent, or a score is not finite."""
 
 
 class ParameterError(KgPatternError):

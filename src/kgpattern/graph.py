@@ -71,8 +71,8 @@ class KnowledgeGraph:
 
     Entities, types and attributes each live in their own id namespace,
     contiguous from 0. Type id 0 is always the reserved TEXT type. Adjacency
-    lists are sorted by (attribute id, target id); multiple edges with the
-    same (source, attribute) and different targets are allowed.
+    lists hold each edge once, sorted by (attribute id, target id); multiple
+    edges with the same (source, attribute) and different targets are allowed.
     """
 
     entity_type: list[int] = field(default_factory=list)
@@ -84,7 +84,6 @@ class KnowledgeGraph:
     attr_names: list[str] = field(default_factory=list)
     attr_token_set: list[frozenset[str]] = field(default_factory=list)
     adjacency: list[list[tuple[int, int]]] = field(default_factory=list)
-    edges: list[tuple[int, int, int]] = field(default_factory=list)
     key_to_id: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -99,11 +98,16 @@ class KnowledgeGraph:
     def n_attrs(self) -> int:
         return len(self.attr_names)
 
+    @property
+    def edges(self) -> list[tuple[int, int, int]]:
+        """Every (source, attr, target) edge, in adjacency order: a new list read from `adjacency`."""
+        return [(s, a, t) for s, out in enumerate(self.adjacency) for a, t in out]
+
     def fingerprint(self) -> bytes:
         """SHA-256 of the entity types, the entity texts and the edges (in
         adjacency order): with the name tables, all an index depends on."""
         texts = [t.encode("utf-8") for t in self.entity_text]
-        edges = [(s, a, t) for s, out in enumerate(self.adjacency) for a, t in out]
+        edges = self.edges
         digest = hashlib.sha256(struct.pack("<QQ", len(texts), len(edges)))
         digest.update(struct.pack(f"<{len(texts)}I", *self.entity_type))
         digest.update(struct.pack(f"<{len(texts)}Q", *map(len, texts)))
@@ -170,19 +174,11 @@ class _Builder:
         else:  # ("literal", text): materialize a dummy TEXT entity
             tid = self._new_entity(TEXT_TYPE_ID, target[1])
         self.g.adjacency[source].append((aid, tid))
-        self.g.edges.append((source, aid, tid))
 
     def finish(self):
         # Edges are a set of (source, attr, target) facts: drop re-declarations.
         for i, lst in enumerate(self.g.adjacency):
             self.g.adjacency[i] = sorted(set(lst))
-        seen = set()
-        unique_edges = []
-        for edge in self.g.edges:
-            if edge not in seen:
-                seen.add(edge)
-                unique_edges.append(edge)
-        self.g.edges = unique_edges
         return self.g
 
 

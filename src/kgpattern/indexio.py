@@ -3,7 +3,6 @@
 Little-endian throughout. Layout::
 
     magic "KGPX" | version u32 | depth u32
-    n_entities u32 | n_types u32 | n_attrs u32
     damping f64 | tolerance f64
     graph fingerprint: 32 bytes, `KnowledgeGraph.fingerprint` of the graph
                        the index was built from
@@ -19,36 +18,38 @@ Little-endian throughout. Layout::
     order, each word's sorted pattern-first:
         pattern_id u32 | sim f64
     nodes u32 * sum(n_nodes) | attrs u32 * sum(n_nodes - 1)
-    stats: entry_count u64 | cost_proxy u64
     crc u32: zlib.crc32 of every byte before it
 
 A string table is a u32 count followed by (u32 byte length, UTF-8 bytes) per
-entry. The file stores each fact once, and a record stores only its pattern
-id, its similarity term, its nodes and its attributes. Its node count
+entry. The file stores each fact once. The entity count is the PageRank
+vector's length, the type and attribute counts are the name tables' lengths,
+and the index's stats (`IndexStats`) follow from the records: its entry count
+is theirs and its cost proxy is their node total. A record stores only its
+pattern id, its similarity term, its nodes and its attributes. Its node count
 `n_nodes` (`len(pattern) // 2 + 1`), its root (its first node) and its
 PageRank term (the stored score of its last node, or of the edge's source on
 an edge match, whose pattern has even length) are derived at load by
-`pathindex.index_columns`, as `build_index` derives them. The pattern table,
-vocabulary and stored columns are `PathIndex.columns`: `serialize` writes each
-with `ndarray.tobytes`, and `deserialize` passes the `np.frombuffer` views it
-reads to the `PathIndex` constructor.
+`pathindex.index_columns`, as `build_index` derives them. The pattern table
+with its lengths, the vocabulary and the stored columns are
+`PathIndex.columns`: `serialize` writes each array with `ndarray.tobytes`,
+and `deserialize` passes the `np.frombuffer` views it reads to the
+`PathIndex` constructor.
 
 Reading checks the magic, then the version, then the CRC, before it decodes
 anything else. Bad magic or version raises IndexFormatError. Every other
 check also runs before `deserialize` returns, on whole arrays, and raises
 IndexCorruptError: a CRC mismatch (any single-bit flip after the version
-field, or a truncated file), a short read, bytes left over after the stats,
-an entry count that disagrees with the records, a name table whose length
-disagrees with its header count, a PageRank vector that is not n_entities
-scores, each finite and positive, an empty pattern, an id out of range (a
-pattern type id >= n_types, a pattern attribute id >= n_attrs, a pattern id
-past the pattern table, a node id >= n_entities, an attribute id >=
-n_attrs), a record's `sim` term that is not finite and positive, a pattern
+field, or a truncated file), a depth below 1, a short read, bytes left over
+after the records, a PageRank score that is not finite and positive, an
+empty pattern, an id out of range (a pattern type id >= n_types, a pattern
+attribute id >= n_attrs, a pattern id past the pattern table, a node id >=
+n_entities, an attribute id >= n_attrs), a record's `sim` term that is not
+finite and positive, a record with more nodes than the depth, a pattern
 table that is not strictly increasing in canonical order, or a word whose
-records' (pattern_id, root) ever decrease. Each derived column is
-computed only after the ids it indexes with are checked. The last two checks
-make the file's order the in-memory order: each (word, pattern, root) is
-one contiguous run of records, taken in stored order.
+records' (pattern_id, root) ever decrease. Each derived column is computed
+only after the ids it indexes with are checked. The last two checks make
+the file's order the in-memory order: each (word, pattern, root) is one
+contiguous run of records, taken in stored order.
 """
 from __future__ import annotations
 
@@ -67,7 +68,7 @@ from .pagerank import PageRankVector
 from .pathindex import RECORD_DTYPES, PathIndex, index_columns, node_offsets
 
 MAGIC = b"KGPX"
-VERSION = 7
+VERSION = 8
 FINGERPRINT_BYTES = 32
 
 
@@ -115,7 +116,6 @@ def serialize(idx: PathIndex) -> bytes:
     w = _Writer()
     w.write(MAGIC)
     w.pack("II", VERSION, idx.depth)
-    w.pack("III", idx.n_entities, idx.n_types, idx.n_attrs)
     w.pack("dd", idx.pagerank.damping, idx.pagerank.tolerance)
     w.write(idx.fingerprint)
     w.string_table(idx.type_names)
@@ -127,13 +127,11 @@ def serialize(idx: PathIndex) -> bytes:
 
     c = idx.columns
     w.pack("I", len(c.patterns))
-    w.write(np.array([len(p) for p in c.patterns], "<u2").tobytes())
+    w.write(c.lengths.tobytes())
     w.write(np.fromiter(chain.from_iterable(c.patterns), "<u4").tobytes())
     w.string_table(c.vocab)
     for column in (c.counts, c.pattern_id, c.sim, c.nodes, c.attrs):
         w.write(column.tobytes())
-
-    w.pack("QQ", idx.stats.entry_count, idx.stats.cost_proxy)
     body = w.getvalue()
     return body + struct.pack("<I", zlib.crc32(body))
 
@@ -165,21 +163,16 @@ def _deserialize(data: bytes) -> PathIndex:
         raise IndexCorruptError("checksum mismatch: the index file is corrupt or truncated")
     r.data = body  # decode only the bytes the CRC covers
     (depth,) = r.unpack("I")
-    n_entities, n_types, n_attrs = r.unpack("III")
+    if depth < 1:
+        raise IndexCorruptError(f"index depth {depth} is below 1")
     damping, tolerance = r.unpack("dd")
     fingerprint = r.take(FINGERPRINT_BYTES)
     type_names = r.string_table()
     attr_names = r.string_table()
-    if (len(type_names), len(attr_names)) != (n_types, n_attrs):
-        raise IndexCorruptError(
-            f"name tables hold {len(type_names)} types and {len(attr_names)} attributes, "
-            f"header says {n_types} and {n_attrs}"
-        )
+    n_types, n_attrs = len(type_names), len(attr_names)
 
-    (n_scores,) = r.unpack("I")
-    scores = r.array("<f8", n_scores).astype(np.float64)
-    if n_scores != n_entities:
-        raise IndexCorruptError(f"{n_scores} PageRank scores for {n_entities} entities")
+    (n_entities,) = r.unpack("I")
+    scores = r.array("<f8", n_entities).astype(np.float64)
     _require(np.isfinite(scores) & (scores > 0), "a PageRank score is not finite and positive")
     pagerank = PageRankVector(scores, damping, tolerance)
 
@@ -205,23 +198,17 @@ def _deserialize(data: bytes) -> PathIndex:
     n_nodes = int(node_offsets(lengths, pid)[-1])
     nodes = r.array("<u4", n_nodes)
     attrs = r.array("<u4", n_nodes - n)
+    if r.pos != len(body):
+        raise IndexCorruptError(f"{len(body) - r.pos} unexpected bytes after the records")
     _require(nodes < n_entities, "a record references an unknown entity id")
     _require(attrs < n_attrs, "a record references an unknown attribute id")
     _require(np.isfinite(sim) & (sim > 0), "a record's sim term is not finite and positive")
-    columns = index_columns((all_patterns, vocab, counts, pid, sim, nodes, attrs), lengths, scores)
+    columns = index_columns((all_patterns, lengths, vocab, counts, pid, sim, nodes, attrs), scores)
+    _require(np.diff(columns.node_off) <= depth, f"a record has more nodes than the index depth {depth}")
     run_key = pid.astype(np.uint64) << 32 | columns.root
     new_word = np.isin(np.arange(1, n), np.cumsum(counts))
     _require(new_word | (run_key[1:] >= run_key[:-1]), "a word's records are not sorted by pattern id, then root")
-
-    stored_entries, cost_proxy = r.unpack("QQ")
-    if r.pos != len(body):
-        raise IndexCorruptError(f"{len(body) - r.pos} unexpected bytes after the stats")
-    idx = PathIndex(depth, pagerank, n_entities, type_names, attr_names, columns, cost_proxy, bytes(fingerprint))
-    if stored_entries != idx.stats.entry_count:
-        raise IndexCorruptError(
-            f"entry count mismatch: header says {stored_entries}, records say {idx.stats.entry_count}"
-        )
-    return idx
+    return PathIndex(depth, pagerank, type_names, attr_names, columns, bytes(fingerprint))
 
 
 def write_index(idx: PathIndex, path: Union[str, Path]) -> None:

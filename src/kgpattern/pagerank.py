@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -44,23 +45,14 @@ def compute_pagerank(
     if n == 0:
         return PageRankVector(np.zeros(0), damping, tolerance)
 
-    if graph.edges:
-        order = sorted(range(len(graph.edges)), key=lambda i: (graph.edges[i][2], graph.edges[i][0], graph.edges[i][1]))
-        src = np.array([graph.edges[i][0] for i in order], dtype=np.int64)
-        dst = np.array([graph.edges[i][2] for i in order], dtype=np.int64)
-    else:
-        src = np.zeros(0, dtype=np.int64)
-        dst = np.zeros(0, dtype=np.int64)
+    edges = np.fromiter(chain.from_iterable(graph.edges), np.int64).reshape(-1, 3)  # (source, attr, target) rows
+    src, _, dst = edges[np.lexsort(edges.T[[1, 0, 2]])].T  # in (target, source, attr) order
     out_degree = np.bincount(src, minlength=n).astype(np.float64)
 
     base = (1.0 - damping) / n
     pr = np.full(n, 1.0 / n)
     for _ in range(MAX_ITERATIONS):
-        if len(src):
-            contrib = np.bincount(dst, weights=pr[src] / out_degree[src], minlength=n)
-        else:
-            contrib = np.zeros(n)
-        nxt = base + damping * contrib
+        nxt = base + damping * np.bincount(dst, weights=pr[src] / out_degree[src], minlength=n)
         delta = np.max(np.abs(nxt - pr))
         pr = nxt
         if delta < tolerance:

@@ -91,18 +91,18 @@ class PathHit:
 @dataclass
 class IndexStats:
     entry_count: int
-    cost_proxy: int  # sum over enumerated paths of node_count * matched-word count
+    cost_proxy: int  # the records' nodes: over enumerated paths, node_count * matched-word count
     word_sizes: dict[str, int]
 
 
 # Every record of an index: first its stored KGPX columns, that is the pattern
-# table (in canonical order; a pattern's id is its position), the vocabulary
-# with each word's record count, one array per field of RECORD_DTYPES with one
-# entry per record (word by word, in vocabulary order), and all records' nodes
-# and attributes in two arrays; then the columns these determine
-# (`index_columns`): record j's nodes are nodes[node_off[j]:node_off[j + 1]]
-# and its attributes, one fewer, start at attrs[node_off[j] - j].
-IndexColumns = namedtuple("IndexColumns", "patterns vocab counts pattern_id sim nodes attrs node_off root pr")
+# table (in canonical order; a pattern's id is its position) and its `<u2`
+# pattern lengths, the vocabulary with each word's record count, one array per
+# field of RECORD_DTYPES with one entry per record (word by word, in vocabulary
+# order), and all records' nodes and attributes in two arrays; then the columns
+# these determine (`index_columns`): record j's nodes are nodes[node_off[j]:
+# node_off[j + 1]] and its attributes, one fewer, start at attrs[node_off[j] - j].
+IndexColumns = namedtuple("IndexColumns", "patterns lengths vocab counts pattern_id sim nodes attrs node_off root pr")
 
 
 def node_offsets(pattern_lengths: np.ndarray, pattern_id: np.ndarray) -> np.ndarray:
@@ -112,15 +112,15 @@ def node_offsets(pattern_lengths: np.ndarray, pattern_id: np.ndarray) -> np.ndar
     return np.concatenate(([0], np.cumsum(pattern_lengths[pattern_id] // 2 + 1, dtype=np.int64)))
 
 
-def index_columns(stored: tuple, pattern_lengths: np.ndarray, scores: np.ndarray) -> IndexColumns:
+def index_columns(stored: tuple, scores: np.ndarray) -> IndexColumns:
     """`stored`, the stored columns from `patterns` to `attrs`, with the columns
     they determine. A record's root is its first node, and its pr term is the
     PageRank score of its last node, or on an edge match (a pattern of even
     length) of the edge's source, the node before it. Every id in `stored`
     must be in range and no pattern empty."""
-    _, _, _, pattern_id, _, nodes, _ = stored
-    node_off = node_offsets(pattern_lengths, pattern_id)
-    edge_match = pattern_lengths[pattern_id] % 2 == 0
+    _, lengths, _, _, pattern_id, _, nodes, _ = stored
+    node_off = node_offsets(lengths, pattern_id)
+    edge_match = lengths[pattern_id] % 2 == 0
     pr = scores[nodes[node_off[1:] - 1 - edge_match]]
     return IndexColumns(*stored, node_off, nodes[node_off[:-1]], pr)
 
@@ -209,19 +209,17 @@ class PathIndex:
         self,
         depth: int,
         pagerank: PageRankVector,
-        n_entities: int,
         type_names: list[str],
         attr_names: list[str],
         columns: IndexColumns,
-        cost_proxy: int,
         fingerprint: bytes,
     ):
         """Index the records in `columns` (each word's sorted pattern-first)
-        for a graph with these entity count, name tables and fingerprint
-        (`KnowledgeGraph.fingerprint`)."""
+        for a graph with these name tables and fingerprint
+        (`KnowledgeGraph.fingerprint`), and one PageRank score per entity."""
         self.depth = depth
         self.pagerank = pagerank
-        self.n_entities = n_entities
+        self.n_entities = len(pagerank.scores)
         self.type_names = type_names
         self.attr_names = attr_names
         self.n_types = len(type_names)
@@ -232,7 +230,7 @@ class PathIndex:
         words = sorted(zip(columns.vocab, accumulate(counts, initial=0), counts))
         self.words: dict[str, range] = {w: range(start, start + size) for w, start, size in words}
         word_sizes = {w: len(span) for w, span in self.words.items()}
-        self.stats = IndexStats(sum(word_sizes.values()), cost_proxy, word_sizes)
+        self.stats = IndexStats(sum(counts), len(columns.nodes), word_sizes)
 
     # -- access methods ------------------------------------------------
 
@@ -289,11 +287,11 @@ def pattern_rows(entity_type: np.ndarray, nodes: np.ndarray, attrs: np.ndarray) 
 
 def mismatched_records(c: IndexColumns, graph: KnowledgeGraph) -> np.ndarray:
     """The ids of the records whose pattern is not the `pattern_rows` row of their path in `graph`."""
-    lengths, entity_type = np.array([len(p) for p in c.patterns], np.int64), np.array(graph.entity_type, np.int64)
+    entity_type = np.array(graph.entity_type, np.int64)
     bad = [np.arange(0)]
-    for size in set(lengths.tolist()):
-        first, stop = np.searchsorted(lengths, (size, size + 1)).tolist()  # the patterns are in canonical order
-        ids = np.flatnonzero(lengths[c.pattern_id] == size)
+    for size in set(c.lengths.tolist()):
+        first, stop = np.searchsorted(c.lengths, (size, size + 1)).tolist()  # the patterns are in canonical order
+        ids = np.flatnonzero(c.lengths[c.pattern_id] == size)
         at = c.node_off[ids, None] + np.arange(size // 2 + 1)
         rows = pattern_rows(entity_type, c.nodes[at], c.attrs[at[:, :-1] - ids[:, None]])
         bad.append(ids[(rows[:, :size] != np.array(c.patterns[first:stop])[c.pattern_id[ids] - first]).any(1)])
@@ -358,10 +356,10 @@ def build_index(graph: KnowledgeGraph, pagerank: PageRankVector, depth: int) -> 
     order = np.argsort(word, kind="stable")  # each word's records stay in the groups' pattern-first order
     vocab, counts = np.unique(word, return_counts=True)
     nodes, attrs = paths[order, ::2], paths[order, 1::2]
-    stored = patterns, [words[i] for i in vocab.tolist()], counts.astype("<u8"), pattern_id[order].astype("<u4")
-    stored += sim[order], nodes[nodes >= 0].astype("<u4"), attrs[attrs >= 0].astype("<u4")
-    columns = index_columns(stored, np.array([len(p) for p in patterns], np.int64), pagerank.scores)
-    names = list(graph.type_names), list(graph.attr_names)
-    idx = PathIndex(depth, pagerank, graph.n_entities, *names, columns, len(columns.nodes), graph.fingerprint())
+    stored = patterns, np.array([len(p) for p in patterns], "<u2"), [words[i] for i in vocab.tolist()]
+    stored += counts.astype("<u8"), pattern_id[order].astype("<u4"), sim[order]
+    stored += nodes[nodes >= 0].astype("<u4"), attrs[attrs >= 0].astype("<u4")
+    columns = index_columns(stored, pagerank.scores)
+    idx = PathIndex(depth, pagerank, list(graph.type_names), list(graph.attr_names), columns, graph.fingerprint())
     logger.debug("built index: depth=%d, %d words, %d entries", depth, len(idx.words), idx.stats.entry_count)
     return idx

@@ -13,7 +13,9 @@ a Bernoulli(rate) sample of members by 1/rate yields an unbiased estimate.
 
 All factors are structurally positive on indexed paths (node counts >= 1,
 PageRank >= (1-a)/n, similarity > 0 by containment), but a zero factor under a
-negative exponent raises ScoreDomainError as a guard.
+negative exponent raises ScoreDomainError as a guard. So does a tree or pattern
+score that large exponents (say z1 = 1000) take past the float range; `search`
+shares `power` and `require_finite`, so every engine agrees.
 """
 from __future__ import annotations
 
@@ -59,20 +61,36 @@ def tree_score(paths: Iterable, config: ScoringConfig = DEFAULT_CONFIG) -> float
     for factor, exponent in ((s1, config.z1), (s2, config.z2), (s3, config.z3)):
         if factor == 0.0 and exponent < 0.0:
             raise ScoreDomainError(f"zero score factor with negative exponent {exponent}")
-    return math.pow(s1, config.z1) * math.pow(s2, config.z2) * math.pow(s3, config.z3)
+    score = power(s1, config.z1) * power(s2, config.z2) * power(s3, config.z3)
+    require_finite(math.isfinite(score), "tree")
+    return score
+
+
+def power(x: float, exponent: float) -> float:
+    """`math.pow(x, exponent)`, or inf where that is past the float range."""
+    try:
+        return math.pow(x, exponent)
+    except OverflowError:
+        return math.inf
+
+
+def require_finite(ok, what: str) -> None:
+    """Raise ScoreDomainError unless `ok`, that is unless every `what` score is finite."""
+    if not ok:
+        raise ScoreDomainError(f"a {what} score is not finite: the exponents take it past the float range")
 
 
 def pattern_score(member_scores: Sequence[float], config: ScoringConfig = DEFAULT_CONFIG) -> float:
     """Aggregate member subtree scores into the pattern's score."""
     if not member_scores:
         raise ParameterError("pattern_score needs at least one member score")
-    if config.aggregator == "sum":
-        return _running_sum(member_scores)
-    if config.aggregator == "avg":
-        return _running_sum(member_scores) / len(member_scores)
     if config.aggregator == "max":
         return max(member_scores)
-    return float(len(member_scores))  # count
+    if config.aggregator == "count":
+        return float(len(member_scores))
+    total = _running_sum(member_scores)
+    require_finite(math.isfinite(total), "pattern")
+    return total / len(member_scores) if config.aggregator == "avg" else total
 
 
 def estimate_pattern_score(sample_scores: Sequence[float], rate: float) -> float:

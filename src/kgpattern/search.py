@@ -52,7 +52,7 @@ from . import patterns as pat
 from .errors import ParameterError, ScoreDomainError
 from .graph import TEXT_TYPE_ID, KnowledgeGraph, tokenize
 from .pathindex import IndexedPath, PathIndex, build_all, decode_records, iter_root_paths
-from .scoring import DEFAULT_CONFIG, ScoringConfig, pattern_score, tree_score
+from .scoring import DEFAULT_CONFIG, ScoringConfig, pattern_score, power, require_finite, tree_score
 
 logger = logging.getLogger(__name__)
 
@@ -448,23 +448,26 @@ def _group(c, rows: list) -> Groups:
 
 
 def _powers(factor: np.ndarray, exponent: float) -> np.ndarray:
-    """`math.pow(x, exponent)` of each x in `factor`, one call per distinct x
-    (`np.power` can differ from it in the last bit); pow(x, 1.0) is x."""
+    """`scoring.power(x, exponent)` of each x in `factor`, one call per distinct x
+    (`np.power` can differ from `math.pow` in the last bit); pow(x, 1.0) is x."""
     if exponent < 0.0 and not factor.all():
         raise ScoreDomainError(f"zero score factor with negative exponent {exponent}")
     if exponent == 1.0:
         return factor
     values, inverse = np.unique(factor, return_inverse=True)
-    return np.array([math.pow(x, exponent) for x in values.tolist()])[inverse]
+    return np.array([power(x, exponent) for x in values.tolist()])[inverse]
 
 
 def _pattern_scores(c, rows: list, patterns: Groups, config: ScoringConfig) -> np.ndarray:
-    """Each pattern's score, with the arithmetic of `tree_score` (factors summed
-    in keyword order) and `pattern_score` (members summed in row order)."""
+    """Each pattern's score, with the arithmetic and the checks of `tree_score`
+    (factors summed in keyword order) and `pattern_score` (members summed in
+    row order)."""
     factors = np.zeros((3, len(rows[0])))
     for record in rows:
         factors += (c.node_off[record + 1] - c.node_off[record], c.pr[record], c.sim[record])
-    score = functools.reduce(np.multiply, map(_powers, factors, (config.z1, config.z2, config.z3)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a product past the float range fails the check below
+        score = functools.reduce(np.multiply, map(_powers, factors, (config.z1, config.z2, config.z3)))
+    require_finite(np.isfinite(score).all(), "tree")
     group, sizes = patterns.group, patterns.sizes
     if config.aggregator == "max":
         scores = np.full(len(sizes), -math.inf)
@@ -473,6 +476,7 @@ def _pattern_scores(c, rows: list, patterns: Groups, config: ScoringConfig) -> n
     if config.aggregator == "count":
         return sizes.astype(float)
     scores = np.bincount(group, weights=score, minlength=len(sizes))
+    require_finite(np.isfinite(scores).all(), "pattern")
     return scores / sizes if config.aggregator == "avg" else scores
 
 

@@ -38,20 +38,14 @@ def with_columns(idx, **changes):
     would make it if it wrote those columns. No column is checked and the
     derived ones are not recomputed, so it is only fit to serialize."""
     return PathIndex(
-        idx.depth,
-        idx.pagerank,
-        idx.n_entities,
-        idx.type_names,
-        idx.attr_names,
-        idx.columns._replace(**changes),
-        idx.stats.cost_proxy,
-        idx.fingerprint,
+        idx.depth, idx.pagerank, idx.type_names, idx.attr_names, idx.columns._replace(**changes), idx.fingerprint
     )
 
 
 def reference_build(graph, pagerank, depth):
     """`build_index` one path at a time: the records of the DFS
-    `iter_root_paths`, sorted pattern-first, per word in vocabulary order."""
+    `iter_root_paths`, sorted pattern-first, per word in vocabulary order.
+    Returns the index and its cost proxy, counted path by path."""
     hits = []
     cost_proxy = 0
     for root in range(graph.n_entities):
@@ -73,10 +67,10 @@ def reference_build(graph, pagerank, depth):
     fields = [np.array(column, dtype) for column, dtype in zip(fields, RECORD_DTYPES)]
     counts = np.array([len(per_word[word]) for word in vocab], dtype="<u8")
     flat = [np.fromiter(chain.from_iterable(column), "<u4") for column in (nodes, attrs)]
-    lengths = np.array([len(p) for p in patterns], dtype=np.int64)
-    columns = index_columns((patterns, vocab, counts, *fields, *flat), lengths, pagerank.scores)
+    lengths = np.array([len(p) for p in patterns], dtype="<u2")
+    columns = index_columns((patterns, lengths, vocab, counts, *fields, *flat), pagerank.scores)
     names = list(graph.type_names), list(graph.attr_names)
-    return PathIndex(depth, pagerank, graph.n_entities, *names, columns, cost_proxy, graph.fingerprint())
+    return PathIndex(depth, pagerank, *names, columns, graph.fingerprint()), cost_proxy
 
 
 def tree_height(tree_pattern):

@@ -239,6 +239,19 @@ class TestExitCodes:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("config", ['{"z1": 1000}', '{"z1": 300, "z3": 300}'], ids=["pow-overflow", "product-overflow"])
+    @pytest.mark.parametrize("algo", ["baseline", "pattern-enum", "linear", "linear-topk"])
+    def test_score_past_the_float_range_is_data_error(self, sample_ws, tmp_path, capsys, algo, config):
+        cfg = tmp_path / "scoring.json"
+        cfg.write_text(config)
+        rc = main(
+            ["query", "--graph", str(sample_graph_path()), "--index", str(sample_ws["index"]),
+             "--q", "database software company", "--algo", algo, "--format", "json", "--config", str(cfg)]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == "error: a tree score is not finite: the exponents take it past the float range\n"
+
     @pytest.mark.parametrize(
         "flags", [["--damping", "1.5"], ["--damping", "nan"], ["--damping", "1"], ["--damping", "-0.1"],
                   ["--tol", "nan"], ["--tol", "-1"], ["--tol", "inf"]],
@@ -384,10 +397,9 @@ class TestExitCodes:
         # of a word, moved to a later pattern, keeps its word's records sorted.
         idx = read_index(sample_ws["index"])
         c = idx.columns
-        lengths = np.array([len(p) for p in c.patterns])
         for record in (np.cumsum(c.counts) - 1).tolist():
             old = c.pattern_id[record]
-            later = np.flatnonzero((lengths == lengths[old]) & (np.arange(len(lengths)) > old))
+            later = np.flatnonzero((c.lengths == c.lengths[old]) & (np.arange(len(c.lengths)) > old))
             if len(later):
                 break
         pattern_id = c.pattern_id.copy()

@@ -106,7 +106,7 @@ def test_bad_magic(sample_index):
         deserialize(bytes(blob))
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 99])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 99])
 def test_bad_version(sample_index, version):
     blob = bytearray(serialize(sample_index))
     blob[4:8] = version.to_bytes(4, "little")
@@ -189,8 +189,19 @@ def test_bad_pagerank_vector_is_corrupt(sample_graph, edit):
     else:
         scores[0] = math.nan if edit == "nan" else 0.0
     idx.pagerank.scores = scores
-    with pytest.raises(IndexCorruptError, match="PageRank score"):
+    # One score short, the vector holds no score for the last entity, which some record reaches.
+    with pytest.raises(IndexCorruptError, match="unknown entity id" if edit == "one-short" else "PageRank score"):
         deserialize(serialize(idx))
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_depth_below_the_longest_path_is_corrupt(sample_index, depth):
+    """No writer stores a depth below its paths' node counts, so patch the
+    depth of the d=3 sample index in the file and seal it with a fresh CRC."""
+    body = bytearray(serialize(sample_index)[:-4])
+    body[8:12] = depth.to_bytes(4, "little")
+    with pytest.raises(IndexCorruptError, match="below 1" if depth == 0 else "more nodes than the index depth"):
+        deserialize(sealed(body))
 
 
 def test_pattern_id_past_the_table_is_corrupt(sample_index):
@@ -212,9 +223,8 @@ def record_columns_at(body, records) -> int:
     """Where the first record column (pattern_id) starts in `body`, a
     serialized index of `records` without its CRC."""
     n, n_nodes = len(records), sum(len(rec.nodes) for rec in records)
-    # From the end: the stats, the attrs and nodes columns, then the
-    # fixed-width columns.
-    return len(body) - 16 - 4 * (2 * n_nodes - n) - sum(WIDTHS) * n
+    # From the end: the attrs and nodes columns, then the fixed-width columns.
+    return len(body) - 4 * (2 * n_nodes - n) - sum(WIDTHS) * n
 
 
 def swap(body, at, other, size):
@@ -263,7 +273,7 @@ def test_pattern_table_out_of_order_is_corrupt(sample_index):
     # The fixed header, the graph fingerprint, two name tables, the PageRank
     # vector, the pattern count and the pattern lengths come before the
     # patterns' elements.
-    at = 40 + FINGERPRINT_BYTES + 8 + names + 4 + 8 * sample_index.n_entities + 4 + 2 * len(patterns)
+    at = 28 + FINGERPRINT_BYTES + 8 + names + 4 + 8 * sample_index.n_entities + 4 + 2 * len(patterns)
     at += sum(4 * len(p) for p in patterns[:i])
     size = 4 * len(patterns[i])
     swap(body, at, at + size, size)
@@ -284,7 +294,7 @@ def with_empty_pattern(idx):
     j = next(j for j in starts if c.node_off[j + 1] - c.node_off[j] == 1)
     pattern_id = c.pattern_id + 1
     pattern_id[j] = 0
-    changed = with_columns(idx, patterns=[()] + c.patterns, pattern_id=pattern_id)
+    changed = with_columns(idx, patterns=[()] + c.patterns, lengths=np.append(0, c.lengths), pattern_id=pattern_id)
     return changed, c.vocab[starts.index(j)]
 
 
@@ -311,11 +321,11 @@ def test_file_size_is_the_sum_of_its_sections(sample_index):
     def strings(table):
         return 4 + sum(4 + len(s.encode()) for s in table)
 
-    header = 4 + 4 * 5 + 8 * 2 + FINGERPRINT_BYTES + strings(idx.type_names) + strings(idx.attr_names) + 4 + 8 * idx.n_entities
+    header = 4 + 4 * 2 + 8 * 2 + FINGERPRINT_BYTES + strings(idx.type_names) + strings(idx.attr_names) + 4 + 8 * idx.n_entities
     patterns = 4 + sum(2 + 4 * len(p) for p in idx.columns.patterns)
     words = strings(idx.vocabulary()) + 8 * len(idx.vocabulary())
     columns = sum(WIDTHS) * n + 4 * n_nodes + 4 * (n_nodes - n)
-    assert len(serialize(idx)) == header + patterns + words + columns + 16 + 4
+    assert len(serialize(idx)) == header + patterns + words + columns + 4
 
 
 def test_path_longer_than_255_nodes_is_rejected_before_writing():
@@ -327,13 +337,6 @@ def test_path_longer_than_255_nodes_is_rejected_before_writing():
         build_index(g, uniform_pagerank(g), 256)
 
 
-def test_entry_count_that_disagrees_with_the_records_is_corrupt(sample_index):
-    body = bytearray(serialize(sample_index)[:-4])
-    body[-16:-8] = (sample_index.stats.entry_count + 1).to_bytes(8, "little")
-    with pytest.raises(IndexCorruptError, match="entry count mismatch"):
-        deserialize(sealed(body))
-
-
 def test_name_table_shorter_than_its_count_is_corrupt(sample_graph):
     idx = build_index(sample_graph, uniform_pagerank(sample_graph), 3)
     idx.attr_names = idx.attr_names[:-1]
@@ -341,9 +344,9 @@ def test_name_table_shorter_than_its_count_is_corrupt(sample_graph):
         deserialize(serialize(idx))
 
 
-def test_a_sealed_file_without_its_stats_is_corrupt(sample_index):
+def test_a_sealed_file_without_its_last_attribute_is_corrupt(sample_index):
     with pytest.raises(IndexCorruptError, match="truncated index"):
-        deserialize(sealed(serialize(sample_index)[:-4 - 16]))
+        deserialize(sealed(serialize(sample_index)[:-4 - 4]))
 
 
 @pytest.mark.parametrize("fraction", [0.05, 0.3, 0.7, 0.999])
@@ -354,9 +357,9 @@ def test_truncation(sample_index, fraction):
         deserialize(cut)
 
 
-def test_bytes_after_the_stats_are_corrupt(sample_index):
+def test_bytes_after_the_records_are_corrupt(sample_index):
     body = serialize(sample_index)[:-4] + b"\0"
-    with pytest.raises(IndexCorruptError, match="after the stats"):
+    with pytest.raises(IndexCorruptError, match="after the records"):
         deserialize(body + zlib.crc32(body).to_bytes(4, "little"))
 
 

@@ -490,6 +490,16 @@ class TestExactTopkOnColumns:
         with pytest.raises(ScoreDomainError):
             search_linear_topk(g, idx, Query(words), config=config)
 
+    def test_pattern_score_past_the_float_range(self):
+        # Each member's score is its pr term, 1e308; two members sum past the float range.
+        g, _, words = _column_instance(7, 3, 2)
+        idx = build_index(g, uniform_pagerank(g, 1e308), 3)
+        config, query = ScoringConfig(z1=0.0, z3=0.0), Query(words[:1])
+        with pytest.raises(ScoreDomainError, match="a pattern score is not finite"):
+            rank_enumeration(search_linear_enum(g, idx, query), config)
+        with pytest.raises(ScoreDomainError, match="a pattern score is not finite"):
+            search_linear_topk(g, idx, query, config=config)
+
     def test_chunks_change_nothing(self, monkeypatch):
         # 20 hubs with 12 alpha and 12 beta children each, of varied PageRank
         # and similarity: a pattern of 2,880 members, summed across chunks.
