@@ -150,7 +150,6 @@ def run_bench(
     idx,
     queries: list[Query],
     algorithms=tuple(ENGINES),
-    scoring: ScoringConfig = DEFAULT_CONFIG,
     sampling: SamplingConfig = SamplingConfig(),
 ) -> BenchReport:
     check_engines(algorithms)
@@ -159,7 +158,7 @@ def run_bench(
         n_subtrees, n_patterns = _query_size(graph, idx, query)
         for algorithm in algorithms:
             started = time.monotonic()
-            ENGINES[algorithm](graph, idx, query, scoring, sampling)
+            ENGINES[algorithm](graph, idx, query, DEFAULT_CONFIG, sampling)
             elapsed = time.monotonic() - started
             report.timings.append(
                 QueryTiming(" ".join(query.keywords), algorithm, elapsed, n_subtrees, n_patterns)
@@ -191,18 +190,15 @@ def run_precision_sweep(
     rates,
     k: int,
     seeds=(0,),
-    scoring: ScoringConfig = DEFAULT_CONFIG,
 ) -> BenchReport:
     report = BenchReport()
     for query in queries:
         query = Query(query.keywords, k)
-        exact = search_linear_topk(graph, idx, query, SamplingConfig(), scoring).patterns
+        exact = search_linear_topk(graph, idx, query, SamplingConfig()).patterns
         for threshold in thresholds:
             for rate in rates:
                 for seed in seeds:
-                    approx = search_linear_topk(
-                        graph, idx, query, SamplingConfig(threshold, rate, seed), scoring
-                    ).patterns
+                    approx = search_linear_topk(graph, idx, query, SamplingConfig(threshold, rate, seed)).patterns
                     report.precisions.append(
                         PrecisionRecord(
                             " ".join(query.keywords),

@@ -206,8 +206,8 @@ def _load_graph_and_index(args):
             f"texts or edges differ from those the index was built from"
         )
     if len(bad := mismatched_records(idx.columns, graph)):
-        raise IndexCorruptError(f"index {args.index} is corrupt: the patterns of {len(bad)} records "
-                                f"(the first is record {bad[0]}) disagree with their paths in graph {args.graph}")
+        raise IndexCorruptError(f"index {args.index} is corrupt: {len(bad)} records (the first is record "
+                                f"{bad[0]}) are no paths of their patterns in graph {args.graph}")
     return graph, idx
 
 

@@ -17,7 +17,7 @@ Little-endian throughout. Layout::
     record columns, one entry per record: every word's records in vocabulary
     order, each word's sorted pattern-first:
         pattern_id u32 | sim f64
-    nodes u32 * sum(n_nodes) | attrs u32 * sum(n_nodes - 1)
+    nodes u32 * sum(n_nodes)
     crc u32: zlib.crc32 of every byte before it
 
 A string table is a u32 count followed by (u32 byte length, UTF-8 bytes) per
@@ -25,15 +25,15 @@ entry. The file stores each fact once. The entity count is the PageRank
 vector's length, the type and attribute counts are the name tables' lengths,
 and the index's stats (`IndexStats`) follow from the records: its entry count
 is theirs and its cost proxy is their node total. A record stores only its
-pattern id, its similarity term, its nodes and its attributes. Its node count
-`n_nodes` (`len(pattern) // 2 + 1`), its root (its first node) and its
-PageRank term (the stored score of its last node, or of the edge's source on
-an edge match, whose pattern has even length) are derived at load by
-`pathindex.index_columns`, as `build_index` derives them. The pattern table
-with its lengths, the vocabulary and the stored columns are
-`PathIndex.columns`: `serialize` writes each array with `ndarray.tobytes`,
-and `deserialize` passes the `np.frombuffer` views it reads to the
-`PathIndex` constructor.
+pattern id, its similarity term and its nodes. Its node count `n_nodes`
+(`len(pattern) // 2 + 1`), its attributes (its pattern's odd elements), its
+root (its first node) and its PageRank term (the stored score of its last
+node, or of the edge's source on an edge match, whose pattern has even
+length) are derived at load by `pathindex.index_columns`, as `build_index`
+derives them. The pattern table (its tuples, lengths and elements), the
+vocabulary and the stored columns are `PathIndex.columns`: `serialize`
+writes each array with `ndarray.tobytes`, and `deserialize` passes the
+`np.frombuffer` views it reads to the `PathIndex` constructor.
 
 Reading checks the magic, then the version, then the CRC, before it decodes
 anything else. Bad magic or version raises IndexFormatError. Every other
@@ -43,13 +43,14 @@ field, or a truncated file), a depth below 1, a short read, bytes left over
 after the records, a PageRank score that is not finite and positive, an
 empty pattern, an id out of range (a pattern type id >= n_types, a pattern
 attribute id >= n_attrs, a pattern id past the pattern table, a node id >=
-n_entities, an attribute id >= n_attrs), a record's `sim` term that is not
-finite and positive, a record with more nodes than the depth, a pattern
-table that is not strictly increasing in canonical order, or a word whose
-records' (pattern_id, root) ever decrease. Each derived column is computed
-only after the ids it indexes with are checked. The last two checks make
-the file's order the in-memory order: each (word, pattern, root) is one
-contiguous run of records, taken in stored order.
+n_entities; a derived attribute is a pattern's, so it is in range), a
+record's `sim` term that is not finite and positive, a record with more
+nodes than the depth, a pattern table that is not strictly increasing in
+canonical order, or a word whose records' (pattern_id, root) ever decrease.
+Each derived column is computed only after the ids it indexes with are
+checked. The last two checks make the file's order the in-memory order: each
+(word, pattern, root) is one contiguous run of records, taken in stored
+order.
 """
 from __future__ import annotations
 
@@ -57,7 +58,6 @@ import io
 import operator
 import struct
 import zlib
-from itertools import chain
 from pathlib import Path
 from typing import Union
 
@@ -68,7 +68,7 @@ from .pagerank import PageRankVector
 from .pathindex import RECORD_DTYPES, PathIndex, index_columns, node_offsets
 
 MAGIC = b"KGPX"
-VERSION = 8
+VERSION = 9
 FINGERPRINT_BYTES = 32
 
 
@@ -128,9 +128,9 @@ def serialize(idx: PathIndex) -> bytes:
     c = idx.columns
     w.pack("I", len(c.patterns))
     w.write(c.lengths.tobytes())
-    w.write(np.fromiter(chain.from_iterable(c.patterns), "<u4").tobytes())
+    w.write(c.elements.tobytes())
     w.string_table(c.vocab)
-    for column in (c.counts, c.pattern_id, c.sim, c.nodes, c.attrs):
+    for column in (c.counts, c.pattern_id, c.sim, c.nodes):
         w.write(column.tobytes())
     body = w.getvalue()
     return body + struct.pack("<I", zlib.crc32(body))
@@ -195,15 +195,12 @@ def _deserialize(data: bytes) -> PathIndex:
     n = sum(counts.tolist())
     pid, sim = (r.array(dtype, n) for dtype in RECORD_DTYPES)
     _require(pid < n_patterns, "a record references an unknown pattern id")
-    n_nodes = int(node_offsets(lengths, pid)[-1])
-    nodes = r.array("<u4", n_nodes)
-    attrs = r.array("<u4", n_nodes - n)
+    nodes = r.array("<u4", int(node_offsets(lengths, pid)[-1]))
     if r.pos != len(body):
         raise IndexCorruptError(f"{len(body) - r.pos} unexpected bytes after the records")
     _require(nodes < n_entities, "a record references an unknown entity id")
-    _require(attrs < n_attrs, "a record references an unknown attribute id")
     _require(np.isfinite(sim) & (sim > 0), "a record's sim term is not finite and positive")
-    columns = index_columns((all_patterns, lengths, vocab, counts, pid, sim, nodes, attrs), scores)
+    columns = index_columns((all_patterns, lengths, elements, vocab, counts, pid, sim, nodes), scores)
     _require(np.diff(columns.node_off) <= depth, f"a record has more nodes than the index depth {depth}")
     run_key = pid.astype(np.uint64) << 32 | columns.root
     new_word = np.isin(np.arange(1, n), np.cumsum(counts))

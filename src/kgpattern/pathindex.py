@@ -96,13 +96,14 @@ class IndexStats:
 
 
 # Every record of an index: first its stored KGPX columns, that is the pattern
-# table (in canonical order; a pattern's id is its position) and its `<u2`
-# pattern lengths, the vocabulary with each word's record count, one array per
-# field of RECORD_DTYPES with one entry per record (word by word, in vocabulary
-# order), and all records' nodes and attributes in two arrays; then the columns
-# these determine (`index_columns`): record j's nodes are nodes[node_off[j]:
-# node_off[j + 1]] and its attributes, one fewer, start at attrs[node_off[j] - j].
-IndexColumns = namedtuple("IndexColumns", "patterns lengths vocab counts pattern_id sim nodes attrs node_off root pr")
+# table (in canonical order; a pattern's id is its position) as tuples, its
+# `<u2` pattern lengths and all its `<u4` elements, pattern after pattern, the
+# vocabulary with each word's record count, one array per field of
+# RECORD_DTYPES with one entry per record (word by word, in vocabulary order),
+# and all records' nodes in one array; then the columns these determine
+# (`index_columns`): record j's nodes are nodes[node_off[j]:node_off[j + 1]] and
+# its attributes, one fewer, start at attrs[node_off[j] - j].
+IndexColumns = namedtuple("IndexColumns", "patterns lengths elements vocab counts pattern_id sim nodes attrs node_off root pr")
 
 
 def node_offsets(pattern_lengths: np.ndarray, pattern_id: np.ndarray) -> np.ndarray:
@@ -113,16 +114,19 @@ def node_offsets(pattern_lengths: np.ndarray, pattern_id: np.ndarray) -> np.ndar
 
 
 def index_columns(stored: tuple, scores: np.ndarray) -> IndexColumns:
-    """`stored`, the stored columns from `patterns` to `attrs`, with the columns
-    they determine. A record's root is its first node, and its pr term is the
-    PageRank score of its last node, or on an edge match (a pattern of even
-    length) of the edge's source, the node before it. Every id in `stored`
-    must be in range and no pattern empty."""
-    _, lengths, _, _, pattern_id, _, nodes, _ = stored
+    """`stored`, the stored columns from `patterns` to `nodes`, with the columns
+    they determine. A record's attributes are its pattern's odd elements, its
+    root is its first node, and its pr term is the PageRank score of its last
+    node, or on an edge match (a pattern of even length) of the edge's source,
+    the node before it. Every id in `stored` must be in range and no pattern empty."""
+    _, lengths, elements, _, _, pattern_id, _, nodes = stored
     node_off = node_offsets(lengths, pattern_id)
-    edge_match = lengths[pattern_id] % 2 == 0
-    pr = scores[nodes[node_off[1:] - 1 - edge_match]]
-    return IndexColumns(*stored, node_off, nodes[node_off[:-1]], pr)
+    n, size = len(pattern_id), lengths[pattern_id]
+    # Record j's step t, attrs[node_off[j] - j + t], is element 2t + 1 of its pattern, which starts at start[j].
+    start = (np.cumsum(lengths, dtype=np.int64) - lengths)[pattern_id]
+    attrs = elements[np.repeat(start + 1 - 2 * (node_off[:-1] - np.arange(n)), size // 2) + 2 * np.arange(len(nodes) - n)]
+    pr = scores[nodes[node_off[1:] - 1 - (size % 2 == 0)]]
+    return IndexColumns(*stored, attrs, node_off, nodes[node_off[:-1]], pr)
 
 
 def build_all(cls, *columns: list) -> list:
@@ -286,16 +290,23 @@ def pattern_rows(entity_type: np.ndarray, nodes: np.ndarray, attrs: np.ndarray) 
 
 
 def mismatched_records(c: IndexColumns, graph: KnowledgeGraph) -> np.ndarray:
-    """The ids of the records whose pattern is not the `pattern_rows` row of their path in `graph`."""
-    entity_type = np.array(graph.entity_type, np.int64)
-    bad = [np.arange(0)]
-    for size in set(c.lengths.tolist()):
-        first, stop = np.searchsorted(c.lengths, (size, size + 1)).tolist()  # the patterns are in canonical order
-        ids = np.flatnonzero(c.lengths[c.pattern_id] == size)
-        at = c.node_off[ids, None] + np.arange(size // 2 + 1)
-        rows = pattern_rows(entity_type, c.nodes[at], c.attrs[at[:, :-1] - ids[:, None]])
-        bad.append(ids[(rows[:, :size] != np.array(c.patterns[first:stop])[c.pattern_id[ids] - first]).any(1)])
-    return np.sort(np.concatenate(bad))
+    """The ids of the records that are no path of their pattern in `graph`: a
+    node's type is not its pattern's type id (an even element; an edge
+    match's last node has none), or a step (parent, attr, child), whose attr
+    is the element before the child's, is no edge. Edge keys are exact while
+    n_entities² * n_attrs < 2^63."""
+    size = np.diff(c.node_off)
+    owner = np.repeat(np.arange(len(size)), size)
+    at = np.arange(len(c.nodes)) - np.repeat(c.node_off[:-1], size)  # each node's position in its record
+    element = np.repeat((np.cumsum(c.lengths, dtype=np.int64) - c.lengths)[c.pattern_id], size) + 2 * at
+    typed = 2 * at < c.lengths[c.pattern_id][owner]
+    bad_type = np.array(graph.entity_type, np.int64)[c.nodes[typed]] != c.elements[element[typed]]
+    step = np.flatnonzero(at)
+    edges = np.fromiter(chain.from_iterable(graph.edges), np.int64).reshape(-1, 3)
+    edge_keys = edges @ [graph.n_attrs * graph.n_entities, graph.n_entities, 1]
+    key = (c.nodes[step - 1] * np.int64(graph.n_attrs) + c.elements[element[step] - 1]) * graph.n_entities + c.nodes[step]
+    bad = np.concatenate((owner[typed][bad_type], owner[step][~np.isin(key, edge_keys)]))
+    return np.flatnonzero(np.bincount(bad, minlength=len(size)))
 
 
 def _ranges(off: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -338,7 +349,7 @@ def build_index(graph: KnowledgeGraph, pagerank: PageRankVector, depth: int) -> 
                                  f"{MAX_PATH_NODES} nodes per path; build with a smaller --d")
         paths = np.column_stack((paths[parent[keep]], edges[edge[keep]]))
         groups += [(paths, True), (paths, False)]
-    patterns, parts = [], []  # parts: per group, each record's word id, pattern id, sim and path padded with -1
+    patterns, elements, parts = [], [], []  # parts: per group, each record's word id, pattern id, sim and path padded with -1
     for paths, edge_match in groups:
         off, matches = attr_matches if edge_match else entity_matches  # rows: (word id, sim)
         paths = paths[np.diff(off)[paths[:, -1 - edge_match]] > 0]  # the paths with a match
@@ -349,16 +360,17 @@ def build_index(graph: KnowledgeGraph, pagerank: PageRankVector, depth: int) -> 
         new = (np.diff(rows, axis=0, prepend=-1) != 0).any(1)  # the first row of each pattern
         pattern_id = len(patterns) + np.cumsum(new) - 1
         patterns += map(tuple, rows[new].tolist())
+        elements.append(rows[new].ravel())
         owner, at = _ranges(off, paths[:, -1 - edge_match])
         padded = np.pad(paths[owner], ((0, 0), (0, groups[-1][0].shape[1] - paths.shape[1])), constant_values=-1)
         parts.append((matches[at, 0].astype(np.int64), pattern_id[owner], matches[at, 1], padded))
     word, pattern_id, sim, paths = map(np.concatenate, zip(*parts))
     order = np.argsort(word, kind="stable")  # each word's records stay in the groups' pattern-first order
     vocab, counts = np.unique(word, return_counts=True)
-    nodes, attrs = paths[order, ::2], paths[order, 1::2]
-    stored = patterns, np.array([len(p) for p in patterns], "<u2"), [words[i] for i in vocab.tolist()]
-    stored += counts.astype("<u8"), pattern_id[order].astype("<u4"), sim[order]
-    stored += nodes[nodes >= 0].astype("<u4"), attrs[attrs >= 0].astype("<u4")
+    nodes = paths[order, ::2]
+    stored = patterns, np.array([len(p) for p in patterns], "<u2"), np.concatenate(elements).astype("<u4")
+    stored += [words[i] for i in vocab.tolist()], counts.astype("<u8"), pattern_id[order].astype("<u4"), sim[order]
+    stored += (nodes[nodes >= 0].astype("<u4"),)
     columns = index_columns(stored, pagerank.scores)
     idx = PathIndex(depth, pagerank, list(graph.type_names), list(graph.attr_names), columns, graph.fingerprint())
     logger.debug("built index: depth=%d, %d words, %d entries", depth, len(idx.words), idx.stats.entry_count)

@@ -1,9 +1,10 @@
 """The four query engines.
 
 * ``search_baseline`` - index-free enumeration of all valid subtrees per root
-  (the same DFS used to build the index, run online), grouped into one global
-  pattern dictionary, then scored and ranked to the top k. The reference
-  implementation everything else must agree with.
+  (the DFS `pathindex.iter_root_paths`, which finds the paths `build_index`
+  finds level by level), grouped into one global pattern dictionary, then
+  scored and ranked to the top k. The reference implementation everything
+  else must agree with.
 * ``search_pattern_enum`` - per root type, enumerate the cross product of the
   keywords' path patterns and intersect each combination's per-keyword root
   sets; the rows of the non-empty (combination, root) units are joined. Fast
@@ -159,13 +160,13 @@ def _by_score(sp: ScoredPattern):
     return (-sp.score, pat.tree_sort_key(sp.pattern))
 
 
-def rank(scored, k: Optional[int] = None, key=_by_score) -> list[ScoredPattern]:
-    """The scored patterns best first by `key` (score descending, then
-    canonical pattern ascending); only the first k when k is given, so at
-    most k of a generator's patterns are held at once."""
+def rank(scored, k: Optional[int] = None) -> list[ScoredPattern]:
+    """The scored patterns best first (score descending, then canonical
+    pattern ascending); only the first k when k is given, so at most k of a
+    generator's patterns are held at once."""
     if k is None:
-        return sorted(scored, key=key)
-    return heapq.nsmallest(k, scored, key=key)
+        return sorted(scored, key=_by_score)
+    return heapq.nsmallest(k, scored, key=_by_score)
 
 
 def _new_stats(**extra) -> dict:

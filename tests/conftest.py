@@ -35,17 +35,21 @@ def graph_from_text(text):
 
 def with_columns(idx, **changes):
     """A new index over `idx.columns._replace(**changes)`, as `build_index`
-    would make it if it wrote those columns. No column is checked and the
+    would make it if it wrote those columns, with the pattern table's lengths
+    and elements read from its `patterns`. No column is checked and the
     derived ones are not recomputed, so it is only fit to serialize."""
-    return PathIndex(
-        idx.depth, idx.pagerank, idx.type_names, idx.attr_names, idx.columns._replace(**changes), idx.fingerprint
-    )
+    columns = idx.columns._replace(**changes)
+    lengths = np.array([len(p) for p in columns.patterns], "<u2")
+    columns = columns._replace(lengths=lengths, elements=np.fromiter(chain.from_iterable(columns.patterns), "<u4"))
+    return PathIndex(idx.depth, idx.pagerank, idx.type_names, idx.attr_names, columns, idx.fingerprint)
 
 
 def reference_build(graph, pagerank, depth):
     """`build_index` one path at a time: the records of the DFS
     `iter_root_paths`, sorted pattern-first, per word in vocabulary order.
-    Returns the index and its cost proxy, counted path by path."""
+    Returns the index, whose `columns.attrs` holds the attributes the DFS
+    found instead of those derived from the patterns, and its cost proxy,
+    counted path by path."""
     hits = []
     cost_proxy = 0
     for root in range(graph.n_entities):
@@ -66,9 +70,10 @@ def reference_build(graph, pagerank, depth):
     *fields, nodes, attrs = zip(*(rec for word in vocab for rec in per_word[word])) if vocab else [()] * 4
     fields = [np.array(column, dtype) for column, dtype in zip(fields, RECORD_DTYPES)]
     counts = np.array([len(per_word[word]) for word in vocab], dtype="<u8")
-    flat = [np.fromiter(chain.from_iterable(column), "<u4") for column in (nodes, attrs)]
+    nodes, attrs, elements = (np.fromiter(chain.from_iterable(column), "<u4") for column in (nodes, attrs, patterns))
     lengths = np.array([len(p) for p in patterns], dtype="<u2")
-    columns = index_columns((patterns, lengths, vocab, counts, *fields, *flat), pagerank.scores)
+    columns = index_columns((patterns, lengths, elements, vocab, counts, *fields, nodes), pagerank.scores)
+    columns = columns._replace(attrs=attrs)
     names = list(graph.type_names), list(graph.attr_names)
     return PathIndex(depth, pagerank, *names, columns, graph.fingerprint()), cost_proxy
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from kgpattern.cli import main
-from kgpattern.fixtures import sample_graph_path
+from kgpattern.fixtures import load_sample_graph, sample_graph_path
 from kgpattern.indexio import read_index, write_index
 
 from conftest import with_columns
@@ -391,6 +391,18 @@ class TestExitCodes:
         assert main(["build", "--graph", str(graph), "--index", str(index), "--d", "3"]) == 0
         assert main(["query", "--graph", str(graph), "--index", str(index), "--q", "w0 w1"]) == 0
 
+    @staticmethod
+    def assert_record_is_no_path(idx, tmp_path, capsys, record, word, **changes):
+        """`idx` with the columns `changes` passes every check `read_index`
+        makes, but a query on `word` exits 2 naming `record` as no path."""
+        corrupt = tmp_path / "corrupt.kgpx"
+        write_index(with_columns(idx, **changes), corrupt)
+        read_index(corrupt)
+        capsys.readouterr()
+        args = ["query", "--graph", str(sample_graph_path()), "--index", str(corrupt), "--q", word, "--format", "json"]
+        assert main(args) == 2
+        assert f"is corrupt: 1 records (the first is record {record}) are no paths" in capsys.readouterr().err
+
     def test_index_whose_pattern_ids_disagree_with_its_paths_is_data_error(self, sample_ws, tmp_path, capsys):
         # One record's pattern id moves to another pattern of the same length,
         # so the file passes every check `read_index` makes: the last record
@@ -404,13 +416,29 @@ class TestExitCodes:
                 break
         pattern_id = c.pattern_id.copy()
         pattern_id[record] = later[0]
-        corrupt = tmp_path / "corrupt.kgpx"
-        write_index(with_columns(idx, pattern_id=pattern_id), corrupt)
-        read_index(corrupt)
-        capsys.readouterr()
-        args = ["query", "--graph", str(sample_graph_path()), "--index", str(corrupt), "--q", "database"]
-        assert main(args) == 2
-        assert f"is corrupt: the patterns of 1 records (the first is record {record})" in capsys.readouterr().err
+        self.assert_record_is_no_path(idx, tmp_path, capsys, record, "database", pattern_id=pattern_id)
+
+    def test_index_whose_node_types_disagree_with_its_patterns_is_data_error(self, sample_ws, tmp_path, capsys):
+        # A word's last one-node record moves to the next pattern, also of one
+        # node: the path has no edge, so only its node's type gives it away.
+        idx = read_index(sample_ws["index"])
+        c = idx.columns
+        ends = (np.cumsum(c.counts) - 1).tolist()
+        record = next(j for j in ends if c.lengths[c.pattern_id[j]] == 1 and c.lengths[c.pattern_id[j] + 1] == 1)
+        pattern_id = c.pattern_id.copy()
+        pattern_id[record] += 1
+        self.assert_record_is_no_path(idx, tmp_path, capsys, record, c.vocab[ends.index(record)], pattern_id=pattern_id)
+
+    def test_index_whose_path_is_not_in_the_graph_is_data_error(self, sample_ws, tmp_path, capsys):
+        # Record 0 is Springer -Revenue-> "US$ 12 billion". Its last node
+        # becomes another literal, of the same type, that Springer has no
+        # Revenue edge to: every node keeps its pattern's type.
+        idx = read_index(sample_ws["index"])
+        graph = load_sample_graph()
+        assert [graph.entity_text[n] for n in idx.paths("12")[0].nodes] == ["Springer", "US$ 12 billion"]
+        nodes = idx.columns.nodes.copy()
+        nodes[1] = graph.entity_text.index("Relational database")
+        self.assert_record_is_no_path(idx, tmp_path, capsys, 0, "12", nodes=nodes)
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

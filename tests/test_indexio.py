@@ -106,7 +106,7 @@ def test_bad_magic(sample_index):
         deserialize(bytes(blob))
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 99])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 99])
 def test_bad_version(sample_index, version):
     blob = bytearray(serialize(sample_index))
     blob[4:8] = version.to_bytes(4, "little")
@@ -134,8 +134,6 @@ def with_record(idx, j, **fields):
     for field, value in fields.items():
         if field == "nodes":
             changes["nodes"] = np.concatenate([c.nodes[:a], np.array(value, "<u4"), c.nodes[b:]])
-        elif field == "attrs":
-            changes["attrs"] = np.concatenate([c.attrs[: a - j], np.array(value, "<u4"), c.attrs[b - j - 1 :]])
         elif field == "pattern":
             changes["patterns"] = [value if i == c.pattern_id[j] else p for i, p in enumerate(c.patterns)]
         elif field == "sim_term":
@@ -148,7 +146,6 @@ def with_record(idx, j, **fields):
 # nodes to the fields that make it reference an id its index cannot hold.
 OUT_OF_RANGE = {
     "node-id": ("unknown entity id", lambda rec, idx: {"nodes": rec.nodes[:-1] + (idx.n_entities,)}),
-    "attr-id": ("unknown attribute id", lambda rec, idx: {"attrs": rec.attrs[:-1] + (idx.n_attrs,)}),
     "pattern-type-id": ("unknown type or attribute id", lambda rec, idx: {"pattern": (idx.n_types,) + rec.pattern[1:]}),
     "pattern-attr-id": (
         "unknown type or attribute id",
@@ -167,6 +164,15 @@ def test_out_of_range_ids_are_corrupt(sample_graph, corruption):
     error, fields = OUT_OF_RANGE[corruption]
     with pytest.raises(IndexCorruptError, match=error):
         deserialize(serialize(with_record(idx, j, **fields(rec, idx))))
+
+
+def test_attributes_are_not_stored(sample_index):
+    """A record's attributes are its pattern's odd elements: an index whose
+    attribute column disagrees with its patterns writes the file of the index
+    it came from, whose load derives them again."""
+    changed = with_columns(sample_index, attrs=np.zeros_like(sample_index.columns.attrs))
+    assert serialize(changed) == serialize(sample_index)
+    assert np.array_equal(deserialize(serialize(changed)).columns.attrs, sample_index.columns.attrs)
 
 
 # Similarity terms that no index build writes.
@@ -222,9 +228,8 @@ WIDTHS = [np.dtype(dtype).itemsize for dtype in RECORD_DTYPES]
 def record_columns_at(body, records) -> int:
     """Where the first record column (pattern_id) starts in `body`, a
     serialized index of `records` without its CRC."""
-    n, n_nodes = len(records), sum(len(rec.nodes) for rec in records)
-    # From the end: the attrs and nodes columns, then the fixed-width columns.
-    return len(body) - 4 * (2 * n_nodes - n) - sum(WIDTHS) * n
+    # From the end: the nodes column, then the fixed-width columns.
+    return len(body) - 4 * sum(len(rec.nodes) for rec in records) - sum(WIDTHS) * len(records)
 
 
 def swap(body, at, other, size):
@@ -255,8 +260,6 @@ def test_runs_out_of_order_are_corrupt(sample_index):
         swap(body, at + width * j, at + width * (j + 1), width)
         at += width * len(records)
     swap(body, at + 4 * a, at + 4 * b, 4 * (b - a))  # nodes
-    at += 4 * node_off[-1]
-    swap(body, at + 4 * (a - j), at + 4 * (b - j - 1), 4 * (b - a - 1))  # attrs
     with pytest.raises(IndexCorruptError, match="not sorted by pattern id, then root"):
         deserialize(sealed(body))
 
@@ -294,7 +297,7 @@ def with_empty_pattern(idx):
     j = next(j for j in starts if c.node_off[j + 1] - c.node_off[j] == 1)
     pattern_id = c.pattern_id + 1
     pattern_id[j] = 0
-    changed = with_columns(idx, patterns=[()] + c.patterns, lengths=np.append(0, c.lengths), pattern_id=pattern_id)
+    changed = with_columns(idx, patterns=[()] + c.patterns, pattern_id=pattern_id)
     return changed, c.vocab[starts.index(j)]
 
 
@@ -324,7 +327,7 @@ def test_file_size_is_the_sum_of_its_sections(sample_index):
     header = 4 + 4 * 2 + 8 * 2 + FINGERPRINT_BYTES + strings(idx.type_names) + strings(idx.attr_names) + 4 + 8 * idx.n_entities
     patterns = 4 + sum(2 + 4 * len(p) for p in idx.columns.patterns)
     words = strings(idx.vocabulary()) + 8 * len(idx.vocabulary())
-    columns = sum(WIDTHS) * n + 4 * n_nodes + 4 * (n_nodes - n)
+    columns = sum(WIDTHS) * n + 4 * n_nodes
     assert len(serialize(idx)) == header + patterns + words + columns + 4
 
 
@@ -344,7 +347,7 @@ def test_name_table_shorter_than_its_count_is_corrupt(sample_graph):
         deserialize(serialize(idx))
 
 
-def test_a_sealed_file_without_its_last_attribute_is_corrupt(sample_index):
+def test_a_sealed_file_without_its_last_node_is_corrupt(sample_index):
     with pytest.raises(IndexCorruptError, match="truncated index"):
         deserialize(sealed(serialize(sample_index)[:-4 - 4]))
 

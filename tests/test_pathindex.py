@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -285,11 +286,13 @@ class TestLeafBlocks:
 
 def assert_builds_agree(graph, depth):
     """`build_index` writes the same file and word sizes as the
-    one-path-at-a-time reference build, and its cost proxy is the
-    reference's path-by-path count; returns its index."""
+    one-path-at-a-time reference build, derives the attributes the
+    reference's DFS found, and its cost proxy is the reference's path-by-path
+    count; returns its index."""
     pagerank = compute_pagerank(graph)
     built, (reference, cost_proxy) = build_index(graph, pagerank, depth), reference_build(graph, pagerank, depth)
     assert serialize(built) == serialize(reference)
+    assert np.array_equal(built.columns.attrs, reference.columns.attrs)
     assert built.stats.cost_proxy == cost_proxy
     assert built.stats.word_sizes == reference.stats.word_sizes
     return built

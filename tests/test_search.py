@@ -172,11 +172,6 @@ class TestRank:
         ranked = rank(_tagged(score, tag) for score, tag in [(1.0, 2), (0.0, 1), (1.0, 1), (5.0, 9)])
         assert [(r.score, r.pattern[0][0]) for r in ranked] == [(5.0, 9), (1.0, 1), (1.0, 2), (0.0, 1)]
 
-    def test_key_replaces_the_score_order(self):
-        items = [_tagged(score, tag) for score, tag in [(1.0, 1), (3.0, 2), (2.0, 3)]]
-        ranked = rank(items, 2, key=lambda sp: sp.score)
-        assert [r.pattern[0][0] for r in ranked] == [1, 3]
-
 
 class TestSampleGraphEngines:
     def test_top_pattern_and_ordering(self, sample_graph, sample_index, sample_query):
