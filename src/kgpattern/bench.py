@@ -17,6 +17,7 @@ from . import patterns as pat
 from .errors import ParameterError
 from .scoring import DEFAULT_CONFIG, ScoringConfig
 from .search import (
+    EXACT_SAMPLING,
     Query,
     SamplingConfig,
     ScoredPattern,
@@ -111,11 +112,21 @@ def rank_enumeration(pairs, scoring: ScoringConfig = DEFAULT_CONFIG) -> list[Sco
     return rank(ScoredPattern.from_members(p, members, scoring) for p, members in pairs)
 
 
+def _linear(g, idx, q, scoring, sampling) -> list[ScoredPattern]:
+    """The top k of the ranked linear enumeration: exact linear-topk ranks the
+    same patterns with the same scores and members, and like the ranking it
+    estimates nothing."""
+    ranked = search_linear_topk(g, idx, q, EXACT_SAMPLING, scoring).patterns
+    for sp in ranked:
+        sp.estimated_score = None
+    return ranked
+
+
 # Engine name -> fn(graph, idx, query, scoring, sampling) returning the ranked top k.
 ENGINES = {
     "baseline": lambda g, idx, q, scoring, sampling: search_baseline(g, idx, q, scoring).patterns,
     "pattern-enum": lambda g, idx, q, scoring, sampling: search_pattern_enum(g, idx, q, scoring).patterns,
-    "linear": lambda g, idx, q, scoring, sampling: rank_enumeration(search_linear_enum(g, idx, q), scoring)[: q.k],
+    "linear": _linear,
     "linear-topk": lambda g, idx, q, scoring, sampling: search_linear_topk(g, idx, q, sampling, scoring).patterns,
 }
 

@@ -302,8 +302,9 @@ def mismatched_records(c: IndexColumns, graph: KnowledgeGraph) -> np.ndarray:
     typed = 2 * at < c.lengths[c.pattern_id][owner]
     bad_type = np.array(graph.entity_type, np.int64)[c.nodes[typed]] != c.elements[element[typed]]
     step = np.flatnonzero(at)
-    edges = np.fromiter(chain.from_iterable(graph.edges), np.int64).reshape(-1, 3)
-    edge_keys = edges @ [graph.n_attrs * graph.n_entities, graph.n_entities, 1]
+    adj_off, edges = _csr(graph.adjacency, np.int64)  # edges: (attr, target) rows
+    source = np.repeat(np.arange(graph.n_entities), np.diff(adj_off))
+    edge_keys = (source * graph.n_attrs + edges[:, 0]) * graph.n_entities + edges[:, 1]
     key = (c.nodes[step - 1] * np.int64(graph.n_attrs) + c.elements[element[step] - 1]) * graph.n_entities + c.nodes[step]
     bad = np.concatenate((owner[typed][bad_type], owner[step][~np.isin(key, edge_keys)]))
     return np.flatnonzero(np.bincount(bad, minlength=len(size)))
@@ -318,7 +319,7 @@ def _ranges(off: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def _csr(lists: list, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
     """The offsets of per-item lists of pairs, and all their pairs as the rows of one array."""
-    pairs = np.array(list(chain.from_iterable(lists)), dtype).reshape(-1, 2)
+    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(lists)), dtype).reshape(-1, 2)
     return np.fromiter(accumulate(map(len, lists), initial=0), np.int64, len(lists) + 1), pairs
 
 

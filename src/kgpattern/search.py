@@ -12,8 +12,8 @@
   combinations are its worst case.
 * ``search_linear_enum`` - candidate roots are the intersection of the
   keywords' root sets, and every row under each candidate is joined, so no
-  time is spent on empty patterns. Returns the complete pattern -> subtrees
-  mapping, unranked.
+  time is spent on empty patterns. Returns every pattern with its complete
+  member list, unranked; ranked, its top k is exact ``search_linear_topk``'s.
 * ``search_linear_topk`` - the linear enumeration partitioned by root type
   with optional per-type Bernoulli root sampling: when the upper bound on a
   type's subtree count reaches the sampling threshold, only the roots its
@@ -28,11 +28,13 @@ array at a time, and differ only in which rows they join. A row (path tuple)
 picks one record per keyword under a shared root; a *unit* is a root with one
 run of records per keyword, and its rows are the runs' cross product.
 ``_tree_rows`` keeps the rows whose paths' union is a rooted tree,
-``_group`` groups them by tree pattern, ``_pattern_scores`` scores each
-pattern with the arithmetic of ``tree_score`` and ``pattern_score``, and
-``_members`` makes the member subtrees. No word is decoded: only the records
-that returned members use become ``IndexedPath`` objects. Rejected rows are
-counted in stats and logged. Ordering is deterministic end to end: scores
+``_group`` groups them by tree pattern, and ``_pattern_scores`` scores each
+pattern with the arithmetic of ``tree_score`` and ``pattern_score``. No word is
+decoded, and members are materialized late: ``_answers`` keeps only the k
+returned patterns' rows, and the first read of any returned pattern's
+``subtrees`` makes all k patterns' member subtrees in one ``_members`` call,
+whose ``IndexedPath`` objects are only the records those rows use. Rejected
+rows are counted in stats and logged. Ordering is deterministic end to end: scores
 descending, canonical pattern key ascending, members by (root, path keys).
 """
 from __future__ import annotations
@@ -109,12 +111,25 @@ class ValidSubtree:
         return (self.root, tuple(p.sort_key() for p in self.paths))
 
 
-@dataclass
 class ScoredPattern:
-    pattern: pat.TreePattern
-    score: float
-    subtrees: list[ValidSubtree]
-    estimated_score: Optional[float] = None
+    """A tree pattern, its score and its member subtrees. An engine's answers
+    hold their members as `_Span`s of one `_Batch`, which the first read of
+    any answer's `subtrees` decodes for all of them; `subtree_count` decodes
+    nothing."""
+
+    __slots__ = ("pattern", "score", "estimated_score", "_subtrees")
+
+    def __init__(
+        self,
+        pattern: pat.TreePattern,
+        score: float,
+        subtrees: "list[ValidSubtree] | _Span",
+        estimated_score: Optional[float] = None,
+    ):
+        self.pattern = pattern
+        self.score = score
+        self._subtrees = subtrees
+        self.estimated_score = estimated_score
 
     @classmethod
     def from_members(
@@ -130,8 +145,65 @@ class ScoredPattern:
         return cls(pattern, score, members, estimated_score)
 
     @property
+    def subtrees(self) -> list[ValidSubtree]:
+        if isinstance(self._subtrees, _Span):
+            self._subtrees = self._subtrees.decode()
+        return self._subtrees
+
+    @property
     def subtree_count(self) -> int:
-        return len(self.subtrees)
+        return len(self._subtrees)
+
+    # Equality and repr as of a dataclass of these fields.
+    _FIELDS = ("pattern", "score", "subtrees", "estimated_score")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return f"ScoredPattern({', '.join(f'{name}={value!r}' for name, value in zip(self._FIELDS, self._fields()))})"
+
+
+class _Batch:
+    """The member rows of some answers: one array of record ids per keyword,
+    each row's answer, and each answer's row count. The first `decode` puts
+    the rows answer by answer (each answer's in row order) and makes them
+    `ValidSubtree`s in one `_members` call; the rows are dropped then."""
+
+    __slots__ = ("columns", "rows", "answer", "sizes", "members")
+
+    def __init__(self, c, rows: list, answer: np.ndarray, sizes: list[int]):
+        self.columns, self.rows, self.answer, self.sizes, self.members = c, rows, answer, sizes, None
+
+    def decode(self) -> list[list[ValidSubtree]]:
+        """Each answer's members."""
+        if self.members is None:
+            order = np.argsort(self.answer, kind="stable")
+            subtrees = _members(self.columns, [record[order] for record in self.rows])
+            ends = itertools.accumulate(self.sizes)
+            self.members = [subtrees[end - size : end] for size, end in zip(self.sizes, ends)]
+            self.columns = self.rows = self.answer = None
+        return self.members
+
+
+class _Span:
+    """One answer's members: its rows of a `_Batch`."""
+
+    __slots__ = ("batch", "answer", "size")
+
+    def __init__(self, batch: _Batch, answer: int, size: int):
+        self.batch, self.answer, self.size = batch, answer, size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def decode(self) -> list[ValidSubtree]:
+        return self.batch.decode()[self.answer]
 
 
 @dataclass
@@ -270,8 +342,8 @@ def search_pattern_enum(
     _log_rejections("pattern-enum", query, stats)
     scores = _pattern_scores(c, rows, patterns, config)
     top = np.argsort(-scores, kind="stable")[: query.k]
-    answers = _answers(c, rows, patterns, top)
-    return SearchResult([ScoredPattern(p, score, m) for (p, m), score in zip(answers, scores[top].tolist())], stats)
+    keys, members = _answers(c, [(rows, patterns, top)])
+    return SearchResult(list(map(ScoredPattern, keys, scores[top].tolist(), members)), stats)
 
 
 def search_linear_enum(
@@ -290,7 +362,8 @@ def search_linear_enum(
     patterns = _group(c, rows)
     stats["patterns_found"] = len(patterns.sizes)
     _log_rejections("linear-enum", query, stats)
-    return _answers(c, rows, patterns, np.arange(len(patterns.sizes)))
+    keys, members = _answers(c, [(rows, patterns, np.arange(len(patterns.sizes)))])
+    return [(key, span.decode()) for key, span in zip(keys, members)]
 
 
 def search_linear_topk(
@@ -354,10 +427,11 @@ def search_linear_topk(
     # The k best finalists by exact score; group ids are in canonical order.
     top = finalists[np.argsort(-scores[finalists], kind="stable")][: query.k].tolist()
     whole = [g for g in top if g not in exact_group]
-    answers = dict(zip(whole, _answers(c, rows, patterns, whole))) if whole else {}
-    if len(whole) < len(top):
-        rescored = [g for g in top if g in exact_group]
-        answers.update(zip(rescored, _answers(c, exact_rows, exact, list(map(exact_group.get, rescored)))))
+    rescored = [g for g in top if g in exact_group]
+    selections = [(rows, patterns, whole)]
+    if rescored:
+        selections.append((exact_rows, exact, list(map(exact_group.get, rescored))))
+    answers = dict(zip(whole + rescored, zip(*_answers(c, selections))))
     ranked = zip(map(answers.get, top), scores[top].tolist(), estimates[top].tolist())
     return SearchResult([ScoredPattern(p, score, members, estimate) for (p, members), score, estimate in ranked], stats)
 
@@ -434,18 +508,21 @@ def _tree_rows(c, ids: list, run_start: list, run_size: list, n_attrs: int, stat
 
 
 # The tree patterns of some rows, in tree_sort_key order: each one's first row and row
-# count, each row's pattern (its group), and the rows in pattern order, stable.
-Groups = namedtuple("Groups", "first_row sizes group order")
+# count, and each row's pattern (its group).
+Groups = namedtuple("Groups", "first_row sizes group")
 
 
 def _group(c, rows: list) -> Groups:
-    # Each keyword refines the key by its dense pattern rank, keeping it dense.
-    key = np.zeros(len(rows[0]), np.int64)
+    # A row's key is its pattern ids, keyword by keyword, in radix len(c.patterns) (the ids
+    # are in canonical order); the key is made dense first whenever it could pass 2^63.
+    radix, key, bound = len(c.patterns), np.zeros(len(rows[0]), np.int64), 1
     for record in rows:
-        pattern_ids, rank_of = np.unique(c.pattern_id[record], return_inverse=True)
-        key = np.unique(key * len(pattern_ids) + rank_of, return_inverse=True)[1]
+        if bound * radix >= 1 << 63:
+            key = np.unique(key, return_inverse=True)[1]
+            bound = int(key.max(initial=0)) + 1
+        key, bound = key * radix + c.pattern_id[record], bound * radix
     _, first_row, group, sizes = np.unique(key, return_index=True, return_inverse=True, return_counts=True)
-    return Groups(first_row, sizes, group, np.argsort(group, kind="stable"))
+    return Groups(first_row, sizes, group)
 
 
 def _powers(factor: np.ndarray, exponent: float) -> np.ndarray:
@@ -481,25 +558,34 @@ def _pattern_scores(c, rows: list, patterns: Groups, config: ScoringConfig) -> n
     return scores / sizes if config.aggregator == "avg" else scores
 
 
-def _members(c, rows: list, order: np.ndarray) -> list[ValidSubtree]:
-    """The `ValidSubtree` of each row in `order`, over one `IndexedPath` per record a keyword uses."""
-    columns = []
-    for record in rows:
-        used, where = np.unique(record[order], return_inverse=True)
-        columns.append(list(map(decode_records(c, used).__getitem__, where.tolist())))
-    return build_all(ValidSubtree, c.root[rows[0][order]].tolist(), list(zip(*columns)))
+def _members(c, rows: list) -> list[ValidSubtree]:
+    """The `ValidSubtree` of each row, over one `IndexedPath` per distinct record the rows use."""
+    used, where = np.unique(np.concatenate(rows), return_inverse=True)
+    paths = decode_records(c, used)
+    columns = [list(map(paths.__getitem__, column)) for column in where.reshape(len(rows), -1).tolist()]
+    return build_all(ValidSubtree, c.root[rows[0]].tolist(), list(zip(*columns)))
 
 
-def _answers(c, rows: list, patterns: Groups, chosen) -> list[tuple[pat.TreePattern, list[ValidSubtree]]]:
-    """(tree pattern, members) of each chosen pattern. Members are made for
-    every pattern, so that the time does not grow with the number chosen."""
-    subtrees = _members(c, rows, patterns.order)
-    ends = np.cumsum(patterns.sizes)[chosen].tolist()
-    keys = zip(*(c.pattern_id[record[patterns.first_row[chosen]]].tolist() for record in rows))
-    return [
-        (tuple(map(c.patterns.__getitem__, key)), subtrees[end - size : end])
-        for key, size, end in zip(keys, patterns.sizes[chosen].tolist(), ends)
-    ]
+def _answers(c, selections: list) -> tuple[list[pat.TreePattern], list[_Span]]:
+    """The tree pattern and the members of each chosen pattern of each (rows,
+    groups, chosen) selection, in that order. The members are `_Span`s of one
+    `_Batch`, which keeps only the chosen patterns' rows and decodes none of
+    them: an engine's time does not grow with the members it returns, and the
+    first read of any answer's subtrees pays for all answers' at once."""
+    keys, sizes, taken = [], [], []
+    for rows, patterns, chosen in selections:
+        chosen = np.asarray(chosen, np.int64)
+        first_row = patterns.first_row[chosen]
+        keys += zip(*(map(c.patterns.__getitem__, c.pattern_id[record[first_row]].tolist()) for record in rows))
+        answer = np.full(len(patterns.sizes), -1)
+        answer[chosen] = np.arange(len(sizes), len(sizes) + len(chosen))
+        sizes += patterns.sizes[chosen].tolist()
+        row_answer = answer[patterns.group]
+        at = np.flatnonzero(row_answer >= 0)
+        taken.append([record[at] for record in rows] + [row_answer[at]])
+    *rows, answer = map(np.concatenate, zip(*taken))
+    batch = _Batch(c, rows, answer, sizes)
+    return keys, list(map(_Span, itertools.repeat(batch), range(len(sizes)), sizes))
 
 
 # ---------------------------------------------------------------------------

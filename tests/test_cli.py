@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kgpattern.bench import ENGINES, rank_enumeration
 from kgpattern.cli import main
 from kgpattern.fixtures import load_sample_graph, sample_graph_path
 from kgpattern.indexio import read_index, write_index
+from kgpattern.search import search_linear_enum
 
 from conftest import with_columns
 
@@ -98,6 +100,29 @@ class TestQuery:
         scores = [p["score"] for p in doc["patterns"]]
         assert scores == sorted(scores, reverse=True)
         (tmp_path / "agree.json").write_text(json.dumps(scores))
+
+    @pytest.mark.parametrize("aggregator", ["sum", "avg", "max", "count"])
+    def test_linear_prints_the_ranked_enumeration(self, sample_ws, tmp_path, monkeypatch, aggregator):
+        """`--algo linear` runs exact linear-topk; its JSON is byte for byte
+        that of ranking the whole linear enumeration."""
+        cfg = tmp_path / "scoring.json"
+        cfg.write_text(json.dumps({"aggregator": aggregator}))
+
+        def run(tag):
+            out = tmp_path / f"{tag}.json"
+            rc = main(
+                ["query", "--graph", str(sample_graph_path()), "--index", str(sample_ws["index"]),
+                 "--q", "database software company", "--k", "20", "--format", "json", "--algo", "linear",
+                 "--config", str(cfg), "--out", str(out)]
+            )
+            assert rc == 0
+            return out.read_bytes()
+
+        topk = run("topk")
+        enumeration = lambda g, idx, q, scoring, sampling: rank_enumeration(search_linear_enum(g, idx, q), scoring)[: q.k]
+        monkeypatch.setitem(ENGINES, "linear", enumeration)
+        assert run("enumeration") == topk
+        assert json.loads(topk)["patterns"]
 
     def test_scoring_config_file(self, sample_ws, tmp_path, capsys):
         cfg = tmp_path / "scoring.json"

@@ -1,5 +1,6 @@
 import math
 import random
+import types
 
 import numpy as np
 import pytest
@@ -384,6 +385,64 @@ def test_sampled_winners_are_rescored_exactly(sampling_instances, data, seed, rh
         reference = exact[sp.pattern]
         assert sp.score == reference.score
         assert repr(sp.subtrees) == repr(reference.subtrees)
+
+
+@pytest.mark.parametrize("n_patterns", [5, 1 << 40])
+def test_group_orders_rows_by_their_pattern_ids(n_patterns):
+    """Groups are the rows' distinct pattern-id tuples in lexicographic order,
+    also when the tuples' radix key would pass 2^63 (2^40 patterns, 3 keywords)."""
+    rng = np.random.default_rng(7)
+    ids = rng.choice([0, 1, n_patterns - 2, n_patterns - 1], size=(3, 200))
+    c = types.SimpleNamespace(patterns=range(n_patterns), pattern_id=ids.ravel())
+    rows = [np.arange(200) + 200 * j for j in range(3)]  # keyword j's record ids
+    groups = search._group(c, rows)
+    keys = list(zip(*ids.tolist()))
+    distinct = sorted(set(keys))
+    assert groups.group.tolist() == [distinct.index(key) for key in keys]
+    assert groups.first_row.tolist() == [keys.index(key) for key in distinct]
+    assert groups.sizes.tolist() == [keys.count(key) for key in distinct]
+
+
+@pytest.fixture(scope="module")
+def mixed_instance():
+    """A graph, its index and a query whose root types bound 18, 16, 24 and 24
+    subtrees: at threshold 24 half of them are sampled, and the top 10 holds
+    patterns of both halves."""
+    g, depth, words = random_instance(13)
+    return g, build_index(g, compute_pagerank(g), depth), words
+
+
+MIXED = SamplingConfig(threshold=24, rate=0.5, seed=3)
+
+
+@pytest.mark.parametrize("k", [1, 10, 100])
+@pytest.mark.parametrize("engine", ["pattern-enum", "exact", "sampled"])
+def test_members_are_decoded_in_one_batch_on_first_read(mixed_instance, monkeypatch, engine, k):
+    """The index engines decode no member. The first read of any answer's
+    subtrees decodes every answer's in one `decode_records` call, over all the
+    row sets the answers come from (a sampled result's re-scored winners come
+    from a second join), and later reads decode nothing."""
+    g, idx, words = mixed_instance
+    query = Query(words, k)
+    calls = []
+    decode = search.decode_records
+    monkeypatch.setattr(search, "decode_records", lambda c, ids: calls.append(len(ids)) or decode(c, ids))
+    run = {
+        "pattern-enum": lambda: search_pattern_enum(g, idx, query),
+        "exact": lambda: search_linear_topk(g, idx, query),
+        "sampled": lambda: search_linear_topk(g, idx, query, MIXED),
+    }
+    result = run[engine]()
+    counts = [sp.subtree_count for sp in result.patterns]
+    assert calls == [] and result.patterns
+    assert result.patterns[-1].subtrees and len(calls) == 1
+    exact = {sp.pattern: sp for sp in search_baseline(g, idx, Query(words, 10**9)).patterns}
+    for sp, count in zip(result.patterns, counts):
+        assert count == len(sp.subtrees) and repr(sp.subtrees) == repr(exact[sp.pattern].subtrees)
+    assert len(calls) == 1
+    if engine == "sampled" and k >= 10:
+        rates = {t["type"]: t["rate"] for t in result.stats["types"]}
+        assert {rates[sp.pattern[0][0]] for sp in result.patterns} == {0.5, 1.0}
 
 
 class TestUniformStream:
