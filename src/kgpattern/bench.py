@@ -21,9 +21,9 @@ from .search import (
     Query,
     SamplingConfig,
     ScoredPattern,
+    enumerate_rows,
     rank,
     search_baseline,
-    search_linear_enum,
     search_linear_topk,
     search_pattern_enum,
 )
@@ -139,8 +139,11 @@ def check_engines(names) -> None:
 
 
 def _query_size(graph, idx, query) -> tuple[int, int]:
-    pairs = search_linear_enum(graph, idx, query)
-    return sum(len(members) for _, members in pairs), len(pairs)
+    """The subtree and tree-pattern counts of the query's full enumeration
+    (`search_linear_enum`), read from its join's counters."""
+    stats: dict = {}
+    enumerate_rows(idx, query, stats)
+    return stats["subtrees_accepted"], stats["patterns_found"]
 
 
 def _summaries(timings: list[QueryTiming], bucket_of) -> list[BucketSummary]:

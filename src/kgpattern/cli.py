@@ -13,6 +13,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import bench as bench_mod
 from . import patterns as pat
 from .errors import IndexCorruptError, IndexFormatError, KgPatternError, ParameterError
@@ -187,9 +189,11 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _load_graph_and_index(args):
-    """Load --graph and --index; IndexFormatError when the index header does
-    not describe the graph (the index was built from another graph)."""
+def _load_graph_and_index(args, words):
+    """Load --graph and --index and check the records of `words`;
+    IndexFormatError when the index header does not describe the graph (the
+    index was built from another graph), IndexCorruptError when one of the
+    records is corrupt or no path of the graph."""
     graph = load_graph(args.graph)
     idx = read_index(args.index)
     index_header = (idx.n_entities, idx.n_types, idx.n_attrs, idx.type_names, idx.attr_names)
@@ -205,16 +209,20 @@ def _load_graph_and_index(args):
             f"index {args.index} was not built from graph {args.graph}: the graph's entity types, "
             f"texts or edges differ from those the index was built from"
         )
-    if len(bad := mismatched_records(idx.columns, graph)):
+    words = sorted(set(words).intersection(idx.words))  # in file order
+    idx.check(words)
+    ids = np.concatenate([np.arange(0)] + [np.arange(idx.words[w].start, idx.words[w].stop) for w in words])
+    if len(bad := mismatched_records(idx.columns, graph, ids)):
         raise IndexCorruptError(f"index {args.index} is corrupt: {len(bad)} records (the first is record "
                                 f"{bad[0]}) are no paths of their patterns in graph {args.graph}")
     return graph, idx
 
 
 def _cmd_query(args) -> int:
-    graph, idx = _load_graph_and_index(args)
+    keywords = tuple(tokenize(args.q))
+    graph, idx = _load_graph_and_index(args, keywords)
     scoring = _scoring_from(args.config)
-    query = Query(tuple(tokenize(args.q)), args.k)
+    query = Query(keywords, args.k)
     sampling = SamplingConfig(_parse_number(args.threshold, "--lambda"), args.rho, args.seed)
     ranked = bench_mod.ENGINES[args.algo](graph, idx, query, scoring, sampling)
     if args.format == "json":
@@ -289,7 +297,7 @@ def _cmd_bench(args) -> int:
     algorithms = tuple(_parse_list(args.algos, "--algos"))
     bench_mod.check_engines(algorithms)
     queries = _read_queries(args.queries, args.k)
-    graph, idx = _load_graph_and_index(args)
+    graph, idx = _load_graph_and_index(args, [w for q in queries for w in q.keywords])
     sampling = SamplingConfig(_parse_number(args.threshold, "--lambda"), args.rho, args.seed)
     report = bench_mod.run_bench(graph, idx, queries, algorithms=algorithms, sampling=sampling)
     _emit_report(report, args.format, args.out)
@@ -302,7 +310,7 @@ def _cmd_sweep(args) -> int:
     if args.seeds < 1:
         raise ParameterError(f"--seeds must be >= 1, got {args.seeds}")
     queries = _read_queries(args.queries, args.k)
-    graph, idx = _load_graph_and_index(args)
+    graph, idx = _load_graph_and_index(args, [w for q in queries for w in q.keywords])
     report = bench_mod.run_precision_sweep(
         graph, idx, queries, thresholds, rates, args.k, seeds=range(args.seeds)
     )
@@ -337,6 +345,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_dump_index(args) -> int:
     idx = read_index(args.index)
+    idx.check(idx.vocabulary())
     doc = {
         "depth": idx.depth,
         "entities": idx.n_entities,

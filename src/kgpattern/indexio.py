@@ -2,8 +2,8 @@
 
 Little-endian throughout. Layout::
 
-    magic "KGPX" | version u32 | depth u32
-    damping f64 | tolerance f64
+    magic "KGPX" | version u32 | header size u32: the bytes before the header CRC
+    depth u32 | damping f64 | tolerance f64
     graph fingerprint: 32 bytes, `KnowledgeGraph.fingerprint` of the graph
                        the index was built from
     type-name string table | attr-name string table
@@ -13,51 +13,68 @@ Little-endian throughout. Layout::
                    length-lexicographic order; a pattern's table position is
                    its id)
     vocabulary string table
-    counts: u64 * n_words, each word's record count
+    word directory, one entry per vocabulary word in each of three arrays:
+        record counts u32 * n_words | node counts u32 * n_words |
+        record CRCs u32 * n_words
+    header crc u32: zlib.crc32 of every byte before it
     record columns, one entry per record: every word's records in vocabulary
     order, each word's sorted pattern-first:
         pattern_id u32 | sim f64
-    nodes u32 * sum(n_nodes)
-    crc u32: zlib.crc32 of every byte before it
+    nodes u32 * sum(node counts)
 
-A string table is a u32 count followed by (u32 byte length, UTF-8 bytes) per
-entry. The file stores each fact once. The entity count is the PageRank
-vector's length, the type and attribute counts are the name tables' lengths,
-and the index's stats (`IndexStats`) follow from the records: its entry count
-is theirs and its cost proxy is their node total. A record stores only its
-pattern id, its similarity term and its nodes. Its node count `n_nodes`
-(`len(pattern) // 2 + 1`), its attributes (its pattern's odd elements), its
-root (its first node) and its PageRank term (the stored score of its last
-node, or of the edge's source on an edge match, whose pattern has even
-length) are derived at load by `pathindex.index_columns`, as `build_index`
-derives them. The pattern table (its tuples, lengths and elements), the
-vocabulary and the stored columns are `PathIndex.columns`: `serialize`
-writes each array with `ndarray.tobytes`, and `deserialize` passes the
-`np.frombuffer` views it reads to the `PathIndex` constructor.
+A string table is a u32 count, then each entry's u32 byte length, then all
+entries' UTF-8 bytes. A word's records are one slice of each record column,
+found from the directory's counts; its record CRC is zlib.crc32 of its slice
+of pattern_id, then of sim, then of nodes. So every byte after the header is
+covered by exactly one word's CRC. The file stores each fact once. The entity
+count is the PageRank vector's length, the type and attribute counts are the
+name tables' lengths, and the index's stats (`IndexStats`) follow from the
+directory: its entry count is the record total and its cost proxy the node
+total. A record stores only its pattern id, its similarity term and its
+nodes. Its node count `n_nodes` (`len(pattern) // 2 + 1`), its attributes
+(its pattern's odd elements), its root (its first node) and its PageRank term
+(the stored score of its last node, or of the edge's source on an edge match,
+whose pattern has even length) are derived by `pathindex.derived_columns`, as
+`build_index` derives them. The pattern table (its tuples, lengths and
+elements), the vocabulary and the stored columns are `PathIndex.columns`:
+`serialize` writes each array's bytes as they are, and a read passes the
+`np.frombuffer` views of the file's bytes to the `PathIndex` constructor.
 
-Reading checks the magic, then the version, then the CRC, before it decodes
-anything else. Bad magic or version raises IndexFormatError. Every other
-check also runs before `deserialize` returns, on whole arrays, and raises
-IndexCorruptError: a CRC mismatch (any single-bit flip after the version
-field, or a truncated file), a depth below 1, a short read, bytes left over
-after the records, a PageRank score that is not finite and positive, an
-empty pattern, an id out of range (a pattern type id >= n_types, a pattern
-attribute id >= n_attrs, a pattern id past the pattern table, a node id >=
-n_entities; a derived attribute is a pattern's, so it is in range), a
-record's `sim` term that is not finite and positive, a record with more
-nodes than the depth, a pattern table that is not strictly increasing in
-canonical order, or a word whose records' (pattern_id, root) ever decrease.
-Each derived column is computed only after the ids it indexes with are
-checked. The last two checks make the file's order the in-memory order: each
-(word, pattern, root) is one contiguous run of records, taken in stored
-order.
+A read checks the header before it returns and each word's records on the
+word's first use. `read_index` checks the magic, then the version, then the
+header CRC, before it decodes anything else. Bad magic or version raises
+IndexFormatError. Every other check raises IndexCorruptError: a header CRC
+mismatch (any single-bit flip in the header, or a file cut inside it), a
+header size that disagrees with its sections, a depth below 1, a PageRank
+score that is not finite and positive, an empty pattern, a pattern with more
+nodes than the depth (so no record has more), a pattern type id >= n_types or
+attribute id >= n_attrs, a pattern table that is not strictly increasing in
+canonical order, or a file length other than the header's plus the record
+columns the directory counts. It derives nothing per record: the index's
+derived columns stay unfilled until `PathIndex.check` passes words to
+`_check_words`. That runs, on all the words of one call in one batch, each
+word's record CRC (any single-bit flip in its records), then the record
+checks: a pattern id past the pattern table, a word whose records' node
+total is not its directory node count, a node id >= n_entities (a derived
+attribute is a pattern's, so it is in range), a `sim` term that is not
+finite and positive, and a word whose records' (pattern_id, root) ever
+decrease. Each derived column is computed
+only after the ids it indexes with are checked, and written only after every
+check of the batch passed. The last check makes the file's order the
+in-memory order: each (word, pattern, root) is one contiguous run of records,
+taken in stored order. `deserialize` checks every word before it returns.
+
+So a corrupt record in a word a query reads fails the query, and one in a
+word it does not read cannot change its answer.
 """
 from __future__ import annotations
 
+import functools
 import io
-import operator
 import struct
 import zlib
+from collections import namedtuple
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Union
 
@@ -65,10 +82,10 @@ import numpy as np
 
 from .errors import IndexCorruptError, IndexFormatError
 from .pagerank import PageRankVector
-from .pathindex import RECORD_DTYPES, PathIndex, index_columns, node_offsets
+from .pathindex import RECORD_DTYPES, IndexColumns, PathIndex, derived_columns, node_offsets
 
 MAGIC = b"KGPX"
-VERSION = 9
+VERSION = 10
 FINGERPRINT_BYTES = 32
 
 
@@ -77,11 +94,10 @@ class _Writer(io.BytesIO):
         self.write(struct.pack("<" + fmt, *values))
 
     def string_table(self, strings):
-        self.pack("I", len(strings))
-        for s in strings:
-            data = s.encode("utf-8")
-            self.pack("I", len(data))
-            self.write(data)
+        data = [s.encode("utf-8") for s in strings]
+        self.pack("I", len(data))
+        self.write(np.array(list(map(len, data)), "<u4").tobytes())
+        self.write(b"".join(data))
 
 
 class _Reader:
@@ -109,13 +125,27 @@ class _Reader:
 
     def string_table(self) -> list[str]:
         (n,) = self.unpack("I")
-        return [str(self.take(self.unpack("I")[0]), "utf-8") for _ in range(n)]
+        ends = list(accumulate(self.unpack(f"{n}I"), initial=0))
+        blob = bytes(self.take(ends[-1]))
+        return [blob[a:b].decode() for a, b in zip(ends, ends[1:])]
+
+
+def _record_crc(pattern_id, sim, nodes, records: slice, node_span: slice) -> int:
+    """The record CRC of a word whose records and nodes are these slices of the record columns."""
+    return zlib.crc32(nodes[node_span], zlib.crc32(sim[records], zlib.crc32(pattern_id[records])))
 
 
 def serialize(idx: PathIndex) -> bytes:
+    c = idx.columns
+    idx.check(c.vocab)
+    columns = [np.ascontiguousarray(x, dtype) for x, dtype in zip((c.pattern_id, c.sim, c.nodes), (*RECORD_DTYPES, "<u4"))]
+    records = list(accumulate(c.counts.tolist(), initial=0))
+    nodes = c.node_off[records].tolist()
+    crcs = [_record_crc(*columns, slice(a, b), slice(m, n)) for a, b, m, n in zip(records, records[1:], nodes, nodes[1:])]
     w = _Writer()
     w.write(MAGIC)
-    w.pack("II", VERSION, idx.depth)
+    w.pack("II", VERSION, 0)  # the header size, set below
+    w.pack("I", idx.depth)
     w.pack("dd", idx.pagerank.damping, idx.pagerank.tolerance)
     w.write(idx.fingerprint)
     w.string_table(idx.type_names)
@@ -125,43 +155,55 @@ def serialize(idx: PathIndex) -> bytes:
     w.pack("I", len(scores))
     w.write(scores.tobytes())
 
-    c = idx.columns
     w.pack("I", len(c.patterns))
     w.write(c.lengths.tobytes())
     w.write(c.elements.tobytes())
     w.string_table(c.vocab)
-    for column in (c.counts, c.pattern_id, c.sim, c.nodes):
-        w.write(column.tobytes())
-    body = w.getvalue()
-    return body + struct.pack("<I", zlib.crc32(body))
+    for column in (c.counts, np.diff(nodes), crcs):
+        w.write(np.asarray(column, "<u4").tobytes())
+    header = w.getbuffer()
+    header[8:12] = struct.pack("<I", len(header))
+    return b"".join((header, struct.pack("<I", zlib.crc32(header)), *columns))
 
 
-def deserialize(data: bytes) -> PathIndex:
-    try:
-        return _deserialize(data)
-    except (IndexFormatError, IndexCorruptError):
-        raise
-    except (IndexError, KeyError, UnicodeDecodeError, OverflowError, MemoryError, ValueError) as exc:
-        raise IndexCorruptError(f"corrupt index file: {exc}") from exc
+def _corrupt_on_error(read):
+    """`read`, raising IndexCorruptError where a malformed file makes it fail in another way."""
+
+    @functools.wraps(read)
+    def checked(*args):
+        try:
+            return read(*args)
+        except (IndexError, KeyError, UnicodeDecodeError, OverflowError, MemoryError, ValueError) as exc:
+            raise IndexCorruptError(f"corrupt index file: {exc}") from exc
+
+    return checked
 
 
-def _require(ok, what: str) -> None:
+def _require(ok: np.ndarray, what: str) -> None:
     """Raise IndexCorruptError unless every element of `ok` is true."""
-    if not np.all(ok):
+    if not ok.all():
         raise IndexCorruptError(f"{what} (first at position {int(np.argmin(ok))})")
 
 
-def _deserialize(data: bytes) -> PathIndex:
+# Per word and one past the last word, the offsets of its first record and
+# first node into their columns (the directory's counts summed), and per word
+# its record CRC, as lists.
+_Directory = namedtuple("_Directory", "records nodes crc")
+
+
+@_corrupt_on_error
+def _load(data: bytes) -> PathIndex:
+    """The index in `data` with its header checked and no word checked."""
     r = _Reader(data)
     if r.take(4) != MAGIC:
         raise IndexFormatError("not a path-index file (bad magic)")
     (version,) = r.unpack("I")
     if version != VERSION:
         raise IndexFormatError(f"unsupported index version {version}")
-    body, crc = memoryview(data)[:-4], data[-4:]
-    if len(body) < r.pos or zlib.crc32(body) != int.from_bytes(crc, "little"):
-        raise IndexCorruptError("checksum mismatch: the index file is corrupt or truncated")
-    r.data = body  # decode only the bytes the CRC covers
+    (size,) = r.unpack("I")
+    if len(data) < size + 4 or zlib.crc32(memoryview(data)[:size]) != int.from_bytes(data[size : size + 4], "little"):
+        raise IndexCorruptError("checksum mismatch: the index header is corrupt or truncated")
+    r.data = memoryview(data)[:size]  # decode only the bytes the CRC covers
     (depth,) = r.unpack("I")
     if depth < 1:
         raise IndexCorruptError(f"index depth {depth} is below 1")
@@ -180,32 +222,87 @@ def _deserialize(data: bytes) -> PathIndex:
     lengths = r.array("<u2", n_patterns)
     elements = r.array("<u4", int(lengths.sum()))
     _require(lengths > 0, "a pattern is empty")
-    ends = np.cumsum(lengths, dtype=np.int64)
-    # An element's position within its pattern: even positions are type ids, odd ones attribute ids.
-    position = np.arange(len(elements)) - np.repeat(ends - lengths, lengths)
-    limit = np.where(position % 2 == 0, n_types, n_attrs)
-    _require(elements < limit, "a pattern references an unknown type or attribute id")
-    flat = elements.tolist()
-    all_patterns = [tuple(flat[b - n : b]) for n, b in zip(lengths.tolist(), ends.tolist())]
-    keys = list(zip(lengths.tolist(), all_patterns))  # each pattern's `patterns.sort_key`
-    _require(list(map(operator.lt, keys, keys[1:])), "the pattern table is not in canonical order")
+    _require(lengths // 2 < depth, f"a pattern has more nodes than the index depth {depth}")
+    # The patterns as the rows of a matrix padded with -1; even columns hold type ids, odd ones attribute ids.
+    width = int(lengths.max(initial=1))
+    rows = np.full((n_patterns, width), -1, np.int64)
+    rows[np.arange(width) < lengths[:, None]] = elements
+    _require(rows < np.where(np.arange(width) % 2 == 0, n_types, n_attrs), "a pattern references an unknown type or attribute id")
+    # Canonical order (`patterns.sort_key`): by length, then lexicographically.
+    longer, step = np.diff(lengths.astype(np.int64)), np.diff(rows, axis=0)
+    first = (step != 0).argmax(1)  # the first element where a pattern differs from the one before
+    _require((longer > 0) | (longer == 0) & (step[np.arange(len(step)), first] > 0), "the pattern table is not in canonical order")
+    bounds = np.searchsorted(lengths, np.arange(width + 2)).tolist()  # each length's patterns, in order
+    all_patterns = list(chain.from_iterable(zip(*rows[bounds[n] : bounds[n + 1], :n].T.tolist()) for n in range(1, width + 1)))
     vocab = r.string_table()
 
-    counts = r.array("<u8", len(vocab))
-    n = sum(counts.tolist())
-    pid, sim = (r.array(dtype, n) for dtype in RECORD_DTYPES)
-    _require(pid < n_patterns, "a record references an unknown pattern id")
-    nodes = r.array("<u4", int(node_offsets(lengths, pid)[-1]))
-    if r.pos != len(body):
-        raise IndexCorruptError(f"{len(body) - r.pos} unexpected bytes after the records")
-    _require(nodes < n_entities, "a record references an unknown entity id")
+    counts, node_counts, crc = (r.array("<u4", len(vocab)) for _ in range(3))
+    if r.pos != size:
+        raise IndexCorruptError(f"the header size {size} disagrees with its sections' {r.pos} bytes")
+    records, node_off = (list(accumulate(x.tolist(), initial=0)) for x in (counts, node_counts))
+    directory = _Directory(records, node_off, crc.tolist())
+    n, n_nodes = records[-1], node_off[-1]
+    expected = size + 4 + 12 * n + 4 * n_nodes
+    if len(data) < expected:
+        raise IndexCorruptError(f"truncated index: the directory's records need {expected} bytes, the file has {len(data)}")
+    if len(data) > expected:
+        raise IndexCorruptError(f"{len(data) - expected} unexpected bytes after the records")
+    pid = np.frombuffer(data, RECORD_DTYPES[0], n, size + 4)
+    sim = np.frombuffer(data, RECORD_DTYPES[1], n, size + 4 + 4 * n)
+    nodes = np.frombuffer(data, "<u4", n_nodes, size + 4 + 12 * n)
+    stored = (all_patterns, lengths, elements, vocab, counts, pid, sim, nodes)
+    derived = np.zeros(n_nodes - n, "<u4"), np.zeros(n + 1, np.int64), np.zeros(n, "<u4"), np.zeros(n)
+    check_words = functools.partial(_check_words, directory)
+    return PathIndex(depth, pagerank, type_names, attr_names, IndexColumns(*stored, *derived), bytes(fingerprint), check_words)
+
+
+@_corrupt_on_error
+def _check_words(d: _Directory, idx: PathIndex, words: list[int]) -> None:
+    """Check the records of the words at these vocabulary positions (in
+    increasing order) in one batch, then fill their derived columns."""
+    c, records, nodes = idx.columns, d.records, d.nodes
+    for w in words:
+        a, b = records[w], records[w + 1]
+        if _record_crc(c.pattern_id, c.sim, c.nodes, slice(a, b), slice(nodes[w], nodes[w + 1])) != d.crc[w]:
+            raise IndexCorruptError(f"checksum mismatch: the records of word {c.vocab[w]!r} are corrupt")
+    # Words next to each other in the file are one span of each column.
+    runs = [[words[0], words[0] + 1]]
+    for w in words[1:]:
+        if w == runs[-1][1]:
+            runs[-1][1] += 1
+        else:
+            runs.append([w, w + 1])
+    record_spans = [slice(records[p], records[q]) for p, q in runs]
+    node_spans = [slice(nodes[p], nodes[q]) for p, q in runs]
+    pid, sim = (np.concatenate([column[span] for span in record_spans]) for column in (c.pattern_id, c.sim))
+    batch_nodes = np.concatenate([c.nodes[span] for span in node_spans])
+    _require(pid < len(c.patterns), "a record references an unknown pattern id")
+    node_off = node_offsets(c.lengths, pid)
+    # Each word's first record and first node in the batch.
+    first = np.fromiter(accumulate((records[w + 1] - records[w] for w in words), initial=0), np.int64, len(words) + 1)
+    first_node = np.fromiter(accumulate((nodes[w + 1] - nodes[w] for w in words), initial=0), np.int64, len(words) + 1)
+    _require(node_off[first] == first_node, "a word's records disagree with its directory node count")
+    _require(batch_nodes < idx.n_entities, "a record references an unknown entity id")
     _require(np.isfinite(sim) & (sim > 0), "a record's sim term is not finite and positive")
-    columns = index_columns((all_patterns, lengths, elements, vocab, counts, pid, sim, nodes), scores)
-    _require(np.diff(columns.node_off) <= depth, f"a record has more nodes than the index depth {depth}")
-    run_key = pid.astype(np.uint64) << 32 | columns.root
-    new_word = np.isin(np.arange(1, n), np.cumsum(counts))
-    _require(new_word | (run_key[1:] >= run_key[:-1]), "a word's records are not sorted by pattern id, then root")
-    return PathIndex(depth, pagerank, type_names, attr_names, columns, bytes(fingerprint))
+    attrs, root, pr = derived_columns(c.lengths, c.elements, pid, node_off, batch_nodes, idx.pagerank.scores)
+    run_key = pid.astype(np.uint64) << 32 | root
+    new_word = np.zeros(len(pid) + 1, bool)
+    new_word[first] = True
+    _require(new_word[1:-1] | (run_key[1:] >= run_key[:-1]), "a word's records are not sorted by pattern id, then root")
+    x = 0  # the run's first record in the batch
+    for span, node_span in zip(record_spans, node_spans):
+        a, b, y = span.start, span.stop, x + span.stop - span.start
+        c.node_off[a : b + 1] = node_off[x : y + 1] + (node_span.start - node_off[x])
+        c.root[span], c.pr[span] = root[x:y], pr[x:y]
+        c.attrs[node_span.start - a : node_span.stop - b] = attrs[node_off[x] - x : node_off[y] - y]
+        x = y
+
+
+def deserialize(data: bytes) -> PathIndex:
+    """The index in `data`, every word of it checked."""
+    idx = _load(data)
+    idx.check(idx.columns.vocab)
+    return idx
 
 
 def write_index(idx: PathIndex, path: Union[str, Path]) -> None:
@@ -213,4 +310,6 @@ def write_index(idx: PathIndex, path: Union[str, Path]) -> None:
 
 
 def read_index(path: Union[str, Path]) -> PathIndex:
-    return deserialize(Path(path).read_bytes())
+    """The index in the file at `path`, its header checked; each word is
+    checked on its first use (`PathIndex.check`)."""
+    return _load(Path(path).read_bytes())

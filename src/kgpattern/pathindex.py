@@ -20,8 +20,10 @@ columns those determine (`IndexColumns`, `index_columns`); each word's records
 are one slice of them (`idx.words[w]`, a range of rows), sorted pattern-first
 (pattern length-lexicographically, then nodes, whose first is the root, then
 attrs), so a (pattern, root) is one run of a word's slice. `build_index` fills
-them straight from its level-by-level path search, and `indexio.deserialize`
-hands the file's columns to the same constructor. Nothing is decoded, laid out
+them straight from its level-by-level path search, and a read of a KGPX file
+hands the file's columns to the same constructor, with the derived ones
+unfilled until `PathIndex.check` checks a word and fills its rows (see
+`indexio`). Nothing is decoded, laid out
 or cached beside them: the engines join on the columns (see `search`), and the
 access methods read a word's slice directly, finding a pattern's run by a
 binary search of its sorted pattern ids and a root's records by a mask;
@@ -38,7 +40,7 @@ import logging
 from collections import deque, namedtuple
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -101,8 +103,9 @@ class IndexStats:
 # vocabulary with each word's record count, one array per field of
 # RECORD_DTYPES with one entry per record (word by word, in vocabulary order),
 # and all records' nodes in one array; then the columns these determine
-# (`index_columns`): record j's nodes are nodes[node_off[j]:node_off[j + 1]] and
-# its attributes, one fewer, start at attrs[node_off[j] - j].
+# (`index_columns`, `derived_columns`): record j's nodes are
+# nodes[node_off[j]:node_off[j + 1]] and its attributes, one fewer, start at
+# attrs[node_off[j] - j]. A word's derived rows are valid once it is checked.
 IndexColumns = namedtuple("IndexColumns", "patterns lengths elements vocab counts pattern_id sim nodes attrs node_off root pr")
 
 
@@ -115,18 +118,27 @@ def node_offsets(pattern_lengths: np.ndarray, pattern_id: np.ndarray) -> np.ndar
 
 def index_columns(stored: tuple, scores: np.ndarray) -> IndexColumns:
     """`stored`, the stored columns from `patterns` to `nodes`, with the columns
-    they determine. A record's attributes are its pattern's odd elements, its
-    root is its first node, and its pr term is the PageRank score of its last
-    node, or on an edge match (a pattern of even length) of the edge's source,
-    the node before it. Every id in `stored` must be in range and no pattern empty."""
+    they determine (`derived_columns`). Every id in `stored` must be in range
+    and no pattern empty."""
     _, lengths, elements, _, _, pattern_id, _, nodes = stored
     node_off = node_offsets(lengths, pattern_id)
+    attrs, root, pr = derived_columns(lengths, elements, pattern_id, node_off, nodes, scores)
+    return IndexColumns(*stored, attrs, node_off, root, pr)
+
+
+def derived_columns(lengths, elements, pattern_id, node_off, nodes, scores) -> tuple:
+    """The attrs, root and pr columns of the records with these pattern ids,
+    `node_off` (`node_offsets`) and nodes, given the pattern table's lengths
+    and elements and the PageRank scores. A record's attributes are its
+    pattern's odd elements, its root is its first node, and its pr term is
+    the PageRank score of its last node, or on an edge match (a pattern of
+    even length) of the edge's source, the node before it."""
     n, size = len(pattern_id), lengths[pattern_id]
     # Record j's step t, attrs[node_off[j] - j + t], is element 2t + 1 of its pattern, which starts at start[j].
     start = (np.cumsum(lengths, dtype=np.int64) - lengths)[pattern_id]
     attrs = elements[np.repeat(start + 1 - 2 * (node_off[:-1] - np.arange(n)), size // 2) + 2 * np.arange(len(nodes) - n)]
     pr = scores[nodes[node_off[1:] - 1 - (size % 2 == 0)]]
-    return IndexColumns(*stored, attrs, node_off, nodes[node_off[:-1]], pr)
+    return attrs, nodes[node_off[:-1]], pr
 
 
 def build_all(cls, *columns: list) -> list:
@@ -217,10 +229,14 @@ class PathIndex:
         attr_names: list[str],
         columns: IndexColumns,
         fingerprint: bytes,
+        check_words: Optional[Callable[["PathIndex", list[int]], None]] = None,
     ):
         """Index the records in `columns` (each word's sorted pattern-first)
         for a graph with these name tables and fingerprint
-        (`KnowledgeGraph.fingerprint`), and one PageRank score per entity."""
+        (`KnowledgeGraph.fingerprint`), and one PageRank score per entity.
+        With `check_words`, no word's records are checked yet and their
+        derived columns are not filled: `check` passes it the vocabulary
+        positions of the words to check and fill (see `indexio`)."""
         self.depth = depth
         self.pagerank = pagerank
         self.n_entities = len(pagerank.scores)
@@ -235,11 +251,27 @@ class PathIndex:
         self.words: dict[str, range] = {w: range(start, start + size) for w, start, size in words}
         word_sizes = {w: len(span) for w, span in self.words.items()}
         self.stats = IndexStats(sum(counts), len(columns.nodes), word_sizes)
+        # Each word whose records are not checked yet, with its position in the vocabulary.
+        self.unchecked: dict[str, int] = {w: i for i, w in enumerate(columns.vocab)} if check_words else {}
+        self._check_words = check_words
+
+    def check(self, words) -> None:
+        """Check the records of those of `words` that are unchecked, and fill
+        their derived columns, in one batch. Nothing may read a word's derived
+        columns before this: the engines call it once on their keywords, and
+        the access methods on the word they read."""
+        todo = {w: self.unchecked[w] for w in words if w in self.unchecked}
+        if todo:
+            self._check_words(self, sorted(todo.values()))
+            for w in todo:
+                del self.unchecked[w]
 
     # -- access methods ------------------------------------------------
 
     def _records(self, word: str, pattern: Optional[pat.PathPattern] = None, root: Optional[int] = None) -> np.ndarray:
         """The ids of `word`'s records (of `pattern`, under `root`, when given) in pattern-first order."""
+        if self.unchecked:
+            self.check((word,))
         c, span = self.columns, self.words.get(word, range(0))
         start, stop = span.start, span.stop
         if pattern is not None:
@@ -289,25 +321,25 @@ def pattern_rows(entity_type: np.ndarray, nodes: np.ndarray, attrs: np.ndarray) 
     return rows
 
 
-def mismatched_records(c: IndexColumns, graph: KnowledgeGraph) -> np.ndarray:
-    """The ids of the records that are no path of their pattern in `graph`: a
-    node's type is not its pattern's type id (an even element; an edge
+def mismatched_records(c: IndexColumns, graph: KnowledgeGraph, ids: np.ndarray) -> np.ndarray:
+    """Those of the records `ids` that are no path of their pattern in `graph`:
+    a node's type is not its pattern's type id (an even element; an edge
     match's last node has none), or a step (parent, attr, child), whose attr
     is the element before the child's, is no edge. Edge keys are exact while
     n_entities² * n_attrs < 2^63."""
-    size = np.diff(c.node_off)
-    owner = np.repeat(np.arange(len(size)), size)
-    at = np.arange(len(c.nodes)) - np.repeat(c.node_off[:-1], size)  # each node's position in its record
-    element = np.repeat((np.cumsum(c.lengths, dtype=np.int64) - c.lengths)[c.pattern_id], size) + 2 * at
-    typed = 2 * at < c.lengths[c.pattern_id][owner]
-    bad_type = np.array(graph.entity_type, np.int64)[c.nodes[typed]] != c.elements[element[typed]]
+    owner, at_node = _ranges(c.node_off, ids)  # owner: each node's record, as a position in `ids`
+    nodes, pattern_id = c.nodes[at_node].astype(np.int64), c.pattern_id[ids][owner]
+    at = at_node - c.node_off[ids][owner]  # each node's position in its record
+    element = (np.cumsum(c.lengths, dtype=np.int64) - c.lengths)[pattern_id] + 2 * at
+    typed = 2 * at < c.lengths[pattern_id]
+    bad_type = np.array(graph.entity_type, np.int64)[nodes[typed]] != c.elements[element[typed]]
     step = np.flatnonzero(at)
     adj_off, edges = _csr(graph.adjacency, np.int64)  # edges: (attr, target) rows
     source = np.repeat(np.arange(graph.n_entities), np.diff(adj_off))
     edge_keys = (source * graph.n_attrs + edges[:, 0]) * graph.n_entities + edges[:, 1]
-    key = (c.nodes[step - 1] * np.int64(graph.n_attrs) + c.elements[element[step] - 1]) * graph.n_entities + c.nodes[step]
+    key = (nodes[step - 1] * graph.n_attrs + c.elements[element[step] - 1]) * graph.n_entities + nodes[step]
     bad = np.concatenate((owner[typed][bad_type], owner[step][~np.isin(key, edge_keys)]))
-    return np.flatnonzero(np.bincount(bad, minlength=len(size)))
+    return ids[np.flatnonzero(np.bincount(bad, minlength=len(ids)))]
 
 
 def _ranges(off: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -370,7 +402,7 @@ def build_index(graph: KnowledgeGraph, pagerank: PageRankVector, depth: int) -> 
     vocab, counts = np.unique(word, return_counts=True)
     nodes = paths[order, ::2]
     stored = patterns, np.array([len(p) for p in patterns], "<u2"), np.concatenate(elements).astype("<u4")
-    stored += [words[i] for i in vocab.tolist()], counts.astype("<u8"), pattern_id[order].astype("<u4"), sim[order]
+    stored += [words[i] for i in vocab.tolist()], counts.astype("<u4"), pattern_id[order].astype("<u4"), sim[order]
     stored += (nodes[nodes >= 0].astype("<u4"),)
     columns = index_columns(stored, pagerank.scores)
     idx = PathIndex(depth, pagerank, list(graph.type_names), list(graph.attr_names), columns, graph.fingerprint())

@@ -24,7 +24,9 @@
   it returns the exact top k.
 
 The three index engines run one join on the index columns (`idx.columns`),
-array at a time, and differ only in which rows they join. A row (path tuple)
+array at a time, and differ only in which rows they join. Each first checks
+its keywords' records (`PathIndex.check`), so an index read from a file
+checks and derives only the words its queries read. A row (path tuple)
 picks one record per keyword under a shared root; a *unit* is a root with one
 run of records per keyword, and its rows are the runs' cross product.
 ``_tree_rows`` keeps the rows whose paths' union is a rooted tree,
@@ -311,6 +313,7 @@ def search_pattern_enum(
     keywords' path patterns, each combination's roots being the intersection
     of its patterns' root sets; all (combination, root) units are joined at once."""
     c, words = idx.columns, list(query.keywords)
+    idx.check(words)
     ids, runs, by_type = [], [], []
     for word in words:
         span = idx.words.get(word, range(0))
@@ -353,17 +356,24 @@ def search_linear_enum(
     stats: Optional[dict] = None,
 ) -> list[tuple[pat.TreePattern, list[ValidSubtree]]]:
     """Full enumeration: every tree pattern with its complete subtree set."""
-    c = idx.columns
     stats = {} if stats is None else stats
+    rows, patterns = enumerate_rows(idx, query, stats)
+    _log_rejections("linear-enum", query, stats)
+    keys, members = _answers(idx.columns, [(rows, patterns, np.arange(len(patterns.sizes)))])
+    return [(key, span.decode()) for key, span in zip(keys, members)]
+
+
+def enumerate_rows(idx: PathIndex, query: Query, stats: dict) -> tuple[list, Groups]:
+    """The rows (one record id array per keyword) that form trees under the
+    candidate roots, and their tree patterns, counted into `stats`; no member
+    is decoded."""
     stats.update(_new_stats())
     ids, candidates, run_start, run_size = _root_runs(idx, query.keywords)
     stats["candidate_roots"] = len(candidates)
-    rows = _tree_rows(c, ids, run_start, run_size, idx.n_attrs, stats)
-    patterns = _group(c, rows)
+    rows = _tree_rows(idx.columns, ids, run_start, run_size, idx.n_attrs, stats)
+    patterns = _group(idx.columns, rows)
     stats["patterns_found"] = len(patterns.sizes)
-    _log_rejections("linear-enum", query, stats)
-    keys, members = _answers(c, [(rows, patterns, np.arange(len(patterns.sizes)))])
-    return [(key, span.decode()) for key, span in zip(keys, members)]
+    return rows, patterns
 
 
 def search_linear_topk(
@@ -449,6 +459,7 @@ def _root_runs(idx: PathIndex, words, allowed=None):
     a stable sort), the candidate roots (those every keyword reaches), and
     each keyword's run start and size per candidate. `allowed`, when given,
     holds per keyword the pattern ids whose records are taken."""
+    idx.check(words)
     c, ids = idx.columns, []
     for j, word in enumerate(words):
         span = idx.words.get(word, range(0))

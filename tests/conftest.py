@@ -38,10 +38,20 @@ def with_columns(idx, **changes):
     would make it if it wrote those columns, with the pattern table's lengths
     and elements read from its `patterns`. No column is checked and the
     derived ones are not recomputed, so it is only fit to serialize."""
+    idx.check(idx.vocabulary())
     columns = idx.columns._replace(**changes)
     lengths = np.array([len(p) for p in columns.patterns], "<u2")
     columns = columns._replace(lengths=lengths, elements=np.fromiter(chain.from_iterable(columns.patterns), "<u4"))
     return PathIndex(idx.depth, idx.pagerank, idx.type_names, idx.attr_names, columns, idx.fingerprint)
+
+
+def flipped(blob, idx, word) -> bytes:
+    """`blob`, the serialized `idx`, with one bit flipped in the first node of `word`'s records."""
+    idx.check([word])
+    blob = bytearray(blob)
+    records_at = int.from_bytes(blob[8:12], "little") + 4  # after the header and its CRC
+    blob[records_at + 12 * idx.stats.entry_count + 4 * int(idx.columns.node_off[idx.words[word].start])] ^= 1
+    return bytes(blob)
 
 
 def reference_build(graph, pagerank, depth):

@@ -1,4 +1,7 @@
+import itertools
 import math
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,14 +11,17 @@ from kgpattern import (
     build_index,
     run_bench,
     run_precision_sweep,
+    search_linear_enum,
     search_linear_topk,
     uniform_pagerank,
 )
 from kgpattern import bench
 from kgpattern.bench import geometric_mean, precision_against_exact, size_bucket
+from kgpattern.cli import main
 from kgpattern.errors import ParameterError
+from kgpattern.fixtures import sample_graph_path
 
-from conftest import graph_from_text
+from conftest import graph_from_text, random_instance
 
 
 def spread_graph(n_patterns=24, per_pattern_roots=3):
@@ -120,3 +126,33 @@ def test_unknown_engine_is_rejected_before_sizing(sample_graph, sample_index, mo
     monkeypatch.setattr(bench, "_query_size", no_sizing)
     with pytest.raises(ParameterError, match="foo"):
         run_bench(sample_graph, sample_index, [Query(("database",), 5)], algorithms=("linear-topk", "foo"))
+
+
+BENCH_QUERIES = ["database software", "company revenue", "database", "software company revenue", "nothing here"]
+
+
+@pytest.mark.parametrize("case", [None, 0, 1, 2, 3, 4])
+def test_query_sizes_are_those_of_the_full_enumeration(sample_graph, sample_index, case):
+    if case is None:
+        graph, idx, queries = sample_graph, sample_index, [Query.from_text(q) for q in BENCH_QUERIES]
+    else:
+        graph, depth, words = random_instance(case)
+        idx, queries = build_index(graph, uniform_pagerank(graph), depth), [Query(words)]
+    for query in queries:
+        pairs = search_linear_enum(graph, idx, query)
+        assert bench._query_size(graph, idx, query) == (sum(len(members) for _, members in pairs), len(pairs))
+
+
+def test_bench_json_is_unchanged(tmp_path, capsys, monkeypatch):
+    """With a clock that ticks 0.5 s a call, `kgpattern bench --format json`
+    on the sample graph prints `data/software_kb-bench.json`, the report of
+    the KGPX v9 tree, which sized each query by decoding its enumeration."""
+    index, queries = tmp_path / "sample.kgpx", tmp_path / "queries.txt"
+    assert main(["build", "--graph", str(sample_graph_path()), "--index", str(index), "--d", "3"]) == 0
+    queries.write_text("\n".join(BENCH_QUERIES) + "\n", encoding="utf-8")
+    monkeypatch.setattr(bench, "time", SimpleNamespace(monotonic=itertools.count(0, 0.5).__next__))
+    capsys.readouterr()
+    assert main(["bench", "--graph", str(sample_graph_path()), "--index", str(index), "--queries", str(queries),
+                 "--format", "json"]) == 0
+    expected = (Path(__file__).resolve().parent / "data" / "software_kb-bench.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected

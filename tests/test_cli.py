@@ -13,7 +13,7 @@ from kgpattern.fixtures import load_sample_graph, sample_graph_path
 from kgpattern.indexio import read_index, write_index
 from kgpattern.search import search_linear_enum
 
-from conftest import with_columns
+from conftest import flipped, with_columns
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -434,14 +434,15 @@ class TestExitCodes:
         # of a word, moved to a later pattern, keeps its word's records sorted.
         idx = read_index(sample_ws["index"])
         c = idx.columns
-        for record in (np.cumsum(c.counts) - 1).tolist():
+        ends = (np.cumsum(c.counts) - 1).tolist()
+        for record in ends:
             old = c.pattern_id[record]
             later = np.flatnonzero((c.lengths == c.lengths[old]) & (np.arange(len(c.lengths)) > old))
             if len(later):
                 break
         pattern_id = c.pattern_id.copy()
         pattern_id[record] = later[0]
-        self.assert_record_is_no_path(idx, tmp_path, capsys, record, "database", pattern_id=pattern_id)
+        self.assert_record_is_no_path(idx, tmp_path, capsys, record, c.vocab[ends.index(record)], pattern_id=pattern_id)
 
     def test_index_whose_node_types_disagree_with_its_patterns_is_data_error(self, sample_ws, tmp_path, capsys):
         # A word's last one-node record moves to the next pattern, also of one
@@ -473,6 +474,60 @@ class TestExitCodes:
         res = subprocess.run([sys.executable, "-m", "kgpattern", "--help"], env=env, capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         assert res.stdout.startswith("usage: kgpattern")
+
+
+class TestCorruptWord:
+    """A corrupt record fails the commands that read its word, and cannot
+    change the output of those that do not."""
+
+    QUERY = ["--q", "database software", "--format", "json"]
+
+    @pytest.fixture(scope="class")
+    def corrupt(self, sample_ws, tmp_path_factory):
+        # `springer` is no keyword of QUERY.
+        index = tmp_path_factory.mktemp("corrupt") / "flipped.kgpx"
+        index.write_bytes(flipped(sample_ws["index"].read_bytes(), read_index(sample_ws["index"]), "springer"))
+        return index
+
+    def run(self, capsys, *args) -> tuple[int, str, str]:
+        capsys.readouterr()
+        rc = main([str(arg) for arg in args])
+        out, err = capsys.readouterr()
+        return rc, out, err
+
+    @pytest.mark.parametrize("algo", list(ENGINES))
+    def test_a_query_that_does_not_read_the_word_prints_the_same_json(self, sample_ws, corrupt, capsys, algo):
+        graph = sample_graph_path()
+        clean = self.run(capsys, "query", "--graph", graph, "--index", sample_ws["index"], "--algo", algo, *self.QUERY)
+        assert clean[0] == 0
+        assert self.run(capsys, "query", "--graph", graph, "--index", corrupt, "--algo", algo, *self.QUERY) == clean
+
+    @pytest.mark.parametrize("algo", list(ENGINES))
+    def test_a_query_that_reads_the_word_is_a_data_error(self, corrupt, capsys, algo):
+        rc, out, err = self.run(capsys, "query", "--graph", sample_graph_path(), "--index", corrupt,
+                                "--algo", algo, "--q", "database springer")
+        assert (rc, out) == (2, "")
+        assert err == "error: checksum mismatch: the records of word 'springer' are corrupt\n"
+
+    @pytest.mark.parametrize("command", ["bench", "sweep"])
+    def test_bench_and_sweep_read_every_query_word(self, corrupt, tmp_path, capsys, command):
+        queries = tmp_path / "queries.txt"
+        queries.write_text("database\ncompany springer\n", encoding="utf-8")
+        args = [command, "--graph", sample_graph_path(), "--index", corrupt, "--queries", queries]
+        assert self.run(capsys, *args)[0] == 2
+        queries.write_text("database\ncompany software\n", encoding="utf-8")
+        assert self.run(capsys, *args)[0] == 0
+
+    def test_dump_index_is_a_data_error(self, corrupt, capsys):
+        rc, out, err = self.run(capsys, "dump-index", "--index", corrupt)
+        assert (rc, out) == (2, "")
+        assert "checksum mismatch: the records of word 'springer'" in err
+
+    def test_a_version_9_file_is_a_data_error(self, capsys):
+        v9 = Path(__file__).resolve().parent / "data" / "software_kb-v9.kgpx"  # written by KGPX v9's `build`
+        for args in (["dump-index"], ["query", "--graph", sample_graph_path(), "--q", "database"]):
+            rc, out, err = self.run(capsys, *args, "--index", v9)
+            assert (rc, out, err) == (2, "", "error: unsupported index version 9\n")
 
 
 class TestByteDeterminism:

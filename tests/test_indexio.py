@@ -1,5 +1,6 @@
 import math
 import re
+import tempfile
 import zlib
 from itertools import accumulate
 from pathlib import Path
@@ -18,6 +19,7 @@ from kgpattern import (
     deserialize,
     read_index,
     search_linear_topk,
+    search_pattern_enum,
     serialize,
     uniform_pagerank,
     write_index,
@@ -28,7 +30,7 @@ from kgpattern.fixtures import sample_graph_path
 from kgpattern.indexio import FINGERPRINT_BYTES, VERSION
 from kgpattern.pathindex import RECORD_DTYPES
 
-from conftest import graph_from_text, random_instance, with_columns
+from conftest import flipped, graph_from_text, random_instance, with_columns
 
 
 def assert_structurally_equal(a, b):
@@ -97,6 +99,7 @@ def test_file_roundtrip(tmp_path, sample_index):
     path = tmp_path / "sample.kgpx"
     write_index(sample_index, path)
     assert_structurally_equal(read_index(path), sample_index)
+    assert serialize(read_index(path)) == path.read_bytes()  # its words unchecked until `serialize` checks them
 
 
 def test_bad_magic(sample_index):
@@ -106,7 +109,7 @@ def test_bad_magic(sample_index):
         deserialize(bytes(blob))
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 99])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9, 99])
 def test_bad_version(sample_index, version):
     blob = bytearray(serialize(sample_index))
     blob[4:8] = version.to_bytes(4, "little")
@@ -203,33 +206,53 @@ def test_bad_pagerank_vector_is_corrupt(sample_graph, edit):
 @pytest.mark.parametrize("depth", [0, 1, 2])
 def test_depth_below_the_longest_path_is_corrupt(sample_index, depth):
     """No writer stores a depth below its paths' node counts, so patch the
-    depth of the d=3 sample index in the file and seal it with a fresh CRC."""
-    body = bytearray(serialize(sample_index)[:-4])
-    body[8:12] = depth.to_bytes(4, "little")
+    depth of the d=3 sample index in the file and seal it with fresh CRCs."""
+    blob = bytearray(serialize(sample_index))
+    blob[12:16] = depth.to_bytes(4, "little")
     with pytest.raises(IndexCorruptError, match="below 1" if depth == 0 else "more nodes than the index depth"):
-        deserialize(sealed(body))
+        deserialize(sealed(blob, len(sample_index.vocabulary())))
 
 
 def test_pattern_id_past_the_table_is_corrupt(sample_index):
     """No writer stores one, so patch the first record's pattern id in the
-    file and seal it with a fresh CRC."""
-    body = bytearray(serialize(sample_index)[:-4])
-    records = [rec for _, rec in records_of(sample_index)]
-    at = record_columns_at(body, records)
-    body[at : at + 4] = len({rec.pattern for rec in records}).to_bytes(4, "little")
+    file and seal it with fresh CRCs."""
+    blob = bytearray(serialize(sample_index))
+    at = records_at(blob)
+    blob[at : at + 4] = len(sample_index.columns.patterns).to_bytes(4, "little")
     with pytest.raises(IndexCorruptError, match="unknown pattern id"):
-        deserialize(sealed(body))
+        deserialize(sealed(blob, len(sample_index.vocabulary())))
 
 
 # The byte width of each fixed-width record column, in file order.
 WIDTHS = [np.dtype(dtype).itemsize for dtype in RECORD_DTYPES]
 
 
-def record_columns_at(body, records) -> int:
-    """Where the first record column (pattern_id) starts in `body`, a
-    serialized index of `records` without its CRC."""
-    # From the end: the nodes column, then the fixed-width columns.
-    return len(body) - 4 * sum(len(rec.nodes) for rec in records) - sum(WIDTHS) * len(records)
+def header_size(blob) -> int:
+    """The bytes before the header CRC of the serialized index `blob`."""
+    return int.from_bytes(blob[8:12], "little")
+
+
+def records_at(blob) -> int:
+    """Where the first record column (pattern_id) starts in `blob`."""
+    return header_size(blob) + 4
+
+
+def sealed(blob, n_words) -> bytes:
+    """`blob`, the file of an index of `n_words` words with some bytes
+    patched, with every record CRC of its word directory and its header CRC
+    computed afresh from the directory's counts."""
+    size = header_size(blob)
+    counts = np.frombuffer(bytes(blob[size - 12 * n_words : size - 4 * n_words]), "<u4").reshape(2, -1)
+    records, nodes = (list(accumulate(column.tolist(), initial=0)) for column in counts)
+    n = records[-1]
+    pid, sim, node = (np.frombuffer(bytes(blob), dtype, count, size + 4 + at)
+                      for dtype, count, at in (("<u4", n, 0), ("<f8", n, 4 * n), ("<u4", nodes[-1], 12 * n)))
+    crcs = [zlib.crc32(node[c:d], zlib.crc32(sim[a:b], zlib.crc32(pid[a:b])))
+            for a, b, c, d in zip(records, records[1:], nodes, nodes[1:])]
+    out = bytearray(blob)
+    out[size - 4 * n_words : size] = np.array(crcs, "<u4").tobytes()
+    out[size : size + 4] = zlib.crc32(out[:size]).to_bytes(4, "little")
+    return bytes(out)
 
 
 def swap(body, at, other, size):
@@ -237,14 +260,10 @@ def swap(body, at, other, size):
     body[at : at + size], body[other : other + size] = body[other : other + size], body[at : at + size]
 
 
-def sealed(body) -> bytes:
-    return bytes(body) + zlib.crc32(body).to_bytes(4, "little")
-
-
 def test_runs_out_of_order_are_corrupt(sample_index):
     """No writer stores a word's (pattern, root) runs out of order, so swap
     two one-record runs of one word and pattern in the file and seal it with
-    a fresh CRC."""
+    fresh CRCs."""
     entries = records_of(sample_index)
     keys = [(w, rec.pattern, rec.nodes[0]) for w, rec in entries]
     j = next(
@@ -254,39 +273,39 @@ def test_runs_out_of_order_are_corrupt(sample_index):
     node_off = list(accumulate((len(rec.nodes) for rec in records), initial=0))
     a, b, end = node_off[j : j + 3]
     assert b - a == end - b  # one pattern, one node count
-    body = bytearray(serialize(sample_index)[:-4])
-    at = record_columns_at(body, records)
+    blob = bytearray(serialize(sample_index))
+    at = records_at(blob)
     for width in WIDTHS:
-        swap(body, at + width * j, at + width * (j + 1), width)
+        swap(blob, at + width * j, at + width * (j + 1), width)
         at += width * len(records)
-    swap(body, at + 4 * a, at + 4 * b, 4 * (b - a))  # nodes
+    swap(blob, at + 4 * a, at + 4 * b, 4 * (b - a))  # nodes
     with pytest.raises(IndexCorruptError, match="not sorted by pattern id, then root"):
-        deserialize(sealed(body))
+        deserialize(sealed(blob, len(sample_index.vocabulary())))
 
 
 def test_pattern_table_out_of_order_is_corrupt(sample_index):
     """No writer stores the pattern table out of canonical order, so swap two
     patterns of one length in the file, and the ids that point at them, and
-    seal it with a fresh CRC."""
+    seal it with fresh CRCs."""
     records = [rec for _, rec in records_of(sample_index)]
     patterns = sorted({rec.pattern for rec in records}, key=pat.sort_key)
     i = next(i for i in range(len(patterns) - 1) if len(patterns[i]) == len(patterns[i + 1]))
-    body = bytearray(serialize(sample_index)[:-4])
+    blob = bytearray(serialize(sample_index))
     names = sum(4 + len(name.encode()) for name in sample_index.type_names + sample_index.attr_names)
     # The fixed header, the graph fingerprint, two name tables, the PageRank
     # vector, the pattern count and the pattern lengths come before the
     # patterns' elements.
-    at = 28 + FINGERPRINT_BYTES + 8 + names + 4 + 8 * sample_index.n_entities + 4 + 2 * len(patterns)
+    at = 32 + FINGERPRINT_BYTES + 8 + names + 4 + 8 * sample_index.n_entities + 4 + 2 * len(patterns)
     at += sum(4 * len(p) for p in patterns[:i])
     size = 4 * len(patterns[i])
-    swap(body, at, at + size, size)
-    at = record_columns_at(body, records)
-    pid = np.frombuffer(body, "<u4", len(records), at).copy()
+    swap(blob, at, at + size, size)
+    at = records_at(blob)
+    pid = np.frombuffer(blob, "<u4", len(records), at).copy()
     was_i, was_next = pid == i, pid == i + 1
     pid[was_i], pid[was_next] = i + 1, i
-    body[at : at + pid.nbytes] = pid.tobytes()
+    blob[at : at + pid.nbytes] = pid.tobytes()
     with pytest.raises(IndexCorruptError, match="pattern table is not in canonical order"):
-        deserialize(sealed(body))
+        deserialize(sealed(blob, len(sample_index.vocabulary())))
 
 
 def with_empty_pattern(idx):
@@ -324,11 +343,11 @@ def test_file_size_is_the_sum_of_its_sections(sample_index):
     def strings(table):
         return 4 + sum(4 + len(s.encode()) for s in table)
 
-    header = 4 + 4 * 2 + 8 * 2 + FINGERPRINT_BYTES + strings(idx.type_names) + strings(idx.attr_names) + 4 + 8 * idx.n_entities
+    header = 4 + 4 * 3 + 8 * 2 + FINGERPRINT_BYTES + strings(idx.type_names) + strings(idx.attr_names) + 4 + 8 * idx.n_entities
     patterns = 4 + sum(2 + 4 * len(p) for p in idx.columns.patterns)
-    words = strings(idx.vocabulary()) + 8 * len(idx.vocabulary())
+    words = strings(idx.vocabulary()) + 3 * 4 * len(idx.vocabulary())  # the vocabulary and the word directory
     columns = sum(WIDTHS) * n + 4 * n_nodes
-    assert len(serialize(idx)) == header + patterns + words + columns + 4
+    assert len(serialize(idx)) == header + patterns + words + 4 + columns
 
 
 def test_path_longer_than_255_nodes_is_rejected_before_writing():
@@ -348,8 +367,9 @@ def test_name_table_shorter_than_its_count_is_corrupt(sample_graph):
 
 
 def test_a_sealed_file_without_its_last_node_is_corrupt(sample_index):
+    """The header CRC holds, but the directory counts a node past the end."""
     with pytest.raises(IndexCorruptError, match="truncated index"):
-        deserialize(sealed(serialize(sample_index)[:-4 - 4]))
+        deserialize(serialize(sample_index)[:-4])
 
 
 @pytest.mark.parametrize("fraction", [0.05, 0.3, 0.7, 0.999])
@@ -361,15 +381,15 @@ def test_truncation(sample_index, fraction):
 
 
 def test_bytes_after_the_records_are_corrupt(sample_index):
-    body = serialize(sample_index)[:-4] + b"\0"
     with pytest.raises(IndexCorruptError, match="after the records"):
-        deserialize(body + zlib.crc32(body).to_bytes(4, "little"))
+        deserialize(serialize(sample_index) + b"\0")
 
 
 def test_byte_flip_fuzz_never_crashes(sample_index):
     """Every single-bit corruption is rejected with a package error: the
-    magic and version checks catch flips in the first 8 bytes, the CRC all
-    others."""
+    magic and version checks catch flips in the first 8 bytes, the header
+    CRC flips in the rest of the header, and the words' record CRCs flips in
+    the records, which `deserialize` checks for every word."""
     import random
 
     blob = bytearray(serialize(sample_index))
@@ -394,3 +414,111 @@ def test_queries_identical_after_roundtrip(sample_graph, sample_index, sample_qu
     ]
     assert sample_index.patterns("database") == again.patterns("database")
     assert sample_index.roots("database") == again.roots("database")
+
+
+def test_a_word_whose_nodes_disagree_with_its_directory_is_corrupt(sample_index):
+    """No writer stores a directory node count other than its records', so
+    move one node from the first word's count to the second's in the file
+    and seal it with fresh CRCs: the totals still match the file length."""
+    blob = bytearray(serialize(sample_index))
+    n_words = len(sample_index.vocabulary())
+    at = header_size(blob) - 8 * n_words  # the directory's node counts
+    node_counts = np.frombuffer(bytes(blob[at : at + 4 * n_words]), "<u4").astype(np.int64)
+    node_counts[:2] += [1, -1]
+    blob[at : at + 4 * n_words] = node_counts.astype("<u4").tobytes()
+    with pytest.raises(IndexCorruptError, match="disagree with its directory node count"):
+        deserialize(sealed(blob, n_words))
+
+
+def test_a_header_size_past_its_sections_is_corrupt(sample_index):
+    """The header size field moves the header CRC 4 bytes on, over the
+    first record's pattern id, and the CRC there is made to hold."""
+    blob = bytearray(serialize(sample_index))
+    size = header_size(blob) + 4
+    blob[8:12] = size.to_bytes(4, "little")
+    blob[size : size + 4] = zlib.crc32(blob[:size]).to_bytes(4, "little")
+    with pytest.raises(IndexCorruptError, match="header size .* disagrees with its sections"):
+        read_index_of(bytes(blob))
+
+
+def test_a_header_size_short_of_its_sections_is_corrupt(sample_index):
+    """The header size field moves the header CRC 4 bytes back, over the
+    last word's record CRC, and the CRC there is made to hold: the
+    directory then reads past the header."""
+    blob = bytearray(serialize(sample_index))
+    size = header_size(blob) - 4
+    blob[8:12] = size.to_bytes(4, "little")
+    blob[size : size + 4] = zlib.crc32(blob[:size]).to_bytes(4, "little")
+    with pytest.raises(IndexCorruptError, match="truncated index: wanted"):
+        read_index_of(bytes(blob))
+
+
+def test_a_name_that_is_not_utf8_is_corrupt(sample_index):
+    """The first type name's first byte becomes 0xff in the file, whose
+    header CRC is made to hold."""
+    blob = bytearray(serialize(sample_index))
+    n_types = int.from_bytes(blob[64:68], "little")  # after the fixed fields and the fingerprint
+    blob[68 + 4 * n_types] = 0xFF
+    size = header_size(blob)
+    blob[size : size + 4] = zlib.crc32(blob[:size]).to_bytes(4, "little")
+    with pytest.raises(IndexCorruptError, match="corrupt index file: 'utf-8' codec can't decode byte 0xff"):
+        read_index_of(bytes(blob))
+
+
+def read_index_of(blob):
+    """`read_index` of a file holding `blob`."""
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "index.kgpx"
+        path.write_bytes(blob)
+        return read_index(path)
+
+
+def answers(result):
+    return [(sp.pattern, sp.score, sp.estimated_score, sp.subtrees) for sp in result.patterns]
+
+
+@pytest.mark.parametrize("engine", [search_linear_topk, search_pattern_enum])
+def test_a_corrupt_word_fails_only_the_queries_that_read_it(sample_graph, sample_index, sample_query, engine):
+    """`springer` is no keyword of the sample query: its corrupt record
+    cannot change the query's answer, and fails every load that reads it."""
+    idx = read_index_of(flipped(serialize(sample_index), sample_index, "springer"))
+    assert answers(engine(sample_graph, idx, sample_query)) == answers(engine(sample_graph, sample_index, sample_query))
+    with pytest.raises(IndexCorruptError, match="checksum mismatch: the records of word 'springer' are corrupt"):
+        engine(sample_graph, idx, Query(("database", "springer")))
+    with pytest.raises(IndexCorruptError, match="checksum mismatch: the records of word 'springer' are corrupt"):
+        idx.roots("springer")
+    with pytest.raises(IndexCorruptError, match="checksum mismatch: the records of word 'springer' are corrupt"):
+        deserialize(flipped(serialize(sample_index), sample_index, "springer"))
+
+
+def test_a_query_checks_only_its_keywords(sample_graph, sample_index):
+    idx = read_index_of(serialize(sample_index))
+    assert set(idx.unchecked) == set(idx.vocabulary())
+    search_linear_topk(sample_graph, idx, Query(("database",), 5))
+    assert set(idx.vocabulary()) - set(idx.unchecked) == {"database"}
+    idx.patterns("software")
+    assert set(idx.vocabulary()) - set(idx.unchecked) == {"database", "software"}
+    assert not deserialize(serialize(sample_index)).unchecked
+
+
+@pytest.mark.parametrize(
+    "words",
+    [["database"], ["bing", "database"], ["12", "37", "77"], ["12", "us", "37", "writtenin"], None],
+    ids=["one", "apart", "adjacent", "ends", "all"],
+)
+def test_checked_words_derive_the_columns_of_a_build(sample_index, words):
+    """One batch fills each checked word's derived columns as the build did,
+    whether its words lie next to each other in the file or apart."""
+    idx = read_index_of(serialize(sample_index))
+    words = idx.vocabulary() if words is None else words
+    idx.check(words)
+    a, b = idx.columns, sample_index.columns
+    for word in words:
+        span = idx.words[word]
+        first, last = span.start, span.stop
+        assert np.array_equal(a.node_off[first : last + 1], b.node_off[first : last + 1])
+        assert np.array_equal(a.root[first:last], b.root[first:last])
+        assert np.array_equal(a.pr[first:last], b.pr[first:last])
+        attrs = slice(int(b.node_off[first]) - first, int(b.node_off[last]) - last)
+        assert np.array_equal(a.attrs[attrs], b.attrs[attrs])
+        assert idx.paths(word) == sample_index.paths(word)
