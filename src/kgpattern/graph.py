@@ -28,14 +28,17 @@ graphs.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
 import struct
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import IO, Iterable, Optional, Union
+
+import numpy as np
 
 from .errors import GraphLinkError, GraphParseError
 
@@ -103,15 +106,24 @@ class KnowledgeGraph:
         """Every (source, attr, target) edge, in adjacency order: a new list read from `adjacency`."""
         return [(s, a, t) for s, out in enumerate(self.adjacency) for a, t in out]
 
+    @functools.cached_property
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edges as an int64 CSR, made on first read and kept: per entity
+        the position of its first edge (and one past the last), and each
+        edge's (attr, target) row in adjacency order."""
+        rows = np.fromiter(chain.from_iterable(chain.from_iterable(self.adjacency)), np.int64).reshape(-1, 2)
+        return np.fromiter(accumulate(map(len, self.adjacency), initial=0), np.int64, self.n_entities + 1), rows
+
     def fingerprint(self) -> bytes:
         """SHA-256 of the entity types, the entity texts and the edges (in
         adjacency order): with the name tables, all an index depends on."""
         texts = [t.encode("utf-8") for t in self.entity_text]
-        edges = self.edges
-        digest = hashlib.sha256(struct.pack("<QQ", len(texts), len(edges)))
-        digest.update(struct.pack(f"<{len(texts)}I", *self.entity_type))
-        digest.update(struct.pack(f"<{len(texts)}Q", *map(len, texts)))
-        digest.update(struct.pack(f"<{3 * len(edges)}I", *chain.from_iterable(edges)))
+        offsets, rows = self.edge_arrays
+        digest = hashlib.sha256(struct.pack("<QQ", len(texts), len(rows)))
+        digest.update(np.array(self.entity_type, "<u4").tobytes())
+        digest.update(np.array(list(map(len, texts)), "<u8").tobytes())
+        sources = np.repeat(np.arange(len(texts)), np.diff(offsets))
+        digest.update(np.column_stack((sources, rows)).astype("<u4").tobytes())
         digest.update(b"".join(texts))
         return digest.digest()
 
@@ -120,103 +132,16 @@ class KnowledgeGraph:
         return self.entity_type[entity] == TEXT_TYPE_ID
 
 
-class _Builder:
-    def __init__(self):
-        self.g = KnowledgeGraph()
-        self._type_ids: dict[str, int] = {}
-        self._attr_ids: dict[str, int] = {}
-        self._intern_type(TEXT_TYPE_NAME, text="")
-
-    def _intern_type(self, name, text=None):
-        tid = self._type_ids.get(name)
-        if tid is None:
-            tid = len(self.g.type_names)
-            self._type_ids[name] = tid
-            self.g.type_names.append(name)
-            self.g.type_token_set.append(frozenset(tokenize(name if text is None else text)))
-        return tid
-
-    def _intern_attr(self, name):
-        aid = self._attr_ids.get(name)
-        if aid is None:
-            aid = len(self.g.attr_names)
-            self._attr_ids[name] = aid
-            self.g.attr_names.append(name)
-            self.g.attr_token_set.append(frozenset(tokenize(name)))
-        return aid
-
-    def _new_entity(self, type_id, text, key=None):
-        g = self.g
-        eid = g.n_entities
-        g.entity_type.append(type_id)
-        g.entity_text.append(text)
-        g.entity_token_set.append(frozenset(tokenize(text)))
-        g.entity_keys.append(key)
-        g.adjacency.append([])
-        return eid
-
-    def add_entity(self, key, type_name, text, line=None):
-        if key in self.g.key_to_id:
-            raise GraphParseError(f"duplicate entity key {key!r}", line)
-        eid = self._new_entity(self._intern_type(type_name), text, key=key)
-        self.g.key_to_id[key] = eid
-        return eid
-
-    def add_edge(self, source_key, attr_name, target, line=None):
-        source = self.g.key_to_id.get(source_key)
-        if source is None:
-            raise GraphLinkError(f"undeclared source entity {source_key!r}", line)
-        aid = self._intern_attr(attr_name)
-        if isinstance(target, str):  # reference to a declared entity
-            tid = self.g.key_to_id.get(target)
-            if tid is None:
-                raise GraphLinkError(f"undeclared target entity {target!r}", line)
-        else:  # ("literal", text): materialize a dummy TEXT entity
-            tid = self._new_entity(TEXT_TYPE_ID, target[1])
-        self.g.adjacency[source].append((aid, tid))
-
-    def finish(self):
-        # Edges are a set of (source, attr, target) facts: drop re-declarations.
-        for i, lst in enumerate(self.g.adjacency):
-            self.g.adjacency[i] = sorted(set(lst))
-        return self.g
-
-
-def _parse_text_line(builder, line, lineno):
-    kind, _, rest = line.partition(" ")
-    if kind == "E":
-        parts = rest.split(None, 2)
-        if len(parts) < 2:
-            raise GraphParseError("entity record needs <key> <type-name> [text]", lineno)
-        key, type_name = parts[0], parts[1]
-        text = parts[2] if len(parts) == 3 else ""
-        builder.add_entity(key, type_name, text, line=lineno)
-    elif kind == "A":
-        parts = rest.split(None, 2)
-        if len(parts) != 3:
-            raise GraphParseError("edge record needs <source-key> <attr-name> <target>", lineno)
-        source, attr, target = parts
-        if target.startswith("@"):
-            if len(target) < 2:
-                raise GraphParseError("empty target reference", lineno)
-            builder.add_edge(source, attr, target[1:], line=lineno)
-        elif len(target) >= 2 and target.startswith('"') and target.endswith('"'):
-            builder.add_edge(source, attr, ("literal", target[1:-1]), line=lineno)
-        else:
-            raise GraphParseError(
-                "edge target must be @<key> or a double-quoted literal", lineno
-            )
-    else:
-        raise GraphParseError(f"unknown record kind {kind!r}", lineno)
-
-
-def _parse_json_line(builder, line, lineno):
+def _json_record(line, lineno) -> tuple:
+    """The record of a JSON line in the fields of a text line: (kind, key, name,
+    value, literal); kind is "E", "A" or "" for the header."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise GraphParseError(f"invalid JSON: {exc.msg}", lineno) from exc
     if not isinstance(obj, dict) or "kind" not in obj:
         raise GraphParseError("JSON record must be an object with a 'kind' field", lineno)
+
     def field(name, default=None):
         value = obj.get(name, default)
         if not isinstance(value, str):
@@ -227,30 +152,19 @@ def _parse_json_line(builder, line, lineno):
     if kind == "header":
         if obj.get("version") != 1:
             raise GraphParseError(f"unsupported graph format version {obj.get('version')!r}", lineno)
-    elif kind == "entity":
-        builder.add_entity(field("key"), field("type"), field("text", ""), line=lineno)
-    elif kind == "edge":
+        return "", None, None, None, False
+    if kind == "entity":
+        return "E", field("key"), field("type"), field("text", ""), False
+    if kind == "edge":
         target = obj.get("target")
         if isinstance(target, dict) and isinstance(target.get("ref"), str):
-            tgt = target["ref"]
+            value, literal = target["ref"], False
         elif isinstance(target, dict) and isinstance(target.get("text"), str):
-            tgt = ("literal", target["text"])
+            value, literal = target["text"], True
         else:
             raise GraphParseError("edge target must be {'ref': key} or {'text': literal}", lineno)
-        builder.add_edge(field("source"), field("attr"), tgt, line=lineno)
-    else:
-        raise GraphParseError(f"unknown record kind {kind!r}", lineno)
-
-
-def _iter_lines(source) -> Iterable[str]:
-    if isinstance(source, (str, Path)):
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                yield from fh
-        except UnicodeDecodeError:
-            raise _not_utf8(source) from None
-    else:
-        yield from source
+        return "A", field("source"), field("attr"), value, literal
+    raise GraphParseError(f"unknown record kind {kind!r}", lineno)
 
 
 def _not_utf8(path) -> GraphParseError:
@@ -264,23 +178,82 @@ def _not_utf8(path) -> GraphParseError:
     return GraphParseError(f"{path} is not UTF-8")
 
 
-def load_graph(source: Union[str, Path, IO[str]]) -> KnowledgeGraph:
-    """Load a knowledge graph from a path or an open text stream of lines.
+def load_graph(source: Union[str, Path, IO[str], Iterable[str]]) -> KnowledgeGraph:
+    """Load a knowledge graph from a path, an open text stream or a list of lines.
 
-    Text and JSON-lines formats are auto-detected from the first record. Raises
-    GraphParseError for malformed records (with the line number) and
-    GraphLinkError for references to undeclared entities.
+    Text and JSON-lines formats are auto-detected from the first record. Both
+    run through one loop, which interns names, hands out ids and appends each
+    record to the graph's lists in place; each distinct text is tokenized once,
+    after the loop. Raises GraphParseError for malformed records (with the line
+    number) and GraphLinkError for references to undeclared entities.
     """
-    builder = _Builder()
+    if isinstance(source, (str, Path)):
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                return load_graph(fh)
+        except UnicodeDecodeError:
+            raise _not_utf8(source) from None
+    g = KnowledgeGraph()
+    entity_type, entity_text, entity_keys, adjacency = g.entity_type, g.entity_text, g.entity_keys, g.adjacency
+    key_to_id, type_ids, attr_ids = g.key_to_id, {TEXT_TYPE_NAME: TEXT_TYPE_ID}, {}
     json_mode = None
-    for lineno, raw in enumerate(_iter_lines(source), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, line in enumerate(source, start=1):
+        line = line.strip()
+        if not line or line[0] == "#":
             continue
         if json_mode is None:
-            json_mode = line.startswith("{")
+            json_mode = line[0] == "{"
         if json_mode:
-            _parse_json_line(builder, line, lineno)
+            kind, key, name, value, literal = _json_record(line, lineno)
         else:
-            _parse_text_line(builder, line, lineno)
-    return builder.finish()
+            kind, _, rest = line.partition(" ")
+            parts = rest.split(None, 2)
+            if kind == "E":
+                if len(parts) < 2:
+                    raise GraphParseError("entity record needs <key> <type-name> [text]", lineno)
+                key, name, value = parts if len(parts) == 3 else (*parts, "")
+            elif kind == "A":
+                if len(parts) != 3:
+                    raise GraphParseError("edge record needs <source-key> <attr-name> <target>", lineno)
+                key, name, value = parts
+                literal = len(value) >= 2 and value[0] == value[-1] == '"'
+                if value == "@":
+                    raise GraphParseError("empty target reference", lineno)
+                if value[0] != "@" and not literal:
+                    raise GraphParseError("edge target must be @<key> or a double-quoted literal", lineno)
+                value = value[1:] if value[0] == "@" else value[1:-1]
+            else:
+                raise GraphParseError(f"unknown record kind {kind!r}", lineno)
+        if kind == "E":
+            if key in key_to_id:
+                raise GraphParseError(f"duplicate entity key {key!r}", lineno)
+            key_to_id[key] = len(entity_type)
+            entity_type.append(type_ids.setdefault(name, len(type_ids)))
+            entity_text.append(value)
+            entity_keys.append(key)
+            adjacency.append([])
+        elif kind == "A":
+            source_id = key_to_id.get(key)
+            if source_id is None:
+                raise GraphLinkError(f"undeclared source entity {key!r}", lineno)
+            attr = attr_ids.setdefault(name, len(attr_ids))
+            if literal:  # materialize a dummy TEXT entity
+                target = len(entity_type)
+                entity_type.append(TEXT_TYPE_ID)
+                entity_text.append(value)
+                entity_keys.append(None)
+                adjacency.append([])
+            else:
+                target = key_to_id.get(value)
+                if target is None:
+                    raise GraphLinkError(f"undeclared target entity {value!r}", lineno)
+            adjacency[source_id].append((attr, target))
+    # Edges are a set of (source, attr, target) facts: drop re-declarations.
+    g.adjacency = [sorted(set(out)) for out in adjacency]
+    g.type_names, g.attr_names = list(type_ids), list(attr_ids)
+    texts = list({*entity_text, *type_ids, *attr_ids})
+    token_sets = dict(zip(texts, map(frozenset, map(tokenize, texts))))
+    g.entity_token_set = list(map(token_sets.__getitem__, entity_text))
+    g.type_token_set = [frozenset(), *map(token_sets.__getitem__, g.type_names[1:])]  # the TEXT type has no text
+    g.attr_token_set = list(map(token_sets.__getitem__, g.attr_names))
+    return g

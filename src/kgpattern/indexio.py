@@ -35,8 +35,9 @@ nodes. Its node count `n_nodes` (`len(pattern) // 2 + 1`), its attributes
 (its pattern's odd elements), its root (its first node) and its PageRank term
 (the stored score of its last node, or of the edge's source on an edge match,
 whose pattern has even length) are derived by `pathindex.derived_columns`, as
-`build_index` derives them. The pattern table (its tuples, lengths and
-elements), the vocabulary and the stored columns are `PathIndex.columns`:
+`build_index` derives them. The pattern table (a `PatternTable`, which makes
+a pattern's tuple on its first read, its lengths and its elements), the
+vocabulary and the stored columns are `PathIndex.columns`:
 `serialize` writes each array's bytes as they are, and a read passes the
 `np.frombuffer` views of the file's bytes to the `PathIndex` constructor.
 
@@ -74,7 +75,7 @@ import io
 import struct
 import zlib
 from collections import namedtuple
-from itertools import accumulate, chain
+from itertools import accumulate
 from pathlib import Path
 from typing import Union
 
@@ -82,7 +83,7 @@ import numpy as np
 
 from .errors import IndexCorruptError, IndexFormatError
 from .pagerank import PageRankVector
-from .pathindex import RECORD_DTYPES, IndexColumns, PathIndex, derived_columns, node_offsets
+from .pathindex import RECORD_DTYPES, IndexColumns, PathIndex, PatternTable, derived_columns, node_offsets
 
 MAGIC = b"KGPX"
 VERSION = 10
@@ -232,8 +233,6 @@ def _load(data: bytes) -> PathIndex:
     longer, step = np.diff(lengths.astype(np.int64)), np.diff(rows, axis=0)
     first = (step != 0).argmax(1)  # the first element where a pattern differs from the one before
     _require((longer > 0) | (longer == 0) & (step[np.arange(len(step)), first] > 0), "the pattern table is not in canonical order")
-    bounds = np.searchsorted(lengths, np.arange(width + 2)).tolist()  # each length's patterns, in order
-    all_patterns = list(chain.from_iterable(zip(*rows[bounds[n] : bounds[n + 1], :n].T.tolist()) for n in range(1, width + 1)))
     vocab = r.string_table()
 
     counts, node_counts, crc = (r.array("<u4", len(vocab)) for _ in range(3))
@@ -250,7 +249,7 @@ def _load(data: bytes) -> PathIndex:
     pid = np.frombuffer(data, RECORD_DTYPES[0], n, size + 4)
     sim = np.frombuffer(data, RECORD_DTYPES[1], n, size + 4 + 4 * n)
     nodes = np.frombuffer(data, "<u4", n_nodes, size + 4 + 12 * n)
-    stored = (all_patterns, lengths, elements, vocab, counts, pid, sim, nodes)
+    stored = (PatternTable(lengths, elements), lengths, elements, vocab, counts, pid, sim, nodes)
     derived = np.zeros(n_nodes - n, "<u4"), np.zeros(n + 1, np.int64), np.zeros(n, "<u4"), np.zeros(n)
     check_words = functools.partial(_check_words, directory)
     return PathIndex(depth, pagerank, type_names, attr_names, IndexColumns(*stored, *derived), bytes(fingerprint), check_words)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -45,8 +44,11 @@ def compute_pagerank(
     if n == 0:
         return PageRankVector(np.zeros(0), damping, tolerance)
 
-    edges = np.fromiter(chain.from_iterable(graph.edges), np.int64).reshape(-1, 3)  # (source, attr, target) rows
-    src, _, dst = edges[np.lexsort(edges.T[[1, 0, 2]])].T  # in (target, source, attr) order
+    offsets, rows = graph.edge_arrays
+    attr, dst = rows.T
+    src = np.repeat(np.arange(n), np.diff(offsets))
+    order = np.lexsort((attr, src, dst))  # in (target, source, attr) order
+    src, dst = src[order], dst[order]
     out_degree = np.bincount(src, minlength=n).astype(np.float64)
 
     base = (1.0 - damping) / n

@@ -13,7 +13,8 @@ root entity and end at a node or edge containing the word:
 
 Each entry precomputes the three per-path score terms (node count, PageRank of
 the matched node or of the matched edge's source, Jaccard similarity), so
-query-time scoring is pure arithmetic.
+query-time scoring is pure arithmetic. `word_matches` computes every entity's
+and attribute's (word, similarity) matches as arrays, from token ids.
 
 The index holds its records once, as the columns of its KGPX file plus the
 columns those determine (`IndexColumns`, `index_columns`); each word's records
@@ -23,11 +24,13 @@ attrs), so a (pattern, root) is one run of a word's slice. `build_index` fills
 them straight from its level-by-level path search, and a read of a KGPX file
 hands the file's columns to the same constructor, with the derived ones
 unfilled until `PathIndex.check` checks a word and fills its rows (see
-`indexio`). Nothing is decoded, laid out
-or cached beside them: the engines join on the columns (see `search`), and the
-access methods read a word's slice directly, finding a pattern's run by a
-binary search of its sorted pattern ids and a root's records by a mask;
-`decode_records` makes `IndexedPath` objects of just the records asked for.
+`indexio`). The pattern table is a `PatternTable` over the stored lengths and
+elements, which makes a pattern's tuple on its first read. Nothing else is
+decoded, laid out or cached beside them: the engines join on the columns (see
+`search`), and the access methods read a word's slice directly, finding a
+pattern's run by a binary search of its sorted pattern ids and a root's
+records by a mask; `decode_records` makes `IndexedPath` objects of just the
+records asked for.
 
 Literal (dummy TEXT) entities are never used as roots: they stand for
 attribute *values*, carry no type, and cannot anchor a table answer. They do
@@ -38,6 +41,7 @@ from __future__ import annotations
 import bisect
 import logging
 from collections import deque, namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from typing import Callable, Iterator, Optional
@@ -97,15 +101,35 @@ class IndexStats:
     word_sizes: dict[str, int]
 
 
+class PatternTable(Sequence):
+    """The pattern table, in canonical order (a pattern's id is its position),
+    over its `<u2` pattern lengths and all its `<u4` elements, pattern after
+    pattern: pattern i's tuple is made on its first read and kept."""
+
+    def __init__(self, lengths: np.ndarray, elements: np.ndarray):
+        self.lengths, self.elements = lengths, elements
+        self.starts = np.cumsum(lengths, dtype=np.int64) - lengths
+        self.tuples: list[Optional[pat.PathPattern]] = [None] * len(lengths)  # each pattern's, once made
+
+    def __len__(self) -> int:
+        return len(self.tuples)
+
+    def __getitem__(self, i: int) -> pat.PathPattern:
+        pattern = self.tuples[i]
+        if pattern is None:
+            start = int(self.starts[i])
+            pattern = self.tuples[i] = tuple(self.elements[start : start + int(self.lengths[i])].tolist())
+        return pattern
+
+
 # Every record of an index: first its stored KGPX columns, that is the pattern
-# table (in canonical order; a pattern's id is its position) as tuples, its
-# `<u2` pattern lengths and all its `<u4` elements, pattern after pattern, the
-# vocabulary with each word's record count, one array per field of
-# RECORD_DTYPES with one entry per record (word by word, in vocabulary order),
-# and all records' nodes in one array; then the columns these determine
-# (`index_columns`, `derived_columns`): record j's nodes are
-# nodes[node_off[j]:node_off[j + 1]] and its attributes, one fewer, start at
-# attrs[node_off[j] - j]. A word's derived rows are valid once it is checked.
+# table (a `PatternTable`), its lengths and elements, the vocabulary with each
+# word's record count, one array per field of RECORD_DTYPES with one entry per
+# record (word by word, in vocabulary order), and all records' nodes in one
+# array; then the columns these determine (`index_columns`, `derived_columns`):
+# record j's nodes are nodes[node_off[j]:node_off[j + 1]] and its attributes,
+# one fewer, start at attrs[node_off[j] - j]. A word's derived rows are valid
+# once it is checked.
 IndexColumns = namedtuple("IndexColumns", "patterns lengths elements vocab counts pattern_id sim nodes attrs node_off root pr")
 
 
@@ -334,7 +358,7 @@ def mismatched_records(c: IndexColumns, graph: KnowledgeGraph, ids: np.ndarray) 
     typed = 2 * at < c.lengths[pattern_id]
     bad_type = np.array(graph.entity_type, np.int64)[nodes[typed]] != c.elements[element[typed]]
     step = np.flatnonzero(at)
-    adj_off, edges = _csr(graph.adjacency, np.int64)  # edges: (attr, target) rows
+    adj_off, edges = graph.edge_arrays  # edges: (attr, target) rows
     source = np.repeat(np.arange(graph.n_entities), np.diff(adj_off))
     edge_keys = (source * graph.n_attrs + edges[:, 0]) * graph.n_entities + edges[:, 1]
     key = (nodes[step - 1] * graph.n_attrs + c.elements[element[step] - 1]) * graph.n_entities + nodes[step]
@@ -349,10 +373,35 @@ def _ranges(off: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return owner, np.arange(len(owner)) + np.repeat(off[items] + size - np.cumsum(size), size)
 
 
-def _csr(lists: list, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
-    """The offsets of per-item lists of pairs, and all their pairs as the rows of one array."""
-    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(lists)), dtype).reshape(-1, 2)
-    return np.fromiter(accumulate(map(len, lists), initial=0), np.int64, len(lists) + 1), pairs
+def word_matches(graph: KnowledgeGraph) -> tuple[list[str], tuple, tuple]:
+    """The graph's vocabulary, sorted, and the word matches of its entities and
+    of its attributes, each as a CSR (offsets, word ids, sims) with each item's
+    words in increasing order. An entity matches each word of its text, with
+    sim 1/|text tokens|, and of its type's name, with sim 1/|type tokens|, and
+    keeps the larger sim of a word in both; an attribute each word of its name."""
+    words = sorted(set().union(*graph.entity_token_set, *graph.type_token_set, *graph.attr_token_set))
+    word_id = dict(zip(words, range(len(words))))
+
+    def tokens(sets: list) -> tuple[np.ndarray, ...]:
+        """Each set's first token, then per token its set, its word id and its sim 1/|set|."""
+        sizes = np.fromiter(map(len, sets), np.int64, len(sets))
+        owner = np.repeat(np.arange(len(sets)), sizes)
+        ids = np.fromiter(map(word_id.__getitem__, chain.from_iterable(sets)), np.int64, len(owner))
+        return np.concatenate(([0], np.cumsum(sizes))), owner, ids, 1.0 / sizes[owner]
+
+    def csr(owner: np.ndarray, word: np.ndarray, sim: np.ndarray, n: int) -> tuple:
+        """The CSR of n items' (word, sim) pairs, keeping the larger sim of a repeated (owner, word)."""
+        order = np.lexsort((-sim, word, owner))
+        owner, word, sim = owner[order], word[order], sim[order]
+        first = (np.diff(owner, prepend=-1) != 0) | (np.diff(word, prepend=-1) != 0)
+        return np.concatenate(([0], np.cumsum(np.bincount(owner[first], minlength=n)))), word[first], sim[first]
+
+    type_off, _, type_word, type_sim = tokens(graph.type_token_set)
+    owner, at = _ranges(type_off, np.array(graph.entity_type, np.int64))  # each entity's type tokens
+    text = tokens(graph.entity_token_set)[1:]
+    entity = csr(*map(np.concatenate, zip(text, (owner, type_word[at], type_sim[at]))), graph.n_entities)
+    attr = csr(*tokens(graph.attr_token_set)[1:], graph.n_attrs)
+    return words, entity, attr
 
 
 def build_index(graph: KnowledgeGraph, pagerank: PageRankVector, depth: int) -> PathIndex:
@@ -363,15 +412,9 @@ def build_index(graph: KnowledgeGraph, pagerank: PageRankVector, depth: int) -> 
     not on it matches each word of the edge's attribute and is on level L + 1."""
     if depth < 1:
         raise ParameterError(f"depth must be >= 1, got {depth}")
-    words = sorted(set().union(*graph.entity_token_set, *graph.type_token_set, *graph.attr_token_set))
-    word_id = {w: i for i, w in enumerate(words)}
-    entity_matches = _csr([
-        [(word_id[w], max(jaccard_similarity(w, text), jaccard_similarity(w, kind))) for w in sorted(text | kind)]
-        for text, kind in zip(graph.entity_token_set, map(graph.type_token_set.__getitem__, graph.entity_type))
-    ])
-    attr_matches = _csr([[(word_id[w], jaccard_similarity(w, s)) for w in sorted(s)] for s in graph.attr_token_set])
+    words, entity_matches, attr_matches = word_matches(graph)
     entity_type = np.array(graph.entity_type, np.int64)
-    adj_off, edges = _csr(graph.adjacency, np.int64)  # edges: (attr, target) rows
+    adj_off, edges = graph.edge_arrays  # edges: (attr, target) rows
     paths = np.flatnonzero(entity_type != TEXT_TYPE_ID)[:, None]  # a row per path: node, attr, node, ...
     groups = [(paths, False)]  # the paths of pattern length 1, 2, 3, ...
     while len(paths) and paths.shape[1] < 2 * depth - 1:
@@ -382,26 +425,27 @@ def build_index(graph: KnowledgeGraph, pagerank: PageRankVector, depth: int) -> 
                                  f"{MAX_PATH_NODES} nodes per path; build with a smaller --d")
         paths = np.column_stack((paths[parent[keep]], edges[edge[keep]]))
         groups += [(paths, True), (paths, False)]
-    patterns, elements, parts = [], [], []  # parts: per group, each record's word id, pattern id, sim and path padded with -1
+    lengths, elements, parts = [], [], []  # parts: per group, each record's word id, pattern id, sim and path padded with -1
     for paths, edge_match in groups:
-        off, matches = attr_matches if edge_match else entity_matches  # rows: (word id, sim)
+        off, match_word, match_sim = attr_matches if edge_match else entity_matches
         paths = paths[np.diff(off)[paths[:, -1 - edge_match]] > 0]  # the paths with a match
         rows = pattern_rows(entity_type, paths[:, ::2], paths[:, 1::2])[:, : paths.shape[1] - edge_match]
         # Pattern-first: by pattern row, then by nodes (the pattern fixes the attrs).
         order = np.lexsort(np.hstack((rows, paths[:, ::2])).T[::-1])
         paths, rows = paths[order], rows[order]
         new = (np.diff(rows, axis=0, prepend=-1) != 0).any(1)  # the first row of each pattern
-        pattern_id = len(patterns) + np.cumsum(new) - 1
-        patterns += map(tuple, rows[new].tolist())
+        pattern_id = sum(map(len, lengths)) + np.cumsum(new) - 1
+        lengths.append(np.full(np.count_nonzero(new), rows.shape[1]))
         elements.append(rows[new].ravel())
         owner, at = _ranges(off, paths[:, -1 - edge_match])
         padded = np.pad(paths[owner], ((0, 0), (0, groups[-1][0].shape[1] - paths.shape[1])), constant_values=-1)
-        parts.append((matches[at, 0].astype(np.int64), pattern_id[owner], matches[at, 1], padded))
+        parts.append((match_word[at], pattern_id[owner], match_sim[at], padded))
     word, pattern_id, sim, paths = map(np.concatenate, zip(*parts))
     order = np.argsort(word, kind="stable")  # each word's records stay in the groups' pattern-first order
     vocab, counts = np.unique(word, return_counts=True)
     nodes = paths[order, ::2]
-    stored = patterns, np.array([len(p) for p in patterns], "<u2"), np.concatenate(elements).astype("<u4")
+    lengths, elements = np.concatenate(lengths).astype("<u2"), np.concatenate(elements).astype("<u4")
+    stored = PatternTable(lengths, elements), lengths, elements
     stored += [words[i] for i in vocab.tolist()], counts.astype("<u4"), pattern_id[order].astype("<u4"), sim[order]
     stored += (nodes[nodes >= 0].astype("<u4"),)
     columns = index_columns(stored, pagerank.scores)

@@ -1,6 +1,6 @@
 import io
 import random
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 import pytest
@@ -18,8 +18,8 @@ from kgpattern import (
 )
 from kgpattern import patterns as pat
 from kgpattern.fixtures import load_sample_graph
-from kgpattern.graph import TEXT_TYPE_ID
-from kgpattern.pathindex import RECORD_DTYPES, index_columns, iter_root_paths
+from kgpattern.graph import TEXT_TYPE_ID, jaccard_similarity
+from kgpattern.pathindex import RECORD_DTYPES, PatternTable, index_columns, iter_root_paths
 
 # The same examples on every run: derandomized, and no example database to
 # replay earlier failures from. Each test's own max_examples still applies.
@@ -33,15 +33,22 @@ def graph_from_text(text):
     return load_graph(io.StringIO(text))
 
 
+def pattern_table(patterns) -> PatternTable:
+    """The `PatternTable` of these pattern tuples."""
+    lengths = np.array([len(p) for p in patterns], "<u2")
+    return PatternTable(lengths, np.fromiter(chain.from_iterable(patterns), "<u4", int(lengths.sum())))
+
+
 def with_columns(idx, **changes):
     """A new index over `idx.columns._replace(**changes)`, as `build_index`
-    would make it if it wrote those columns, with the pattern table's lengths
-    and elements read from its `patterns`. No column is checked and the
-    derived ones are not recomputed, so it is only fit to serialize."""
+    would make it if it wrote those columns; `patterns` may be given as a list
+    of tuples, and the pattern table's lengths and elements are read from it.
+    No column is checked and the derived ones are not recomputed, so it is
+    only fit to serialize."""
     idx.check(idx.vocabulary())
     columns = idx.columns._replace(**changes)
-    lengths = np.array([len(p) for p in columns.patterns], "<u2")
-    columns = columns._replace(lengths=lengths, elements=np.fromiter(chain.from_iterable(columns.patterns), "<u4"))
+    table = pattern_table(list(columns.patterns))
+    columns = columns._replace(patterns=table, lengths=table.lengths, elements=table.elements)
     return PathIndex(idx.depth, idx.pagerank, idx.type_names, idx.attr_names, columns, idx.fingerprint)
 
 
@@ -80,12 +87,32 @@ def reference_build(graph, pagerank, depth):
     *fields, nodes, attrs = zip(*(rec for word in vocab for rec in per_word[word])) if vocab else [()] * 4
     fields = [np.array(column, dtype) for column, dtype in zip(fields, RECORD_DTYPES)]
     counts = np.array([len(per_word[word]) for word in vocab], dtype="<u8")
-    nodes, attrs, elements = (np.fromiter(chain.from_iterable(column), "<u4") for column in (nodes, attrs, patterns))
-    lengths = np.array([len(p) for p in patterns], dtype="<u2")
-    columns = index_columns((patterns, lengths, elements, vocab, counts, *fields, nodes), pagerank.scores)
+    nodes, attrs = (np.fromiter(chain.from_iterable(column), "<u4") for column in (nodes, attrs))
+    table = pattern_table(patterns)
+    columns = index_columns((table, table.lengths, table.elements, vocab, counts, *fields, nodes), pagerank.scores)
     columns = columns._replace(attrs=attrs)
     names = list(graph.type_names), list(graph.attr_names)
     return PathIndex(depth, pagerank, *names, columns, graph.fingerprint()), cost_proxy
+
+
+def reference_word_matches(graph):
+    """The word matches of `pathindex.word_matches` as the build once made
+    them, one (entity, word) at a time with `jaccard_similarity`: the
+    vocabulary, then for the entities and for the attributes the offsets of
+    each item's matches and one (word id, sim) row per match."""
+    words = sorted(set().union(*graph.entity_token_set, *graph.type_token_set, *graph.attr_token_set))
+    word_id = {w: i for i, w in enumerate(words)}
+
+    def csr(lists):
+        pairs = np.fromiter(chain.from_iterable(chain.from_iterable(lists)), np.float64).reshape(-1, 2)
+        return np.fromiter(accumulate(map(len, lists), initial=0), np.int64, len(lists) + 1), pairs
+
+    entity = csr([
+        [(word_id[w], max(jaccard_similarity(w, text), jaccard_similarity(w, kind))) for w in sorted(text | kind)]
+        for text, kind in zip(graph.entity_token_set, map(graph.type_token_set.__getitem__, graph.entity_type))
+    ])
+    attr = csr([[(word_id[w], jaccard_similarity(w, s)) for w in sorted(s)] for s in graph.attr_token_set])
+    return words, entity, attr
 
 
 def tree_height(tree_pattern):

@@ -1,6 +1,10 @@
+import hashlib
 import io
 import json
+import struct
+from itertools import chain
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,7 +18,7 @@ from kgpattern import (
 )
 from kgpattern.graph import TEXT_TYPE_ID
 
-from conftest import graph_from_text
+from conftest import graph_from_text, random_instance
 
 
 class TestTokenize:
@@ -152,6 +156,76 @@ class TestLoadGraph:
         assert twice.edges == once.edges
 
 
+# Each malformed record, in the lines of a graph file: (lines, error type, message of the error, its line).
+HEADER = '{"kind": "header", "version": 1}'
+ENTITY_A = '{"kind": "entity", "key": "a", "type": "T", "text": "x"}'
+MALFORMED = {
+    "entity-without-type": (["E a T x", "E b"], GraphParseError, "entity record needs <key> <type-name> [text]", 2),
+    "entity-without-key": (["E"], GraphParseError, "entity record needs <key> <type-name> [text]", 1),
+    "edge-without-target": (["E a T x", "A a r"], GraphParseError, "edge record needs <source-key> <attr-name> <target>", 2),
+    "edge-to-empty-reference": (["E a T x", "A a r @"], GraphParseError, "empty target reference", 2),
+    "edge-to-bare-word": (["E a T x", "A a r plain"], GraphParseError, "edge target must be @<key> or a double-quoted literal", 2),
+    "edge-to-lone-quote": (["E a T x", 'A a r "'], GraphParseError, "edge target must be @<key> or a double-quoted literal", 2),
+    "unknown-kind": (["# c", "", "Z what"], GraphParseError, "unknown record kind 'Z'", 3),
+    "tab-after-kind": (["E\ta T x"], GraphParseError, "unknown record kind 'E\\ta'", 1),
+    "json-after-text": (["E a T x", ENTITY_A], GraphParseError, "unknown record kind '{\"kind\":'", 2),
+    "duplicate-key": (["E a T x", "", "E a U y"], GraphParseError, "duplicate entity key 'a'", 3),
+    "undeclared-source": (["E a T x", 'A ghost r "x"'], GraphLinkError, "undeclared source entity 'ghost'", 2),
+    "undeclared-target": (["E a T x", "A a r @missing"], GraphLinkError, "undeclared target entity 'missing'", 2),
+    "json-invalid": ([HEADER, "{not json"], GraphParseError,
+                     "invalid JSON: Expecting property name enclosed in double quotes", 2),
+    "json-array": ([HEADER, "[1]"], GraphParseError, "JSON record must be an object with a 'kind' field", 2),
+    "json-without-kind": (['{"key": "a"}'], GraphParseError, "JSON record must be an object with a 'kind' field", 1),
+    "json-bad-version": (['{"kind": "header", "version": 99}'], GraphParseError, "unsupported graph format version 99", 1),
+    "json-no-version": (['{"kind": "header"}'], GraphParseError, "unsupported graph format version None", 1),
+    "json-entity-without-type": (['{"kind": "entity", "key": "a"}'], GraphParseError, "field 'type' must be a string", 1),
+    "json-entity-number-key": (['{"kind": "entity", "key": 1, "type": "T"}'], GraphParseError, "field 'key' must be a string", 1),
+    "json-entity-null-text": (['{"kind": "entity", "key": "a", "type": "T", "text": null}'], GraphParseError,
+                              "field 'text' must be a string", 1),
+    "json-edge-to-string": ([ENTITY_A, '{"kind": "edge", "source": "a", "attr": "r", "target": "x"}'], GraphParseError,
+                            "edge target must be {'ref': key} or {'text': literal}", 2),
+    "json-edge-bad-target-first": (['{"kind": "edge", "target": {"ref": 1}}'], GraphParseError,
+                                   "edge target must be {'ref': key} or {'text': literal}", 1),
+    "json-edge-without-source": ([ENTITY_A, '{"kind": "edge", "attr": "r", "target": {"ref": "a"}}'], GraphParseError,
+                                 "field 'source' must be a string", 2),
+    "json-edge-without-attr": ([ENTITY_A, '{"kind": "edge", "source": "a", "target": {"ref": "a"}}'], GraphParseError,
+                               "field 'attr' must be a string", 2),
+    "json-unknown-kind": ([ENTITY_A, '{"kind": "node"}'], GraphParseError, "unknown record kind 'node'", 2),
+    "json-duplicate-key": ([ENTITY_A, ENTITY_A], GraphParseError, "duplicate entity key 'a'", 2),
+    "json-undeclared-source": ([ENTITY_A, '{"kind": "edge", "source": "b", "attr": "r", "target": {"text": "t"}}'],
+                               GraphLinkError, "undeclared source entity 'b'", 2),
+    "json-undeclared-target": ([ENTITY_A, '{"kind": "edge", "source": "a", "attr": "r", "target": {"ref": ""}}'],
+                               GraphLinkError, "undeclared target entity ''", 2),
+}
+# One graph file's lines given to `load_graph` from a path, from a text stream and as a list.
+SOURCES = {
+    "path": lambda text, tmp_path: (tmp_path / "g.graph").write_text(text, encoding="utf-8") and tmp_path / "g.graph",
+    "stream": lambda text, tmp_path: io.StringIO(text),
+    "lines": lambda text, tmp_path: io.StringIO(text).readlines(),
+}
+
+
+@pytest.mark.parametrize("source", list(SOURCES))
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_a_malformed_record_names_its_error_and_line(tmp_path, case, source):
+    lines, error, message, line = MALFORMED[case]
+    with pytest.raises(error) as info:
+        load_graph(SOURCES[source]("".join(f"{record}\n" for record in lines), tmp_path))
+    assert type(info.value) is error
+    assert (str(info.value), info.value.line) == (f"line {line}: {message}", line)
+
+
+@pytest.mark.parametrize("source", list(SOURCES))
+def test_lines_split_as_file_iteration_splits_them(tmp_path, source):
+    """Lines end at \\n (and in a file opened by path at \\r\\n), never at the
+    other breaks `str.splitlines` knows, such as \\x0c and \\u2028."""
+    text = "E a T one\x0ctwo  \r\nE b T x y\r\nA a r @b\r\nA b r \"p\x0cq\"\r\n"
+    g = load_graph(SOURCES[source](text, tmp_path))
+    assert g.entity_text == ["one\x0ctwo", "x y", "p\x0cq"]
+    assert g.entity_token_set == [frozenset({"one", "two"}), frozenset({"x", "y"}), frozenset({"p", "q"})]
+    assert g.adjacency == [[(0, 1)], [(0, 2)], []]
+
+
 class TestLoaderFuzz:
     @given(st.text(alphabet="EA @\"#enxyz0\n", max_size=120))
     def test_arbitrary_text_never_crashes(self, text):
@@ -201,3 +275,32 @@ class TestJsonVariant:
     def test_bad_target(self):
         with pytest.raises(GraphParseError):
             load_graph(io.StringIO('{"kind": "edge", "source": "a", "attr": "r", "target": "x"}'))
+
+
+def reference_fingerprint(g) -> bytes:
+    """The graph fingerprint packed value by value from `g.edges`, as it was
+    computed before it read the graph's edge arrays."""
+    texts = [t.encode("utf-8") for t in g.entity_text]
+    edges = g.edges
+    digest = hashlib.sha256(struct.pack("<QQ", len(texts), len(edges)))
+    digest.update(struct.pack(f"<{len(texts)}I", *g.entity_type))
+    digest.update(struct.pack(f"<{len(texts)}Q", *map(len, texts)))
+    digest.update(struct.pack(f"<{3 * len(edges)}I", *chain.from_iterable(edges)))
+    digest.update(b"".join(texts))
+    return digest.digest()
+
+
+class TestEdgeArrays:
+    @pytest.mark.parametrize("case", range(6))
+    def test_hold_the_edges_in_adjacency_order(self, case):
+        g, _, _ = random_instance(case)
+        offsets, rows = g.edge_arrays
+        assert offsets.dtype == rows.dtype == np.int64 and rows.shape == (len(g.edges), 2)
+        sources = np.repeat(np.arange(g.n_entities), np.diff(offsets))
+        assert list(zip(sources.tolist(), *rows.T.tolist())) == g.edges
+        assert g.edge_arrays is g.edge_arrays  # made once
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_fingerprint_bytes_are_unchanged(self, case, sample_graph):
+        for g in (random_instance(case)[0], sample_graph, graph_from_text(""), graph_from_text("E a T caf\u00e9 \u2028x\n")):
+            assert g.fingerprint() == reference_fingerprint(g)

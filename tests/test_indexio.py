@@ -316,7 +316,7 @@ def with_empty_pattern(idx):
     j = next(j for j in starts if c.node_off[j + 1] - c.node_off[j] == 1)
     pattern_id = c.pattern_id + 1
     pattern_id[j] = 0
-    changed = with_columns(idx, patterns=[()] + c.patterns, pattern_id=pattern_id)
+    changed = with_columns(idx, patterns=[(), *c.patterns], pattern_id=pattern_id)
     return changed, c.vocab[starts.index(j)]
 
 

@@ -7,11 +7,12 @@ from kgpattern import GenConfig, ParameterError, build_index, compute_pagerank, 
 from kgpattern import kernels, pathindex
 from kgpattern import patterns as pat
 from kgpattern.graph import jaccard_similarity
-from kgpattern.indexio import deserialize, serialize
+from kgpattern.indexio import deserialize, read_index, serialize, write_index
+from kgpattern.fixtures import load_sample_graph
 from kgpattern.oracle import _paths_reaching
 from kgpattern.pathindex import IndexedPath, iter_root_paths
 
-from conftest import graph_from_text, random_instance, reference_build
+from conftest import graph_from_text, random_instance, reference_build, reference_word_matches
 
 
 def names(graph, pattern_list):
@@ -347,3 +348,117 @@ class TestArrayBuild:
         monkeypatch.setattr(pathindex, "iter_root_paths", fail)
         monkeypatch.setattr(pathindex, "PathHit", fail)
         assert serialize(build_index(sample_graph, uniform_pagerank(sample_graph), 3)) == expected
+
+
+def assert_word_matches_equal_the_reference(graph):
+    words, *matches = pathindex.word_matches(graph)
+    expected_words, *expected = reference_word_matches(graph)
+    assert words == expected_words
+    for (offsets, word, sim), (expected_offsets, pairs) in zip(matches, expected):
+        assert offsets.dtype == np.int64 and np.array_equal(offsets, expected_offsets)
+        assert word.dtype == np.int64 and word.tolist() == pairs[:, 0].astype(np.int64).tolist()
+        assert sim.dtype == np.float64 and sim.tobytes() == np.ascontiguousarray(pairs[:, 1]).tobytes()
+    return matches
+
+
+class TestWordMatches:
+    @pytest.mark.parametrize("shape", [(200, 6, 8), (300, 2, 2), (100, 3, 3)], ids=["topk-exact", "topk-sampled", "cli-cold"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_equal_the_reference_on_the_perfbench_shapes(self, shape, seed):
+        assert_word_matches_equal_the_reference(graph_from_text(generate_graph(GenConfig(*shape, 2.5, 40, seed=seed))))
+
+    def test_equal_the_reference_on_a_hand_made_graph(self):
+        g = graph_from_text(
+            "E a Big_Thing\n"  # no text
+            "E b Big_Thing alpha alpha beta Alpha\n"  # a token repeated
+            "E c Big_Thing thing gamma\n"  # a word of both its text and its type name, of equal sims
+            "E d Thing thing gamma delta\n"  # ... where the type's sim is larger
+            "E e Thing_Big_Huge thing\n"  # ... where the text's is
+            'A a written_in "alpha beta alpha"\n'  # literals, which have no type tokens
+            'A b r ""\n'
+            "A c r @d\n"
+        )
+        (offsets, word, sim), (attr_offsets, attr_word, attr_sim) = assert_word_matches_equal_the_reference(g)
+        words = pathindex.word_matches(g)[0]
+        matches = [{words[w]: s for w, s in zip(word[a:b].tolist(), sim[a:b].tolist())} for a, b in zip(offsets, offsets[1:])]
+        assert matches[:5] == [
+            {"big": 0.5, "thing": 0.5},
+            {"alpha": 0.5, "beta": 0.5, "big": 0.5, "thing": 0.5},
+            {"big": 0.5, "gamma": 0.5, "thing": 0.5},
+            {"delta": 1 / 3, "gamma": 1 / 3, "thing": 1.0},
+            {"big": 1 / 3, "huge": 1 / 3, "thing": 1.0},
+        ]
+        assert matches[5:] == [{"alpha": 0.5, "beta": 0.5}, {}]
+        assert attr_offsets.tolist() == [0, 2, 3] and [words[w] for w in attr_word.tolist()] == ["in", "written", "r"]
+        assert attr_sim.tolist() == [0.5, 0.5, 1.0]
+
+
+def dfs_patterns(graph, depth):
+    """Every path pattern the DFS finds, in canonical order: the tuples a build makes its table of."""
+    scores = uniform_pagerank(graph).scores
+    roots = [r for r in range(graph.n_entities) if not graph.is_literal(r)]
+    found = {hit.pattern for root in roots for hit in iter_root_paths(graph, scores, depth, root)}
+    return sorted(found, key=pat.sort_key)
+
+
+@pytest.fixture(scope="module")
+def built_and_read(tmp_path_factory):
+    """A generated graph, the index built from it at d=3 and that index written and read back."""
+    g = graph_from_text(generate_graph(GenConfig(60, 3, 3, 2.5, 10, seed=4)))
+    built = build_index(g, uniform_pagerank(g), 3)
+    path = tmp_path_factory.mktemp("patterns") / "g.kgpx"
+    write_index(built, path)
+    return g, built, path
+
+
+class TestPatternTable:
+    def test_neither_build_nor_read_makes_a_tuple(self, built_and_read):
+        g, built, path = built_and_read
+        for table in (build_index(g, uniform_pagerank(g), 3).columns.patterns, read_index(path).columns.patterns):
+            assert len(table) == len(built.columns.patterns) > 0
+            assert table.tuples.count(None) == len(table)
+
+    def test_every_read_returns_the_dfs_tuple_and_keeps_it(self, built_and_read):
+        g, built, path = built_and_read
+        expected = dfs_patterns(g, 3)
+        for table in (built.columns.patterns, read_index(path).columns.patterns):
+            assert [table[i] for i in range(len(table))] == expected
+            assert all(type(x) is int for p in table.tuples for x in p)
+            assert table.tuples.count(None) == 0 and table[-1] is table[len(table) - 1]
+        table = read_index(path).columns.patterns
+        assert table[-1] == expected[-1] and table.tuples.count(None) == len(table) - 1
+        assert list(table) == expected and table.tuples == expected
+        for past in (len(table), len(table) + 5, -len(table) - 1):
+            with pytest.raises(IndexError):
+                table[past]
+
+    def test_access_methods_find_and_miss_patterns_as_on_a_list(self, built_and_read):
+        g, built, path = built_and_read
+        loaded = read_index(path)
+        table = dfs_patterns(g, 3)
+        absent = [(), (g.n_types,), (table[0][0], 0, g.n_types), table[-1] + (0,), (table[-1][0], g.n_attrs)]
+        assert not set(absent) & set(table)
+        for word in built.vocabulary():
+            found = loaded.patterns(word)
+            assert found == built.patterns(word) and set(found) <= set(table)
+            for pattern in [*table, *absent]:
+                hits = loaded.paths(word, pattern=pattern)
+                assert hits == built.paths(word, pattern=pattern)
+                assert loaded.roots(word, pattern=pattern) == sorted({rec.nodes[0] for rec in hits})
+                assert bool(hits) == (pattern in found) and all(rec.pattern == pattern for rec in hits)
+
+
+def test_edge_readers_use_the_kept_edge_arrays():
+    """PageRank, the fingerprint, the build and the pairing check read the
+    graph's edges from `edge_arrays`, made once, not from `adjacency`."""
+    g = load_sample_graph()  # a graph of its own, which the test may change
+    pagerank, fingerprint = compute_pagerank(g), g.fingerprint()
+    built = build_index(g, pagerank, 3)
+    built.check(built.vocabulary())
+    ids = np.arange(built.stats.entry_count)
+    edges = g.edge_arrays
+    g.adjacency = None
+    assert g.edge_arrays is edges
+    assert compute_pagerank(g).scores.tobytes() == pagerank.scores.tobytes() and g.fingerprint() == fingerprint
+    assert serialize(build_index(g, pagerank, 3)) == serialize(built)
+    assert pathindex.mismatched_records(built.columns, g, ids).size == 0
