@@ -202,6 +202,8 @@ def load_graph(source: Union[str, Path, IO[str], Iterable[str]]) -> KnowledgeGra
         if not line or line[0] == "#":
             continue
         if json_mode is None:
+            if not isinstance(line, str):
+                raise GraphParseError(f"graph source must be text, not {type(line).__name__}", lineno)
             json_mode = line[0] == "{"
         if json_mode:
             kind, key, name, value, literal = _json_record(line, lineno)

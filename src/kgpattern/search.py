@@ -15,16 +15,16 @@
   time is spent on empty patterns. Returns every pattern with its complete
   member list, unranked; ranked, its top k is exact ``search_linear_topk``'s.
 * ``search_linear_topk`` - the linear enumeration partitioned by root type
-  with optional per-type Bernoulli root sampling: when the upper bound on a
-  type's subtree count reaches the sampling threshold, only the roots its
-  draws keep (each with probability `rate`) are joined, pattern scores are
-  estimated from the sample (sum aggregation scaled by 1/rate), and only the
-  per-type top-k estimated patterns are re-scored exactly, by one more join,
-  and ranked again globally. With sampling off (threshold = inf or rate = 1)
-  it returns the exact top k.
+  with optional per-type Bernoulli root sampling. A type whose subtree-count
+  upper bound reaches the sampling threshold is sampled: a join over the
+  roots its draws keep (each with probability `rate`) estimates its pattern
+  scores (sum aggregation scaled by 1/rate), only to pick its k best. One
+  exact join then reads the other types' roots whole and, under sampled
+  types, only those winners' own runs, and ranks them all; with sampling off
+  (threshold = inf or rate = 1) it is the only join, and the top k is exact.
 
-The three index engines run one join on the index columns (`idx.columns`),
-array at a time, and differ only in which rows they join. Each first checks
+The three index engines join on the index columns (`idx.columns`), array at
+a time, and differ only in which rows they join. Each first checks
 its keywords' records (`PathIndex.check`), so an index read from a file
 checks and derives only the words its queries read. A row (path tuple)
 picks one record per keyword under a shared root; a *unit* is a root with one
@@ -60,9 +60,6 @@ from .pathindex import IndexedPath, PathIndex, build_all, decode_records, iter_r
 from .scoring import DEFAULT_CONFIG, ScoringConfig, pattern_score, power, require_finite, tree_score
 
 logger = logging.getLogger(__name__)
-
-_MASK64 = (1 << 64) - 1
-
 
 @dataclass(frozen=True)
 class Query:
@@ -345,7 +342,7 @@ def search_pattern_enum(
     _log_rejections("pattern-enum", query, stats)
     scores = _pattern_scores(c, rows, patterns, config)
     top = np.argsort(-scores, kind="stable")[: query.k]
-    keys, members = _answers(c, [(rows, patterns, top)])
+    keys, members = _answers(c, rows, patterns, top)
     return SearchResult(list(map(ScoredPattern, keys, scores[top].tolist(), members)), stats)
 
 
@@ -359,7 +356,7 @@ def search_linear_enum(
     stats = {} if stats is None else stats
     rows, patterns = enumerate_rows(idx, query, stats)
     _log_rejections("linear-enum", query, stats)
-    keys, members = _answers(idx.columns, [(rows, patterns, np.arange(len(patterns.sizes)))])
+    keys, members = _answers(idx.columns, rows, patterns, np.arange(len(patterns.sizes)))
     return [(key, span.decode()) for key, span in zip(keys, members)]
 
 
@@ -383,7 +380,9 @@ def search_linear_topk(
     sampling: SamplingConfig = EXACT_SAMPLING,
     config: ScoringConfig = DEFAULT_CONFIG,
 ) -> SearchResult:
-    """Type-partitioned linear enumeration with optional root sampling."""
+    """Type-partitioned linear enumeration with optional root sampling: a join
+    over the sampled types' drawn roots picks their k best patterns by
+    estimate, and one exact join reads those and the other types' roots."""
     may_sample = sampling.rate < 1.0 and sampling.threshold != math.inf
     if may_sample and config.aggregator != "sum":
         raise ParameterError(f"sampling supports only the sum aggregator, not {config.aggregator!r}")
@@ -392,7 +391,7 @@ def search_linear_topk(
     ids, candidates, run_start, run_size = _root_runs(idx, query.keywords)
     tuples = functools.reduce(np.multiply, run_size, np.ones(len(candidates), np.int64))
     types = np.array([graph.entity_type[r] for r in candidates.tolist()], np.int64)
-    rates, joined = np.ones(len(candidates)), np.ones(len(candidates), bool)
+    rates, drawn = np.ones(len(candidates)), np.zeros(len(candidates), bool)
     stats = _new_stats(candidate_roots=len(candidates), roots_expanded=0, types=[])
     for type_id in sorted(set(types.tolist())):
         of_type = types == type_id
@@ -400,50 +399,37 @@ def search_linear_topk(
         rate = sampling.rate if bound >= sampling.threshold else 1.0
         expanded = roots
         if rate < 1.0:
-            draws = [_uniform01(sampling.seed, type_id, position) < rate for position in range(roots)]
-            rates[of_type], joined[of_type], expanded = rate, draws, sum(draws)
+            draws = _uniform01(sampling.seed, type_id, roots) < rate
+            rates[of_type], drawn[of_type], expanded = rate, draws, int(draws.sum())
         stats["roots_expanded"] += expanded
         stats["types"].append({"type": type_id, "roots": roots, "bound": bound, "rate": rate, "expanded": expanded})
-    rows = _tree_rows(c, ids, [s[joined] for s in run_start], [s[joined] for s in run_size], idx.n_attrs, stats)
+    whole, guesses, winners = rates == 1.0, np.zeros(0), np.zeros(0, np.int64)
+    units = [[s[whole] for s in side] for side in (run_start, run_size)]
+    if not whole.all():
+        # A sampled type's k best by estimate (`scoring.estimate_pattern_score`, sum aggregation
+        # only), ties in canonical order: not by the sample score, as two different sample sums
+        # can become equal once divided by rate.
+        rows = _tree_rows(c, ids, *([s[drawn] for s in side] for side in (run_start, run_size)), idx.n_attrs, stats)
+        patterns = _group(c, rows)
+        at = np.searchsorted(candidates, c.root[rows[0][patterns.first_row]])
+        guesses = _pattern_scores(c, rows, patterns, config) / rates[at]
+        by_type = np.lexsort((-guesses, types[at]))
+        type_of = types[at[by_type]]
+        winners = np.sort(by_type[np.arange(len(by_type)) - np.searchsorted(type_of, type_of) < query.k])
+        combos = [c.pattern_id[record[patterns.first_row[winners]]] for record in rows]
+        units = [list(map(np.append, *pair)) for pair in zip(units, _combo_runs(idx, query.keywords[0], ids, combos))]
+    rows = _tree_rows(c, ids, *units, idx.n_attrs, stats)
     _log_rejections("linear-topk", query, stats)
 
-    # With rate = 1 a pattern's score is exact and is its own estimate.
     patterns = _group(c, rows)
     scores = _pattern_scores(c, rows, patterns, config)
-    estimates, finalists, exact_group = scores, np.arange(len(scores)), {}
-    if rates.min(initial=1.0) < 1.0:
-        # Otherwise (sum aggregation only) the sample's sum scaled by 1/rate
-        # is the unbiased estimate of scoring.estimate_pattern_score. A
-        # sampled type's k best by that estimate go on (by the estimate, not
-        # the sample score: two different sample sums can become equal once
-        # divided by rate), ties in canonical order.
-        at = np.searchsorted(candidates, c.root[rows[0][patterns.first_row]])
-        estimates = scores / rates[at]
-        sampled = np.flatnonzero(rates[at] < 1.0)
-        by_type = sampled[np.lexsort((-estimates[sampled], types[at[sampled]]))]
-        type_of = types[at[by_type]]
-        winners = by_type[np.arange(len(by_type)) - np.searchsorted(type_of, type_of) < query.k]
-        finalists = np.sort(np.concatenate((np.flatnonzero(rates[at] == 1.0), winners)))
-        # Re-score the winners exactly: one more join, over the records of
-        # their path patterns only.
-        wanted = [c.pattern_id[record[patterns.first_row[winners]]] for record in rows]
-        ids, _, run_start, run_size = _root_runs(idx, query.keywords, wanted)
-        exact_rows = _tree_rows(c, ids, run_start, run_size, idx.n_attrs)
-        exact = _group(c, exact_rows)
-        keys = zip(*(c.pattern_id[record[exact.first_row]].tolist() for record in exact_rows))
-        group_of = dict(zip(keys, range(len(exact.sizes))))
-        exact_group = dict(zip(winners.tolist(), map(group_of.get, zip(*(p.tolist() for p in wanted)))))
-        scores[winners] = _pattern_scores(c, exact_rows, exact, config)[list(exact_group.values())]
-    # The k best finalists by exact score; group ids are in canonical order.
-    top = finalists[np.argsort(-scores[finalists], kind="stable")][: query.k].tolist()
-    whole = [g for g in top if g not in exact_group]
-    rescored = [g for g in top if g in exact_group]
-    selections = [(rows, patterns, whole)]
-    if rescored:
-        selections.append((exact_rows, exact, list(map(exact_group.get, rescored))))
-    answers = dict(zip(whole + rescored, zip(*_answers(c, selections))))
-    ranked = zip(map(answers.get, top), scores[top].tolist(), estimates[top].tolist())
-    return SearchResult([ScoredPattern(p, score, members, estimate) for (p, members), score, estimate in ranked], stats)
+    # The sampled types' patterns are the winners, both in canonical order;
+    # an unsampled type's pattern has its score for estimate.
+    estimates = scores.copy()
+    estimates[rates[np.searchsorted(candidates, c.root[rows[0][patterns.first_row]])] < 1.0] = guesses[winners]
+    top = np.argsort(-scores, kind="stable")[: query.k]
+    keys, members = _answers(c, rows, patterns, top)
+    return SearchResult(list(map(ScoredPattern, keys, scores[top].tolist(), members, estimates[top].tolist())), stats)
 
 
 # ---------------------------------------------------------------------------
@@ -454,18 +440,15 @@ def search_linear_topk(
 CHUNK_ROWS = 1 << 13
 
 
-def _root_runs(idx: PathIndex, words, allowed=None):
+def _root_runs(idx: PathIndex, words):
     """Each keyword's record ids put root-first (pattern-first within a root:
     a stable sort), the candidate roots (those every keyword reaches), and
-    each keyword's run start and size per candidate. `allowed`, when given,
-    holds per keyword the pattern ids whose records are taken."""
+    each keyword's run start and size per candidate."""
     idx.check(words)
     c, ids = idx.columns, []
-    for j, word in enumerate(words):
+    for word in words:
         span = idx.words.get(word, range(0))
         word_ids = np.arange(span.start, span.stop)
-        if allowed is not None:
-            word_ids = word_ids[np.isin(c.pattern_id[word_ids], allowed[j])]
         ids.append(word_ids[np.argsort(c.root[word_ids], kind="stable")])
     sorted_roots = [c.root[word_ids] for word_ids in ids]
     distinct = [np.unique(roots, return_index=True)[0] for roots in sorted_roots]  # no option: imports numpy.ma
@@ -473,6 +456,24 @@ def _root_runs(idx: PathIndex, words, allowed=None):
     run_start = [np.searchsorted(r, candidates) for r in sorted_roots]
     run_size = [np.searchsorted(r, candidates, "right") - s for r, s in zip(sorted_roots, run_start)]
     return ids, candidates, run_start, run_size
+
+
+def _combo_runs(idx: PathIndex, word: str, ids: list, combos: list):
+    """Each keyword's run start and size in `ids` (`_root_runs`'s root-first ids) per unit of the
+    pattern-id combinations `combos` (one array per keyword; `word` is the first): a combination and
+    a root of its first pattern, combination by combination, roots ascending (a run may be empty)."""
+    c, span = idx.columns, idx.words[word]
+    # The roots of each combination's first pattern, from `word`'s pattern-first records.
+    lo, hi = (np.searchsorted(c.pattern_id[span.start : span.stop], combos[0], side) for side in ("left", "right"))
+    combo = np.repeat(np.arange(len(lo)), hi - lo)
+    root = c.root[span.start + np.arange(len(combo)) + np.repeat(hi - np.cumsum(hi - lo), hi - lo)]
+    unit = np.flatnonzero(np.diff(root, prepend=-1) | np.diff(combo, prepend=-1))
+    root, combo = root[unit].astype(np.int64), combo[unit]
+    # A keyword's run under a root, by its key in the root-first ids, which are sorted by (root, pattern id).
+    keys = [c.root[word_ids].astype(np.int64) << 32 | c.pattern_id[word_ids] for word_ids in ids]
+    wanted = [root << 32 | pattern_id[combo] for pattern_id in combos]
+    starts = list(map(np.searchsorted, keys, wanted))
+    return starts, [np.searchsorted(k, w, "right") - s for k, w, s in zip(keys, wanted, starts)]
 
 
 def _steps(c, ids: np.ndarray, n_attrs: int):
@@ -488,11 +489,11 @@ def _steps(c, ids: np.ndarray, n_attrs: int):
     return child, edge
 
 
-def _tree_rows(c, ids: list, run_start: list, run_size: list, n_attrs: int, stats=None) -> list:
+def _tree_rows(c, ids: list, run_start: list, run_size: list, n_attrs: int, stats: dict) -> list:
     """The record ids, one array per keyword, of the rows (path tuples) that form a tree.
     Unit i's rows pick ids[j][run_start[j][i] + d[j]] for every keyword j, d going through
     the mixed radix run_size[.][i] (the last keyword fastest); units follow each other, and
-    CHUNK_ROWS rows are checked at a time. Counts the rows into `stats` unless None."""
+    CHUNK_ROWS rows are checked at a time. Adds the rows to the counters in `stats`."""
     tuples = functools.reduce(np.multiply, run_size, np.ones(len(run_start[0]), np.int64))
     offsets = np.concatenate(([0], np.cumsum(tuples)))
     steps = [_steps(c, word_ids, n_attrs) for word_ids in ids]
@@ -512,9 +513,10 @@ def _tree_rows(c, ids: list, run_start: list, run_size: list, n_attrs: int, stat
                 tree &= (child_a[s] != child_b[t]) | (edge_a[s] == edge_b[t])
         accepted.append([word_ids[pick[tree]] for word_ids, pick in zip(ids, picks)])
     rows = [np.concatenate(column) for column in zip(*accepted)]
-    if stats is not None:
-        checked, kept = int(offsets[-1]), len(rows[0])
-        stats.update(path_tuples_checked=checked, subtrees_accepted=kept, tuples_rejected=checked - kept)
+    checked, kept = int(offsets[-1]), len(rows[0])
+    stats["path_tuples_checked"] += checked
+    stats["subtrees_accepted"] += kept
+    stats["tuples_rejected"] += checked - kept
     return rows
 
 
@@ -577,25 +579,20 @@ def _members(c, rows: list) -> list[ValidSubtree]:
     return build_all(ValidSubtree, c.root[rows[0]].tolist(), list(zip(*columns)))
 
 
-def _answers(c, selections: list) -> tuple[list[pat.TreePattern], list[_Span]]:
-    """The tree pattern and the members of each chosen pattern of each (rows,
-    groups, chosen) selection, in that order. The members are `_Span`s of one
-    `_Batch`, which keeps only the chosen patterns' rows and decodes none of
-    them: an engine's time does not grow with the members it returns, and the
-    first read of any answer's subtrees pays for all answers' at once."""
-    keys, sizes, taken = [], [], []
-    for rows, patterns, chosen in selections:
-        chosen = np.asarray(chosen, np.int64)
-        first_row = patterns.first_row[chosen]
-        keys += zip(*(map(c.patterns.__getitem__, c.pattern_id[record[first_row]].tolist()) for record in rows))
-        answer = np.full(len(patterns.sizes), -1)
-        answer[chosen] = np.arange(len(sizes), len(sizes) + len(chosen))
-        sizes += patterns.sizes[chosen].tolist()
-        row_answer = answer[patterns.group]
-        at = np.flatnonzero(row_answer >= 0)
-        taken.append([record[at] for record in rows] + [row_answer[at]])
-    *rows, answer = map(np.concatenate, zip(*taken))
-    batch = _Batch(c, rows, answer, sizes)
+def _answers(c, rows: list, patterns: Groups, chosen: np.ndarray) -> tuple[list[pat.TreePattern], list[_Span]]:
+    """The tree pattern and the members of each chosen pattern, in that
+    order. The members are `_Span`s of one `_Batch`, which keeps only the
+    chosen patterns' rows and decodes none of them: an engine's time does not
+    grow with the members it returns, and the first read of any answer's
+    subtrees pays for all answers' at once."""
+    first_row = patterns.first_row[chosen]
+    keys = list(zip(*(map(c.patterns.__getitem__, c.pattern_id[record[first_row]].tolist()) for record in rows)))
+    answer = np.full(len(patterns.sizes), -1)
+    answer[chosen] = np.arange(len(chosen))
+    row_answer = answer[patterns.group]
+    at = np.flatnonzero(row_answer >= 0)
+    sizes = patterns.sizes[chosen].tolist()
+    batch = _Batch(c, [record[at] for record in rows], row_answer[at], sizes)
     return keys, list(map(_Span, itertools.repeat(batch), range(len(sizes)), sizes))
 
 
@@ -604,15 +601,13 @@ def _answers(c, selections: list) -> tuple[list[pat.TreePattern], list[_Span]]:
 # ---------------------------------------------------------------------------
 
 
-def _splitmix64(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
-def _uniform01(seed: int, stream_key: int, position: int) -> float:
-    """position-th uniform draw of the (seed, stream_key) stream, in [0, 1)."""
-    base = _splitmix64((seed & _MASK64) ^ ((stream_key * 0xD1B54A32D192ED03) & _MASK64))
-    return (_splitmix64((base + position) & _MASK64) >> 11) * 2.0**-53
+def _uniform01(seed: int, stream_key: int, n: int) -> np.ndarray:
+    """The first n uniform draws of the (seed, stream_key) stream, in [0, 1): draw i is splitmix64(base + i),
+    base being splitmix64 of the seed mixed with the key (uint64 arrays wrap without a warning)."""
+    z = np.array([(seed ^ stream_key * 0xD1B54A32D192ED03) % 2**64], np.uint64)
+    for offset in (0, np.arange(n, dtype=np.uint64)):
+        z = z + offset + 0x9E3779B97F4A7C15
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9
+        z = (z ^ z >> 27) * 0x94D049BB133111EB
+        z = z ^ z >> 31
+    return (z >> 11) * 2.0**-53

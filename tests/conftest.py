@@ -1,4 +1,5 @@
 import io
+import math
 import random
 from itertools import accumulate, chain
 
@@ -10,10 +11,14 @@ from kgpattern import (
     GenConfig,
     PathIndex,
     Query,
+    ScoredPattern,
     build_index,
     compute_pagerank,
+    estimate_pattern_score,
     generate_graph,
     load_graph,
+    rank,
+    tree_score,
     uniform_pagerank,
 )
 from kgpattern import patterns as pat
@@ -113,6 +118,59 @@ def reference_word_matches(graph):
     ])
     attr = csr([[(word_id[w], jaccard_similarity(w, s)) for w in sorted(s)] for s in graph.attr_token_set])
     return words, entity, attr
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(x: int) -> int:
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    z = x
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def reference_uniform01(seed: int, stream_key: int, position: int) -> float:
+    """The position-th uniform draw of the (seed, stream_key) stream, in
+    [0, 1), one Python int at a time: the reference for the draws of
+    `search._uniform01`."""
+    base = _splitmix64((seed & _MASK64) ^ ((stream_key * 0xD1B54A32D192ED03) & _MASK64))
+    return (_splitmix64((base + position) & _MASK64) >> 11) * 2.0**-53
+
+
+def reference_sampled_topk(graph, idx, query, sampling, everything):
+    """Sampled linear-topk's answer, made pattern by pattern from
+    `everything`, the baseline's patterns with their complete members. Per
+    root type: the subtree bound (the sum over its candidate roots, those
+    every keyword reaches, of the product of the keywords' path counts) and
+    the rate. A sampled type draws one `reference_uniform01` per candidate
+    root, in id order; a pattern's estimate is `estimate_pattern_score` over
+    its members under the kept roots, and the type's k best by (estimate
+    descending, canonical) go on. The answer is the exact top k of those
+    winners and of every pattern of an unsampled type, whose estimate is its
+    score."""
+    words = query.keywords
+    by_type = {}
+    for root in sorted(set.intersection(*(set(idx.roots(w)) for w in words))):
+        by_type.setdefault(graph.entity_type[root], []).append(root)
+    finalists = []
+    for type_id, roots in by_type.items():
+        of_type = [sp for sp in everything if sp.pattern[0][0] == type_id]
+        bound = sum(math.prod(len(idx.paths(w, root=root)) for w in words) for root in roots)
+        rate = sampling.rate if bound >= sampling.threshold else 1.0
+        if rate == 1.0:
+            finalists += [ScoredPattern(sp.pattern, sp.score, sp.subtrees, sp.score) for sp in of_type]
+            continue
+        kept = {root for i, root in enumerate(roots) if reference_uniform01(sampling.seed, type_id, i) < rate}
+        estimated = []
+        for sp in of_type:
+            sample = [tree_score(m.paths) for m in sp.subtrees if m.root in kept]
+            if sample:
+                estimated.append((estimate_pattern_score(sample, rate), sp))
+        estimated.sort(key=lambda pair: (-pair[0], pat.tree_sort_key(pair[1].pattern)))
+        finalists += [ScoredPattern(sp.pattern, sp.score, sp.subtrees, e) for e, sp in estimated[: query.k]]
+    return rank(finalists, query.k)
 
 
 def tree_height(tree_pattern):

@@ -133,6 +133,17 @@ class TestLoadGraph:
         with pytest.raises(GraphParseError):
             graph_from_text("Z what\n")
 
+    @pytest.mark.parametrize("source", ["BytesIO", "list", "file"])
+    def test_byte_source_is_parse_error(self, source, tmp_path):
+        lines = [b"\n", b"E a T x\n", b"E b T y\n"]
+        path = tmp_path / "graph.txt"
+        path.write_bytes(b"".join(lines))
+        with open(path, "rb") as fh:
+            stream = {"BytesIO": io.BytesIO(b"".join(lines)), "list": lines, "file": fh}[source]
+            with pytest.raises(GraphParseError, match="^line 2: graph source must be text, not bytes$") as err:
+                load_graph(stream)
+        assert err.value.line == 2
+
     def test_comments_and_blanks_skipped(self):
         g = graph_from_text("# header\n\nE a T hello\n")
         assert g.n_entities == 1

@@ -36,7 +36,7 @@ from kgpattern import search
 from kgpattern.scoring import AGGREGATORS, DEFAULT_CONFIG
 from kgpattern.search import _powers, _uniform01
 
-from conftest import graph_from_text, random_instance, tree_height
+from conftest import graph_from_text, random_instance, reference_sampled_topk, reference_uniform01, tree_height
 
 DIAMOND = """
 E r Root hub
@@ -387,6 +387,71 @@ def test_sampled_winners_are_rescored_exactly(sampling_instances, data, seed, rh
         assert repr(sp.subtrees) == repr(reference.subtrees)
 
 
+@pytest.mark.parametrize("k", [1, 3, 10])
+@pytest.mark.parametrize("threshold", [0, 5])
+@pytest.mark.parametrize("rho", [0.1, 0.5])
+def test_sampled_topk_equals_the_reference(sampling_instances, k, threshold, rho):
+    """Sampled linear-topk picks each sampled type's winners by estimate and
+    ranks them with the unsampled types' patterns by exact score, as
+    `reference_sampled_topk` does from the baseline's members."""
+
+    def answers(patterns):
+        return [(sp.pattern, sp.score.hex(), sp.estimated_score.hex(), repr(sp.subtrees)) for sp in patterns]
+
+    for graph, idx, query, exact in sampling_instances:
+        query = Query(query.keywords, k)
+        for seed in (0, 1, 42, 2**32 - 1, 12345678901234567):
+            sampling = SamplingConfig(threshold, rho, seed)
+            expected = reference_sampled_topk(graph, idx, query, sampling, list(exact.values()))
+            assert answers(search_linear_topk(graph, idx, query, sampling).patterns) == answers(expected), seed
+
+
+def winners_graph():
+    """Hub roots h0, h1 and h5 each hold a diamond: two Mid children over one
+    Leaf matching both words, so both words' paths there have one pattern P
+    and 2 of their 4 tuples are trees. Hubs h2-h4 have one alpha child (a2)
+    and one beta child (b2) each, and h5 a b2 child as well."""
+    lines = [f"E h{i} Hub hub" for i in range(6)]
+    for i in (0, 1, 5):
+        lines += [f"E m{i} Mid mid", f"E n{i} Mid mid", f"E x{i} Leaf alpha beta"]
+        lines += [f"A h{i} relA @m{i}", f"A h{i} relA @n{i}", f"A m{i} of @x{i}", f"A n{i} of @x{i}"]
+    for i in (2, 3, 4):
+        lines += [f"E a{i} KindA alpha", f"A h{i} relC @a{i}"]
+    for i in (2, 3, 4, 5):
+        lines += [f"E b{i} KindB beta", f"A h{i} relD @b{i}"]
+    return graph_from_text("\n".join(lines) + "\n")
+
+
+def test_sampled_counters_add_both_joins(monkeypatch):
+    """At threshold 10 only Hub (bound 17) is sampled, not Mid (6) or Leaf
+    (3). Seed 3 keeps h0 and h2-h5, so the sample makes (P, P) and (a2, b2)
+    the winners over (P, b2) of h5. The counters add the sample join's 13
+    tuples (9 trees) and the exact join's 24 (18 trees): the winners' own
+    runs, 12 tuples under h0, h1 and h5 and 3 under h2-h4, and the 9
+    one-tuple roots of Mid and Leaf. The exact join joins no (P, b2) tuple."""
+    g = winners_graph()
+    idx = build_index(g, uniform_pagerank(g), 3)
+    t, a = g.type_names.index, g.attr_names.index
+    p = (t("Hub"), a("relA"), t("Mid"), a("of"), t("Leaf"))
+    a2, b2 = (t("Hub"), a("relC"), t("KindA")), (t("Hub"), a("relD"), t("KindB"))
+    joins, tree_rows = [], search._tree_rows
+
+    def counted(c, ids, run_start, run_size, n_attrs, stats):
+        before = dict(stats)
+        rows = tree_rows(c, ids, run_start, run_size, n_attrs, stats)
+        combos = set(zip(*(map(c.patterns.__getitem__, c.pattern_id[r].tolist()) for r in rows)))
+        joins.append(([stats[name] - before[name] for name in COUNTERS[:3]], {x for x in combos if x[0][0] == t("Hub")}))
+        return rows
+
+    monkeypatch.setattr(search, "_tree_rows", counted)
+    result = search_linear_topk(g, idx, Query(("alpha", "beta"), 2), SamplingConfig(threshold=10, rate=0.5, seed=3))
+    assert [(s["type"], s["bound"], s["rate"], s["expanded"]) for s in result.stats["types"]] == [
+        (t("Hub"), 17, 0.5, 5), (t("Mid"), 6, 1.0, 6), (t("Leaf"), 3, 1.0, 3)
+    ]
+    assert joins == [([13, 9, 4], {(p, p), (a2, b2), (p, b2)}), ([24, 18, 6], {(p, p), (a2, b2)})]
+    assert [result.stats[name] for name in COUNTERS[:3]] == [37, 27, 10]
+
+
 @pytest.mark.parametrize("n_patterns", [5, 1 << 40])
 def test_group_orders_rows_by_their_pattern_ids(n_patterns):
     """Groups are the rows' distinct pattern-id tuples in lexicographic order,
@@ -419,9 +484,9 @@ MIXED = SamplingConfig(threshold=24, rate=0.5, seed=3)
 @pytest.mark.parametrize("engine", ["pattern-enum", "exact", "sampled"])
 def test_members_are_decoded_in_one_batch_on_first_read(mixed_instance, monkeypatch, engine, k):
     """The index engines decode no member. The first read of any answer's
-    subtrees decodes every answer's in one `decode_records` call, over all the
-    row sets the answers come from (a sampled result's re-scored winners come
-    from a second join), and later reads decode nothing."""
+    subtrees decodes every answer's in one `decode_records` call (a sampled
+    result's come from its exact join, not its sample's), and later reads
+    decode nothing."""
     g, idx, words = mixed_instance
     query = Query(words, k)
     calls = []
@@ -447,19 +512,26 @@ def test_members_are_decoded_in_one_batch_on_first_read(mixed_instance, monkeypa
 
 class TestUniformStream:
     def test_deterministic_and_in_range(self):
-        draws = [_uniform01(42, 7, i) for i in range(100)]
-        assert draws == [_uniform01(42, 7, i) for i in range(100)]
-        assert all(0.0 <= d < 1.0 for d in draws)
+        draws = _uniform01(42, 7, 100)
+        assert draws.tolist() == _uniform01(42, 7, 100).tolist()
+        assert ((0.0 <= draws) & (draws < 1.0)).all()
 
     def test_streams_differ(self):
-        a = [_uniform01(42, 1, i) for i in range(50)]
-        b = [_uniform01(42, 2, i) for i in range(50)]
-        c = [_uniform01(43, 1, i) for i in range(50)]
+        a = _uniform01(42, 1, 50).tolist()
+        b = _uniform01(42, 2, 50).tolist()
+        c = _uniform01(43, 1, 50).tolist()
         assert a != b and a != c
 
     def test_mean_roughly_half(self):
-        draws = [_uniform01(7, 0, i) for i in range(4000)]
-        assert abs(sum(draws) / len(draws) - 0.5) < 0.03
+        draws = _uniform01(7, 0, 4000)
+        assert abs(draws.mean() - 0.5) < 0.03
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1, 2**64 - 1, 12345678901234567, -5])
+    def test_bit_equal_to_the_scalar_draws(self, seed):
+        for key in (0, 1, 2, 7, 1000):
+            expected = [reference_uniform01(seed, key, i) for i in range(3000)]
+            assert _uniform01(seed, key, 3000).tolist() == expected, key
+        assert _uniform01(seed, 3, 0).tolist() == []
 
 
 def _answers(patterns):
