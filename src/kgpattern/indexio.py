@@ -18,7 +18,7 @@ Little-endian throughout. Layout::
         record CRCs u32 * n_words
     header crc u32: zlib.crc32 of every byte before it
     record columns, one entry per record: every word's records in vocabulary
-    order, each word's sorted pattern-first:
+    order, each word's sorted root-first, pattern-first within a root:
         pattern_id u32 | sim f64
     nodes u32 * sum(node counts)
 
@@ -35,9 +35,10 @@ nodes. Its node count `n_nodes` (`len(pattern) // 2 + 1`), its attributes
 (its pattern's odd elements), its root (its first node) and its PageRank term
 (the stored score of its last node, or of the edge's source on an edge match,
 whose pattern has even length) are derived by `pathindex.derived_columns`, as
-`build_index` derives them. The pattern table (a `PatternTable`, which makes
-a pattern's tuple on its first read, its lengths and its elements), the
-vocabulary and the stored columns are `PathIndex.columns`:
+`build_index` derives them, and so are its tree-check slots (each step's
+child, and its parent and attribute as one key). The pattern table (a
+`PatternTable`, which makes a pattern's tuple on its first read, its lengths
+and its elements), the vocabulary and the stored columns are `PathIndex.columns`:
 `serialize` writes each array's bytes as they are, and a read passes the
 `np.frombuffer` views of the file's bytes to the `PathIndex` constructor.
 
@@ -58,12 +59,13 @@ word's record CRC (any single-bit flip in its records), then the record
 checks: a pattern id past the pattern table, a word whose records' node
 total is not its directory node count, a node id >= n_entities (a derived
 attribute is a pattern's, so it is in range), a `sim` term that is not
-finite and positive, and a word whose records' (pattern_id, root) ever
+finite and positive, and a word whose records' (root, pattern_id) ever
 decrease. Each derived column is computed
 only after the ids it indexes with are checked, and written only after every
 check of the batch passed. The last check makes the file's order the
-in-memory order: each (word, pattern, root) is one contiguous run of records,
-taken in stored order. `deserialize` checks every word before it returns.
+in-memory order the engines' join reads: each (word, root) is one contiguous
+run of records and each (word, root, pattern) one run within it, taken in
+stored order. `deserialize` checks every word before it returns.
 
 So a corrupt record in a word a query reads fails the query, and one in a
 word it does not read cannot change its answer.
@@ -83,10 +85,10 @@ import numpy as np
 
 from .errors import IndexCorruptError, IndexFormatError
 from .pagerank import PageRankVector
-from .pathindex import RECORD_DTYPES, IndexColumns, PathIndex, PatternTable, derived_columns, node_offsets
+from .pathindex import RECORD_DTYPES, IndexColumns, PathIndex, PatternTable, derived_columns, node_offsets, slot_layout
 
 MAGIC = b"KGPX"
-VERSION = 10
+VERSION = 11
 FINGERPRINT_BYTES = 32
 
 
@@ -250,7 +252,9 @@ def _load(data: bytes) -> PathIndex:
     sim = np.frombuffer(data, RECORD_DTYPES[1], n, size + 4 + 4 * n)
     nodes = np.frombuffer(data, "<u4", n_nodes, size + 4 + 12 * n)
     stored = (PatternTable(lengths, elements), lengths, elements, vocab, counts, pid, sim, nodes)
+    width, key_dtype = slot_layout(lengths, n_entities, n_attrs)
     derived = np.zeros(n_nodes - n, "<u4"), np.zeros(n + 1, np.int64), np.zeros(n, "<u4"), np.zeros(n)
+    derived += np.zeros((width, n), np.uint32), np.zeros((width, n), key_dtype)
     check_words = functools.partial(_check_words, directory)
     return PathIndex(depth, pagerank, type_names, attr_names, IndexColumns(*stored, *derived), bytes(fingerprint), check_words)
 
@@ -283,16 +287,17 @@ def _check_words(d: _Directory, idx: PathIndex, words: list[int]) -> None:
     _require(node_off[first] == first_node, "a word's records disagree with its directory node count")
     _require(batch_nodes < idx.n_entities, "a record references an unknown entity id")
     _require(np.isfinite(sim) & (sim > 0), "a record's sim term is not finite and positive")
-    attrs, root, pr = derived_columns(c.lengths, c.elements, pid, node_off, batch_nodes, idx.pagerank.scores)
-    run_key = pid.astype(np.uint64) << 32 | root
+    scores, n_attrs = idx.pagerank.scores, idx.n_attrs
+    attrs, root, pr, child, key = derived_columns(c.lengths, c.elements, pid, node_off, batch_nodes, scores, n_attrs)
+    run_key = root.astype(np.uint64) << 32 | pid
     new_word = np.zeros(len(pid) + 1, bool)
     new_word[first] = True
-    _require(new_word[1:-1] | (run_key[1:] >= run_key[:-1]), "a word's records are not sorted by pattern id, then root")
+    _require(new_word[1:-1] | (run_key[1:] >= run_key[:-1]), "a word's records are not sorted by root, then pattern id")
     x = 0  # the run's first record in the batch
     for span, node_span in zip(record_spans, node_spans):
         a, b, y = span.start, span.stop, x + span.stop - span.start
         c.node_off[a : b + 1] = node_off[x : y + 1] + (node_span.start - node_off[x])
-        c.root[span], c.pr[span] = root[x:y], pr[x:y]
+        c.root[span], c.pr[span], c.child[:, span], c.key[:, span] = root[x:y], pr[x:y], child[:, x:y], key[:, x:y]
         c.attrs[node_span.start - a : node_span.stop - b] = attrs[node_off[x] - x : node_off[y] - y]
         x = y
 

@@ -17,10 +17,12 @@ query-time scoring is pure arithmetic. `word_matches` computes every entity's
 and attribute's (word, similarity) matches as arrays, from token ids.
 
 The index holds its records once, as the columns of its KGPX file plus the
-columns those determine (`IndexColumns`, `index_columns`); each word's records
-are one slice of them (`idx.words[w]`, a range of rows), sorted pattern-first
-(pattern length-lexicographically, then nodes, whose first is the root, then
-attrs), so a (pattern, root) is one run of a word's slice. `build_index` fills
+columns those determine (`IndexColumns`, `index_columns`), the tree check's
+step slots among them; each word's records are one slice of them
+(`idx.words[w]`, a range of rows), sorted root-first, and pattern-first within
+a root (pattern length-lexicographically, then nodes, then attrs), so a root
+is one run of a word's slice and a (root, pattern) one run within it, the
+order the engines' join reads (see `search`). `build_index` fills
 them straight from its level-by-level path search, and a read of a KGPX file
 hands the file's columns to the same constructor, with the derived ones
 unfilled until `PathIndex.check` checks a word and fills its rows (see
@@ -28,9 +30,9 @@ unfilled until `PathIndex.check` checks a word and fills its rows (see
 elements, which makes a pattern's tuple on its first read. Nothing else is
 decoded, laid out or cached beside them: the engines join on the columns (see
 `search`), and the access methods read a word's slice directly, finding a
-pattern's run by a binary search of its sorted pattern ids and a root's
-records by a mask; `decode_records` makes `IndexedPath` objects of just the
-records asked for.
+root's run by a binary search of its sorted roots and a pattern's records by
+comparing their patterns; `decode_records` makes `IndexedPath` objects of
+just the records asked for.
 
 Literal (dummy TEXT) entities are never used as roots: they stand for
 attribute *values*, carry no type, and cannot anchor a table answer. They do
@@ -38,7 +40,6 @@ appear as path terminals.
 """
 from __future__ import annotations
 
-import bisect
 import logging
 from collections import deque, namedtuple
 from collections.abc import Sequence
@@ -125,12 +126,16 @@ class PatternTable(Sequence):
 # Every record of an index: first its stored KGPX columns, that is the pattern
 # table (a `PatternTable`), its lengths and elements, the vocabulary with each
 # word's record count, one array per field of RECORD_DTYPES with one entry per
-# record (word by word, in vocabulary order), and all records' nodes in one
-# array; then the columns these determine (`index_columns`, `derived_columns`):
-# record j's nodes are nodes[node_off[j]:node_off[j + 1]] and its attributes,
-# one fewer, start at attrs[node_off[j] - j]. A word's derived rows are valid
-# once it is checked.
-IndexColumns = namedtuple("IndexColumns", "patterns lengths elements vocab counts pattern_id sim nodes attrs node_off root pr")
+# record (word by word, in vocabulary order, each word's root-first), and all
+# records' nodes in one array; then the columns these determine
+# (`index_columns`, `derived_columns`): record j's nodes are
+# nodes[node_off[j]:node_off[j + 1]] and its attributes, one fewer, start at
+# attrs[node_off[j] - j]; child[t, j] and key[t, j] are its step t's child node
+# and its parent * (n_attrs + 1) + attr, both padded with their dtype's maximum
+# (the tree check's slots). A word's derived rows are valid once it is checked.
+IndexColumns = namedtuple(
+    "IndexColumns", "patterns lengths elements vocab counts pattern_id sim nodes attrs node_off root pr child key"
+)
 
 
 def node_offsets(pattern_lengths: np.ndarray, pattern_id: np.ndarray) -> np.ndarray:
@@ -140,29 +145,45 @@ def node_offsets(pattern_lengths: np.ndarray, pattern_id: np.ndarray) -> np.ndar
     return np.concatenate(([0], np.cumsum(pattern_lengths[pattern_id] // 2 + 1, dtype=np.int64)))
 
 
-def index_columns(stored: tuple, scores: np.ndarray) -> IndexColumns:
+def index_columns(stored: tuple, scores: np.ndarray, n_attrs: int) -> IndexColumns:
     """`stored`, the stored columns from `patterns` to `nodes`, with the columns
     they determine (`derived_columns`). Every id in `stored` must be in range
     and no pattern empty."""
     _, lengths, elements, _, _, pattern_id, _, nodes = stored
     node_off = node_offsets(lengths, pattern_id)
-    attrs, root, pr = derived_columns(lengths, elements, pattern_id, node_off, nodes, scores)
-    return IndexColumns(*stored, attrs, node_off, root, pr)
+    attrs, root, pr, child, key = derived_columns(lengths, elements, pattern_id, node_off, nodes, scores, n_attrs)
+    return IndexColumns(*stored, attrs, node_off, root, pr, child, key)
 
 
-def derived_columns(lengths, elements, pattern_id, node_off, nodes, scores) -> tuple:
-    """The attrs, root and pr columns of the records with these pattern ids,
-    `node_off` (`node_offsets`) and nodes, given the pattern table's lengths
-    and elements and the PageRank scores. A record's attributes are its
-    pattern's odd elements, its root is its first node, and its pr term is
-    the PageRank score of its last node, or on an edge match (a pattern of
-    even length) of the edge's source, the node before it."""
+def slot_layout(lengths: np.ndarray, n_entities: int, n_attrs: int) -> tuple[int, type]:
+    """The child and key slots' row count, the steps of the longest pattern of
+    this pattern table's lengths, and the keys' dtype: u4 unless a key can
+    reach 2^32 - 1 (children are u4 entity ids)."""
+    return int(lengths.max(initial=0)) // 2, np.uint32 if n_entities * (n_attrs + 1) < 1 << 32 else np.uint64
+
+
+def derived_columns(lengths, elements, pattern_id, node_off, nodes, scores, n_attrs: int) -> tuple:
+    """The attrs, root, pr, child and key columns of the records with these
+    pattern ids, `node_off` (`node_offsets`) and nodes, given the pattern
+    table's lengths and elements, the PageRank scores and the attribute count.
+    A record's attributes are its pattern's odd elements, its root is its
+    first node, its pr term is the PageRank score of its last node, or on an
+    edge match (a pattern of even length) of the edge's source, the node
+    before it, and its step t joins its nodes t and t + 1 by its attribute t."""
     n, size = len(pattern_id), lengths[pattern_id]
+    steps = size // 2
     # Record j's step t, attrs[node_off[j] - j + t], is element 2t + 1 of its pattern, which starts at start[j].
     start = (np.cumsum(lengths, dtype=np.int64) - lengths)[pattern_id]
-    attrs = elements[np.repeat(start + 1 - 2 * (node_off[:-1] - np.arange(n)), size // 2) + 2 * np.arange(len(nodes) - n)]
+    attrs = elements[np.repeat(start + 1 - 2 * (node_off[:-1] - np.arange(n)), steps) + 2 * np.arange(len(nodes) - n)]
     pr = scores[nodes[node_off[1:] - 1 - (size % 2 == 0)]]
-    return attrs, nodes[node_off[:-1]], pr
+    width, key_dtype = slot_layout(lengths, len(scores), n_attrs)
+    child, key = (np.full((width, n), np.iinfo(dtype).max, dtype) for dtype in (np.uint32, key_dtype))
+    for step in range(width):
+        record = np.flatnonzero(steps > step)
+        at = node_off[record] + step
+        child[step][record] = nodes[at + 1]
+        key[step][record] = nodes[at].astype(key_dtype, copy=False) * (n_attrs + 1) + attrs[at - record]
+    return attrs, nodes[node_off[:-1]], pr, child, key
 
 
 def build_all(cls, *columns: list) -> list:
@@ -255,7 +276,7 @@ class PathIndex:
         fingerprint: bytes,
         check_words: Optional[Callable[["PathIndex", list[int]], None]] = None,
     ):
-        """Index the records in `columns` (each word's sorted pattern-first)
+        """Index the records in `columns` (each word's sorted root-first)
         for a graph with these name tables and fingerprint
         (`KnowledgeGraph.fingerprint`), and one PageRank score per entity.
         With `check_words`, no word's records are checked yet and their
@@ -293,19 +314,18 @@ class PathIndex:
     # -- access methods ------------------------------------------------
 
     def _records(self, word: str, pattern: Optional[pat.PathPattern] = None, root: Optional[int] = None) -> np.ndarray:
-        """The ids of `word`'s records (of `pattern`, under `root`, when given) in pattern-first order."""
+        """The ids of `word`'s records (of `pattern`, under `root`, when given) in pattern-first
+        order: a root's run of the root-first slice is in it, and a whole word's is sorted so."""
         if self.unchecked:
             self.check((word,))
         c, span = self.columns, self.words.get(word, range(0))
         start, stop = span.start, span.stop
-        if pattern is not None:
-            # A pattern's id is its position in the canonical pattern table.
-            i = bisect.bisect_left(c.patterns, pat.sort_key(pattern), key=pat.sort_key)
-            if i == len(c.patterns) or c.patterns[i] != pattern:
-                return np.arange(0)
-            start, stop = (start + np.searchsorted(c.pattern_id[start:stop], (i, i + 1))).tolist()
+        if root is not None:
+            start, stop = (start + np.searchsorted(c.root[start:stop], (root, root + 1))).tolist()
         ids = np.arange(start, stop)
-        return ids if root is None else ids[c.root[start:stop] == root]
+        if pattern is not None:
+            return ids[[c.patterns[i] == pattern for i in c.pattern_id[start:stop].tolist()]]
+        return ids if root is not None else ids[np.argsort(c.pattern_id[start:stop], kind="stable")]
 
     def patterns(self, word: str, root: Optional[int] = None) -> list[pat.PathPattern]:
         """Patterns under which some root (or the given root) reaches `word`."""
@@ -441,14 +461,17 @@ def build_index(graph: KnowledgeGraph, pagerank: PageRankVector, depth: int) -> 
         padded = np.pad(paths[owner], ((0, 0), (0, groups[-1][0].shape[1] - paths.shape[1])), constant_values=-1)
         parts.append((match_word[at], pattern_id[owner], match_sim[at], padded))
     word, pattern_id, sim, paths = map(np.concatenate, zip(*parts))
-    order = np.argsort(word, kind="stable")  # each word's records stay in the groups' pattern-first order
+    # By word, then root-first, a root's records in the groups' pattern-first order: two stable
+    # sorts, each on the narrowest ids (a radix sort at up to 16 bits).
+    order = np.argsort(paths[:, 0].astype(np.min_scalar_type(graph.n_entities)), kind="stable")
+    order = order[np.argsort(word[order].astype(np.min_scalar_type(len(words))), kind="stable")]
     vocab, counts = np.unique(word, return_counts=True)
     nodes = paths[order, ::2]
     lengths, elements = np.concatenate(lengths).astype("<u2"), np.concatenate(elements).astype("<u4")
     stored = PatternTable(lengths, elements), lengths, elements
     stored += [words[i] for i in vocab.tolist()], counts.astype("<u4"), pattern_id[order].astype("<u4"), sim[order]
     stored += (nodes[nodes >= 0].astype("<u4"),)
-    columns = index_columns(stored, pagerank.scores)
+    columns = index_columns(stored, pagerank.scores, graph.n_attrs)
     idx = PathIndex(depth, pagerank, list(graph.type_names), list(graph.attr_names), columns, graph.fingerprint())
     logger.debug("built index: depth=%d, %d words, %d entries", depth, len(idx.words), idx.stats.entry_count)
     return idx

@@ -28,16 +28,20 @@ a time, and differ only in which rows they join. Each first checks
 its keywords' records (`PathIndex.check`), so an index read from a file
 checks and derives only the words its queries read. A row (path tuple)
 picks one record per keyword under a shared root; a *unit* is a root with one
-run of records per keyword, and its rows are the runs' cross product.
-``_tree_rows`` keeps the rows whose paths' union is a rooted tree,
-``_group`` groups them by tree pattern, and ``_pattern_scores`` scores each
-pattern with the arithmetic of ``tree_score`` and ``pattern_score``. No word is
-decoded, and members are materialized late: ``_answers`` keeps only the k
-returned patterns' rows, and the first read of any returned pattern's
-``subtrees`` makes all k patterns' member subtrees in one ``_members`` call,
-whose ``IndexedPath`` objects are only the records those rows use. Rejected
-rows are counted in stats and logged. Ordering is deterministic end to end: scores
-descending, canonical pattern key ascending, members by (root, path keys).
+run of records per keyword, and its rows are the runs' cross product. The
+join reads the index as stored, so a query sorts no records and builds no
+steps: a keyword's records under a root are one run of its root-first slice
+(``_root_runs``), and ``_tree_rows`` keeps the rows whose paths' union is a
+rooted tree, reading the picked records' step slots (`IndexColumns.child`
+and `key`); ``_group`` groups them by tree pattern, and ``_pattern_scores``
+scores each pattern with the arithmetic of ``tree_score`` and
+``pattern_score``. No word is decoded, and members are materialized late:
+``_answers`` keeps only the k returned patterns' rows, and the first read of
+any returned pattern's ``subtrees`` makes all k patterns' member subtrees in
+one ``_members`` call, whose ``IndexedPath`` objects are only the records
+those rows use. Rejected rows are counted in stats and logged. Ordering is
+deterministic end to end: scores descending, canonical pattern key
+ascending, members by (root, path keys).
 """
 from __future__ import annotations
 
@@ -311,19 +315,18 @@ def search_pattern_enum(
     of its patterns' root sets; all (combination, root) units are joined at once."""
     c, words = idx.columns, list(query.keywords)
     idx.check(words)
-    ids, runs, by_type = [], [], []
+    runs, by_type = [], []
     for word in words:
         span = idx.words.get(word, range(0))
-        ids.append(np.arange(span.start, span.stop))
-        pattern_id, roots = c.pattern_id[ids[-1]], c.root[ids[-1]]
-        # The word's (pattern, root) runs: pattern id -> root -> (first record, record count).
+        pattern_id, roots = c.pattern_id[span.start : span.stop], c.root[span.start : span.stop]
+        # The word's (root, pattern) runs: pattern id -> root -> (first record, record count).
         firsts = np.flatnonzero(np.diff(pattern_id, prepend=-1) | np.diff(roots, prepend=-1))
         run_keys = zip(pattern_id[firsts].tolist(), roots[firsts].tolist())
         runs.append({})
         for (p, root), first, size in zip(run_keys, firsts.tolist(), np.diff(firsts, append=len(span)).tolist()):
-            runs[-1].setdefault(p, {})[root] = (first, size)
+            runs[-1].setdefault(p, {})[root] = (span.start + first, size)
         by_type.append({})
-        for p in runs[-1]:  # in canonical order
+        for p in sorted(runs[-1]):  # in canonical order
             by_type[-1].setdefault(c.patterns[p][0], []).append(p)
 
     stats = _new_stats(pattern_combos_checked=0, empty_combos=0, patterns_found=0)
@@ -335,7 +338,7 @@ def search_pattern_enum(
             for root in sorted(set(root_runs[0]).intersection(*root_runs[1:])):
                 units.append([run[root] for run in root_runs])
     run_start, run_size = np.array(units, np.int64).reshape(len(units), len(words), 2).transpose(2, 1, 0)
-    rows = _tree_rows(c, ids, run_start, run_size, idx.n_attrs, stats)
+    rows = _tree_rows(c, run_start, run_size, stats)
     patterns = _group(c, rows)
     stats["patterns_found"] = len(patterns.sizes)
     stats["empty_combos"] = stats["pattern_combos_checked"] - stats["patterns_found"]
@@ -365,9 +368,9 @@ def enumerate_rows(idx: PathIndex, query: Query, stats: dict) -> tuple[list, Gro
     candidate roots, and their tree patterns, counted into `stats`; no member
     is decoded."""
     stats.update(_new_stats())
-    ids, candidates, run_start, run_size = _root_runs(idx, query.keywords)
+    candidates, run_start, run_size = _root_runs(idx, query.keywords)
     stats["candidate_roots"] = len(candidates)
-    rows = _tree_rows(idx.columns, ids, run_start, run_size, idx.n_attrs, stats)
+    rows = _tree_rows(idx.columns, run_start, run_size, stats)
     patterns = _group(idx.columns, rows)
     stats["patterns_found"] = len(patterns.sizes)
     return rows, patterns
@@ -388,37 +391,41 @@ def search_linear_topk(
         raise ParameterError(f"sampling supports only the sum aggregator, not {config.aggregator!r}")
 
     c = idx.columns
-    ids, candidates, run_start, run_size = _root_runs(idx, query.keywords)
+    candidates, run_start, run_size = _root_runs(idx, query.keywords)
     tuples = functools.reduce(np.multiply, run_size, np.ones(len(candidates), np.int64))
-    types = np.array([graph.entity_type[r] for r in candidates.tolist()], np.int64)
-    rates, drawn = np.ones(len(candidates)), np.zeros(len(candidates), bool)
-    stats = _new_stats(candidate_roots=len(candidates), roots_expanded=0, types=[])
-    for type_id in sorted(set(types.tolist())):
-        of_type = types == type_id
-        roots, bound = int(of_type.sum()), int(tuples[of_type].sum())
-        rate = sampling.rate if bound >= sampling.threshold else 1.0
-        expanded = roots
-        if rate < 1.0:
-            draws = _uniform01(sampling.seed, type_id, roots) < rate
-            rates[of_type], drawn[of_type], expanded = rate, draws, int(draws.sum())
-        stats["roots_expanded"] += expanded
-        stats["types"].append({"type": type_id, "roots": roots, "bound": bound, "rate": rate, "expanded": expanded})
+    types = c.elements[c.patterns.starts[c.pattern_id[run_start[0]]]]  # a root's type starts its patterns
+    type_ids, of_type, roots = np.unique(types, return_inverse=True, return_counts=True)
+    bounds = np.bincount(of_type, tuples, len(type_ids)).astype(np.int64)  # float sums: exact below 2^53
+    type_rates = np.where(bounds >= sampling.threshold, sampling.rate, 1.0)
+    rates, drawn, expanded = type_rates[of_type], np.zeros(len(candidates), bool), roots.copy()
+    for t in np.flatnonzero(type_rates < 1.0).tolist():
+        drawn[of_type == t] = draws = _uniform01(sampling.seed, int(type_ids[t]), int(roots[t])) < type_rates[t]
+        expanded[t] = np.count_nonzero(draws)
+    fields, columns = ("type", "roots", "bound", "rate", "expanded"), (type_ids, roots, bounds, type_rates, expanded)
+    per_type = [dict(zip(fields, values)) for values in zip(*(column.tolist() for column in columns))]
+    stats = _new_stats(candidate_roots=len(candidates), roots_expanded=int(expanded.sum()), types=per_type)
     whole, guesses, winners = rates == 1.0, np.zeros(0), np.zeros(0, np.int64)
     units = [[s[whole] for s in side] for side in (run_start, run_size)]
     if not whole.all():
         # A sampled type's k best by estimate (`scoring.estimate_pattern_score`, sum aggregation
         # only), ties in canonical order: not by the sample score, as two different sample sums
         # can become equal once divided by rate.
-        rows = _tree_rows(c, ids, *([s[drawn] for s in side] for side in (run_start, run_size)), idx.n_attrs, stats)
+        rows = _tree_rows(c, *([s[drawn] for s in side] for side in (run_start, run_size)), stats)
         patterns = _group(c, rows)
         at = np.searchsorted(candidates, c.root[rows[0][patterns.first_row]])
         guesses = _pattern_scores(c, rows, patterns, config) / rates[at]
         by_type = np.lexsort((-guesses, types[at]))
         type_of = types[at[by_type]]
         winners = np.sort(by_type[np.arange(len(by_type)) - np.searchsorted(type_of, type_of) < query.k])
-        combos = [c.pattern_id[record[patterns.first_row[winners]]] for record in rows]
-        units = [list(map(np.append, *pair)) for pair in zip(units, _combo_runs(idx, query.keywords[0], ids, combos))]
-    rows = _tree_rows(c, ids, *units, idx.n_attrs, stats)
+        # Each winner's units: the roots of its first pattern's runs in the first keyword's records.
+        combos = [c.pattern_id[record[patterns.first_row[winners]]] for record in rows]  # one id per winner
+        span = idx.words[query.keywords[0]]
+        hit = span.start + np.flatnonzero(np.isin(c.pattern_id[span.start : span.stop], combos[0]))
+        hit = hit[np.flatnonzero(np.diff(c.root[hit], prepend=-1) | np.diff(c.pattern_id[hit], prepend=-1))]
+        unit, winner = np.nonzero(c.pattern_id[hit][:, None] == combos[0])
+        runs = _combo_runs(idx, query.keywords, c.root[hit[unit]], [combo[winner] for combo in combos])
+        units = [list(map(np.append, *pair)) for pair in zip(units, runs)]
+    rows = _tree_rows(c, *units, stats)
     _log_rejections("linear-topk", query, stats)
 
     patterns = _group(c, rows)
@@ -441,77 +448,61 @@ CHUNK_ROWS = 1 << 13
 
 
 def _root_runs(idx: PathIndex, words):
-    """Each keyword's record ids put root-first (pattern-first within a root:
-    a stable sort), the candidate roots (those every keyword reaches), and
-    each keyword's run start and size per candidate."""
+    """The candidate roots (those every keyword reaches) and each keyword's run
+    start (a record id) and size per candidate: a root's records are one run
+    of the keyword's root-first slice."""
     idx.check(words)
-    c, ids = idx.columns, []
+    c, runs = idx.columns, []
     for word in words:
         span = idx.words.get(word, range(0))
-        word_ids = np.arange(span.start, span.stop)
-        ids.append(word_ids[np.argsort(c.root[word_ids], kind="stable")])
-    sorted_roots = [c.root[word_ids] for word_ids in ids]
-    distinct = [np.unique(roots, return_index=True)[0] for roots in sorted_roots]  # no option: imports numpy.ma
-    candidates = functools.reduce(functools.partial(np.intersect1d, assume_unique=True), distinct)
-    run_start = [np.searchsorted(r, candidates) for r in sorted_roots]
-    run_size = [np.searchsorted(r, candidates, "right") - s for r, s in zip(sorted_roots, run_start)]
-    return ids, candidates, run_start, run_size
+        roots = c.root[span.start : span.stop]
+        new = np.ones(len(roots), bool)  # each root's first record (`np.diff` is slower)
+        new[1:] = roots[1:] != roots[:-1]
+        first = np.flatnonzero(new)
+        runs.append((roots[first], span.start + first, np.append(first[1:], len(roots)) - first))
+    candidates = functools.reduce(functools.partial(np.intersect1d, assume_unique=True), [run[0] for run in runs])
+    at = [np.searchsorted(distinct, candidates) for distinct, _, _ in runs]
+    return candidates, [run[1][i] for run, i in zip(runs, at)], [run[2][i] for run, i in zip(runs, at)]
 
 
-def _combo_runs(idx: PathIndex, word: str, ids: list, combos: list):
-    """Each keyword's run start and size in `ids` (`_root_runs`'s root-first ids) per unit of the
-    pattern-id combinations `combos` (one array per keyword; `word` is the first): a combination and
-    a root of its first pattern, combination by combination, roots ascending (a run may be empty)."""
-    c, span = idx.columns, idx.words[word]
-    # The roots of each combination's first pattern, from `word`'s pattern-first records.
-    lo, hi = (np.searchsorted(c.pattern_id[span.start : span.stop], combos[0], side) for side in ("left", "right"))
-    combo = np.repeat(np.arange(len(lo)), hi - lo)
-    root = c.root[span.start + np.arange(len(combo)) + np.repeat(hi - np.cumsum(hi - lo), hi - lo)]
-    unit = np.flatnonzero(np.diff(root, prepend=-1) | np.diff(combo, prepend=-1))
-    root, combo = root[unit].astype(np.int64), combo[unit]
-    # A keyword's run under a root, by its key in the root-first ids, which are sorted by (root, pattern id).
-    keys = [c.root[word_ids].astype(np.int64) << 32 | c.pattern_id[word_ids] for word_ids in ids]
-    wanted = [root << 32 | pattern_id[combo] for pattern_id in combos]
-    starts = list(map(np.searchsorted, keys, wanted))
-    return starts, [np.searchsorted(k, w, "right") - s for k, w, s in zip(keys, wanted, starts)]
+def _combo_runs(idx: PathIndex, words, roots: np.ndarray, combos: list):
+    """Each keyword's run start (a record id) and size per unit, a root of `roots` and the pattern
+    ids at the same position of `combos` (one array per keyword), found by binary search on
+    root << 32 | pattern_id over the keyword's root-first records; a unit with an empty run,
+    which joins no row, is left out."""
+    c, starts, sizes = idx.columns, [], []
+    for word, pattern_id in zip(words, combos):
+        span = idx.words[word]
+        keys = c.root[span.start : span.stop].astype(np.int64) << 32 | c.pattern_id[span.start : span.stop]
+        lo, hi = (np.searchsorted(keys, roots.astype(np.int64) << 32 | pattern_id, side) for side in ("left", "right"))
+        starts.append(span.start + lo)
+        sizes.append(hi - lo)
+    full = np.logical_and.reduce([size > 0 for size in sizes])
+    return [start[full] for start in starts], [size[full] for size in sizes]
 
 
-def _steps(c, ids: np.ndarray, n_attrs: int):
-    """Each record's steps as two (width, records) int64 arrays padded with -1:
-    the child node, and its parent and attribute as parent * (n_attrs + 1) + attr."""
-    first = c.node_off[ids]
-    size = c.node_off[ids + 1] - first - 1
-    child, edge = np.full((2, int(size.max(initial=0)), len(ids)), -1, np.int64)
-    step, record = np.nonzero(np.arange(len(child))[:, None] < size)
-    at = first[record] + step
-    child[step, record] = c.nodes[at + 1]
-    edge[step, record] = c.nodes[at].astype(np.int64) * (n_attrs + 1) + c.attrs[at - ids[record]]
-    return child, edge
-
-
-def _tree_rows(c, ids: list, run_start: list, run_size: list, n_attrs: int, stats: dict) -> list:
+def _tree_rows(c, run_start: list, run_size: list, stats: dict) -> list:
     """The record ids, one array per keyword, of the rows (path tuples) that form a tree.
-    Unit i's rows pick ids[j][run_start[j][i] + d[j]] for every keyword j, d going through
+    Unit i's rows pick record run_start[j][i] + d[j] for every keyword j, d going through
     the mixed radix run_size[.][i] (the last keyword fastest); units follow each other, and
-    CHUNK_ROWS rows are checked at a time. Adds the rows to the counters in `stats`."""
+    CHUNK_ROWS rows are checked at a time, on their step slots. Adds the rows to the counters in `stats`."""
     tuples = functools.reduce(np.multiply, run_size, np.ones(len(run_start[0]), np.int64))
     offsets = np.concatenate(([0], np.cumsum(tuples)))
-    steps = [_steps(c, word_ids, n_attrs) for word_ids in ids]
-    accepted = [[word_ids[:0] for word_ids in ids]]
+    accepted = [[np.zeros(0, np.int64)] * len(run_start)]
     for first in range(0, int(offsets[-1]), CHUNK_ROWS):
         row = np.arange(first, min(first + CHUNK_ROWS, int(offsets[-1])))
         at = np.searchsorted(offsets, row, "right") - 1
-        rest, picks = row - offsets[at], [None] * len(ids)
-        for j in reversed(range(len(ids))):
+        rest, picks = row - offsets[at], [None] * len(run_start)
+        for j in reversed(range(len(run_start))):
             rest, digit = np.divmod(rest, run_size[j][at])
             picks[j] = run_start[j][at] + digit
         tree = np.ones(len(row), bool)
-        picked = [(child.take(pick, axis=1), edge.take(pick, axis=1)) for (child, edge), pick in zip(steps, picks)]
-        for (child_a, edge_a), (child_b, edge_b) in itertools.combinations(picked, 2):
+        picked = [(c.child[:, pick], c.key[:, pick]) for pick in picks]
+        for (child_a, key_a), (child_b, key_b) in itertools.combinations(picked, 2):
             for s, t in itertools.product(range(len(child_a)), range(len(child_b))):
                 # Not a tree when both paths reach a node through different (parent, attr) steps.
-                tree &= (child_a[s] != child_b[t]) | (edge_a[s] == edge_b[t])
-        accepted.append([word_ids[pick[tree]] for word_ids, pick in zip(ids, picks)])
+                tree &= (child_a[s] != child_b[t]) | (key_a[s] == key_b[t])
+        accepted.append([pick[tree] for pick in picks])
     rows = [np.concatenate(column) for column in zip(*accepted)]
     checked, kept = int(offsets[-1]), len(rows[0])
     stats["path_tuples_checked"] += checked

@@ -68,7 +68,8 @@ def flipped(blob, idx, word) -> bytes:
 
 def reference_build(graph, pagerank, depth):
     """`build_index` one path at a time: the records of the DFS
-    `iter_root_paths`, sorted pattern-first, per word in vocabulary order.
+    `iter_root_paths`, sorted root-first and pattern-first within a root, per
+    word in vocabulary order.
     Returns the index, whose `columns.attrs` holds the attributes the DFS
     found instead of those derived from the patterns, and its cost proxy,
     counted path by path."""
@@ -80,9 +81,9 @@ def reference_build(graph, pagerank, depth):
         for hit in iter_root_paths(graph, pagerank.scores, depth, root):
             cost_proxy += len(hit.nodes) * len(hit.matches)
             hits.append(hit)
-    # No two paths share (pattern, nodes, attrs): sorted once, they give every word its record order.
-    hits.sort(key=lambda hit: (pat.sort_key(hit.pattern), hit.nodes, hit.attrs))
-    patterns = list(dict.fromkeys(hit.pattern for hit in hits))
+    # No two paths share (pattern, nodes, attrs): sorted once, root first, they give every word its record order.
+    hits.sort(key=lambda hit: (hit.nodes[0], pat.sort_key(hit.pattern), hit.nodes, hit.attrs))
+    patterns = sorted(set(hit.pattern for hit in hits), key=pat.sort_key)
     pattern_ids = {p: i for i, p in enumerate(patterns)}
     per_word = {}
     for hit in hits:
@@ -94,10 +95,26 @@ def reference_build(graph, pagerank, depth):
     counts = np.array([len(per_word[word]) for word in vocab], dtype="<u8")
     nodes, attrs = (np.fromiter(chain.from_iterable(column), "<u4") for column in (nodes, attrs))
     table = pattern_table(patterns)
-    columns = index_columns((table, table.lengths, table.elements, vocab, counts, *fields, nodes), pagerank.scores)
+    stored = table, table.lengths, table.elements, vocab, counts, *fields, nodes
+    columns = index_columns(stored, pagerank.scores, graph.n_attrs)
     columns = columns._replace(attrs=attrs)
     names = list(graph.type_names), list(graph.attr_names)
     return PathIndex(depth, pagerank, *names, columns, graph.fingerprint()), cost_proxy
+
+
+def reference_steps(c, ids, n_attrs):
+    """Each record's steps in `ids` as two (width, records) int64 arrays padded
+    with -1, width being its longest's step count: the child node, and its
+    parent and attribute as parent * (n_attrs + 1) + attr. The reference for
+    the index's `child` and `key` slots."""
+    first = c.node_off[ids]
+    size = c.node_off[ids + 1] - first - 1
+    child, edge = np.full((2, int(size.max(initial=0)), len(ids)), -1, np.int64)
+    step, record = np.nonzero(np.arange(len(child))[:, None] < size)
+    at = first[record] + step
+    child[step, record] = c.nodes[at + 1]
+    edge[step, record] = c.nodes[at].astype(np.int64) * (n_attrs + 1) + c.attrs[at - ids[record]]
+    return child, edge
 
 
 def reference_word_matches(graph):

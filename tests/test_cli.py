@@ -524,10 +524,11 @@ class TestCorruptWord:
         assert "checksum mismatch: the records of word 'springer'" in err
 
     def test_a_version_9_file_is_a_data_error(self, capsys):
-        v9 = Path(__file__).resolve().parent / "data" / "software_kb-v9.kgpx"  # written by KGPX v9's `build`
-        for args in (["dump-index"], ["query", "--graph", sample_graph_path(), "--q", "database"]):
-            rc, out, err = self.run(capsys, *args, "--index", v9)
-            assert (rc, out, err) == (2, "", "error: unsupported index version 9\n")
+        for version in (9, 10):  # each file written by that KGPX version's `build` of the sample graph
+            old = Path(__file__).resolve().parent / "data" / f"software_kb-v{version}.kgpx"
+            for args in (["dump-index"], ["query", "--graph", sample_graph_path(), "--q", "database"]):
+                rc, out, err = self.run(capsys, *args, "--index", old)
+                assert (rc, out, err) == (2, "", f"error: unsupported index version {version}\n")
 
 
 class TestByteDeterminism:

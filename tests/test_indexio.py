@@ -123,8 +123,8 @@ def test_readme_states_the_format_version():
 
 
 def records_of(idx):
-    """(word, record) for every record of `idx`, in file order."""
-    return [(w, rec) for w in idx.vocabulary() for rec in idx.paths(w)]
+    """(word, record) for every record of `idx`, in file order: root-first."""
+    return [(w, rec) for w in idx.vocabulary() for r in idx.roots(w) for rec in idx.paths(w, root=r)]
 
 
 def with_record(idx, j, **fields):
@@ -260,27 +260,43 @@ def swap(body, at, other, size):
     body[at : at + size], body[other : other + size] = body[other : other + size], body[at : at + size]
 
 
-def test_runs_out_of_order_are_corrupt(sample_index):
-    """No writer stores a word's (pattern, root) runs out of order, so swap
-    two one-record runs of one word and pattern in the file and seal it with
-    fresh CRCs."""
-    entries = records_of(sample_index)
-    keys = [(w, rec.pattern, rec.nodes[0]) for w, rec in entries]
-    j = next(
-        j for j in range(1, len(keys) - 2) if keys[j][:2] == keys[j + 1][:2] and len(set(keys[j - 1 : j + 3])) == 4
-    )
-    records = [rec for _, rec in entries]
+def swapped(idx, j) -> bytes:
+    """The file of `idx` with its records j and j + 1 (numbered as in
+    `records_of`), of one node count, swapped and sealed with fresh CRCs."""
+    records = [rec for _, rec in records_of(idx)]
     node_off = list(accumulate((len(rec.nodes) for rec in records), initial=0))
     a, b, end = node_off[j : j + 3]
-    assert b - a == end - b  # one pattern, one node count
-    blob = bytearray(serialize(sample_index))
+    assert b - a == end - b  # one node count
+    blob = bytearray(serialize(idx))
     at = records_at(blob)
     for width in WIDTHS:
         swap(blob, at + width * j, at + width * (j + 1), width)
         at += width * len(records)
     swap(blob, at + 4 * a, at + 4 * b, 4 * (b - a))  # nodes
-    with pytest.raises(IndexCorruptError, match="not sorted by pattern id, then root"):
-        deserialize(sealed(blob, len(sample_index.vocabulary())))
+    return sealed(blob, len(idx.vocabulary()))
+
+
+def test_runs_out_of_order_are_corrupt(sample_index):
+    """No writer stores a word's (root, pattern) runs out of order, so swap
+    two one-record runs of one word and pattern under two roots in the file."""
+    keys = [(w, rec.pattern, rec.nodes[0]) for w, rec in records_of(sample_index)]
+    j = next(
+        j for j in range(1, len(keys) - 2) if keys[j][:2] == keys[j + 1][:2] and len(set(keys[j - 1 : j + 3])) == 4
+    )
+    with pytest.raises(IndexCorruptError, match="not sorted by root, then pattern id"):
+        deserialize(swapped(sample_index, j))
+
+
+def test_patterns_out_of_order_under_a_root_are_corrupt(sample_index):
+    """Nor a root's records out of pattern order: swap the last record of one
+    pattern under a root with the first of the next, of the same length."""
+    keys = [(w, rec.nodes[0], rec.pattern) for w, rec in records_of(sample_index)]
+    j = next(
+        j for j in range(len(keys) - 1)
+        if keys[j][:2] == keys[j + 1][:2] and keys[j][2] != keys[j + 1][2] and len(keys[j][2]) == len(keys[j + 1][2])
+    )
+    with pytest.raises(IndexCorruptError, match="not sorted by root, then pattern id"):
+        deserialize(swapped(sample_index, j))
 
 
 def test_pattern_table_out_of_order_is_corrupt(sample_index):

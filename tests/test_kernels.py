@@ -50,10 +50,9 @@ def test_kernel_matches_assemble(case):
                 if assemble_subtree(root, tup) is not None:
                     expected.add((root, combo, choice))
             runs = [idx._records(w, p, root) for w, p in zip(words, combo)]
-            units.append([(run[0] - idx._records(w)[0], len(run)) for w, run in zip(words, runs)])
+            units.append([(run[0], len(run)) for run in runs])
     run_start, run_size = np.array(units, np.int64).reshape(len(units), len(words), 2).transpose(2, 1, 0)
-    ids = [idx._records(w) for w in words]
-    rows = search._tree_rows(idx.columns, ids, run_start, run_size, idx.n_attrs, search._new_stats())
+    rows = search._tree_rows(idx.columns, run_start, run_size, search._new_stats())
     joined = set()
     for record_ids in zip(*(r.tolist() for r in rows)):
         root = int(idx.columns.root[record_ids[0]])

@@ -12,7 +12,7 @@ from kgpattern.fixtures import load_sample_graph
 from kgpattern.oracle import _paths_reaching
 from kgpattern.pathindex import IndexedPath, iter_root_paths
 
-from conftest import graph_from_text, random_instance, reference_build, reference_word_matches
+from conftest import graph_from_text, random_instance, reference_build, reference_steps, reference_word_matches
 
 
 def names(graph, pattern_list):
@@ -283,6 +283,50 @@ class TestLeafBlocks:
             assert got
             got.clear()
         assert [idx.paths(word, **sel) for sel in selectors] == before
+
+
+def assert_slots_equal_the_reference_steps(idx, word):
+    """`word`'s child and key slots hold `reference_steps`: the same steps,
+    their padding (the dtype's maximum) read as -1, and pad rows past the
+    word's longest path."""
+    c, span = idx.columns, idx.words[word]
+    ids = np.arange(span.start, span.stop)
+    for slot, expected in zip((c.child, c.key), reference_steps(c, ids, idx.n_attrs)):
+        got = np.where(slot[:, ids] == np.iinfo(slot.dtype).max, -1, slot[:, ids].astype(np.int64))
+        assert np.array_equal(got[: len(expected)], expected) and (got[len(expected) :] == -1).all()
+
+
+class TestStepSlots:
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equal_the_reference_steps(self, tmp_path, depth, seed):
+        """In a built index, a deserialized one, and one read from its file whose
+        words are checked in two batches, the odd vocabulary positions first."""
+        g = graph_from_text(generate_graph(GenConfig(40 + 20 * seed, 4, 4, 2.0, 10, 2, 0.2, seed)))
+        built = build_index(g, compute_pagerank(g), depth)
+        write_index(built, tmp_path / "index.kgpx")
+        read = read_index(tmp_path / "index.kgpx")
+        words = read.vocabulary()
+        read.check(words[1::2])
+        read.check(words)
+        for idx in (built, deserialize(serialize(built)), read):
+            assert idx.columns.child.shape == idx.columns.key.shape == (depth - 1, idx.stats.entry_count)
+            for word in idx.vocabulary():
+                assert_slots_equal_the_reference_steps(idx, word)
+
+    def test_keys_are_u4_while_they_fit(self):
+        lengths = np.array([1, 5], "<u2")  # a longest pattern of 3 nodes: 2 steps
+        assert pathindex.slot_layout(lengths, 1 << 16, (1 << 16) - 2) == (2, np.uint32)
+        assert pathindex.slot_layout(lengths, 1 << 16, (1 << 16) - 1) == (2, np.uint64)
+
+    def test_wide_keys_equal_the_reference_steps(self, monkeypatch):
+        """An index whose keys could pass 2^32 - 1 holds u8 keys."""
+        g = random_instance(3)[0]
+        monkeypatch.setattr(pathindex, "slot_layout", lambda lengths, *_: (int(lengths.max(initial=0)) // 2, np.uint64))
+        idx = build_index(g, compute_pagerank(g), 3)
+        assert idx.columns.key.dtype == np.uint64
+        for word in idx.vocabulary():
+            assert_slots_equal_the_reference_steps(idx, word)
 
 
 def assert_builds_agree(graph, depth):

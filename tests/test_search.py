@@ -436,9 +436,9 @@ def test_sampled_counters_add_both_joins(monkeypatch):
     a2, b2 = (t("Hub"), a("relC"), t("KindA")), (t("Hub"), a("relD"), t("KindB"))
     joins, tree_rows = [], search._tree_rows
 
-    def counted(c, ids, run_start, run_size, n_attrs, stats):
+    def counted(c, run_start, run_size, stats):
         before = dict(stats)
-        rows = tree_rows(c, ids, run_start, run_size, n_attrs, stats)
+        rows = tree_rows(c, run_start, run_size, stats)
         combos = set(zip(*(map(c.patterns.__getitem__, c.pattern_id[r].tolist()) for r in rows)))
         joins.append(([stats[name] - before[name] for name in COUNTERS[:3]], {x for x in combos if x[0][0] == t("Hub")}))
         return rows
