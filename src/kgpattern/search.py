@@ -33,9 +33,10 @@ join reads the index as stored, so a query sorts no records and builds no
 steps: a keyword's records under a root are one run of its root-first slice
 (``_root_runs``), and ``_tree_rows`` keeps the rows whose paths' union is a
 rooted tree, reading the picked records' step slots (`IndexColumns.child`
-and `key`); ``_group`` groups them by tree pattern, and ``_pattern_scores``
-scores each pattern with the arithmetic of ``tree_score`` and
-``pattern_score``. No word is decoded, and members are materialized late:
+and `key`); ``_group`` groups them by tree pattern, the one full sort of a
+join's rows or patterns; ``_pattern_scores`` scores each pattern with the
+arithmetic of ``tree_score`` and ``pattern_score``, and ``_top`` picks the k
+best by a partition. No word is decoded, and members are materialized late:
 ``_answers`` keeps only the k returned patterns' rows, and the first read of
 any returned pattern's ``subtrees`` makes all k patterns' member subtrees in
 one ``_members`` call, whose ``IndexedPath`` objects are only the records
@@ -60,7 +61,7 @@ import numpy as np
 from . import patterns as pat
 from .errors import ParameterError, ScoreDomainError
 from .graph import TEXT_TYPE_ID, KnowledgeGraph, tokenize
-from .pathindex import IndexedPath, PathIndex, build_all, decode_records, iter_root_paths
+from .pathindex import IndexedPath, PathIndex, _ranges, build_all, decode_records, iter_root_paths
 from .scoring import DEFAULT_CONFIG, ScoringConfig, pattern_score, power, require_finite, tree_score
 
 logger = logging.getLogger(__name__)
@@ -344,7 +345,7 @@ def search_pattern_enum(
     stats["empty_combos"] = stats["pattern_combos_checked"] - stats["patterns_found"]
     _log_rejections("pattern-enum", query, stats)
     scores = _pattern_scores(c, rows, patterns, config)
-    top = np.argsort(-scores, kind="stable")[: query.k]
+    top = _top(scores, query.k)
     keys, members = _answers(c, rows, patterns, top)
     return SearchResult(list(map(ScoredPattern, keys, scores[top].tolist(), members)), stats)
 
@@ -422,8 +423,10 @@ def search_linear_topk(
         span = idx.words[query.keywords[0]]
         hit = span.start + np.flatnonzero(np.isin(c.pattern_id[span.start : span.stop], combos[0]))
         hit = hit[np.flatnonzero(np.diff(c.root[hit], prepend=-1) | np.diff(c.pattern_id[hit], prepend=-1))]
-        unit, winner = np.nonzero(c.pattern_id[hit][:, None] == combos[0])
-        runs = _combo_runs(idx, query.keywords, c.root[hit[unit]], [combo[winner] for combo in combos])
+        by_first = np.argsort(combos[0], kind="stable")  # each hit run's winners, in winner order, by sort-merge
+        distinct, first = np.unique(combos[0][by_first], return_index=True)
+        unit, at = _ranges(np.append(first, len(winners)), np.searchsorted(distinct, c.pattern_id[hit]))
+        runs = _combo_runs(idx, query.keywords, c.root[hit[unit]], [combo[by_first[at]] for combo in combos])
         units = [list(map(np.append, *pair)) for pair in zip(units, runs)]
     rows = _tree_rows(c, *units, stats)
     _log_rejections("linear-topk", query, stats)
@@ -432,9 +435,11 @@ def search_linear_topk(
     scores = _pattern_scores(c, rows, patterns, config)
     # The sampled types' patterns are the winners, both in canonical order;
     # an unsampled type's pattern has its score for estimate.
-    estimates = scores.copy()
-    estimates[rates[np.searchsorted(candidates, c.root[rows[0][patterns.first_row]])] < 1.0] = guesses[winners]
-    top = np.argsort(-scores, kind="stable")[: query.k]
+    estimates = scores
+    if len(winners):
+        estimates = scores.copy()
+        estimates[rates[np.searchsorted(candidates, c.root[rows[0][patterns.first_row]])] < 1.0] = guesses[winners]
+    top = _top(scores, query.k)
     keys, members = _answers(c, rows, patterns, top)
     return SearchResult(list(map(ScoredPattern, keys, scores[top].tolist(), members, estimates[top].tolist())), stats)
 
@@ -497,7 +502,8 @@ def _tree_rows(c, run_start: list, run_size: list, stats: dict) -> list:
             rest, digit = np.divmod(rest, run_size[j][at])
             picks[j] = run_start[j][at] + digit
         tree = np.ones(len(row), bool)
-        picked = [(c.child[:, pick], c.key[:, pick]) for pick in picks]
+        # `take` gathers the slots in one pass; `slot[:, pick]` is numpy's far slower fancy index.
+        picked = [(c.child.take(pick, axis=1), c.key.take(pick, axis=1)) for pick in picks]
         for (child_a, key_a), (child_b, key_b) in itertools.combinations(picked, 2):
             for s, t in itertools.product(range(len(child_a)), range(len(child_b))):
                 # Not a tree when both paths reach a node through different (parent, attr) steps.
@@ -534,6 +540,10 @@ def _powers(factor: np.ndarray, exponent: float) -> np.ndarray:
     (`np.power` can differ from `math.pow` in the last bit); pow(x, 1.0) is x."""
     if exponent < 0.0 and not factor.all():
         raise ScoreDomainError(f"zero score factor with negative exponent {exponent}")
+    if factor.dtype.kind == "i":  # node counts: their few distinct values by `np.bincount`, not by a sort
+        table, present = np.zeros(int(factor.max(initial=0)) + 1), np.flatnonzero(np.bincount(factor))
+        table[present] = [power(float(x), exponent) for x in present.tolist()]
+        return table[factor]
     if exponent == 1.0:
         return factor
     values, inverse = np.unique(factor, return_inverse=True)
@@ -542,13 +552,14 @@ def _powers(factor: np.ndarray, exponent: float) -> np.ndarray:
 
 def _pattern_scores(c, rows: list, patterns: Groups, config: ScoringConfig) -> np.ndarray:
     """Each pattern's score, with the arithmetic and the checks of `tree_score`
-    (factors summed in keyword order) and `pattern_score` (members summed in
-    row order)."""
-    factors = np.zeros((3, len(rows[0])))
+    (factors summed in keyword order, the node count as an integer) and
+    `pattern_score` (members summed in row order)."""
+    nodes, factors = np.zeros(len(rows[0]), np.int64), np.zeros((2, len(rows[0])))
     for record in rows:
-        factors += (c.node_off[record + 1] - c.node_off[record], c.pr[record], c.sim[record])
+        nodes += c.node_off[record + 1] - c.node_off[record]
+        factors += (c.pr[record], c.sim[record])
     with np.errstate(over="ignore", invalid="ignore"):  # a product past the float range fails the check below
-        score = functools.reduce(np.multiply, map(_powers, factors, (config.z1, config.z2, config.z3)))
+        score = functools.reduce(np.multiply, map(_powers, (nodes, *factors), (config.z1, config.z2, config.z3)))
     require_finite(np.isfinite(score).all(), "tree")
     group, sizes = patterns.group, patterns.sizes
     if config.aggregator == "max":
@@ -560,6 +571,15 @@ def _pattern_scores(c, rows: list, patterns: Groups, config: ScoringConfig) -> n
     scores = np.bincount(group, weights=score, minlength=len(sizes))
     require_finite(np.isfinite(scores).all(), "pattern")
     return scores / sizes if config.aggregator == "avg" else scores
+
+
+def _top(scores: np.ndarray, k: int) -> np.ndarray:
+    """`np.argsort(-scores, kind="stable")[:k]`, the k best scores' positions, sorting only
+    the scores at or above the k-th, which a partition finds."""
+    if k >= len(scores):
+        return np.argsort(-scores, kind="stable")
+    above = np.flatnonzero(scores >= np.partition(scores, len(scores) - k)[len(scores) - k])
+    return above[np.argsort(-scores[above], kind="stable")[:k]]
 
 
 def _members(c, rows: list) -> list[ValidSubtree]:

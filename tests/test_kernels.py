@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from kgpattern import assemble_subtree, build_index, compute_pagerank, kernels, search
+from kgpattern import assemble_subtree, build_index, compute_pagerank, kernels, pathindex, search
 
 from conftest import random_instance
 
@@ -30,13 +30,20 @@ def test_lexicographic_order():
     assert rows == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
-@pytest.mark.parametrize("case", [0, 3, 6])
-def test_kernel_matches_assemble(case):
+@pytest.mark.parametrize(
+    "case, key_dtype",
+    [pytest.param(case, np.uint32, id=str(case)) for case in (0, 3, 6)]
+    + [pytest.param(case, np.uint64, id=f"{case}-u8") for case in (0, 3, 6)],
+)
+def test_kernel_matches_assemble(case, key_dtype, monkeypatch):
     """The kernel, and the array join of the engines, must accept exactly the
     tuples assemble_subtree accepts. The array join runs every (root, pattern
-    combination) unit at once."""
+    combination) unit at once, on u4 key slots and on u8 ones, which an index
+    holds when its keys could pass 2^32 - 1."""
     g, depth, words = random_instance(case)
+    monkeypatch.setattr(pathindex, "slot_layout", lambda lengths, *_: (int(lengths.max(initial=0)) // 2, key_dtype))
     idx = build_index(g, compute_pagerank(g), depth)
+    assert idx.columns.key.dtype == key_dtype and len(idx.columns.key) > 0
     roots = set.intersection(*(set(idx.roots(w)) for w in words))
     expected, kernel, units = set(), set(), []
     for root in sorted(roots):

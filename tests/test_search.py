@@ -34,7 +34,7 @@ from kgpattern import (
 from kgpattern import patterns as pat
 from kgpattern import search
 from kgpattern.scoring import AGGREGATORS, DEFAULT_CONFIG
-from kgpattern.search import _powers, _uniform01
+from kgpattern.search import _powers, _top, _uniform01
 
 from conftest import graph_from_text, random_instance, reference_sampled_topk, reference_uniform01, tree_height
 
@@ -682,3 +682,55 @@ class TestExactTopkOnColumns:
         values = np.random.default_rng(5).uniform(0.01, 40.0, 5000)
         got = _powers(values, exponent)
         assert [x.hex() for x in got.tolist()] == [math.pow(x, exponent).hex() for x in values.tolist()]
+
+    @pytest.mark.parametrize("z1", [-1.0, -0.7, 0.0, 0.5, 1.0, 2.5])
+    def test_node_count_powers_equal_the_baseline(self, z1):
+        # The engines raise integer node counts to z1 through a table, the baseline float sums.
+        for seed, depth, n_words in ((1, 3, 2), (3, 3, 3), (5, 4, 1)):
+            g, idx, words = _column_instance(seed, depth, n_words)
+            assert_same_as_baseline(g, idx, words, (1, 5, None), ScoringConfig(z1=z1))
+
+    def test_node_count_power_past_the_float_range(self):
+        # A two-keyword tree has at least 2 nodes, and 2.0 ** 2000 is past the float range.
+        g, idx, words = _column_instance(1, 3, 2)
+        config, query = ScoringConfig(z1=2000.0), Query(words)
+        for engine in (search_baseline, search_pattern_enum):
+            with pytest.raises(ScoreDomainError, match="a tree score is not finite"):
+                engine(g, idx, query, config)
+        with pytest.raises(ScoreDomainError, match="a tree score is not finite"):
+            search_linear_topk(g, idx, query, config=config)
+
+    def test_count_at_a_k_that_cuts_a_tie_run(self):
+        g, idx, words = _column_instance(1, 3, 2)
+        config = ScoringConfig(aggregator="count")
+        scores = [sp.score for sp in search_baseline(g, idx, Query(words, 10**9), config).patterns]
+        cuts = [k for k in range(2, len(scores)) if scores[k - 2 : k + 1].count(scores[k]) == 3]
+        assert cuts and len(set(scores[k] for k in cuts)) == 2  # runs of counts 2 and 1 both cut
+        assert_same_as_baseline(g, idx, words, cuts, config)
+
+
+def assert_top_is_the_stable_argsort(scores, k):
+    assert _top(scores, k).tolist() == np.argsort(-scores, kind="stable")[:k].tolist(), k
+
+
+class TestTop:
+    """`_top` keeps the k best scores' positions in the order of a stable argsort
+    of the negated scores: score descending, ties by position."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_few_distinct_values(self, seed):
+        scores = np.random.default_rng(seed).choice([0.25, 1.0, 3.5, 7.0], 40)
+        for k in range(1, 43):
+            assert_top_is_the_stable_argsort(scores, k)
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_a_tie_run_straddles_the_kth_score(self, k):
+        # Descending: 9, 5, then the run of 2.0 at positions 1, 3, 5 and 6, then 1.
+        assert_top_is_the_stable_argsort(np.array([5.0, 2.0, 9.0, 2.0, 1.0, 2.0, 2.0]), k)
+
+    @pytest.mark.parametrize("k", [1, 9, 10, 11])
+    def test_k_at_one_and_around_the_length(self, k):
+        assert_top_is_the_stable_argsort(np.random.default_rng(7).uniform(0.0, 1.0, 10), k)
+
+    def test_no_scores(self):
+        assert _top(np.zeros(0), 3).tolist() == []
