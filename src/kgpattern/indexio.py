@@ -31,16 +31,17 @@ count is the PageRank vector's length, the type and attribute counts are the
 name tables' lengths, and the index's stats (`IndexStats`) follow from the
 directory: its entry count is the record total and its cost proxy the node
 total. A record stores only its pattern id, its similarity term and its
-nodes. Its node count `n_nodes` (`len(pattern) // 2 + 1`), its attributes
-(its pattern's odd elements), its root (its first node) and its PageRank term
-(the stored score of its last node, or of the edge's source on an edge match,
-whose pattern has even length) are derived by `pathindex.derived_columns`, as
-`build_index` derives them, and so are its tree-check slots (each step's
-child, and its parent and attribute as one key). The pattern table (a
-`PatternTable`, which makes a pattern's tuple on its first read, its lengths
-and its elements), the vocabulary and the stored columns are `PathIndex.columns`:
-`serialize` writes each array's bytes as they are, and a read passes the
-`np.frombuffer` views of the file's bytes to the `PathIndex` constructor.
+nodes. Its attributes are its pattern's odd elements, and no column holds
+them apart. Its node count `n_nodes` (`len(pattern) // 2 + 1`), its root (its
+first node) and its PageRank term (the stored score of its last node, or of
+the edge's source on an edge match, whose pattern has even length) are
+derived by `pathindex.derived_columns`, as `build_index` derives them, and so
+are its tree-check slots (each step's child, and its parent and attribute as
+one key). The pattern table (a `PatternTable`, which makes a pattern's tuple
+on its first read, its lengths and its elements), the vocabulary and the
+stored columns are `PathIndex.columns`: `serialize` writes each array's bytes
+as they are, and a read passes the `np.frombuffer` views of the file's bytes
+to the `PathIndex` constructor.
 
 A read checks the header before it returns and each word's records on the
 word's first use. `read_index` checks the magic, then the version, then the
@@ -57,7 +58,7 @@ derived columns stay unfilled until `PathIndex.check` passes words to
 `_check_words`. That runs, on all the words of one call in one batch, each
 word's record CRC (any single-bit flip in its records), then the record
 checks: a pattern id past the pattern table, a word whose records' node
-total is not its directory node count, a node id >= n_entities (a derived
+total is not its directory node count, a node id >= n_entities (a step's
 attribute is a pattern's, so it is in range), a `sim` term that is not
 finite and positive, and a word whose records' (root, pattern_id) ever
 decrease. Each derived column is computed
@@ -253,7 +254,7 @@ def _load(data: bytes) -> PathIndex:
     nodes = np.frombuffer(data, "<u4", n_nodes, size + 4 + 12 * n)
     stored = (PatternTable(lengths, elements), lengths, elements, vocab, counts, pid, sim, nodes)
     width, key_dtype = slot_layout(lengths, n_entities, n_attrs)
-    derived = np.zeros(n_nodes - n, "<u4"), np.zeros(n + 1, np.int64), np.zeros(n, "<u4"), np.zeros(n)
+    derived = np.zeros(n + 1, np.int64), np.zeros(n, "<u4"), np.zeros(n)
     derived += np.zeros((width, n), np.uint32), np.zeros((width, n), key_dtype)
     check_words = functools.partial(_check_words, directory)
     return PathIndex(depth, pagerank, type_names, attr_names, IndexColumns(*stored, *derived), bytes(fingerprint), check_words)
@@ -288,7 +289,7 @@ def _check_words(d: _Directory, idx: PathIndex, words: list[int]) -> None:
     _require(batch_nodes < idx.n_entities, "a record references an unknown entity id")
     _require(np.isfinite(sim) & (sim > 0), "a record's sim term is not finite and positive")
     scores, n_attrs = idx.pagerank.scores, idx.n_attrs
-    attrs, root, pr, child, key = derived_columns(c.lengths, c.elements, pid, node_off, batch_nodes, scores, n_attrs)
+    root, pr, child, key = derived_columns(c.lengths, c.elements, pid, node_off, batch_nodes, scores, n_attrs)
     run_key = root.astype(np.uint64) << 32 | pid
     new_word = np.zeros(len(pid) + 1, bool)
     new_word[first] = True
@@ -298,7 +299,6 @@ def _check_words(d: _Directory, idx: PathIndex, words: list[int]) -> None:
         a, b, y = span.start, span.stop, x + span.stop - span.start
         c.node_off[a : b + 1] = node_off[x : y + 1] + (node_span.start - node_off[x])
         c.root[span], c.pr[span], c.child[:, span], c.key[:, span] = root[x:y], pr[x:y], child[:, x:y], key[:, x:y]
-        c.attrs[node_span.start - a : node_span.stop - b] = attrs[node_off[x] - x : node_off[y] - y]
         x = y
 
 

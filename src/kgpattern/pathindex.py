@@ -18,21 +18,24 @@ and attribute's (word, similarity) matches as arrays, from token ids.
 
 The index holds its records once, as the columns of its KGPX file plus the
 columns those determine (`IndexColumns`, `index_columns`), the tree check's
-step slots among them; each word's records are one slice of them
-(`idx.words[w]`, a range of rows), sorted root-first, and pattern-first within
-a root (pattern length-lexicographically, then nodes, then attrs), so a root
-is one run of a word's slice and a (root, pattern) one run within it, the
-order the engines' join reads (see `search`). `build_index` fills
-them straight from its level-by-level path search, and a read of a KGPX file
-hands the file's columns to the same constructor, with the derived ones
-unfilled until `PathIndex.check` checks a word and fills its rows (see
-`indexio`). The pattern table is a `PatternTable` over the stored lengths and
-elements, which makes a pattern's tuple on its first read. Nothing else is
-decoded, laid out or cached beside them: the engines join on the columns (see
-`search`), and the access methods read a word's slice directly, finding a
-root's run by a binary search of its sorted roots and a pattern's records by
-comparing their patterns; `decode_records` makes `IndexedPath` objects of
-just the records asked for.
+step slots among them. A record's attributes are its pattern's odd elements,
+and only `derived_columns` lays out its steps: the engines' join, `block` and
+the pairing check (`mismatched_records`) read them from the slots. Each
+word's records are one slice of the columns (`idx.words[w]`, a range of
+rows), sorted root-first, and pattern-first within a root (pattern
+length-lexicographically, then nodes), so a root is one run of a word's slice
+and a (root, pattern) one run within it, the order the engines' join reads
+(see `search`). `build_index` fills them straight from its level-by-level
+path search, and a read of a KGPX file hands the file's columns to the same
+constructor, with the derived ones unfilled until `PathIndex.check` checks a
+word and fills its rows (see `indexio`). The pattern table is a
+`PatternTable` over the stored lengths and elements, which makes a pattern's
+tuple on its first read. Nothing else is decoded, laid out or cached beside
+them: the engines join on the columns (see `search`), and the access methods
+read a word's slice directly, finding a root's run by a binary search of its
+sorted roots and a pattern's records by comparing their patterns;
+`decode_records` makes `IndexedPath` objects of just the records asked for,
+taking their attributes from their patterns.
 
 Literal (dummy TEXT) entities are never used as roots: they stand for
 attribute *values*, carry no type, and cannot anchor a table answer. They do
@@ -40,7 +43,6 @@ appear as path terminals.
 """
 from __future__ import annotations
 
-import logging
 from collections import deque, namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -53,8 +55,6 @@ from . import patterns as pat
 from .errors import ParameterError
 from .graph import TEXT_TYPE_ID, KnowledgeGraph, jaccard_similarity
 from .pagerank import PageRankVector
-
-logger = logging.getLogger(__name__)
 
 # No path is indexed that the baseline engine could not walk: `iter_root_paths`
 # recurses once per node, and a 1,200-node chain overflows Python's stack.
@@ -129,12 +129,12 @@ class PatternTable(Sequence):
 # record (word by word, in vocabulary order, each word's root-first), and all
 # records' nodes in one array; then the columns these determine
 # (`index_columns`, `derived_columns`): record j's nodes are
-# nodes[node_off[j]:node_off[j + 1]] and its attributes, one fewer, start at
-# attrs[node_off[j] - j]; child[t, j] and key[t, j] are its step t's child node
-# and its parent * (n_attrs + 1) + attr, both padded with their dtype's maximum
-# (the tree check's slots). A word's derived rows are valid once it is checked.
+# nodes[node_off[j]:node_off[j + 1]], and its attributes are its pattern's odd
+# elements; child[t, j] and key[t, j] are its step t's child node and its
+# parent * (n_attrs + 1) + attr, both padded with their dtype's maximum (the
+# tree check's slots). A word's derived rows are valid once it is checked.
 IndexColumns = namedtuple(
-    "IndexColumns", "patterns lengths elements vocab counts pattern_id sim nodes attrs node_off root pr child key"
+    "IndexColumns", "patterns lengths elements vocab counts pattern_id sim nodes node_off root pr child key"
 )
 
 
@@ -151,8 +151,7 @@ def index_columns(stored: tuple, scores: np.ndarray, n_attrs: int) -> IndexColum
     and no pattern empty."""
     _, lengths, elements, _, _, pattern_id, _, nodes = stored
     node_off = node_offsets(lengths, pattern_id)
-    attrs, root, pr, child, key = derived_columns(lengths, elements, pattern_id, node_off, nodes, scores, n_attrs)
-    return IndexColumns(*stored, attrs, node_off, root, pr, child, key)
+    return IndexColumns(*stored, node_off, *derived_columns(lengths, elements, pattern_id, node_off, nodes, scores, n_attrs))
 
 
 def slot_layout(lengths: np.ndarray, n_entities: int, n_attrs: int) -> tuple[int, type]:
@@ -163,18 +162,17 @@ def slot_layout(lengths: np.ndarray, n_entities: int, n_attrs: int) -> tuple[int
 
 
 def derived_columns(lengths, elements, pattern_id, node_off, nodes, scores, n_attrs: int) -> tuple:
-    """The attrs, root, pr, child and key columns of the records with these
-    pattern ids, `node_off` (`node_offsets`) and nodes, given the pattern
-    table's lengths and elements, the PageRank scores and the attribute count.
-    A record's attributes are its pattern's odd elements, its root is its
-    first node, its pr term is the PageRank score of its last node, or on an
-    edge match (a pattern of even length) of the edge's source, the node
-    before it, and its step t joins its nodes t and t + 1 by its attribute t."""
+    """The root, pr, child and key columns of the records with these pattern
+    ids, `node_off` (`node_offsets`) and nodes, given the pattern table's
+    lengths and elements, the PageRank scores and the attribute count. A
+    record's root is its first node, its pr term is the PageRank score of its
+    last node, or on an edge match (a pattern of even length) of the edge's
+    source, the node before it, and its step t joins its nodes t and t + 1 by
+    its attribute t, its pattern's element 2t + 1. Nothing else lays out a
+    record's steps."""
     n, size = len(pattern_id), lengths[pattern_id]
     steps = size // 2
-    # Record j's step t, attrs[node_off[j] - j + t], is element 2t + 1 of its pattern, which starts at start[j].
-    start = (np.cumsum(lengths, dtype=np.int64) - lengths)[pattern_id]
-    attrs = elements[np.repeat(start + 1 - 2 * (node_off[:-1] - np.arange(n)), steps) + 2 * np.arange(len(nodes) - n)]
+    attr = (np.cumsum(lengths, dtype=np.int64) - lengths)[pattern_id] + 1  # each record's attribute 0, in `elements`
     pr = scores[nodes[node_off[1:] - 1 - (size % 2 == 0)]]
     width, key_dtype = slot_layout(lengths, len(scores), n_attrs)
     child, key = (np.full((width, n), np.iinfo(dtype).max, dtype) for dtype in (np.uint32, key_dtype))
@@ -182,8 +180,8 @@ def derived_columns(lengths, elements, pattern_id, node_off, nodes, scores, n_at
         record = np.flatnonzero(steps > step)
         at = node_off[record] + step
         child[step][record] = nodes[at + 1]
-        key[step][record] = nodes[at].astype(key_dtype, copy=False) * (n_attrs + 1) + attrs[at - record]
-    return attrs, nodes[node_off[:-1]], pr, child, key
+        key[step][record] = nodes[at].astype(key_dtype, copy=False) * (n_attrs + 1) + elements[attr[record] + 2 * step]
+    return nodes[node_off[:-1]], pr, child, key
 
 
 def build_all(cls, *columns: list) -> list:
@@ -196,23 +194,23 @@ def build_all(cls, *columns: list) -> list:
 
 
 def decode_records(c: IndexColumns, ids: np.ndarray) -> list[IndexedPath]:
-    """The `IndexedPath` of each record in `ids`, in that order, of Python ints and floats."""
+    """The `IndexedPath` of each record in `ids`, in that order, of Python ints
+    and floats; a record's attributes are its pattern's odd elements."""
     first = c.node_off[ids]
     size = c.node_off[ids + 1] - first
-    # Record i's nodes are nodes[at[i]:at[i + 1]], and its attributes attrs[at[i] - i:at[i + 1] - i - 1].
+    # Record i's nodes are nodes[at[i]:at[i + 1]].
     at = np.concatenate(([0], np.cumsum(size)))
-    where = np.repeat(first - at[:-1], size) + np.arange(at[-1])
-    nodes = tuple(c.nodes[where].tolist())
-    attrs = tuple(c.attrs[np.delete(where - np.repeat(ids, size), at[1:] - 1)].tolist())
+    nodes = tuple(c.nodes[np.repeat(first - at[:-1], size) + np.arange(at[-1])].tolist())
     at = at.tolist()
+    patterns = list(map(c.patterns.__getitem__, c.pattern_id[ids].tolist()))
     return build_all(
         IndexedPath,
         [nodes[a:b] for a, b in zip(at, at[1:])],
-        [attrs[a - i : b - i - 1] for i, a, b in zip(range(len(ids)), at, at[1:])],
+        [pattern[1::2] for pattern in patterns],
         size.tolist(),
         c.pr[ids].tolist(),
         c.sim[ids].tolist(),
-        list(map(c.patterns.__getitem__, c.pattern_id[ids].tolist())),
+        patterns,
     )
 
 
@@ -347,43 +345,38 @@ class PathIndex:
 
     def block(self, word: str, root: int, pattern: pat.PathPattern):
         """The kernel block (see `kernels`) of `word`'s paths of `pattern`
-        under `root`; an empty block when there are none."""
+        under `root`, read from their step slots; an empty block when there
+        are none."""
         c, ids = self.columns, self._records(word, pattern, root)
-        n_steps = c.node_off[ids + 1] - c.node_off[ids] - 1
-        offsets = np.concatenate(([0], np.cumsum(n_steps)))
-        # Step t of record j joins its nodes node_off[j] + t and + t + 1 by attrs[node_off[j] - j + t].
-        parent = np.repeat(c.node_off[ids] - offsets[:-1], n_steps) + np.arange(offsets[-1])
-        attr = c.attrs[parent - np.repeat(ids, n_steps)]
-        return c.nodes[parent + 1].tolist(), c.nodes[parent].tolist(), attr.tolist(), offsets.tolist()
-
-
-def pattern_rows(entity_type: np.ndarray, nodes: np.ndarray, attrs: np.ndarray) -> np.ndarray:
-    """The (type, attr, type, ...) row of each path of `nodes` and `attrs`
-    rows: a node match's pattern, or without its last type an edge match's."""
-    rows = np.empty((len(nodes), 2 * nodes.shape[1] - 1), np.int64)
-    rows[:, 0::2], rows[:, 1::2] = entity_type[nodes], attrs
-    return rows
+        n_steps = len(pattern) // 2  # each path's, in its first slots
+        child, key = (slot[:n_steps].take(ids, axis=1).T.ravel() for slot in (c.child, c.key))
+        parent, attr = np.divmod(key.astype(np.int64), self.n_attrs + 1)
+        return child.tolist(), parent.tolist(), attr.tolist(), (n_steps * np.arange(len(ids) + 1)).tolist()
 
 
 def mismatched_records(c: IndexColumns, graph: KnowledgeGraph, ids: np.ndarray) -> np.ndarray:
-    """Those of the records `ids` that are no path of their pattern in `graph`:
-    a node's type is not its pattern's type id (an even element; an edge
-    match's last node has none), or a step (parent, attr, child), whose attr
-    is the element before the child's, is no edge. Edge keys are exact while
-    n_entities² * n_attrs < 2^63."""
-    owner, at_node = _ranges(c.node_off, ids)  # owner: each node's record, as a position in `ids`
-    nodes, pattern_id = c.nodes[at_node].astype(np.int64), c.pattern_id[ids][owner]
-    at = at_node - c.node_off[ids][owner]  # each node's position in its record
-    element = (np.cumsum(c.lengths, dtype=np.int64) - c.lengths)[pattern_id] + 2 * at
-    typed = 2 * at < c.lengths[pattern_id]
-    bad_type = np.array(graph.entity_type, np.int64)[nodes[typed]] != c.elements[element[typed]]
-    step = np.flatnonzero(at)
+    """Those of the checked records `ids` that are no path of their pattern in
+    `graph`, read from their step slots: a node's type is not its pattern's
+    type id (the root's is element 0, step t's child's element 2t + 2; an edge
+    match's last node has none), or a step (parent, attr, child) is no edge.
+    Edge keys are exact while n_entities² * (n_attrs + 1) < 2^63."""
+    pattern_id = c.pattern_id[ids]
+    length, start = c.lengths[pattern_id], c.patterns.starts[pattern_id]
+    child, key = c.child.take(ids, axis=1), c.key.take(ids, axis=1)
+    step, record = np.nonzero(child != np.iinfo(child.dtype).max)  # the non-padding slots
+    child, key = child[step, record], key[step, record]
+    entity_type = np.array(graph.entity_type, np.int64)
+    typed = 2 * step + 2 < length[record]
+    bad_type = entity_type[child[typed]] != c.elements[start[record[typed]] + 2 * step[typed] + 2]
     adj_off, edges = graph.edge_arrays  # edges: (attr, target) rows
     source = np.repeat(np.arange(graph.n_entities), np.diff(adj_off))
-    edge_keys = (source * graph.n_attrs + edges[:, 0]) * graph.n_entities + edges[:, 1]
-    key = (nodes[step - 1] * graph.n_attrs + c.elements[element[step] - 1]) * graph.n_entities + nodes[step]
-    bad = np.concatenate((owner[typed][bad_type], owner[step][~np.isin(key, edge_keys)]))
-    return ids[np.flatnonzero(np.bincount(bad, minlength=len(ids)))]
+    edge_keys = (source * (graph.n_attrs + 1) + edges[:, 0]) * graph.n_entities + edges[:, 1]
+    bad = np.concatenate((
+        np.flatnonzero(entity_type[c.root[ids]] != c.elements[start]),
+        record[typed][bad_type],
+        record[~np.isin(key.astype(np.int64) * graph.n_entities + child, edge_keys)],
+    ))
+    return ids[np.unique(bad)]
 
 
 def _ranges(off: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -449,7 +442,8 @@ def build_index(graph: KnowledgeGraph, pagerank: PageRankVector, depth: int) -> 
     for paths, edge_match in groups:
         off, match_word, match_sim = attr_matches if edge_match else entity_matches
         paths = paths[np.diff(off)[paths[:, -1 - edge_match]] > 0]  # the paths with a match
-        rows = pattern_rows(entity_type, paths[:, ::2], paths[:, 1::2])[:, : paths.shape[1] - edge_match]
+        rows = paths[:, : paths.shape[1] - edge_match].copy()  # the patterns: each node's type in place of the node
+        rows[:, ::2] = entity_type[rows[:, ::2]]
         # Pattern-first: by pattern row, then by nodes (the pattern fixes the attrs).
         order = np.lexsort(np.hstack((rows, paths[:, ::2])).T[::-1])
         paths, rows = paths[order], rows[order]
@@ -472,6 +466,4 @@ def build_index(graph: KnowledgeGraph, pagerank: PageRankVector, depth: int) -> 
     stored += [words[i] for i in vocab.tolist()], counts.astype("<u4"), pattern_id[order].astype("<u4"), sim[order]
     stored += (nodes[nodes >= 0].astype("<u4"),)
     columns = index_columns(stored, pagerank.scores, graph.n_attrs)
-    idx = PathIndex(depth, pagerank, list(graph.type_names), list(graph.attr_names), columns, graph.fingerprint())
-    logger.debug("built index: depth=%d, %d words, %d entries", depth, len(idx.words), idx.stats.entry_count)
-    return idx
+    return PathIndex(depth, pagerank, list(graph.type_names), list(graph.attr_names), columns, graph.fingerprint())

@@ -40,16 +40,15 @@ best by a partition. No word is decoded, and members are materialized late:
 ``_answers`` keeps only the k returned patterns' rows, and the first read of
 any returned pattern's ``subtrees`` makes all k patterns' member subtrees in
 one ``_members`` call, whose ``IndexedPath`` objects are only the records
-those rows use. Rejected rows are counted in stats and logged. Ordering is
-deterministic end to end: scores descending, canonical pattern key
-ascending, members by (root, path keys).
+those rows use. Rejected rows are counted in stats. Ordering is deterministic
+end to end: scores descending, canonical pattern key ascending, members by
+(root, path keys).
 """
 from __future__ import annotations
 
 import functools
 import heapq
 import itertools
-import logging
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -64,7 +63,6 @@ from .graph import TEXT_TYPE_ID, KnowledgeGraph, tokenize
 from .pathindex import IndexedPath, PathIndex, _ranges, build_all, decode_records, iter_root_paths
 from .scoring import DEFAULT_CONFIG, ScoringConfig, pattern_score, power, require_finite, tree_score
 
-logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Query:
@@ -249,17 +247,6 @@ def _new_stats(**extra) -> dict:
     return {"path_tuples_checked": 0, "subtrees_accepted": 0, "tuples_rejected": 0, **extra}
 
 
-def _log_rejections(name: str, query: Query, stats: dict) -> None:
-    if stats.get("tuples_rejected"):
-        logger.debug(
-            "%s %s: rejected %d non-tree path tuples (%d accepted)",
-            name,
-            " ".join(query.keywords),
-            stats["tuples_rejected"],
-            stats["subtrees_accepted"],
-        )
-
-
 # ---------------------------------------------------------------------------
 # Engines
 # ---------------------------------------------------------------------------
@@ -301,7 +288,6 @@ def search_baseline(
 
     ranked = rank((ScoredPattern.from_members(p, members, config) for p, members in tree_dict.items()), query.k)
     stats["patterns_found"] = len(tree_dict)
-    _log_rejections("baseline", query, stats)
     return SearchResult(ranked, stats)
 
 
@@ -343,7 +329,6 @@ def search_pattern_enum(
     patterns = _group(c, rows)
     stats["patterns_found"] = len(patterns.sizes)
     stats["empty_combos"] = stats["pattern_combos_checked"] - stats["patterns_found"]
-    _log_rejections("pattern-enum", query, stats)
     scores = _pattern_scores(c, rows, patterns, config)
     top = _top(scores, query.k)
     keys, members = _answers(c, rows, patterns, top)
@@ -359,7 +344,6 @@ def search_linear_enum(
     """Full enumeration: every tree pattern with its complete subtree set."""
     stats = {} if stats is None else stats
     rows, patterns = enumerate_rows(idx, query, stats)
-    _log_rejections("linear-enum", query, stats)
     keys, members = _answers(idx.columns, rows, patterns, np.arange(len(patterns.sizes)))
     return [(key, span.decode()) for key, span in zip(keys, members)]
 
@@ -429,7 +413,6 @@ def search_linear_topk(
         runs = _combo_runs(idx, query.keywords, c.root[hit[unit]], [combo[by_first[at]] for combo in combos])
         units = [list(map(np.append, *pair)) for pair in zip(units, runs)]
     rows = _tree_rows(c, *units, stats)
-    _log_rejections("linear-topk", query, stats)
 
     patterns = _group(c, rows)
     scores = _pattern_scores(c, rows, patterns, config)

@@ -70,9 +70,8 @@ def reference_build(graph, pagerank, depth):
     """`build_index` one path at a time: the records of the DFS
     `iter_root_paths`, sorted root-first and pattern-first within a root, per
     word in vocabulary order.
-    Returns the index, whose `columns.attrs` holds the attributes the DFS
-    found instead of those derived from the patterns, and its cost proxy,
-    counted path by path."""
+    Returns the index, its cost proxy, counted path by path, and the
+    attributes the DFS found, every record's in record order as one array."""
     hits = []
     cost_proxy = 0
     for root in range(graph.n_entities):
@@ -97,23 +96,21 @@ def reference_build(graph, pagerank, depth):
     table = pattern_table(patterns)
     stored = table, table.lengths, table.elements, vocab, counts, *fields, nodes
     columns = index_columns(stored, pagerank.scores, graph.n_attrs)
-    columns = columns._replace(attrs=attrs)
     names = list(graph.type_names), list(graph.attr_names)
-    return PathIndex(depth, pagerank, *names, columns, graph.fingerprint()), cost_proxy
+    return PathIndex(depth, pagerank, *names, columns, graph.fingerprint()), cost_proxy, attrs
 
 
 def reference_steps(c, ids, n_attrs):
     """Each record's steps in `ids` as two (width, records) int64 arrays padded
     with -1, width being its longest's step count: the child node, and its
-    parent and attribute as parent * (n_attrs + 1) + attr. The reference for
-    the index's `child` and `key` slots."""
-    first = c.node_off[ids]
-    size = c.node_off[ids + 1] - first - 1
-    child, edge = np.full((2, int(size.max(initial=0)), len(ids)), -1, np.int64)
-    step, record = np.nonzero(np.arange(len(child))[:, None] < size)
-    at = first[record] + step
-    child[step, record] = c.nodes[at + 1]
-    edge[step, record] = c.nodes[at].astype(np.int64) * (n_attrs + 1) + c.attrs[at - ids[record]]
+    parent and attribute, its pattern's odd element, as parent * (n_attrs + 1)
+    + attr. The reference for the index's `child` and `key` slots, made one
+    record at a time."""
+    records = [(c.nodes[c.node_off[j] : c.node_off[j + 1]].tolist(), c.patterns[c.pattern_id[j]][1::2]) for j in ids]
+    child, edge = np.full((2, max((len(attrs) for _, attrs in records), default=0), len(ids)), -1, np.int64)
+    for j, (nodes, attrs) in enumerate(records):
+        for step, attr in enumerate(attrs):
+            child[step, j], edge[step, j] = nodes[step + 1], nodes[step] * (n_attrs + 1) + attr
     return child, edge
 
 

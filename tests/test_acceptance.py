@@ -334,7 +334,7 @@ def test_c8_k_insensitivity():
     best = {k: math.inf for k in ks}
     counters = ("candidate_roots", "roots_expanded", "path_tuples_checked", "subtrees_accepted", "tuples_rejected")
     work = {}
-    for k in ks:  # warm-up: caches, lazily built kernel blocks
+    for k in ks:  # warm-up: the pattern table makes each tuple on its first read
         stats = search_linear_topk(graph, idx, Query(("alpha", "beta"), k=k)).stats
         work[k] = {name: stats[name] for name in counters}
     # The deterministic half of the criterion: exact top-k does the same work

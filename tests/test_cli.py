@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kgpattern import build_index, compute_pagerank, pathindex
+from kgpattern import patterns as pat
 from kgpattern.bench import ENGINES, rank_enumeration
 from kgpattern.cli import main
 from kgpattern.fixtures import load_sample_graph, sample_graph_path
@@ -465,6 +467,70 @@ class TestExitCodes:
         nodes = idx.columns.nodes.copy()
         nodes[1] = graph.entity_text.index("Relational database")
         self.assert_record_is_no_path(idx, tmp_path, capsys, 0, "12", nodes=nodes)
+
+    @staticmethod
+    def second_step_broken(idx, graph):
+        """The first 3-node record of `idx` and a copy of its nodes column in
+        which that record's last node is another entity of the same type, one
+        that its parent has no edge to by the record's second attribute."""
+        idx.check(idx.vocabulary())
+        c = idx.columns
+        record = next(j for j in range(idx.stats.entry_count) if c.lengths[c.pattern_id[j]] // 2 == 2)
+        parent, last = c.nodes[c.node_off[record] + 1 : c.node_off[record + 1]].tolist()
+        attr = c.patterns[c.pattern_id[record]][3]
+        nodes = c.nodes.copy()
+        nodes[c.node_off[record] + 2] = next(
+            n for n in range(graph.n_entities)
+            if graph.entity_type[n] == graph.entity_type[last] and (attr, n) not in graph.adjacency[parent]
+        )
+        return record, nodes
+
+    def test_index_whose_second_step_is_no_edge_is_data_error(self, sample_ws, tmp_path, capsys):
+        # Every node keeps its pattern's type and the first step stays an edge.
+        idx = read_index(sample_ws["index"])
+        record, nodes = self.second_step_broken(idx, load_sample_graph())
+        word = next(w for w, span in idx.words.items() if record in span)
+        self.assert_record_is_no_path(idx, tmp_path, capsys, record, word, nodes=nodes)
+
+    @pytest.mark.parametrize("element", [0, 2], ids=["root", "child"])
+    def test_index_whose_node_type_disagrees_with_its_pattern_is_data_error(self, sample_ws, tmp_path, capsys, element):
+        # One type of a multi-node pattern, the root's or step 0's child's,
+        # changes where the pattern table stays in canonical order: its
+        # records' steps stay edges and their other nodes keep their types, so
+        # only that node gives them away. The word queried has one record of
+        # that pattern.
+        idx = read_index(sample_ws["index"])
+        c, table = idx.columns, list(idx.columns.patterns)
+        edits = []  # (pattern id, edited pattern) pairs that keep the table canonical
+        for q, p in enumerate(table):
+            if len(p) <= max(element, 1):  # a one-node pattern, or no child at that element
+                continue
+            for t in range(idx.n_types):
+                edited = table[:q] + [p[:element] + (t,) + p[element + 1 :]] + table[q + 1 :]
+                if t != p[element] and len(set(edited)) == len(edited) and sorted(edited, key=pat.sort_key) == edited:
+                    edits.append((q, edited[q]))
+        q, pattern, word = next(
+            (q, pattern, w) for q, pattern in edits
+            for w, span in idx.words.items() if np.count_nonzero(c.pattern_id[span.start : span.stop] == q) == 1
+        )
+        span = idx.words[word]
+        record = span.start + int(np.flatnonzero(c.pattern_id[span.start : span.stop] == q)[0])
+        table[q] = pattern
+        self.assert_record_is_no_path(idx, tmp_path, capsys, record, word, patterns=table)
+
+    def test_pairing_check_reads_wide_keys(self, monkeypatch):
+        """With u8 keys, a valid index has no mismatched record, and one whose
+        record's second step is no edge has exactly that record."""
+        monkeypatch.setattr(pathindex, "slot_layout", lambda lengths, *_: (int(lengths.max(initial=0)) // 2, np.uint64))
+        graph = load_sample_graph()
+        idx = build_index(graph, compute_pagerank(graph), 3)
+        ids = np.arange(idx.stats.entry_count)
+        assert idx.columns.key.dtype == np.uint64
+        assert pathindex.mismatched_records(idx.columns, graph, ids).size == 0
+        record, nodes = self.second_step_broken(idx, graph)
+        broken = pathindex.index_columns(idx.columns._replace(nodes=nodes)[:8], idx.pagerank.scores, idx.n_attrs)
+        assert broken.key.dtype == np.uint64
+        assert pathindex.mismatched_records(broken, graph, ids).tolist() == [record]
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

@@ -170,12 +170,13 @@ def test_out_of_range_ids_are_corrupt(sample_graph, corruption):
 
 
 def test_attributes_are_not_stored(sample_index):
-    """A record's attributes are its pattern's odd elements: an index whose
-    attribute column disagrees with its patterns writes the file of the index
-    it came from, whose load derives them again."""
-    changed = with_columns(sample_index, attrs=np.zeros_like(sample_index.columns.attrs))
+    """A record's attributes are its pattern's odd elements, and its step
+    slots are derived from them and its nodes: an index whose key slots
+    disagree with them writes the file of the index it came from, whose load
+    derives the slots again."""
+    changed = with_columns(sample_index, key=np.zeros_like(sample_index.columns.key))
     assert serialize(changed) == serialize(sample_index)
-    assert np.array_equal(deserialize(serialize(changed)).columns.attrs, sample_index.columns.attrs)
+    assert np.array_equal(deserialize(serialize(changed)).columns.key, sample_index.columns.key)
 
 
 # Similarity terms that no index build writes.
@@ -535,6 +536,6 @@ def test_checked_words_derive_the_columns_of_a_build(sample_index, words):
         assert np.array_equal(a.node_off[first : last + 1], b.node_off[first : last + 1])
         assert np.array_equal(a.root[first:last], b.root[first:last])
         assert np.array_equal(a.pr[first:last], b.pr[first:last])
-        attrs = slice(int(b.node_off[first]) - first, int(b.node_off[last]) - last)
-        assert np.array_equal(a.attrs[attrs], b.attrs[attrs])
+        assert np.array_equal(a.child[:, first:last], b.child[:, first:last])
+        assert np.array_equal(a.key[:, first:last], b.key[:, first:last])
         assert idx.paths(word) == sample_index.paths(word)
