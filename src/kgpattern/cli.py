@@ -53,42 +53,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--damping", type=float, default=0.85)
     p_build.add_argument("--tol", type=float, default=1e-8)
 
-    p_query = sub.add_parser("query", help="run a keyword query")
-    p_query.add_argument("--graph", required=True)
-    p_query.add_argument("--index", required=True)
+    files, sampling, report = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    files.add_argument("--graph", required=True)
+    files.add_argument("--index", required=True)
+    sampling.add_argument("--lambda", dest="threshold", default="inf", help="sampling threshold (number or 'inf')")
+    sampling.add_argument("--rho", type=float, default=1.0, help="sampling rate in (0,1]")
+    sampling.add_argument("--seed", type=int, default=0)
+    report.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    report.add_argument("--out")
+
+    p_query = sub.add_parser("query", parents=[files, sampling, report], help="run a keyword query")
     p_query.add_argument("--q", required=True, help="keywords, e.g. \"database software\"")
     p_query.add_argument("--k", type=int, default=10)
     p_query.add_argument("--algo", choices=list(bench_mod.ENGINES), default="linear-topk")
-    p_query.add_argument("--lambda", dest="threshold", default="inf",
-                         help="sampling threshold (number or 'inf')")
-    p_query.add_argument("--rho", type=float, default=1.0, help="sampling rate in (0,1]")
-    p_query.add_argument("--seed", type=int, default=0)
-    p_query.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p_query.add_argument("--out")
     p_query.add_argument("--config", help="JSON file with scoring config (z1, z2, z3, aggregator)")
 
-    p_bench = sub.add_parser("bench", help="time engines over a query workload")
-    p_bench.add_argument("--graph", required=True)
-    p_bench.add_argument("--index", required=True)
+    p_bench = sub.add_parser("bench", parents=[files, sampling, report], help="time engines over a query workload")
     p_bench.add_argument("--queries", required=True, help="file with one query per line")
     p_bench.add_argument("--k", type=int, default=10)
     p_bench.add_argument("--algos", default=",".join(bench_mod.ENGINES))
-    p_bench.add_argument("--lambda", dest="threshold", default="inf")
-    p_bench.add_argument("--rho", type=float, default=1.0)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p_bench.add_argument("--out")
 
-    p_sweep = sub.add_parser("sweep", help="precision sweep over sampling parameters")
-    p_sweep.add_argument("--graph", required=True)
-    p_sweep.add_argument("--index", required=True)
+    p_sweep = sub.add_parser("sweep", parents=[files, report], help="precision sweep over sampling parameters")
     p_sweep.add_argument("--queries", required=True)
     p_sweep.add_argument("--k", type=int, default=10)
     p_sweep.add_argument("--lambdas", default="0", help="comma list, 'inf' allowed")
     p_sweep.add_argument("--rhos", default="0.1,0.5,1.0")
     p_sweep.add_argument("--seeds", type=int, default=5, help="number of seeds per point")
-    p_sweep.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p_sweep.add_argument("--out")
 
     p_oracle = sub.add_parser("oracle", help="brute-force pattern list/count (small graphs)")
     p_oracle.add_argument("--graph", required=True)

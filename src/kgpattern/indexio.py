@@ -37,8 +37,8 @@ first node) and its PageRank term (the stored score of its last node, or of
 the edge's source on an edge match, whose pattern has even length) are
 derived by `pathindex.derived_columns`, as `build_index` derives them, and so
 are its tree-check slots (each step's child, and its parent and attribute as
-one key). The pattern table (a `PatternTable`, which makes a pattern's tuple
-on its first read, its lengths and its elements), the vocabulary and the
+one key). The pattern table (a `PatternTable` over its lengths and its elements,
+which makes a pattern's tuple on its first read), the vocabulary and the
 stored columns are `PathIndex.columns`: `serialize` writes each array's bytes
 as they are, and a read passes the `np.frombuffer` views of the file's bytes
 to the `PathIndex` constructor.
@@ -160,8 +160,8 @@ def serialize(idx: PathIndex) -> bytes:
     w.write(scores.tobytes())
 
     w.pack("I", len(c.patterns))
-    w.write(c.lengths.tobytes())
-    w.write(c.elements.tobytes())
+    w.write(c.patterns.lengths.tobytes())
+    w.write(c.patterns.elements.tobytes())
     w.string_table(c.vocab)
     for column in (c.counts, np.diff(nodes), crcs):
         w.write(np.asarray(column, "<u4").tobytes())
@@ -252,7 +252,7 @@ def _load(data: bytes) -> PathIndex:
     pid = np.frombuffer(data, RECORD_DTYPES[0], n, size + 4)
     sim = np.frombuffer(data, RECORD_DTYPES[1], n, size + 4 + 4 * n)
     nodes = np.frombuffer(data, "<u4", n_nodes, size + 4 + 12 * n)
-    stored = (PatternTable(lengths, elements), lengths, elements, vocab, counts, pid, sim, nodes)
+    stored = (PatternTable(lengths, elements), vocab, counts, pid, sim, nodes)
     width, key_dtype = slot_layout(lengths, n_entities, n_attrs)
     derived = np.zeros(n + 1, np.int64), np.zeros(n, "<u4"), np.zeros(n)
     derived += np.zeros((width, n), np.uint32), np.zeros((width, n), key_dtype)
@@ -281,7 +281,7 @@ def _check_words(d: _Directory, idx: PathIndex, words: list[int]) -> None:
     pid, sim = (np.concatenate([column[span] for span in record_spans]) for column in (c.pattern_id, c.sim))
     batch_nodes = np.concatenate([c.nodes[span] for span in node_spans])
     _require(pid < len(c.patterns), "a record references an unknown pattern id")
-    node_off = node_offsets(c.lengths, pid)
+    node_off = node_offsets(c.patterns.lengths, pid)
     # Each word's first record and first node in the batch.
     first = np.fromiter(accumulate((records[w + 1] - records[w] for w in words), initial=0), np.int64, len(words) + 1)
     first_node = np.fromiter(accumulate((nodes[w + 1] - nodes[w] for w in words), initial=0), np.int64, len(words) + 1)
@@ -289,7 +289,7 @@ def _check_words(d: _Directory, idx: PathIndex, words: list[int]) -> None:
     _require(batch_nodes < idx.n_entities, "a record references an unknown entity id")
     _require(np.isfinite(sim) & (sim > 0), "a record's sim term is not finite and positive")
     scores, n_attrs = idx.pagerank.scores, idx.n_attrs
-    root, pr, child, key = derived_columns(c.lengths, c.elements, pid, node_off, batch_nodes, scores, n_attrs)
+    root, pr, child, key = derived_columns(c.patterns, pid, node_off, batch_nodes, scores, n_attrs)
     run_key = root.astype(np.uint64) << 32 | pid
     new_word = np.zeros(len(pid) + 1, bool)
     new_word[first] = True

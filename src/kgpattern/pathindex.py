@@ -124,18 +124,16 @@ class PatternTable(Sequence):
 
 
 # Every record of an index: first its stored KGPX columns, that is the pattern
-# table (a `PatternTable`), its lengths and elements, the vocabulary with each
-# word's record count, one array per field of RECORD_DTYPES with one entry per
-# record (word by word, in vocabulary order, each word's root-first), and all
-# records' nodes in one array; then the columns these determine
-# (`index_columns`, `derived_columns`): record j's nodes are
-# nodes[node_off[j]:node_off[j + 1]], and its attributes are its pattern's odd
-# elements; child[t, j] and key[t, j] are its step t's child node and its
-# parent * (n_attrs + 1) + attr, both padded with their dtype's maximum (the
-# tree check's slots). A word's derived rows are valid once it is checked.
-IndexColumns = namedtuple(
-    "IndexColumns", "patterns lengths elements vocab counts pattern_id sim nodes node_off root pr child key"
-)
+# table (a `PatternTable`, which holds its lengths and elements), the
+# vocabulary with each word's record count, one array per field of
+# RECORD_DTYPES with one entry per record (word by word, in vocabulary order,
+# each word's root-first), and all records' nodes in one array; then the
+# columns these determine (`index_columns`, `derived_columns`): record j's
+# nodes are nodes[node_off[j]:node_off[j + 1]], and its attributes are its
+# pattern's odd elements; child[t, j] and key[t, j] are its step t's child node
+# and its parent * (n_attrs + 1) + attr, both padded with their dtype's maximum
+# (the tree check's slots). A word's derived rows are valid once it is checked.
+IndexColumns = namedtuple("IndexColumns", "patterns vocab counts pattern_id sim nodes node_off root pr child key")
 
 
 def node_offsets(pattern_lengths: np.ndarray, pattern_id: np.ndarray) -> np.ndarray:
@@ -149,9 +147,9 @@ def index_columns(stored: tuple, scores: np.ndarray, n_attrs: int) -> IndexColum
     """`stored`, the stored columns from `patterns` to `nodes`, with the columns
     they determine (`derived_columns`). Every id in `stored` must be in range
     and no pattern empty."""
-    _, lengths, elements, _, _, pattern_id, _, nodes = stored
-    node_off = node_offsets(lengths, pattern_id)
-    return IndexColumns(*stored, node_off, *derived_columns(lengths, elements, pattern_id, node_off, nodes, scores, n_attrs))
+    patterns, _, _, pattern_id, _, nodes = stored
+    node_off = node_offsets(patterns.lengths, pattern_id)
+    return IndexColumns(*stored, node_off, *derived_columns(patterns, pattern_id, node_off, nodes, scores, n_attrs))
 
 
 def slot_layout(lengths: np.ndarray, n_entities: int, n_attrs: int) -> tuple[int, type]:
@@ -161,20 +159,19 @@ def slot_layout(lengths: np.ndarray, n_entities: int, n_attrs: int) -> tuple[int
     return int(lengths.max(initial=0)) // 2, np.uint32 if n_entities * (n_attrs + 1) < 1 << 32 else np.uint64
 
 
-def derived_columns(lengths, elements, pattern_id, node_off, nodes, scores, n_attrs: int) -> tuple:
+def derived_columns(patterns: PatternTable, pattern_id, node_off, nodes, scores, n_attrs: int) -> tuple:
     """The root, pr, child and key columns of the records with these pattern
-    ids, `node_off` (`node_offsets`) and nodes, given the pattern table's
-    lengths and elements, the PageRank scores and the attribute count. A
-    record's root is its first node, its pr term is the PageRank score of its
-    last node, or on an edge match (a pattern of even length) of the edge's
-    source, the node before it, and its step t joins its nodes t and t + 1 by
-    its attribute t, its pattern's element 2t + 1. Nothing else lays out a
-    record's steps."""
-    n, size = len(pattern_id), lengths[pattern_id]
+    ids, `node_off` (`node_offsets`) and nodes, given the pattern table, the
+    PageRank scores and the attribute count. A record's root is its first
+    node, its pr term is the PageRank score of its last node, or on an edge
+    match (a pattern of even length) of the edge's source, the node before it,
+    and its step t joins its nodes t and t + 1 by its attribute t, its
+    pattern's element 2t + 1. Nothing else lays out a record's steps."""
+    n, size, elements = len(pattern_id), patterns.lengths[pattern_id], patterns.elements
     steps = size // 2
-    attr = (np.cumsum(lengths, dtype=np.int64) - lengths)[pattern_id] + 1  # each record's attribute 0, in `elements`
+    attr = patterns.starts[pattern_id] + 1  # each record's attribute 0, in `elements`
     pr = scores[nodes[node_off[1:] - 1 - (size % 2 == 0)]]
-    width, key_dtype = slot_layout(lengths, len(scores), n_attrs)
+    width, key_dtype = slot_layout(patterns.lengths, len(scores), n_attrs)
     child, key = (np.full((width, n), np.iinfo(dtype).max, dtype) for dtype in (np.uint32, key_dtype))
     for step in range(width):
         record = np.flatnonzero(steps > step)
@@ -359,22 +356,25 @@ def mismatched_records(c: IndexColumns, graph: KnowledgeGraph, ids: np.ndarray) 
     `graph`, read from their step slots: a node's type is not its pattern's
     type id (the root's is element 0, step t's child's element 2t + 2; an edge
     match's last node has none), or a step (parent, attr, child) is no edge.
-    Edge keys are exact while n_entities² * (n_attrs + 1) < 2^63."""
-    pattern_id = c.pattern_id[ids]
-    length, start = c.lengths[pattern_id], c.patterns.starts[pattern_id]
+    Edge keys are exact while n_entities² * (n_attrs + 1) < 2^63, and sorted,
+    so any adjacency order will do."""
+    pattern_id, elements = c.pattern_id[ids], c.patterns.elements
+    length, start = c.patterns.lengths[pattern_id], c.patterns.starts[pattern_id]
     child, key = c.child.take(ids, axis=1), c.key.take(ids, axis=1)
     step, record = np.nonzero(child != np.iinfo(child.dtype).max)  # the non-padding slots
     child, key = child[step, record], key[step, record]
     entity_type = np.array(graph.entity_type, np.int64)
     typed = 2 * step + 2 < length[record]
-    bad_type = entity_type[child[typed]] != c.elements[start[record[typed]] + 2 * step[typed] + 2]
+    bad_type = entity_type[child[typed]] != elements[start[record[typed]] + 2 * step[typed] + 2]
     adj_off, edges = graph.edge_arrays  # edges: (attr, target) rows
     source = np.repeat(np.arange(graph.n_entities), np.diff(adj_off))
     edge_keys = (source * (graph.n_attrs + 1) + edges[:, 0]) * graph.n_entities + edges[:, 1]
+    edge_keys = np.append(np.sort(edge_keys), np.iinfo(np.int64).max)  # past every step key
+    step_keys = key.astype(np.int64) * graph.n_entities + child
     bad = np.concatenate((
-        np.flatnonzero(entity_type[c.root[ids]] != c.elements[start]),
+        np.flatnonzero(entity_type[c.root[ids]] != elements[start]),
         record[typed][bad_type],
-        record[~np.isin(key.astype(np.int64) * graph.n_entities + child, edge_keys)],
+        record[edge_keys[np.searchsorted(edge_keys, step_keys)] != step_keys],
     ))
     return ids[np.unique(bad)]
 
@@ -461,8 +461,7 @@ def build_index(graph: KnowledgeGraph, pagerank: PageRankVector, depth: int) -> 
     order = order[np.argsort(word[order].astype(np.min_scalar_type(len(words))), kind="stable")]
     vocab, counts = np.unique(word, return_counts=True)
     nodes = paths[order, ::2]
-    lengths, elements = np.concatenate(lengths).astype("<u2"), np.concatenate(elements).astype("<u4")
-    stored = PatternTable(lengths, elements), lengths, elements
+    stored = PatternTable(np.concatenate(lengths).astype("<u2"), np.concatenate(elements).astype("<u4")),
     stored += [words[i] for i in vocab.tolist()], counts.astype("<u4"), pattern_id[order].astype("<u4"), sim[order]
     stored += (nodes[nodes >= 0].astype("<u4"),)
     columns = index_columns(stored, pagerank.scores, graph.n_attrs)

@@ -23,26 +23,29 @@
   types, only those winners' own runs, and ranks them all; with sampling off
   (threshold = inf or rate = 1) it is the only join, and the top k is exact.
 
-The three index engines join on the index columns (`idx.columns`), array at
-a time, and differ only in which rows they join. Each first checks
-its keywords' records (`PathIndex.check`), so an index read from a file
-checks and derives only the words its queries read. A row (path tuple)
-picks one record per keyword under a shared root; a *unit* is a root with one
-run of records per keyword, and its rows are the runs' cross product. The
-join reads the index as stored, so a query sorts no records and builds no
-steps: a keyword's records under a root are one run of its root-first slice
-(``_root_runs``), and ``_tree_rows`` keeps the rows whose paths' union is a
-rooted tree, reading the picked records' step slots (`IndexColumns.child`
-and `key`); ``_group`` groups them by tree pattern, the one full sort of a
-join's rows or patterns; ``_pattern_scores`` scores each pattern with the
-arithmetic of ``tree_score`` and ``pattern_score``, and ``_top`` picks the k
-best by a partition. No word is decoded, and members are materialized late:
-``_answers`` keeps only the k returned patterns' rows, and the first read of
-any returned pattern's ``subtrees`` makes all k patterns' member subtrees in
-one ``_members`` call, whose ``IndexedPath`` objects are only the records
-those rows use. Rejected rows are counted in stats. Ordering is deterministic
-end to end: scores descending, canonical pattern key ascending, members by
-(root, path keys).
+The three index engines join on the index columns (`idx.columns`), array at a
+time, and differ only in which rows they join. Each first checks its keywords'
+records (`PathIndex.check`), so an index read from a file checks and derives
+only the words its queries read. A row (path tuple) picks one record per
+keyword under a shared root; a *unit* is a root with one run of records per
+keyword, and its rows are the runs' cross product. The join reads the index as
+stored, so a query sorts no records and builds no steps: a keyword's records
+under a root are one run of its root-first slice, and those of one pattern one
+run within it. ``_root_runs`` finds the root runs (and the candidate roots),
+``_pattern_runs`` the (root, pattern) runs, which ``search_pattern_enum`` and
+sampled ``search_linear_topk`` read and whose keys ``_combo_runs`` searches
+for the winners' runs past the first keyword. ``_tree_rows`` keeps the rows
+whose paths' union is a rooted tree, reading the picked records' step slots
+(`IndexColumns.child` and `key`); ``_group`` groups them by tree pattern, the
+one full sort of a join's rows or patterns; ``_pattern_scores`` scores each
+pattern with the arithmetic of ``tree_score`` and ``pattern_score``, and
+``_top`` picks the k best by a partition. No word is decoded, and members are
+materialized late: ``_answers`` keeps only the k returned patterns' rows, and
+the first read of any returned pattern's ``subtrees`` makes all k patterns'
+member subtrees in one ``_members`` call, whose ``IndexedPath`` objects are
+only the records those rows use. Rejected rows are counted in stats. Ordering
+is deterministic end to end: scores descending, canonical pattern key
+ascending, members by (root, path keys).
 """
 from __future__ import annotations
 
@@ -304,14 +307,10 @@ def search_pattern_enum(
     idx.check(words)
     runs, by_type = [], []
     for word in words:
-        span = idx.words.get(word, range(0))
-        pattern_id, roots = c.pattern_id[span.start : span.stop], c.root[span.start : span.stop]
-        # The word's (root, pattern) runs: pattern id -> root -> (first record, record count).
-        firsts = np.flatnonzero(np.diff(pattern_id, prepend=-1) | np.diff(roots, prepend=-1))
-        run_keys = zip(pattern_id[firsts].tolist(), roots[firsts].tolist())
-        runs.append({})
-        for (p, root), first, size in zip(run_keys, firsts.tolist(), np.diff(firsts, append=len(span)).tolist()):
-            runs[-1].setdefault(p, {})[root] = (span.start + first, size)
+        roots, pattern_id, off = _pattern_runs(idx, word)
+        runs.append({})  # pattern id -> root -> (first record, record count)
+        for root, p, start, size in zip(roots.tolist(), pattern_id.tolist(), off[:-1].tolist(), np.diff(off).tolist()):
+            runs[-1].setdefault(p, {})[root] = (start, size)
         by_type.append({})
         for p in sorted(runs[-1]):  # in canonical order
             by_type[-1].setdefault(c.patterns[p][0], []).append(p)
@@ -378,7 +377,7 @@ def search_linear_topk(
     c = idx.columns
     candidates, run_start, run_size = _root_runs(idx, query.keywords)
     tuples = functools.reduce(np.multiply, run_size, np.ones(len(candidates), np.int64))
-    types = c.elements[c.patterns.starts[c.pattern_id[run_start[0]]]]  # a root's type starts its patterns
+    types = c.patterns.elements[c.patterns.starts[c.pattern_id[run_start[0]]]]  # a root's type starts its patterns
     type_ids, of_type, roots = np.unique(types, return_inverse=True, return_counts=True)
     bounds = np.bincount(of_type, tuples, len(type_ids)).astype(np.int64)  # float sums: exact below 2^53
     type_rates = np.where(bounds >= sampling.threshold, sampling.rate, 1.0)
@@ -404,13 +403,14 @@ def search_linear_topk(
         winners = np.sort(by_type[np.arange(len(by_type)) - np.searchsorted(type_of, type_of) < query.k])
         # Each winner's units: the roots of its first pattern's runs in the first keyword's records.
         combos = [c.pattern_id[record[patterns.first_row[winners]]] for record in rows]  # one id per winner
-        span = idx.words[query.keywords[0]]
-        hit = span.start + np.flatnonzero(np.isin(c.pattern_id[span.start : span.stop], combos[0]))
-        hit = hit[np.flatnonzero(np.diff(c.root[hit], prepend=-1) | np.diff(c.pattern_id[hit], prepend=-1))]
+        run_root, run_pattern, off = _pattern_runs(idx, query.keywords[0])
+        hit = np.flatnonzero(np.isin(run_pattern, combos[0]))
         by_first = np.argsort(combos[0], kind="stable")  # each hit run's winners, in winner order, by sort-merge
         distinct, first = np.unique(combos[0][by_first], return_index=True)
-        unit, at = _ranges(np.append(first, len(winners)), np.searchsorted(distinct, c.pattern_id[hit]))
-        runs = _combo_runs(idx, query.keywords, c.root[hit[unit]], [combo[by_first[at]] for combo in combos])
+        unit, at = _ranges(np.append(first, len(winners)), np.searchsorted(distinct, run_pattern[hit]))
+        run = hit[unit]  # each unit's first-keyword run; `_combo_runs` finds the other keywords'
+        full, starts, sizes = _combo_runs(idx, query.keywords[1:], run_root[run], [combo[by_first[at]] for combo in combos[1:]])
+        runs = [off[run[full]], *starts], [np.diff(off)[run[full]], *sizes]
         units = [list(map(np.append, *pair)) for pair in zip(units, runs)]
     rows = _tree_rows(c, *units, stats)
 
@@ -453,20 +453,30 @@ def _root_runs(idx: PathIndex, words):
     return candidates, [run[1][i] for run, i in zip(runs, at)], [run[2][i] for run, i in zip(runs, at)]
 
 
+def _pattern_runs(idx: PathIndex, word: str):
+    """A checked word's (root, pattern) runs in stored order: each run's root and pattern id,
+    and the record ids where the runs start, with one more past the last run's end."""
+    c, span = idx.columns, idx.words.get(word, range(0))
+    roots, pattern_id = c.root[span.start : span.stop], c.pattern_id[span.start : span.stop]
+    new = np.ones(len(roots), bool)  # each run's first record, as in `_root_runs`
+    new[1:] = (roots[1:] != roots[:-1]) | (pattern_id[1:] != pattern_id[:-1])
+    first = np.flatnonzero(new)
+    return roots[first], pattern_id[first], span.start + np.append(first, len(roots))
+
+
 def _combo_runs(idx: PathIndex, words, roots: np.ndarray, combos: list):
-    """Each keyword's run start (a record id) and size per unit, a root of `roots` and the pattern
-    ids at the same position of `combos` (one array per keyword), found by binary search on
-    root << 32 | pattern_id over the keyword's root-first records; a unit with an empty run,
-    which joins no row, is left out."""
-    c, starts, sizes = idx.columns, [], []
+    """Which units have a run in every keyword, and those units' run start (a record id) and size per
+    keyword: unit i is root roots[i] with pattern id combos[j][i] in keyword j, whose run there is
+    found by one binary search for root << 32 | pattern_id in its `_pattern_runs` keys."""
+    full, runs = np.ones(len(roots), bool), []
     for word, pattern_id in zip(words, combos):
-        span = idx.words[word]
-        keys = c.root[span.start : span.stop].astype(np.int64) << 32 | c.pattern_id[span.start : span.stop]
-        lo, hi = (np.searchsorted(keys, roots.astype(np.int64) << 32 | pattern_id, side) for side in ("left", "right"))
-        starts.append(span.start + lo)
-        sizes.append(hi - lo)
-    full = np.logical_and.reduce([size > 0 for size in sizes])
-    return [start[full] for start in starts], [size[full] for size in sizes]
+        run_root, run_pattern, off = _pattern_runs(idx, word)
+        keys = np.append(run_root.astype(np.int64) << 32 | run_pattern, np.iinfo(np.int64).max)  # past every key
+        want = roots.astype(np.int64) << 32 | pattern_id
+        at = np.searchsorted(keys, want)
+        full &= keys[at] == want
+        runs.append((off, at))
+    return full, [off[at[full]] for off, at in runs], [np.diff(off)[at[full]] for off, at in runs]
 
 
 def _tree_rows(c, run_start: list, run_size: list, stats: dict) -> list:

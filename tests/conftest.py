@@ -47,13 +47,11 @@ def pattern_table(patterns) -> PatternTable:
 def with_columns(idx, **changes):
     """A new index over `idx.columns._replace(**changes)`, as `build_index`
     would make it if it wrote those columns; `patterns` may be given as a list
-    of tuples, and the pattern table's lengths and elements are read from it.
-    No column is checked and the derived ones are not recomputed, so it is
-    only fit to serialize."""
+    of tuples, of which a new pattern table is made. No column is checked and
+    the derived ones are not recomputed, so it is only fit to serialize."""
     idx.check(idx.vocabulary())
     columns = idx.columns._replace(**changes)
-    table = pattern_table(list(columns.patterns))
-    columns = columns._replace(patterns=table, lengths=table.lengths, elements=table.elements)
+    columns = columns._replace(patterns=pattern_table(list(columns.patterns)))
     return PathIndex(idx.depth, idx.pagerank, idx.type_names, idx.attr_names, columns, idx.fingerprint)
 
 
@@ -94,7 +92,7 @@ def reference_build(graph, pagerank, depth):
     counts = np.array([len(per_word[word]) for word in vocab], dtype="<u8")
     nodes, attrs = (np.fromiter(chain.from_iterable(column), "<u4") for column in (nodes, attrs))
     table = pattern_table(patterns)
-    stored = table, table.lengths, table.elements, vocab, counts, *fields, nodes
+    stored = table, vocab, counts, *fields, nodes
     columns = index_columns(stored, pagerank.scores, graph.n_attrs)
     names = list(graph.type_names), list(graph.attr_names)
     return PathIndex(depth, pagerank, *names, columns, graph.fingerprint()), cost_proxy, attrs

@@ -439,7 +439,8 @@ class TestExitCodes:
         ends = (np.cumsum(c.counts) - 1).tolist()
         for record in ends:
             old = c.pattern_id[record]
-            later = np.flatnonzero((c.lengths == c.lengths[old]) & (np.arange(len(c.lengths)) > old))
+            lengths = c.patterns.lengths
+            later = np.flatnonzero((lengths == lengths[old]) & (np.arange(len(lengths)) > old))
             if len(later):
                 break
         pattern_id = c.pattern_id.copy()
@@ -452,7 +453,8 @@ class TestExitCodes:
         idx = read_index(sample_ws["index"])
         c = idx.columns
         ends = (np.cumsum(c.counts) - 1).tolist()
-        record = next(j for j in ends if c.lengths[c.pattern_id[j]] == 1 and c.lengths[c.pattern_id[j] + 1] == 1)
+        lengths = c.patterns.lengths
+        record = next(j for j in ends if lengths[c.pattern_id[j]] == 1 and lengths[c.pattern_id[j] + 1] == 1)
         pattern_id = c.pattern_id.copy()
         pattern_id[record] += 1
         self.assert_record_is_no_path(idx, tmp_path, capsys, record, c.vocab[ends.index(record)], pattern_id=pattern_id)
@@ -475,7 +477,7 @@ class TestExitCodes:
         that its parent has no edge to by the record's second attribute."""
         idx.check(idx.vocabulary())
         c = idx.columns
-        record = next(j for j in range(idx.stats.entry_count) if c.lengths[c.pattern_id[j]] // 2 == 2)
+        record = next(j for j in range(idx.stats.entry_count) if c.patterns.lengths[c.pattern_id[j]] // 2 == 2)
         parent, last = c.nodes[c.node_off[record] + 1 : c.node_off[record + 1]].tolist()
         attr = c.patterns[c.pattern_id[record]][3]
         nodes = c.nodes.copy()
@@ -518,19 +520,30 @@ class TestExitCodes:
         table[q] = pattern
         self.assert_record_is_no_path(idx, tmp_path, capsys, record, word, patterns=table)
 
-    def test_pairing_check_reads_wide_keys(self, monkeypatch):
-        """With u8 keys, a valid index has no mismatched record, and one whose
-        record's second step is no edge has exactly that record."""
-        monkeypatch.setattr(pathindex, "slot_layout", lambda lengths, *_: (int(lengths.max(initial=0)) // 2, np.uint64))
-        graph = load_sample_graph()
+    def assert_pairing_check_finds_a_broken_step(self, graph):
+        """A valid index of `graph` has no mismatched record, and one whose
+        record's second step is no edge has exactly that record; returns both
+        indexes' columns."""
         idx = build_index(graph, compute_pagerank(graph), 3)
         ids = np.arange(idx.stats.entry_count)
-        assert idx.columns.key.dtype == np.uint64
         assert pathindex.mismatched_records(idx.columns, graph, ids).size == 0
         record, nodes = self.second_step_broken(idx, graph)
-        broken = pathindex.index_columns(idx.columns._replace(nodes=nodes)[:8], idx.pagerank.scores, idx.n_attrs)
-        assert broken.key.dtype == np.uint64
+        broken = pathindex.index_columns(idx.columns._replace(nodes=nodes)[:6], idx.pagerank.scores, idx.n_attrs)
         assert pathindex.mismatched_records(broken, graph, ids).tolist() == [record]
+        return idx.columns, broken
+
+    def test_pairing_check_reads_wide_keys(self, monkeypatch):
+        monkeypatch.setattr(pathindex, "slot_layout", lambda lengths, *_: (int(lengths.max(initial=0)) // 2, np.uint64))
+        columns = self.assert_pairing_check_finds_a_broken_step(load_sample_graph())
+        assert [c.key.dtype for c in columns] == [np.uint64, np.uint64]
+
+    def test_pairing_check_reads_unsorted_adjacency(self):
+        """The check finds a step's edge wherever its parent's adjacency row
+        holds it: here every row is reversed."""
+        graph = load_sample_graph()
+        graph.adjacency = [row[::-1] for row in graph.adjacency]  # before `edge_arrays` is first read
+        assert any(row != sorted(row) for row in graph.adjacency)
+        self.assert_pairing_check_finds_a_broken_step(graph)
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

@@ -33,6 +33,8 @@ from kgpattern import (
 )
 from kgpattern import patterns as pat
 from kgpattern import search
+from kgpattern.indexio import read_index
+from kgpattern.pathindex import decode_records
 from kgpattern.scoring import AGGREGATORS, DEFAULT_CONFIG
 from kgpattern.search import _powers, _top, _uniform01
 
@@ -532,6 +534,81 @@ class TestUniformStream:
             expected = [reference_uniform01(seed, key, i) for i in range(3000)]
             assert _uniform01(seed, key, 3000).tolist() == expected, key
         assert _uniform01(seed, 3, 0).tolist() == []
+
+
+def reference_pattern_runs(idx, word):
+    """`search._pattern_runs` of a checked word, record by record: a record
+    starts a run when its root (its first node) or its pattern id differs
+    from the record before it."""
+    span = idx.words.get(word, range(0))
+    paths = decode_records(idx.columns, np.arange(span.start, span.stop))
+    roots, pattern_ids, starts = [], [], []
+    for j, path in zip(span, paths):
+        key = path.nodes[0], int(idx.columns.pattern_id[j])
+        if not starts or key != (roots[-1], pattern_ids[-1]):
+            roots.append(key[0])
+            pattern_ids.append(key[1])
+            starts.append(j)
+    return roots, pattern_ids, starts + [span.stop]
+
+
+def assert_pattern_runs(idx, words):
+    for word in words:
+        roots, pattern_ids, off = search._pattern_runs(idx, word)
+        assert (roots.tolist(), pattern_ids.tolist(), off.tolist()) == reference_pattern_runs(idx, word), word
+
+
+RUN_GRAPHS = [None, GenConfig(40, 3, 4, 2.0, 8, seed=1), GenConfig(60, 4, 3, 2.5, 10, seed=2), GenConfig(30, 2, 2, 3.0, 6, seed=3)]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+@pytest.mark.parametrize("graph", range(len(RUN_GRAPHS)), ids=["sample", "g1", "g2", "g3"])
+def test_pattern_runs_equal_the_records(graph, depth, tmp_path, sample_graph):
+    """Every word's runs, of an index as built, deserialized and read
+    lazily, its words checked in two batches."""
+    cfg = RUN_GRAPHS[graph]
+    g = sample_graph if cfg is None else graph_from_text(generate_graph(cfg))
+    built = build_index(g, compute_pagerank(g), depth)
+    words = built.vocabulary()
+    assert_pattern_runs(built, words)
+    assert_pattern_runs(deserialize(serialize(built)), words)
+    (tmp_path / "index.kgpx").write_bytes(serialize(built))
+    lazy = read_index(tmp_path / "index.kgpx")
+    for batch in (words[::2], words[1::2]):
+        lazy.check(batch)
+        assert_pattern_runs(lazy, batch)
+
+
+def test_a_word_not_in_the_index_has_no_runs(sample_index):
+    roots, pattern_ids, off = search._pattern_runs(sample_index, "absentword")
+    assert (roots.tolist(), pattern_ids.tolist(), off.tolist()) == ([], [], [0])
+
+
+def runs_index():
+    """Keyword `a`'s records 0-6 hold the (root, pattern id) runs (2, 1) x2,
+    (2, 3), (5, 0) x3 and (7, 2); keyword `b`'s records 7-8 one run, (5, 0) x2."""
+    keys = [(2, 1), (2, 1), (2, 3), (5, 0), (5, 0), (5, 0), (7, 2), (5, 0), (5, 0)]
+    root, pattern_id = (np.array(column, "<u4") for column in zip(*keys))
+    return types.SimpleNamespace(columns=types.SimpleNamespace(root=root, pattern_id=pattern_id), words={"a": range(7), "b": range(7, 9)})
+
+
+def test_combo_runs_keep_the_units_with_a_run_in_unit_order():
+    # Units before the first run, between two runs and past the last one find no run.
+    roots, pattern_ids = np.array([1, 7, 2, 5, 6, 2, 7, 9, 5]), np.array([9, 2, 2, 0, 0, 1, 3, 0, 0], "<u4")
+    full, starts, sizes = search._combo_runs(runs_index(), ["a"], roots, [pattern_ids])
+    assert np.flatnonzero(full).tolist() == [1, 3, 5, 8]
+    assert (starts[0].tolist(), sizes[0].tolist()) == ([6, 3, 0, 3], [1, 3, 2, 3])
+    full, starts, sizes = search._combo_runs(runs_index(), [], roots, [])  # no keyword: every unit
+    assert full.all() and len(full) == len(roots) and starts == sizes == []
+
+
+def test_combo_runs_of_a_keyword_with_one_run():
+    # `b`'s one run (5, 0) lies past (2, 0) and before (7, 0) and (5, 1); `a` has no (5, 3).
+    roots = np.array([2, 7, 5, 5, 5])
+    combos = [np.array(column, "<u4") for column in ([1, 2, 0, 3, 0], [0, 0, 1, 0, 0])]
+    full, starts, sizes = search._combo_runs(runs_index(), ["a", "b"], roots, combos)
+    assert full.tolist() == [False, False, False, False, True]
+    assert [s.tolist() for s in starts] == [[3], [7]] and [s.tolist() for s in sizes] == [[3], [2]]
 
 
 def _answers(patterns):
