@@ -24,7 +24,8 @@ preceded by ``{"kind": "header", "version": 1}``, with records shaped as
 
 Identifier assignment is dense and deterministic: ids are handed out in order
 of first appearance, so loading the same byte stream twice yields identical
-graphs.
+graphs. The loader stores only what it reads; the token sets and the sorted
+edge forms are made on their first read, so a query pays only for what it reads.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ import json
 import re
 import struct
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import pairwise
 from pathlib import Path
 from typing import IO, Iterable, Optional, Union
 
@@ -73,21 +74,19 @@ class KnowledgeGraph:
     """Immutable-after-load knowledge graph with dense integer ids.
 
     Entities, types and attributes each live in their own id namespace,
-    contiguous from 0. Type id 0 is always the reserved TEXT type. Adjacency
-    lists hold each edge once, sorted by (attribute id, target id); multiple
-    edges with the same (source, attribute) and different targets are allowed.
+    contiguous from 0. Type id 0 is always the reserved TEXT type. Edge lines
+    are stored as read; the edge forms and token sets are made on first read.
+    The edge forms hold each edge once, sorted by (source, attribute id, target
+    id); edges with the same (source, attribute) may have several targets.
     """
 
     entity_type: list[int] = field(default_factory=list)
     entity_text: list[str] = field(default_factory=list)
-    entity_token_set: list[frozenset[str]] = field(default_factory=list)
     entity_keys: list[Optional[str]] = field(default_factory=list)
     type_names: list[str] = field(default_factory=list)
-    type_token_set: list[frozenset[str]] = field(default_factory=list)
     attr_names: list[str] = field(default_factory=list)
-    attr_token_set: list[frozenset[str]] = field(default_factory=list)
-    adjacency: list[list[tuple[int, int]]] = field(default_factory=list)
     key_to_id: dict[str, int] = field(default_factory=dict)
+    edge_ids: list[int] = field(default_factory=list)  # source, attr, target of each edge line, in file order
 
     @property
     def n_entities(self) -> int:
@@ -101,22 +100,42 @@ class KnowledgeGraph:
     def n_attrs(self) -> int:
         return len(self.attr_names)
 
-    @property
-    def edges(self) -> list[tuple[int, int, int]]:
-        """Every (source, attr, target) edge, in adjacency order: a new list read from `adjacency`."""
-        return [(s, a, t) for s, out in enumerate(self.adjacency) for a, t in out]
-
     @functools.cached_property
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The edges as an int64 CSR, made on first read and kept: per entity
         the position of its first edge (and one past the last), and each
-        edge's (attr, target) row in adjacency order."""
-        rows = np.fromiter(chain.from_iterable(chain.from_iterable(self.adjacency)), np.int64).reshape(-1, 2)
-        return np.fromiter(accumulate(map(len, self.adjacency), initial=0), np.int64, self.n_entities + 1), rows
+        edge's (attr, target) row, in (attr, target) order within a source.
+        A repeated edge line is held once."""
+        edges = np.array(self.edge_ids, np.int64).reshape(-1, 3)
+        edges = edges[np.lexsort(edges.T[::-1])]  # by source, then attr, then target
+        keep = np.diff(edges, axis=0, prepend=-1).any(1)  # the first of equal rows (no id is -1)
+        return np.searchsorted(edges[keep, 0], np.arange(self.n_entities + 1)), edges[keep, 1:]
+
+    @functools.cached_property
+    def adjacency(self) -> list[list[tuple[int, int]]]:
+        """Each entity's (attr, target) edges, in `edge_arrays` order."""
+        pairs = list(map(tuple, self.edge_arrays[1].tolist()))
+        return [pairs[a:b] for a, b in pairwise(self.edge_arrays[0].tolist())]
+
+    @functools.cached_property
+    def edges(self) -> list[tuple[int, int, int]]:
+        """Every (source, attr, target) edge, in `edge_arrays` order."""
+        return [(s, a, t) for s, out in enumerate(self.adjacency) for a, t in out]
+
+    @functools.cached_property
+    def _token_sets(self) -> tuple[list[frozenset[str]], ...]:
+        """The entity, type and attribute token sets, each distinct text tokenized once."""
+        names = self.entity_text, ["", *self.type_names[1:]], self.attr_names  # the TEXT type has no text
+        token_sets = {text: frozenset(tokenize(text)) for text in set().union(*names)}
+        return tuple([token_sets[text] for text in texts] for texts in names)
+
+    entity_token_set = property(lambda self: self._token_sets[0], doc="Each entity's text's tokens.")
+    type_token_set = property(lambda self: self._token_sets[1], doc="Each type name's tokens; none for TEXT.")
+    attr_token_set = property(lambda self: self._token_sets[2], doc="Each attribute name's tokens.")
 
     def fingerprint(self) -> bytes:
         """SHA-256 of the entity types, the entity texts and the edges (in
-        adjacency order): with the name tables, all an index depends on."""
+        `edge_arrays` order): with the name tables, all an index depends on."""
         texts = [t.encode("utf-8") for t in self.entity_text]
         offsets, rows = self.edge_arrays
         digest = hashlib.sha256(struct.pack("<QQ", len(texts), len(rows)))
@@ -183,9 +202,10 @@ def load_graph(source: Union[str, Path, IO[str], Iterable[str]]) -> KnowledgeGra
 
     Text and JSON-lines formats are auto-detected from the first record. Both
     run through one loop, which interns names, hands out ids and appends each
-    record to the graph's lists in place; each distinct text is tokenized once,
-    after the loop. Raises GraphParseError for malformed records (with the line
-    number) and GraphLinkError for references to undeclared entities.
+    record to the graph's lists in place, edges as read: the graph makes its
+    token sets and sorted edge forms on first read. Raises GraphParseError for
+    malformed records (with the line number) and GraphLinkError for references
+    to undeclared entities.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -194,7 +214,7 @@ def load_graph(source: Union[str, Path, IO[str], Iterable[str]]) -> KnowledgeGra
         except UnicodeDecodeError:
             raise _not_utf8(source) from None
     g = KnowledgeGraph()
-    entity_type, entity_text, entity_keys, adjacency = g.entity_type, g.entity_text, g.entity_keys, g.adjacency
+    entity_type, entity_text, entity_keys, edge_ids = g.entity_type, g.entity_text, g.entity_keys, g.edge_ids
     key_to_id, type_ids, attr_ids = g.key_to_id, {TEXT_TYPE_NAME: TEXT_TYPE_ID}, {}
     json_mode = None
     for lineno, line in enumerate(source, start=1):
@@ -233,7 +253,6 @@ def load_graph(source: Union[str, Path, IO[str], Iterable[str]]) -> KnowledgeGra
             entity_type.append(type_ids.setdefault(name, len(type_ids)))
             entity_text.append(value)
             entity_keys.append(key)
-            adjacency.append([])
         elif kind == "A":
             source_id = key_to_id.get(key)
             if source_id is None:
@@ -244,18 +263,10 @@ def load_graph(source: Union[str, Path, IO[str], Iterable[str]]) -> KnowledgeGra
                 entity_type.append(TEXT_TYPE_ID)
                 entity_text.append(value)
                 entity_keys.append(None)
-                adjacency.append([])
             else:
                 target = key_to_id.get(value)
                 if target is None:
                     raise GraphLinkError(f"undeclared target entity {value!r}", lineno)
-            adjacency[source_id].append((attr, target))
-    # Edges are a set of (source, attr, target) facts: drop re-declarations.
-    g.adjacency = [sorted(set(out)) for out in adjacency]
+            edge_ids += source_id, attr, target
     g.type_names, g.attr_names = list(type_ids), list(attr_ids)
-    texts = list({*entity_text, *type_ids, *attr_ids})
-    token_sets = dict(zip(texts, map(frozenset, map(tokenize, texts))))
-    g.entity_token_set = list(map(token_sets.__getitem__, entity_text))
-    g.type_token_set = [frozenset(), *map(token_sets.__getitem__, g.type_names[1:])]  # the TEXT type has no text
-    g.attr_token_set = list(map(token_sets.__getitem__, g.attr_names))
     return g

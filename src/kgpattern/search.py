@@ -398,9 +398,8 @@ def search_linear_topk(
         patterns = _group(c, rows)
         at = np.searchsorted(candidates, c.root[rows[0][patterns.first_row]])
         guesses = _pattern_scores(c, rows, patterns, config) / rates[at]
-        by_type = np.lexsort((-guesses, types[at]))
-        type_of = types[at[by_type]]
-        winners = np.sort(by_type[np.arange(len(by_type)) - np.searchsorted(type_of, type_of) < query.k])
+        of_types = (np.flatnonzero(types[at] == t) for t in np.unique(types[at]))
+        winners = np.sort(np.concatenate([np.zeros(0, np.int64), *(of[_top(guesses[of], query.k)] for of in of_types)]))
         # Each winner's units: the roots of its first pattern's runs in the first keyword's records.
         combos = [c.pattern_id[record[patterns.first_row[winners]]] for record in rows]  # one id per winner
         run_root, run_pattern, off = _pattern_runs(idx, query.keywords[0])

@@ -1,7 +1,10 @@
+import hashlib
 import io
 import math
 import random
+import struct
 from itertools import accumulate, chain
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from kgpattern import (
 )
 from kgpattern import patterns as pat
 from kgpattern.fixtures import load_sample_graph
-from kgpattern.graph import TEXT_TYPE_ID, jaccard_similarity
+from kgpattern.graph import TEXT_TYPE_ID, jaccard_similarity, tokenize
 from kgpattern.pathindex import RECORD_DTYPES, PatternTable, index_columns, iter_root_paths
 
 # The same examples on every run: derandomized, and no example database to
@@ -110,6 +113,45 @@ def reference_steps(c, ids, n_attrs):
         for step, attr in enumerate(attrs):
             child[step, j], edge[step, j] = nodes[step + 1], nodes[step] * (n_attrs + 1) + attr
     return child, edge
+
+
+def reference_fingerprint(graph, edges) -> bytes:
+    """The fingerprint of `graph` with these (source, attr, target) edges,
+    packed value by value, as it was computed before it read the graph's edge
+    arrays."""
+    texts = [t.encode("utf-8") for t in graph.entity_text]
+    digest = hashlib.sha256(struct.pack("<QQ", len(texts), len(edges)))
+    digest.update(struct.pack(f"<{len(texts)}I", *graph.entity_type))
+    digest.update(struct.pack(f"<{len(texts)}Q", *map(len, texts)))
+    digest.update(struct.pack(f"<{3 * len(edges)}I", *chain.from_iterable(edges)))
+    digest.update(b"".join(texts))
+    return digest.digest()
+
+
+def reference_derived(graph):
+    """What the loader once derived eagerly from what it read, one value at a
+    time: the entity, type and attribute token sets (each text tokenized; the
+    TEXT type has none), the adjacency lists (each source's distinct
+    (attr, target) edges, sorted), the edge list in adjacency order, the edge
+    arrays read from the adjacency lists, and the fingerprint bytes."""
+    token_set = lambda text: frozenset(tokenize(text))
+    token_sets = (
+        [token_set(text) for text in graph.entity_text],
+        [frozenset()] + [token_set(name) for name in graph.type_names[1:]],
+        [token_set(name) for name in graph.attr_names],
+    )
+    out = [[] for _ in range(graph.n_entities)]
+    ids = graph.edge_ids
+    for source, attr, target in zip(ids[0::3], ids[1::3], ids[2::3]):
+        out[source].append((attr, target))
+    adjacency = [sorted(set(row)) for row in out]
+    edges = [(s, a, t) for s, row in enumerate(adjacency) for a, t in row]
+    offsets = np.fromiter(accumulate(map(len, adjacency), initial=0), np.int64, graph.n_entities + 1)
+    rows = np.fromiter(chain.from_iterable(chain.from_iterable(adjacency)), np.int64).reshape(-1, 2)
+    return SimpleNamespace(
+        token_sets=token_sets, adjacency=adjacency, edges=edges, edge_arrays=(offsets, rows),
+        fingerprint=reference_fingerprint(graph, edges),
+    )
 
 
 def reference_word_matches(graph):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,13 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kgpattern import build_index, compute_pagerank, pathindex
+from kgpattern import Query, build_index, cli, compute_pagerank, load_graph, pathindex, render_table
 from kgpattern import patterns as pat
 from kgpattern.bench import ENGINES, rank_enumeration
 from kgpattern.cli import main
 from kgpattern.fixtures import load_sample_graph, sample_graph_path
 from kgpattern.indexio import read_index, write_index
-from kgpattern.search import search_linear_enum
+from kgpattern.search import search_linear_enum, search_linear_topk
 
 from conftest import flipped, with_columns
 
@@ -538,11 +539,13 @@ class TestExitCodes:
         assert [c.key.dtype for c in columns] == [np.uint64, np.uint64]
 
     def test_pairing_check_reads_unsorted_adjacency(self):
-        """The check finds a step's edge wherever its parent's adjacency row
-        holds it: here every row is reversed."""
+        """The check finds a step's edge wherever its parent's rows of the edge
+        arrays hold it: here each source's rows are reversed."""
         graph = load_sample_graph()
-        graph.adjacency = [row[::-1] for row in graph.adjacency]  # before `edge_arrays` is first read
-        assert any(row != sorted(row) for row in graph.adjacency)
+        offsets, rows = graph.edge_arrays
+        reversed_at = np.repeat(offsets[:-1] + offsets[1:] - 1, np.diff(offsets)) - np.arange(len(rows))
+        graph.edge_arrays = offsets, rows[reversed_at]
+        assert any(row != sorted(row) for row in map(np.ndarray.tolist, np.split(graph.edge_arrays[1], offsets[1:-1])))
         self.assert_pairing_check_finds_a_broken_step(graph)
 
     def test_help_exits_zero(self):
@@ -553,6 +556,37 @@ class TestExitCodes:
         res = subprocess.run([sys.executable, "-m", "kgpattern", "--help"], env=env, capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         assert res.stdout.startswith("usage: kgpattern")
+
+
+def derived_forms_made(graph) -> set[str]:
+    """The graph's forms made on first read that it has made so far."""
+    return {name for name in ("edge_arrays", "adjacency", "edges", "_token_sets") if name in vars(graph)}
+
+
+@pytest.mark.parametrize("ws, words", [("sample_ws", ("database", "software")), ("workspace", ("w0", "w1"))])
+class TestColdQueryReadsOnlyItsGraph:
+    """A cold query makes none of the graph's token sets and edge forms; the
+    CLI's pairing check makes only the edge arrays."""
+
+    @staticmethod
+    def graph_path(ws):
+        return ws.get("graph", sample_graph_path())
+
+    def test_load_read_query_and_render_make_no_derived_form(self, request, ws, words):
+        ws = request.getfixturevalue(ws)
+        graph = load_graph(self.graph_path(ws))
+        ranked = search_linear_topk(graph, read_index(ws["index"]), Query(words, 10)).patterns
+        tables = [render_table(graph, sp.pattern, sp.subtrees) for sp in ranked]
+        names = [pat.tree_pattern_names(graph, sp.pattern) for sp in ranked]
+        assert ranked and all(table.rows for table in tables) and all(names)
+        assert derived_forms_made(graph) == set()
+
+    def test_the_pairing_check_makes_the_edge_arrays_only(self, request, ws, words):
+        ws = request.getfixturevalue(ws)
+        args = argparse.Namespace(graph=str(self.graph_path(ws)), index=str(ws["index"]))
+        graph, idx = cli._load_graph_and_index(args, words)
+        assert all(idx.words[w].stop > idx.words[w].start for w in words)
+        assert derived_forms_made(graph) == {"edge_arrays"}
 
 
 class TestCorruptWord:

@@ -1,8 +1,6 @@
-import hashlib
 import io
 import json
-import struct
-from itertools import chain
+import random
 
 import numpy as np
 import pytest
@@ -10,15 +8,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kgpattern import (
+    GenConfig,
     GraphLinkError,
     GraphParseError,
     jaccard_similarity,
+    generate_graph,
     load_graph,
     tokenize,
 )
 from kgpattern.graph import TEXT_TYPE_ID
 
-from conftest import graph_from_text, random_instance
+from conftest import graph_from_text, random_instance, reference_derived, reference_fingerprint
 
 
 class TestTokenize:
@@ -288,19 +288,6 @@ class TestJsonVariant:
             load_graph(io.StringIO('{"kind": "edge", "source": "a", "attr": "r", "target": "x"}'))
 
 
-def reference_fingerprint(g) -> bytes:
-    """The graph fingerprint packed value by value from `g.edges`, as it was
-    computed before it read the graph's edge arrays."""
-    texts = [t.encode("utf-8") for t in g.entity_text]
-    edges = g.edges
-    digest = hashlib.sha256(struct.pack("<QQ", len(texts), len(edges)))
-    digest.update(struct.pack(f"<{len(texts)}I", *g.entity_type))
-    digest.update(struct.pack(f"<{len(texts)}Q", *map(len, texts)))
-    digest.update(struct.pack(f"<{3 * len(edges)}I", *chain.from_iterable(edges)))
-    digest.update(b"".join(texts))
-    return digest.digest()
-
-
 class TestEdgeArrays:
     @pytest.mark.parametrize("case", range(6))
     def test_hold_the_edges_in_adjacency_order(self, case):
@@ -314,4 +301,58 @@ class TestEdgeArrays:
     @pytest.mark.parametrize("case", range(6))
     def test_fingerprint_bytes_are_unchanged(self, case, sample_graph):
         for g in (random_instance(case)[0], sample_graph, graph_from_text(""), graph_from_text("E a T caf\u00e9 \u2028x\n")):
-            assert g.fingerprint() == reference_fingerprint(g)
+            assert g.fingerprint() == reference_fingerprint(g, g.edges)
+
+
+def shuffled_edge_lines(case):
+    """A generated graph's text with its edge lines shuffled and a third of
+    them repeated, after all its entity lines."""
+    lines = generate_graph(GenConfig(40, 4, 4, 2.5, 12, literal_fraction=0.2, seed=case)).splitlines()
+    edges = [line for line in lines if line.startswith("A ")]
+    rng = random.Random(case)
+    edges += rng.sample(edges, len(edges) // 3)
+    rng.shuffle(edges)
+    return "".join(f"{line}\n" for line in [line for line in lines if not line.startswith("A ")] + edges)
+
+
+JSON_LINES = [
+    {"kind": "header", "version": 1},
+    {"kind": "entity", "key": "s", "type": "Software", "text": "SQL Server"},
+    {"kind": "entity", "key": "m", "type": "Company", "text": "Microsoft Corp"},
+    {"kind": "edge", "source": "m", "attr": "Revenue", "target": {"text": "US$ 77 billion"}},
+    {"kind": "edge", "source": "s", "attr": "Developer", "target": {"ref": "m"}},
+    {"kind": "edge", "source": "m", "attr": "Product", "target": {"ref": "s"}},
+    {"kind": "edge", "source": "s", "attr": "Developer", "target": {"ref": "m"}},
+]
+# Graphs whose token sets and edge forms are compared with the loader's old eager derivation.
+DERIVED_CASES = {
+    **{f"random-{case}": lambda case=case: random_instance(case)[0] for case in range(8)},
+    **{f"shuffled-{case}": lambda case=case: graph_from_text(shuffled_edge_lines(case)) for case in range(4)},
+    "repeated-and-out-of-order": lambda: graph_from_text(
+        "E a T x\nE b U y z\nE c T\nA c r @a\nA a s @b\nA a r @c\nA a s @b\nA a r @b\nA c r @a\nA b s @b\n"
+    ),
+    "literal-targets": lambda: graph_from_text(
+        'E a T_x one\nE b U two\nA b r "lit one"\nA a q @b\nA a r "lit one"\nA a r "Two_words 2"\nA a q @b\n'
+    ),
+    "json": lambda: load_graph(io.StringIO("\n".join(map(json.dumps, JSON_LINES)))),
+    "empty": lambda: graph_from_text(""),
+    "entities-without-edges": lambda: graph_from_text("E a T x y\nE b T\nE c U caf\u00e9 x\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(DERIVED_CASES))
+def test_derived_forms_equal_the_eager_derivation(case):
+    """Token sets, adjacency, edges, edge arrays and fingerprint, each made on
+    first read, equal the loader's old eager derivation, whichever is read
+    first."""
+    g = DERIVED_CASES[case]()
+    ref = reference_derived(g)
+    assert (g.entity_token_set, g.type_token_set, g.attr_token_set) == ref.token_sets
+    assert g.adjacency == ref.adjacency and g.edges == ref.edges
+    for got, want in zip(g.edge_arrays, ref.edge_arrays):
+        assert got.dtype == want.dtype == np.int64 and got.shape == want.shape and np.array_equal(got, want)
+    assert g.fingerprint() == ref.fingerprint
+    g = DERIVED_CASES[case]()
+    assert g.fingerprint() == ref.fingerprint
+    assert g.edges == ref.edges and g.adjacency == ref.adjacency
+    assert g.attr_token_set == ref.token_sets[2] and g.entity_token_set == ref.token_sets[0]
