@@ -33,19 +33,21 @@ stored, so a query sorts no records and builds no steps: a keyword's records
 under a root are one run of its root-first slice, and those of one pattern one
 run within it. ``_root_runs`` finds the root runs (and the candidate roots),
 ``_pattern_runs`` the (root, pattern) runs, which ``search_pattern_enum`` and
-sampled ``search_linear_topk`` read and whose keys ``_combo_runs`` searches
-for the winners' runs past the first keyword. ``_tree_rows`` keeps the rows
-whose paths' union is a rooted tree, reading the picked records' step slots
-(`IndexColumns.child` and `key`); ``_group`` groups them by tree pattern, the
-one full sort of a join's rows or patterns; ``_pattern_scores`` scores each
-pattern with the arithmetic of ``tree_score`` and ``pattern_score``, and
-``_top`` picks the k best by a partition. No word is decoded, and members are
-materialized late: ``_answers`` keeps only the k returned patterns' rows, and
-the first read of any returned pattern's ``subtrees`` makes all k patterns'
-member subtrees in one ``_members`` call, whose ``IndexedPath`` objects are
-only the records those rows use. Rejected rows are counted in stats. Ordering
-is deterministic end to end: scores descending, canonical pattern key
-ascending, members by (root, path keys).
+sampled ``search_linear_topk`` read and whose keys ``_combo_runs`` searches for
+the winners' runs past the first keyword. ``_tree_rows`` keeps the rows whose
+paths' union is a rooted tree, reading the picked records' step slots
+(`IndexColumns.child` and `key`); ``_group`` groups them by tree pattern;
+``_pattern_scores`` scores each pattern with the arithmetic of ``tree_score``
+and ``pattern_score``, and ``_top`` picks the k best by a partition. No
+``np.unique`` runs: ``_groups`` finds the distinct values of a key (patterns,
+records, score factors) by one stable argsort, and ``_run_bounds`` marks the
+runs of the sorted key, as it does the root and (root, pattern) runs. No word
+is decoded, and members are materialized late: ``_answers`` keeps only the k
+returned patterns' rows, and the first read of any returned pattern's
+``subtrees`` makes all k patterns' member subtrees in one ``_members`` call,
+whose ``IndexedPath`` objects are only the records those rows use. Rejected
+rows are counted in stats. Ordering is deterministic end to end: scores
+descending, canonical pattern key ascending, members by (root, path keys).
 """
 from __future__ import annotations
 
@@ -188,7 +190,7 @@ class _Batch:
     def decode(self) -> list[list[ValidSubtree]]:
         """Each answer's members."""
         if self.members is None:
-            order = np.argsort(self.answer, kind="stable")
+            order = self.answer.argsort(kind="stable")
             subtrees = _members(self.columns, [record[order] for record in self.rows])
             ends = itertools.accumulate(self.sizes)
             self.members = [subtrees[end - size : end] for size, end in zip(self.sizes, ends)]
@@ -324,7 +326,7 @@ def search_pattern_enum(
             for root in sorted(set(root_runs[0]).intersection(*root_runs[1:])):
                 units.append([run[root] for run in root_runs])
     run_start, run_size = np.array(units, np.int64).reshape(len(units), len(words), 2).transpose(2, 1, 0)
-    rows = _tree_rows(c, run_start, run_size, stats)
+    rows = _tree_rows(c, run_start, run_size, run_size.prod(0), stats)
     patterns = _group(c, rows)
     stats["patterns_found"] = len(patterns.sizes)
     stats["empty_combos"] = stats["pattern_combos_checked"] - stats["patterns_found"]
@@ -352,9 +354,9 @@ def enumerate_rows(idx: PathIndex, query: Query, stats: dict) -> tuple[list, Gro
     candidate roots, and their tree patterns, counted into `stats`; no member
     is decoded."""
     stats.update(_new_stats())
-    candidates, run_start, run_size = _root_runs(idx, query.keywords)
+    candidates, run_start, run_size, tuples = _root_runs(idx, query.keywords)
     stats["candidate_roots"] = len(candidates)
-    rows = _tree_rows(idx.columns, run_start, run_size, stats)
+    rows = _tree_rows(idx.columns, run_start, run_size, tuples, stats)
     patterns = _group(idx.columns, rows)
     stats["patterns_found"] = len(patterns.sizes)
     return rows, patterns
@@ -375,43 +377,42 @@ def search_linear_topk(
         raise ParameterError(f"sampling supports only the sum aggregator, not {config.aggregator!r}")
 
     c = idx.columns
-    candidates, run_start, run_size = _root_runs(idx, query.keywords)
-    tuples = functools.reduce(np.multiply, run_size, np.ones(len(candidates), np.int64))
+    candidates, run_start, run_size, tuples = _root_runs(idx, query.keywords)
     types = c.patterns.elements[c.patterns.starts[c.pattern_id[run_start[0]]]]  # a root's type starts its patterns
-    type_ids, of_type, roots = np.unique(types, return_inverse=True, return_counts=True)
-    bounds = np.bincount(of_type, tuples, len(type_ids)).astype(np.int64)  # float sums: exact below 2^53
+    per_id = np.bincount(types)  # type ids are few: counted, not sorted
+    type_ids, of_type = per_id.nonzero()[0], (per_id > 0).cumsum()[types] - 1
+    roots, bounds = per_id[type_ids], np.bincount(types, tuples)[type_ids].astype(np.int64)  # float sums: exact below 2^53
     type_rates = np.where(bounds >= sampling.threshold, sampling.rate, 1.0)
     rates, drawn, expanded = type_rates[of_type], np.zeros(len(candidates), bool), roots.copy()
-    for t in np.flatnonzero(type_rates < 1.0).tolist():
+    for t in (type_rates < 1.0).nonzero()[0].tolist():
         drawn[of_type == t] = draws = _uniform01(sampling.seed, int(type_ids[t]), int(roots[t])) < type_rates[t]
         expanded[t] = np.count_nonzero(draws)
     fields, columns = ("type", "roots", "bound", "rate", "expanded"), (type_ids, roots, bounds, type_rates, expanded)
     per_type = [dict(zip(fields, values)) for values in zip(*(column.tolist() for column in columns))]
     stats = _new_stats(candidate_roots=len(candidates), roots_expanded=int(expanded.sum()), types=per_type)
-    whole, guesses, winners = rates == 1.0, np.zeros(0), np.zeros(0, np.int64)
-    units = [[s[whole] for s in side] for side in (run_start, run_size)]
+    whole, guesses, winners, units = rates == 1.0, np.zeros(0), np.zeros(0, np.int64), (run_start, run_size)
     if not whole.all():
         # A sampled type's k best by estimate (`scoring.estimate_pattern_score`, sum aggregation
         # only), ties in canonical order: not by the sample score, as two different sample sums
         # can become equal once divided by rate.
-        rows = _tree_rows(c, *([s[drawn] for s in side] for side in (run_start, run_size)), stats)
+        rows = _tree_rows(c, *([s[drawn] for s in side] for side in units), tuples[drawn], stats)
         patterns = _group(c, rows)
-        at = np.searchsorted(candidates, c.root[rows[0][patterns.first_row]])
+        at = candidates.searchsorted(c.root[rows[0][patterns.first_row]])
         guesses = _pattern_scores(c, rows, patterns, config) / rates[at]
-        of_types = (np.flatnonzero(types[at] == t) for t in np.unique(types[at]))
+        of_types = ((types[at] == t).nonzero()[0] for t in types[at][_groups(types[at]).first_row])
         winners = np.sort(np.concatenate([np.zeros(0, np.int64), *(of[_top(guesses[of], query.k)] for of in of_types)]))
         # Each winner's units: the roots of its first pattern's runs in the first keyword's records.
         combos = [c.pattern_id[record[patterns.first_row[winners]]] for record in rows]  # one id per winner
         run_root, run_pattern, off = _pattern_runs(idx, query.keywords[0])
-        hit = np.flatnonzero(np.isin(run_pattern, combos[0]))
-        by_first = np.argsort(combos[0], kind="stable")  # each hit run's winners, in winner order, by sort-merge
-        distinct, first = np.unique(combos[0][by_first], return_index=True)
-        unit, at = _ranges(np.append(first, len(winners)), np.searchsorted(distinct, run_pattern[hit]))
+        hit = np.isin(run_pattern, combos[0]).nonzero()[0]
+        by_first = combos[0].argsort(kind="stable")  # each hit run's winners, in winner order, by sort-merge
+        bound = _run_bounds(ordered := combos[0][by_first])
+        unit, at = _ranges(bound, ordered[bound[:-1]].searchsorted(run_pattern[hit]))
         run = hit[unit]  # each unit's first-keyword run; `_combo_runs` finds the other keywords'
         full, starts, sizes = _combo_runs(idx, query.keywords[1:], run_root[run], [combo[by_first[at]] for combo in combos[1:]])
         runs = [off[run[full]], *starts], [np.diff(off)[run[full]], *sizes]
-        units = [list(map(np.append, *pair)) for pair in zip(units, runs)]
-    rows = _tree_rows(c, *units, stats)
+        units = [list(map(np.append, [s[whole] for s in side], more)) for side, more in zip(units, runs)]
+    rows = _tree_rows(c, *units, tuples if whole.all() else functools.reduce(np.multiply, units[1]), stats)
 
     patterns = _group(c, rows)
     scores = _pattern_scores(c, rows, patterns, config)
@@ -420,7 +421,7 @@ def search_linear_topk(
     estimates = scores
     if len(winners):
         estimates = scores.copy()
-        estimates[rates[np.searchsorted(candidates, c.root[rows[0][patterns.first_row]])] < 1.0] = guesses[winners]
+        estimates[rates[candidates.searchsorted(c.root[rows[0][patterns.first_row]])] < 1.0] = guesses[winners]
     top = _top(scores, query.k)
     keys, members = _answers(c, rows, patterns, top)
     return SearchResult(list(map(ScoredPattern, keys, scores[top].tolist(), members, estimates[top].tolist())), stats)
@@ -435,21 +436,19 @@ CHUNK_ROWS = 1 << 13
 
 
 def _root_runs(idx: PathIndex, words):
-    """The candidate roots (those every keyword reaches) and each keyword's run
-    start (a record id) and size per candidate: a root's records are one run
-    of the keyword's root-first slice."""
+    """The candidate roots (those every keyword reaches), each keyword's run start (a record id) and size
+    per candidate, and each candidate's tuple count: a root's records are one run of the keyword's root-first slice."""
     idx.check(words)
     c, runs = idx.columns, []
     for word in words:
         span = idx.words.get(word, range(0))
         roots = c.root[span.start : span.stop]
-        new = np.ones(len(roots), bool)  # each root's first record (`np.diff` is slower)
-        new[1:] = roots[1:] != roots[:-1]
-        first = np.flatnonzero(new)
-        runs.append((roots[first], span.start + first, np.append(first[1:], len(roots)) - first))
+        bound = _run_bounds(roots)
+        runs.append((roots[bound[:-1]], span.start + bound[:-1], bound[1:] - bound[:-1]))
     candidates = functools.reduce(functools.partial(np.intersect1d, assume_unique=True), [run[0] for run in runs])
-    at = [np.searchsorted(distinct, candidates) for distinct, _, _ in runs]
-    return candidates, [run[1][i] for run, i in zip(runs, at)], [run[2][i] for run, i in zip(runs, at)]
+    at = [distinct.searchsorted(candidates) for distinct, _, _ in runs]
+    sizes = [run[2][i] for run, i in zip(runs, at)]
+    return candidates, [run[1][i] for run, i in zip(runs, at)], sizes, functools.reduce(np.multiply, sizes)
 
 
 def _pattern_runs(idx: PathIndex, word: str):
@@ -457,10 +456,16 @@ def _pattern_runs(idx: PathIndex, word: str):
     and the record ids where the runs start, with one more past the last run's end."""
     c, span = idx.columns, idx.words.get(word, range(0))
     roots, pattern_id = c.root[span.start : span.stop], c.pattern_id[span.start : span.stop]
-    new = np.ones(len(roots), bool)  # each run's first record, as in `_root_runs`
-    new[1:] = (roots[1:] != roots[:-1]) | (pattern_id[1:] != pattern_id[:-1])
-    first = np.flatnonzero(new)
-    return roots[first], pattern_id[first], span.start + np.append(first, len(roots))
+    bound = _run_bounds(roots, pattern_id)
+    return roots[bound[:-1]], pattern_id[bound[:-1]], span.start + bound
+
+
+def _run_bounds(*columns: np.ndarray) -> np.ndarray:
+    """Where each run of equal rows of these columns starts, and the last run's end (`np.diff`, `np.ones` are slower)."""
+    new = np.empty(len(columns[0]) + 1, bool)
+    new[0] = new[-1] = True
+    new[1:-1] = functools.reduce(np.logical_or, [column[1:] != column[:-1] for column in columns])
+    return new.nonzero()[0]
 
 
 def _combo_runs(idx: PathIndex, words, roots: np.ndarray, combos: list):
@@ -472,23 +477,22 @@ def _combo_runs(idx: PathIndex, words, roots: np.ndarray, combos: list):
         run_root, run_pattern, off = _pattern_runs(idx, word)
         keys = np.append(run_root.astype(np.int64) << 32 | run_pattern, np.iinfo(np.int64).max)  # past every key
         want = roots.astype(np.int64) << 32 | pattern_id
-        at = np.searchsorted(keys, want)
+        at = keys.searchsorted(want)
         full &= keys[at] == want
         runs.append((off, at))
     return full, [off[at[full]] for off, at in runs], [np.diff(off)[at[full]] for off, at in runs]
 
 
-def _tree_rows(c, run_start: list, run_size: list, stats: dict) -> list:
-    """The record ids, one array per keyword, of the rows (path tuples) that form a tree.
-    Unit i's rows pick record run_start[j][i] + d[j] for every keyword j, d going through
-    the mixed radix run_size[.][i] (the last keyword fastest); units follow each other, and
-    CHUNK_ROWS rows are checked at a time, on their step slots. Adds the rows to the counters in `stats`."""
-    tuples = functools.reduce(np.multiply, run_size, np.ones(len(run_start[0]), np.int64))
-    offsets = np.concatenate(([0], np.cumsum(tuples)))
+def _tree_rows(c, run_start: list, run_size: list, tuples: np.ndarray, stats: dict) -> list:
+    """The record ids, one array per keyword, of the rows (path tuples) that form a tree. Unit i's
+    tuples[i] rows pick record run_start[j][i] + d[j] for every keyword j, d going through the mixed radix
+    run_size[.][i] (the last keyword fastest); units follow each other, and CHUNK_ROWS rows are checked at
+    a time, on their step slots. Adds the rows to the counters in `stats`."""
+    offsets = np.concatenate(([0], tuples.cumsum()))
     accepted = [[np.zeros(0, np.int64)] * len(run_start)]
     for first in range(0, int(offsets[-1]), CHUNK_ROWS):
         row = np.arange(first, min(first + CHUNK_ROWS, int(offsets[-1])))
-        at = np.searchsorted(offsets, row, "right") - 1
+        at = offsets.searchsorted(row, "right") - 1
         rest, picks = row - offsets[at], [None] * len(run_start)
         for j in reversed(range(len(run_start))):
             rest, digit = np.divmod(rest, run_size[j][at])
@@ -501,7 +505,7 @@ def _tree_rows(c, run_start: list, run_size: list, stats: dict) -> list:
                 # Not a tree when both paths reach a node through different (parent, attr) steps.
                 tree &= (child_a[s] != child_b[t]) | (key_a[s] == key_b[t])
         accepted.append([pick[tree] for pick in picks])
-    rows = [np.concatenate(column) for column in zip(*accepted)]
+    rows = accepted[1] if len(accepted) == 2 else [np.concatenate(column) for column in zip(*accepted)]  # 1 chunk: as is
     checked, kept = int(offsets[-1]), len(rows[0])
     stats["path_tuples_checked"] += checked
     stats["subtrees_accepted"] += kept
@@ -509,22 +513,31 @@ def _tree_rows(c, run_start: list, run_size: list, stats: dict) -> list:
     return rows
 
 
-# The tree patterns of some rows, in tree_sort_key order: each one's first row and row
-# count, and each row's pattern (its group).
+# The groups of equal keys of some rows, in key order: each one's first row and row count, and each row's group.
 Groups = namedtuple("Groups", "first_row sizes group")
 
 
+def _groups(key: np.ndarray) -> Groups:
+    """What `np.unique(key, return_index=True, return_inverse=True, return_counts=True)` finds (its values are
+    key[first_row]), from one stable argsort; group ids in the narrowest unsigned dtype that holds them."""
+    order = key.argsort(kind="stable")
+    bound = _run_bounds(key[order])  # the sorted key is dropped here
+    sizes = bound[1:] - bound[:-1]
+    group = np.empty(len(key), np.min_scalar_type(max(len(sizes) - 1, 0)))
+    group[order] = np.arange(len(sizes), dtype=group.dtype).repeat(sizes)
+    return Groups(order[bound[:-1]], sizes, group)
+
+
 def _group(c, rows: list) -> Groups:
-    # A row's key is its pattern ids, keyword by keyword, in radix len(c.patterns) (the ids
-    # are in canonical order); the key is made dense first whenever it could pass 2^63.
+    # The tree patterns of the rows, in tree_sort_key order: a row's key is its pattern ids, keyword by keyword, in
+    # radix len(c.patterns) (the ids are in canonical order), made dense first whenever it could pass 2^63.
     radix, key, bound = len(c.patterns), np.zeros(len(rows[0]), np.int64), 1
     for record in rows:
         if bound * radix >= 1 << 63:
-            key = np.unique(key, return_inverse=True)[1]
-            bound = int(key.max(initial=0)) + 1
+            dense = _groups(key)
+            key, bound = dense.group.astype(np.int64), len(dense.sizes)
         key, bound = key * radix + c.pattern_id[record], bound * radix
-    _, first_row, group, sizes = np.unique(key, return_index=True, return_inverse=True, return_counts=True)
-    return Groups(first_row, sizes, group)
+    return _groups(key)
 
 
 def _powers(factor: np.ndarray, exponent: float) -> np.ndarray:
@@ -533,25 +546,26 @@ def _powers(factor: np.ndarray, exponent: float) -> np.ndarray:
     if exponent < 0.0 and not factor.all():
         raise ScoreDomainError(f"zero score factor with negative exponent {exponent}")
     if factor.dtype.kind == "i":  # node counts: their few distinct values by `np.bincount`, not by a sort
-        table, present = np.zeros(int(factor.max(initial=0)) + 1), np.flatnonzero(np.bincount(factor))
+        table, present = np.zeros(int(factor.max(initial=0)) + 1), np.bincount(factor).nonzero()[0]
         table[present] = [power(float(x), exponent) for x in present.tolist()]
         return table[factor]
     if exponent == 1.0:
         return factor
-    values, inverse = np.unique(factor, return_inverse=True)
-    return np.array([power(x, exponent) for x in values.tolist()])[inverse]
+    values = _groups(factor)
+    return np.array([power(x, exponent) for x in factor[values.first_row].tolist()])[values.group]
 
 
 def _pattern_scores(c, rows: list, patterns: Groups, config: ScoringConfig) -> np.ndarray:
     """Each pattern's score, with the arithmetic and the checks of `tree_score`
-    (factors summed in keyword order, the node count as an integer) and
-    `pattern_score` (members summed in row order)."""
-    nodes, factors = np.zeros(len(rows[0]), np.int64), np.zeros((2, len(rows[0])))
-    for record in rows:
+    (factors summed in keyword order, from keyword 0's as 0.0 + x is x, the node count
+    as an integer) and `pattern_score` (members summed in row order)."""
+    nodes, pr, sim = c.node_off[rows[0] + 1] - c.node_off[rows[0]], c.pr[rows[0]], c.sim[rows[0]]
+    for record in rows[1:]:
         nodes += c.node_off[record + 1] - c.node_off[record]
-        factors += (c.pr[record], c.sim[record])
+        pr += c.pr[record]
+        sim += c.sim[record]
     with np.errstate(over="ignore", invalid="ignore"):  # a product past the float range fails the check below
-        score = functools.reduce(np.multiply, map(_powers, (nodes, *factors), (config.z1, config.z2, config.z3)))
+        score = functools.reduce(np.multiply, map(_powers, (nodes, pr, sim), (config.z1, config.z2, config.z3)))
     require_finite(np.isfinite(score).all(), "tree")
     group, sizes = patterns.group, patterns.sizes
     if config.aggregator == "max":
@@ -569,16 +583,17 @@ def _top(scores: np.ndarray, k: int) -> np.ndarray:
     """`np.argsort(-scores, kind="stable")[:k]`, the k best scores' positions, sorting only
     the scores at or above the k-th, which a partition finds."""
     if k >= len(scores):
-        return np.argsort(-scores, kind="stable")
-    above = np.flatnonzero(scores >= np.partition(scores, len(scores) - k)[len(scores) - k])
-    return above[np.argsort(-scores[above], kind="stable")[:k]]
+        return (-scores).argsort(kind="stable")
+    above = (scores >= np.partition(scores, len(scores) - k)[len(scores) - k]).nonzero()[0]
+    return above[(-scores[above]).argsort(kind="stable")[:k]]
 
 
 def _members(c, rows: list) -> list[ValidSubtree]:
     """The `ValidSubtree` of each row, over one `IndexedPath` per distinct record the rows use."""
-    used, where = np.unique(np.concatenate(rows), return_inverse=True)
-    paths = decode_records(c, used)
-    columns = [list(map(paths.__getitem__, column)) for column in where.reshape(len(rows), -1).tolist()]
+    ids = np.concatenate(rows)
+    used = _groups(ids)
+    paths = decode_records(c, ids[used.first_row])
+    columns = [list(map(paths.__getitem__, column)) for column in used.group.reshape(len(rows), -1).tolist()]
     return build_all(ValidSubtree, c.root[rows[0]].tolist(), list(zip(*columns)))
 
 
@@ -593,7 +608,7 @@ def _answers(c, rows: list, patterns: Groups, chosen: np.ndarray) -> tuple[list[
     answer = np.full(len(patterns.sizes), -1)
     answer[chosen] = np.arange(len(chosen))
     row_answer = answer[patterns.group]
-    at = np.flatnonzero(row_answer >= 0)
+    at = (row_answer >= 0).nonzero()[0]
     sizes = patterns.sizes[chosen].tolist()
     batch = _Batch(c, [record[at] for record in rows], row_answer[at], sizes)
     return keys, list(map(_Span, itertools.repeat(batch), range(len(sizes)), sizes))

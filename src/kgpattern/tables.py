@@ -84,30 +84,27 @@ def render_table(graph: KnowledgeGraph, tree_pattern, subtrees) -> TableAnswer:
     """Build the table answer for `tree_pattern` from its member subtrees."""
     for subtree in subtrees:
         if subtree.tree_pattern() != tuple(tree_pattern):
-            raise TableConsistencyError(
-                f"subtree rooted at {subtree.root} does not match the pattern"
-            )
+            raise TableConsistencyError(f"subtree rooted at {subtree.root} does not match the pattern")
 
     feeders = _columns(tree_pattern)
     keys = list(feeders)
     names = [_display_name(graph, key) for key in keys]
-    counts: dict[str, int] = {}
-    for name in names:
-        counts[name] = counts.get(name, 0) + 1
-    names = [
-        pat.pattern_names(graph, key) if counts[name] > 1 else name
-        for key, name in zip(keys, names)
-    ]
+    if len(set(names)) < len(names):  # columns that share a name are named by their paths
+        names = [pat.pattern_names(graph, key) if names.count(name) > 1 else name for key, name in zip(keys, names)]
 
-    rows = []
+    text, columns, rows = graph.entity_text, list(feeders.values()), []
     for subtree in subtrees:
-        row = []
-        for col_feeders in feeders.values():
+        paths, row = subtree.paths, []
+        for col_feeders in columns:
+            if len(col_feeders) == 1:  # one feeder: its text is the cell
+                kw_pos, node_pos = col_feeders[0]
+                row.append(text[paths[kw_pos].nodes[node_pos]])
+                continue
             values: list[str] = []
             for kw_pos, node_pos in col_feeders:
-                text = graph.entity_text[subtree.paths[kw_pos].nodes[node_pos]]
-                if text not in values:
-                    values.append(text)
+                cell = text[paths[kw_pos].nodes[node_pos]]
+                if cell not in values:
+                    values.append(cell)
             row.append("; ".join(values))
         rows.append(row)
     return TableAnswer(list(zip(keys, names)), rows)

@@ -59,7 +59,7 @@ def test_kernel_matches_assemble(case, key_dtype, monkeypatch):
             runs = [idx._records(w, p, root) for w, p in zip(words, combo)]
             units.append([(run[0], len(run)) for run in runs])
     run_start, run_size = np.array(units, np.int64).reshape(len(units), len(words), 2).transpose(2, 1, 0)
-    rows = search._tree_rows(idx.columns, run_start, run_size, search._new_stats())
+    rows = search._tree_rows(idx.columns, run_start, run_size, run_size.prod(0), search._new_stats())
     joined = set()
     for record_ids in zip(*(r.tolist() for r in rows)):
         root = int(idx.columns.root[record_ids[0]])

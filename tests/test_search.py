@@ -23,6 +23,7 @@ from kgpattern import (
     pattern_score,
     rank,
     rank_enumeration,
+    render_table,
     search_baseline,
     search_linear_enum,
     search_linear_topk,
@@ -36,9 +37,9 @@ from kgpattern import search
 from kgpattern.indexio import read_index
 from kgpattern.pathindex import decode_records
 from kgpattern.scoring import AGGREGATORS, DEFAULT_CONFIG
-from kgpattern.search import _powers, _top, _uniform01
+from kgpattern.search import EXACT_SAMPLING, _powers, _top, _uniform01
 
-from conftest import graph_from_text, random_instance, reference_sampled_topk, reference_uniform01, tree_height
+from conftest import QUERY_WORDS, graph_from_text, random_instance, reference_sampled_topk, reference_uniform01, tree_height
 
 DIAMOND = """
 E r Root hub
@@ -438,9 +439,9 @@ def test_sampled_counters_add_both_joins(monkeypatch):
     a2, b2 = (t("Hub"), a("relC"), t("KindA")), (t("Hub"), a("relD"), t("KindB"))
     joins, tree_rows = [], search._tree_rows
 
-    def counted(c, run_start, run_size, stats):
+    def counted(c, run_start, run_size, tuples, stats):
         before = dict(stats)
-        rows = tree_rows(c, run_start, run_size, stats)
+        rows = tree_rows(c, run_start, run_size, tuples, stats)
         combos = set(zip(*(map(c.patterns.__getitem__, c.pattern_id[r].tolist()) for r in rows)))
         joins.append(([stats[name] - before[name] for name in COUNTERS[:3]], {x for x in combos if x[0][0] == t("Hub")}))
         return rows
@@ -454,20 +455,51 @@ def test_sampled_counters_add_both_joins(monkeypatch):
     assert [result.stats[name] for name in COUNTERS[:3]] == [37, 27, 10]
 
 
-@pytest.mark.parametrize("n_patterns", [5, 1 << 40])
-def test_group_orders_rows_by_their_pattern_ids(n_patterns):
+@pytest.mark.parametrize("n_patterns", [5, 1 << 40, 1 << 32])
+def test_group_orders_rows_by_their_pattern_ids(n_patterns, monkeypatch):
     """Groups are the rows' distinct pattern-id tuples in lexicographic order,
-    also when the tuples' radix key would pass 2^63 (2^40 patterns, 3 keywords)."""
+    also when the tuples' radix key would pass 2^63 (2^32 patterns, as many as
+    u4 ids can name, or 2^40, and 3 keywords), where the key is made dense
+    before each keyword past the first."""
     rng = np.random.default_rng(7)
     ids = rng.choice([0, 1, n_patterns - 2, n_patterns - 1], size=(3, 200))
     c = types.SimpleNamespace(patterns=range(n_patterns), pattern_id=ids.ravel())
     rows = [np.arange(200) + 200 * j for j in range(3)]  # keyword j's record ids
+    calls, groups_of = [], search._groups
+    monkeypatch.setattr(search, "_groups", lambda key: calls.append(len(key)) or groups_of(key))
     groups = search._group(c, rows)
+    assert len(calls) == (1 if n_patterns**2 < 1 << 63 else 3)  # the grouping, after a densify before keywords 1 and 2
     keys = list(zip(*ids.tolist()))
     distinct = sorted(set(keys))
     assert groups.group.tolist() == [distinct.index(key) for key in keys]
     assert groups.first_row.tolist() == [keys.index(key) for key in distinct]
     assert groups.sizes.tolist() == [keys.count(key) for key in distinct]
+
+
+def assert_groups_are_unique(key):
+    groups = search._groups(key)
+    distinct, first_row, group, sizes = np.unique(key, return_index=True, return_inverse=True, return_counts=True)
+    assert key[groups.first_row].tolist() == distinct.tolist()
+    assert groups.first_row.tolist() == first_row.tolist()
+    assert groups.group.tolist() == group.tolist()
+    assert groups.sizes.tolist() == sizes.tolist()
+    assert groups.group.dtype == np.min_scalar_type(max(len(distinct) - 1, 0))
+
+
+INT64 = np.iinfo(np.int64)
+
+
+@pytest.mark.parametrize("key", [[], [7], [3] * 50, list(range(300, 0, -1)), [INT64.max, INT64.max - 1, INT64.min, INT64.max, 0]])
+def test_groups_equal_unique_on_edge_keys(key):
+    assert_groups_are_unique(np.array(key, np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(INT64.min, INT64.max) | st.integers(INT64.max - 3, INT64.max) | st.integers(0, 5), max_size=300))
+def test_groups_equal_unique(key):
+    """One stable argsort groups an int64 key as `np.unique` does: the same
+    first rows, group ids and sizes, in the narrowest unsigned id dtype."""
+    assert_groups_are_unique(np.array(key, np.int64))
 
 
 @pytest.fixture(scope="module")
@@ -480,6 +512,35 @@ def mixed_instance():
 
 
 MIXED = SamplingConfig(threshold=24, rate=0.5, seed=3)
+
+
+def reference_types(idx, words, sampling):
+    """The per-type stats of `search_linear_topk`, derived as the engine did with `np.unique`."""
+    c = idx.columns
+    candidates, run_start, run_size, tuples = search._root_runs(idx, words)
+    types = c.patterns.elements[c.patterns.starts[c.pattern_id[run_start[0]]]]
+    type_ids, of_type, roots = np.unique(types, return_inverse=True, return_counts=True)
+    bounds = np.bincount(of_type, tuples, len(type_ids)).astype(np.int64)
+    rates = np.where(bounds >= sampling.threshold, sampling.rate, 1.0)
+    expanded = [
+        int(np.count_nonzero(_uniform01(sampling.seed, t, n) < rate)) if rate < 1.0 else n
+        for t, n, rate in zip(type_ids.tolist(), roots.tolist(), rates.tolist())
+    ]
+    fields = ("type", "roots", "bound", "rate", "expanded")
+    return [dict(zip(fields, values)) for values in zip(type_ids.tolist(), roots.tolist(), bounds.tolist(), rates.tolist(), expanded)]
+
+
+@pytest.mark.parametrize("sampling", [EXACT_SAMPLING, MIXED, SamplingConfig(threshold=0, rate=0.5, seed=1)])
+def test_per_type_stats_are_those_of_unique(mixed_instance, sample_graph, sample_index, sampling):
+    """The per-type stats, counted by `np.bincount`, equal their `np.unique`
+    derivation, also for a query with no candidate root."""
+    g, idx, words = mixed_instance
+    cases = [(g, idx, words), (g, idx, words[:1]), (sample_graph, sample_index, QUERY_WORDS[:2]), (g, idx, ("absentword",))]
+    for graph, index, query in cases:
+        stats = search_linear_topk(graph, index, Query(query, 10), sampling).stats
+        assert stats["types"] == reference_types(index, query, sampling), query
+        assert stats["roots_expanded"] == sum(t["expanded"] for t in stats["types"])
+    assert stats["types"] == [] and stats["candidate_roots"] == stats["roots_expanded"] == 0
 
 
 @pytest.mark.parametrize("k", [1, 10, 100])
@@ -811,3 +872,30 @@ class TestTop:
 
     def test_no_scores(self):
         assert _top(np.zeros(0), 3).tolist() == []
+
+
+def test_no_query_path_call_sorts_by_unique(sample_graph, sample_index, monkeypatch):
+    """Once the index is built, no engine step and no table render calls
+    `np.unique`: exact and sampled linear-topk, pattern-enum and the tables
+    of every answer, on the sample graph and on a generated one."""
+    g = graph_from_text(generate_graph(GenConfig(150, 3, 3, 2.5, 10, seed=5)))
+    cases = [(sample_graph, sample_index, QUERY_WORDS[:2]), (sample_graph, sample_index, QUERY_WORDS)]
+    cases += [(g, build_index(g, compute_pagerank(g), 3), words) for words in (("w0", "w1"), ("w0", "w1", "w2"))]
+
+    def no_unique(*args, **kwargs):
+        raise AssertionError("np.unique on the query path")
+
+    monkeypatch.setattr(np, "unique", no_unique)
+    answers = 0
+    for graph, idx, words in cases:
+        for k in (1, 10):
+            query = Query(words, k)
+            for result in (
+                search_linear_topk(graph, idx, query),
+                search_linear_topk(graph, idx, query, SamplingConfig(threshold=0, rate=0.5, seed=2)),
+                search_pattern_enum(graph, idx, query),
+            ):
+                answers += len(result.patterns)
+                for sp in result.patterns:
+                    render_table(graph, sp.pattern, sp.subtrees)
+    assert answers > 0
