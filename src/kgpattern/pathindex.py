@@ -99,7 +99,6 @@ class PathHit:
 class IndexStats:
     entry_count: int
     cost_proxy: int  # the records' nodes: over enumerated paths, node_count * matched-word count
-    word_sizes: dict[str, int]
 
 
 class PatternTable(Sequence):
@@ -289,8 +288,7 @@ class PathIndex:
         counts = columns.counts.tolist()
         words = sorted(zip(columns.vocab, accumulate(counts, initial=0), counts))
         self.words: dict[str, range] = {w: range(start, start + size) for w, start, size in words}
-        word_sizes = {w: len(span) for w, span in self.words.items()}
-        self.stats = IndexStats(sum(counts), len(columns.nodes), word_sizes)
+        self.stats = IndexStats(sum(counts), len(columns.nodes))
         # Each word whose records are not checked yet, with its position in the vocabulary.
         self.unchecked: dict[str, int] = {w: i for i, w in enumerate(columns.vocab)} if check_words else {}
         self._check_words = check_words

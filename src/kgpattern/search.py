@@ -5,11 +5,11 @@
   finds level by level), grouped into one global pattern dictionary, then
   scored and ranked to the top k. The reference implementation everything
   else must agree with.
-* ``search_pattern_enum`` - per root type, enumerate the cross product of the
-  keywords' path patterns and intersect each combination's per-keyword root
-  sets; the rows of the non-empty (combination, root) units are joined. Fast
-  when queries have few patterns; wasted intersections on empty pattern
-  combinations are its worst case.
+* ``search_pattern_enum`` - per root type, the cross product of the keywords'
+  path patterns, each combination under the roots all its patterns share. It
+  crosses each candidate root's (root, pattern) runs keyword by keyword (the
+  trie walk done root-first), so no empty combination is formed, and joins the
+  units in the paper's order: root type, combination, root.
 * ``search_linear_enum`` - candidate roots are the intersection of the
   keywords' root sets, and every row under each candidate is joined, so no
   time is spent on empty patterns. Returns every pattern with its complete
@@ -32,9 +32,9 @@ keyword, and its rows are the runs' cross product. The join reads the index as
 stored, so a query sorts no records and builds no steps: a keyword's records
 under a root are one run of its root-first slice, and those of one pattern one
 run within it. ``_root_runs`` finds the root runs (and the candidate roots),
-``_pattern_runs`` the (root, pattern) runs, which ``search_pattern_enum`` and
-sampled ``search_linear_topk`` read and whose keys ``_combo_runs`` searches for
-the winners' runs past the first keyword. ``_tree_rows`` keeps the rows whose
+``_pattern_runs`` the (root, pattern) runs, which ``search_pattern_enum``
+crosses and sampled ``search_linear_topk`` reads (``_combo_runs`` searches
+their keys for its winners' other runs). ``_tree_rows`` keeps the rows whose
 paths' union is a rooted tree, reading the picked records' step slots
 (`IndexColumns.child` and `key`); ``_group`` groups them by tree pattern;
 ``_pattern_scores`` scores each pattern with the arithmetic of ``tree_score``
@@ -57,7 +57,6 @@ import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from operator import getitem
 from typing import Optional
 
 import numpy as np
@@ -303,30 +302,28 @@ def search_pattern_enum(
     config: ScoringConfig = DEFAULT_CONFIG,
 ) -> SearchResult:
     """Pattern-product engine: per root type, the cross product of the
-    keywords' path patterns, each combination's roots being the intersection
-    of its patterns' root sets; all (combination, root) units are joined at once."""
+    keywords' path patterns, each combination's roots being those all its
+    patterns share. Crossing each candidate root's (root, pattern) runs
+    keyword by keyword forms only the non-empty (combination, root) units;
+    put in the paper's order (root type, combination, root), they are joined
+    at once. `pattern_combos_checked` counts the combinations, empty or not."""
     c, words = idx.columns, list(query.keywords)
-    idx.check(words)
-    runs, by_type = [], []
-    for word in words:
-        roots, pattern_id, off = _pattern_runs(idx, word)
-        runs.append({})  # pattern id -> root -> (first record, record count)
-        for root, p, start, size in zip(roots.tolist(), pattern_id.tolist(), off[:-1].tolist(), np.diff(off).tolist()):
-            runs[-1].setdefault(p, {})[root] = (start, size)
-        by_type.append({})
-        for p in sorted(runs[-1]):  # in canonical order
-            by_type[-1].setdefault(c.patterns[p][0], []).append(p)
-
-    stats = _new_stats(pattern_combos_checked=0, empty_combos=0, patterns_found=0)
-    units = []
-    for type_id in sorted(set(by_type[0]).intersection(*by_type[1:])):
-        for combo in itertools.product(*(groups[type_id] for groups in by_type)):
-            stats["pattern_combos_checked"] += 1
-            root_runs = list(map(getitem, runs, combo))
-            for root in sorted(set(root_runs[0]).intersection(*root_runs[1:])):
-                units.append([run[root] for run in root_runs])
-    run_start, run_size = np.array(units, np.int64).reshape(len(units), len(words), 2).transpose(2, 1, 0)
-    rows = _tree_rows(c, run_start, run_size, run_size.prod(0), stats)
+    root, picks = _root_runs(idx, words)[0], []  # each unit's root, and its run of each keyword so far
+    runs = [_pattern_runs(idx, word) for word in words]
+    for run_root, _, _ in runs:  # each unit goes on with each of the next keyword's runs under its root
+        of_root = _run_bounds(run_root)
+        unit, run = _ranges(of_root, run_root[of_root[:-1]].searchsorted(root))
+        root, picks = root[unit], [pick[unit] for pick in picks] + [run]
+    combo = [pattern_id[pick] for (_, pattern_id, _), pick in zip(runs, picks)]  # the units are in (root, combo) order
+    root_type = c.patterns.elements[c.patterns.starts[combo[0]]].astype(np.int64)  # a pattern starts with its root's type
+    order = _pattern_key(c, combo, root_type, idx.n_types).argsort(kind="stable")  # the paper's: (root type, combo, root)
+    run_start = [off[pick[order]] for (_, _, off), pick in zip(runs, picks)]
+    run_size = [np.diff(off)[pick[order]] for (_, _, off), pick in zip(runs, picks)]
+    # The paper's combinations: per root type, the product of the keywords' pattern counts, in Python ints (past 2^63).
+    present = [np.bincount(pattern_id).nonzero()[0] for _, pattern_id, _ in runs]
+    per_type = [np.bincount(c.patterns.elements[c.patterns.starts[p]], minlength=idx.n_types).tolist() for p in present]
+    stats = _new_stats(pattern_combos_checked=sum(map(math.prod, zip(*per_type))), empty_combos=0, patterns_found=0)
+    rows = _tree_rows(c, run_start, run_size, functools.reduce(np.multiply, run_size), stats)
     patterns = _group(c, rows)
     stats["patterns_found"] = len(patterns.sizes)
     stats["empty_combos"] = stats["pattern_combos_checked"] - stats["patterns_found"]
@@ -452,8 +449,8 @@ def _root_runs(idx: PathIndex, words):
 
 
 def _pattern_runs(idx: PathIndex, word: str):
-    """A checked word's (root, pattern) runs in stored order: each run's root and pattern id,
-    and the record ids where the runs start, with one more past the last run's end."""
+    """A checked word's (root, pattern) runs in stored order, by root and then pattern id: each run's root
+    and pattern id, and the record ids where the runs start, with one more past the last run's end."""
     c, span = idx.columns, idx.words.get(word, range(0))
     roots, pattern_id = c.root[span.start : span.stop], c.pattern_id[span.start : span.stop]
     bound = _run_bounds(roots, pattern_id)
@@ -528,16 +525,20 @@ def _groups(key: np.ndarray) -> Groups:
     return Groups(order[bound[:-1]], sizes, group)
 
 
-def _group(c, rows: list) -> Groups:
-    # The tree patterns of the rows, in tree_sort_key order: a row's key is its pattern ids, keyword by keyword, in
-    # radix len(c.patterns) (the ids are in canonical order), made dense first whenever it could pass 2^63.
-    radix, key, bound = len(c.patterns), np.zeros(len(rows[0]), np.int64), 1
-    for record in rows:
+def _group(c, rows: list) -> Groups:  # the tree patterns of the rows, in tree_sort_key order
+    return _groups(_pattern_key(c, (c.pattern_id[record] for record in rows), np.zeros(len(rows[0]), np.int64), 1))
+
+
+def _pattern_key(c, pattern_ids, key: np.ndarray, bound: int) -> np.ndarray:
+    """An int64 key ordered as `key` (below `bound`), then as each array of pattern ids in turn, which follow in
+    radix len(c.patterns) (the ids are in canonical order); the key is made dense first whenever it could pass 2^63."""
+    radix = len(c.patterns)
+    for pattern_id in pattern_ids:
         if bound * radix >= 1 << 63:
             dense = _groups(key)
             key, bound = dense.group.astype(np.int64), len(dense.sizes)
-        key, bound = key * radix + c.pattern_id[record], bound * radix
-    return _groups(key)
+        key, bound = key * radix + pattern_id, bound * radix
+    return key
 
 
 def _powers(factor: np.ndarray, exponent: float) -> np.ndarray:

@@ -3,7 +3,7 @@ import io
 import math
 import random
 import struct
-from itertools import accumulate, chain
+from itertools import accumulate, chain, product
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,6 +25,7 @@ from kgpattern import (
     uniform_pagerank,
 )
 from kgpattern import patterns as pat
+from kgpattern import search
 from kgpattern.fixtures import load_sample_graph
 from kgpattern.graph import TEXT_TYPE_ID, jaccard_similarity, tokenize
 from kgpattern.pathindex import RECORD_DTYPES, PatternTable, index_columns, iter_root_paths
@@ -225,6 +226,33 @@ def reference_sampled_topk(graph, idx, query, sampling, everything):
         estimated.sort(key=lambda pair: (-pair[0], pat.tree_sort_key(pair[1].pattern)))
         finalists += [ScoredPattern(sp.pattern, sp.score, sp.subtrees, e) for e, sp in estimated[: query.k]]
     return rank(finalists, query.k)
+
+
+def reference_pattern_units(idx, words):
+    """The units pattern-enum joins, as the paper's walk visits them, one
+    combination at a time: per root type, ascending, every combination of the
+    keywords' path patterns (each keyword's in canonical id order, the last
+    keyword fastest), and under each the roots all its patterns share,
+    ascending. Returns each unit's (first record, record count) per keyword,
+    and the number of combinations visited."""
+    idx.check(words)
+    runs, by_type = [], []
+    for word in words:
+        roots, pattern_id, off = search._pattern_runs(idx, word)
+        runs.append({})  # pattern id -> root -> (first record, record count)
+        for root, p, start, size in zip(roots.tolist(), pattern_id.tolist(), off[:-1].tolist(), np.diff(off).tolist()):
+            runs[-1].setdefault(p, {})[root] = (start, size)
+        by_type.append({})
+        for p in sorted(runs[-1]):  # in canonical order
+            by_type[-1].setdefault(idx.columns.patterns[p][0], []).append(p)
+    units, combos = [], 0
+    for type_id in sorted(set(by_type[0]).intersection(*by_type[1:])):
+        for combo in product(*(groups[type_id] for groups in by_type)):
+            combos += 1
+            root_runs = [run[p] for run, p in zip(runs, combo)]
+            for root in sorted(set(root_runs[0]).intersection(*root_runs[1:])):
+                units.append(tuple(run[root] for run in root_runs))
+    return units, combos
 
 
 def tree_height(tree_pattern):

@@ -44,7 +44,7 @@ def assert_structurally_equal(a, b):
     assert a.vocabulary() == b.vocabulary()
     assert a.stats.entry_count == b.stats.entry_count
     assert a.stats.cost_proxy == b.stats.cost_proxy
-    assert a.stats.word_sizes == b.stats.word_sizes
+    assert a.words == b.words
     for word in a.vocabulary():
         assert a.paths(word) == b.paths(word)
         assert a.patterns(word) == b.patterns(word)

@@ -217,7 +217,7 @@ class TestInvariants:
 
     def test_stats_consistent(self, sample_index):
         stats = sample_index.stats
-        assert stats.entry_count == sum(stats.word_sizes.values())
+        assert stats.entry_count == sum(map(len, sample_index.words.values()))
         assert stats.entry_count == sum(len(sample_index.paths(w)) for w in sample_index.vocabulary())
         assert stats.cost_proxy >= stats.entry_count
 
@@ -330,7 +330,7 @@ class TestStepSlots:
 
 
 def assert_builds_agree(graph, depth):
-    """`build_index` writes the same file and word sizes as the
+    """`build_index` writes the same file and word spans as the
     one-path-at-a-time reference build, derives the attributes the
     reference's DFS found (read from its key slots, record by record), and its
     cost proxy is the reference's path-by-path count; returns its index."""
@@ -340,7 +340,7 @@ def assert_builds_agree(graph, depth):
     key = built.columns.key.T
     assert np.array_equal(key[key != np.iinfo(key.dtype).max] % (graph.n_attrs + 1), attrs)
     assert built.stats.cost_proxy == cost_proxy
-    assert built.stats.word_sizes == reference.stats.word_sizes
+    assert built.words == reference.words
     return built
 
 

@@ -39,7 +39,15 @@ from kgpattern.pathindex import decode_records
 from kgpattern.scoring import AGGREGATORS, DEFAULT_CONFIG
 from kgpattern.search import EXACT_SAMPLING, _powers, _top, _uniform01
 
-from conftest import QUERY_WORDS, graph_from_text, random_instance, reference_sampled_topk, reference_uniform01, tree_height
+from conftest import (
+    QUERY_WORDS,
+    graph_from_text,
+    random_instance,
+    reference_pattern_units,
+    reference_sampled_topk,
+    reference_uniform01,
+    tree_height,
+)
 
 DIAMOND = """
 E r Root hub
@@ -270,6 +278,60 @@ class TestAdversarialPatternEnum:
         assert search_baseline(g, idx, q).patterns == []
 
 
+def joined_units(monkeypatch, g, idx, query):
+    """pattern-enum's result, and the units it passes `_tree_rows`: each one's (first record, record count) per keyword."""
+    seen, tree_rows = [], search._tree_rows
+
+    def spy(c, run_start, run_size, tuples, stats):
+        seen.append(list(zip(*(zip(s.tolist(), n.tolist()) for s, n in zip(run_start, run_size)))))
+        return tree_rows(c, run_start, run_size, tuples, stats)
+
+    monkeypatch.setattr(search, "_tree_rows", spy)
+    result = search_pattern_enum(g, idx, query)
+    assert len(seen) == 1
+    return result, seen[0]
+
+
+class TestPatternEnumUnits:
+    """pattern-enum crosses each candidate root's (root, pattern) runs, and
+    joins the units the paper's walk (`reference_pattern_units`) visits, in
+    its order, counting its combinations without visiting them."""
+
+    @pytest.mark.parametrize("case", [*range(12), "sample", "one-word", "adversarial", "absent-word"])
+    def test_units_are_the_walks(self, case, sample_graph, sample_index, monkeypatch):
+        if isinstance(case, int):
+            g, depth, words = random_instance(case)
+            idx = build_index(g, compute_pagerank(g), depth)
+        elif case == "adversarial":
+            g = graph_from_text(adversarial_text(17))
+            idx, words = build_index(g, uniform_pagerank(g), 2), ("alpha", "beta")
+        else:
+            g, idx = sample_graph, sample_index
+            words = {"sample": QUERY_WORDS, "one-word": QUERY_WORDS[:1], "absent-word": (QUERY_WORDS[0], "zyzzyva")}[case]
+        result, units = joined_units(monkeypatch, g, idx, Query(words, k=3))
+        expected, combos = reference_pattern_units(idx, words)
+        assert units == expected
+        assert result.stats["pattern_combos_checked"] == combos
+        assert result.stats["empty_combos"] == combos - result.stats["patterns_found"]
+        if case == "absent-word":
+            assert units == [] and combos == 0 and result.patterns == []
+
+    def test_combinations_no_walk_can_visit(self):
+        """`w0 w1 w2` on the 2,000-entity reference graph has 1.1e9
+        combinations; pattern-enum's answers and tuple counters are exact
+        linear-topk's."""
+        g = graph_from_text(generate_graph(GenConfig(2000, 6, 8, 2.5, 40, seed=11)))
+        idx = build_index(g, compute_pagerank(g), 3)
+        query = Query(("w0", "w1", "w2"), k=10)
+        penum, topk, stats = search_pattern_enum(g, idx, query), search_linear_topk(g, idx, query), {}
+        search.enumerate_rows(idx, query, stats)
+        assert _answers(penum.patterns) == _answers(topk.patterns)
+        assert [penum.stats[name] for name in COUNTERS[:3]] == [topk.stats[name] for name in COUNTERS[:3]]
+        assert penum.stats["patterns_found"] == stats["patterns_found"]
+        assert penum.stats["pattern_combos_checked"] == 1_133_753_937
+        assert penum.stats["empty_combos"] == 1_133_753_937 - stats["patterns_found"]
+
+
 class TestEngineAgreement:
     @pytest.mark.parametrize("case", range(12))
     def test_agreement_and_truncation(self, case):
@@ -474,6 +536,18 @@ def test_group_orders_rows_by_their_pattern_ids(n_patterns, monkeypatch):
     assert groups.group.tolist() == [distinct.index(key) for key in keys]
     assert groups.first_row.tolist() == [keys.index(key) for key in distinct]
     assert groups.sizes.tolist() == [keys.count(key) for key in distinct]
+
+
+@pytest.mark.parametrize("n_patterns", [5, 1 << 40, 1 << 32])
+def test_pattern_key_orders_by_the_key_then_the_ids(n_patterns):
+    """pattern-enum's unit order: a key below its bound (a root type), then
+    3 keywords' pattern ids, also where the radix key is made dense."""
+    rng = np.random.default_rng(11)
+    first = rng.integers(0, 4, 300)
+    ids = rng.choice([0, 1, n_patterns - 2, n_patterns - 1], size=(3, 300))
+    key = search._pattern_key(types.SimpleNamespace(patterns=range(n_patterns)), list(ids), first, 4)
+    keys = list(zip(first.tolist(), *ids.tolist()))
+    assert key.argsort(kind="stable").tolist() == sorted(range(300), key=keys.__getitem__)
 
 
 def assert_groups_are_unique(key):
