@@ -142,14 +142,12 @@ def _scoring_from(path) -> ScoringConfig:
 
 
 def _pattern_json(graph, sp) -> dict:
-    table = render_table(graph, sp.pattern, sp.subtrees)
     return {
         "pattern": pat.tree_pattern_names(graph, sp.pattern),
         "score": sp.score,
         "estimated_score": sp.estimated_score,
         "count": sp.subtree_count,
-        "columns": table.column_names,
-        "rows": table.rows,
+        **render_table(graph, sp.pattern, sp.subtrees).to_json_dict(),
     }
 
 

@@ -10,11 +10,12 @@
   crosses each candidate root's (root, pattern) runs keyword by keyword (the
   trie walk done root-first), so no empty combination is formed, and joins the
   units in the paper's order: root type, combination, root.
-* ``search_linear_enum`` - candidate roots are the intersection of the
+* ``search_linear_enum`` - the full linear enumeration: every pattern with
+  its complete member list, best first. It is exact ``search_linear_topk``
+  with no bound on k, so it has no join of its own.
+* ``search_linear_topk`` - candidate roots are the intersection of the
   keywords' root sets, and every row under each candidate is joined, so no
-  time is spent on empty patterns. Returns every pattern with its complete
-  member list, unranked; ranked, its top k is exact ``search_linear_topk``'s.
-* ``search_linear_topk`` - the linear enumeration partitioned by root type
+  time is spent on empty patterns; the roots are partitioned by root type,
   with optional per-type Bernoulli root sampling. A type whose subtree-count
   upper bound reaches the sampling threshold is sampled: a join over the
   roots its draws keep (each with probability `rate`) estimates its pattern
@@ -23,18 +24,19 @@
   types, only those winners' own runs, and ranks them all; with sampling off
   (threshold = inf or rate = 1) it is the only join, and the top k is exact.
 
-The three index engines join on the index columns (`idx.columns`), array at a
-time, and differ only in which rows they join. Each first checks its keywords'
-records (`PathIndex.check`), so an index read from a file checks and derives
-only the words its queries read. A row (path tuple) picks one record per
-keyword under a shared root; a *unit* is a root with one run of records per
-keyword, and its rows are the runs' cross product. The join reads the index as
-stored, so a query sorts no records and builds no steps: a keyword's records
-under a root are one run of its root-first slice, and those of one pattern one
-run within it. ``_root_runs`` finds the root runs (and the candidate roots),
-``_pattern_runs`` the (root, pattern) runs, which ``search_pattern_enum``
-crosses and sampled ``search_linear_topk`` reads (``_combo_runs`` searches
-their keys for its winners' other runs). ``_tree_rows`` keeps the rows whose
+``search_pattern_enum`` and ``search_linear_topk`` join on the index columns
+(`idx.columns`), array at a time, and differ only in which rows they join.
+Each first checks its keywords' records (`PathIndex.check`), so an index read
+from a file checks and derives only the words its queries read. A row (path
+tuple) picks one record per keyword under a shared root; a *unit* is a root
+with one run of records per keyword, and its rows are the runs' cross product.
+The join reads the index as stored, so a query sorts no records and builds no
+steps: a keyword's records under a root are one run of its root-first slice,
+and those of one pattern one run within it. ``_root_runs`` finds linear-topk's
+root runs (and candidate roots), ``_pattern_runs`` the (root, pattern) runs,
+which sampled ``search_linear_topk`` reads (``_combo_runs`` searches their
+keys for its winners' other runs) and ``search_pattern_enum`` crosses, marking
+each keyword's root runs once over them. ``_tree_rows`` keeps the rows whose
 paths' union is a rooted tree, reading the picked records' step slots
 (`IndexColumns.child` and `key`); ``_group`` groups them by tree pattern;
 ``_pattern_scores`` scores each pattern with the arithmetic of ``tree_score``
@@ -55,6 +57,7 @@ import functools
 import heapq
 import itertools
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Optional
@@ -308,11 +311,14 @@ def search_pattern_enum(
     put in the paper's order (root type, combination, root), they are joined
     at once. `pattern_combos_checked` counts the combinations, empty or not."""
     c, words = idx.columns, list(query.keywords)
-    root, picks = _root_runs(idx, words)[0], []  # each unit's root, and its run of each keyword so far
+    idx.check(words)
     runs = [_pattern_runs(idx, word) for word in words]
-    for run_root, _, _ in runs:  # each unit goes on with each of the next keyword's runs under its root
-        of_root = _run_bounds(run_root)
-        unit, run = _ranges(of_root, run_root[of_root[:-1]].searchsorted(root))
+    of_root = [_run_bounds(run_root) for run_root, _, _ in runs]  # each keyword's root runs, marked once over its runs
+    roots = [run_root[bound[:-1]] for (run_root, _, _), bound in zip(runs, of_root)]
+    # Each unit's root, and its run of each keyword so far; the units start as the candidate roots.
+    root, picks = functools.reduce(functools.partial(np.intersect1d, assume_unique=True), roots), []
+    for bound, distinct in zip(of_root, roots):  # each unit goes on with each of the next keyword's runs under its root
+        unit, run = _ranges(bound, distinct.searchsorted(root))
         root, picks = root[unit], [pick[unit] for pick in picks] + [run]
     combo = [pattern_id[pick] for (_, pattern_id, _), pick in zip(runs, picks)]  # the units are in (root, combo) order
     root_type = c.patterns.elements[c.patterns.starts[combo[0]]].astype(np.int64)  # a pattern starts with its root's type
@@ -339,24 +345,13 @@ def search_linear_enum(
     query: Query,
     stats: Optional[dict] = None,
 ) -> list[tuple[pat.TreePattern, list[ValidSubtree]]]:
-    """Full enumeration: every tree pattern with its complete subtree set."""
-    stats = {} if stats is None else stats
-    rows, patterns = enumerate_rows(idx, query, stats)
-    keys, members = _answers(idx.columns, rows, patterns, np.arange(len(patterns.sizes)))
-    return [(key, span.decode()) for key, span in zip(keys, members)]
-
-
-def enumerate_rows(idx: PathIndex, query: Query, stats: dict) -> tuple[list, Groups]:
-    """The rows (one record id array per keyword) that form trees under the
-    candidate roots, and their tree patterns, counted into `stats`; no member
-    is decoded."""
-    stats.update(_new_stats())
-    candidates, run_start, run_size, tuples = _root_runs(idx, query.keywords)
-    stats["candidate_roots"] = len(candidates)
-    rows = _tree_rows(idx.columns, run_start, run_size, tuples, stats)
-    patterns = _group(idx.columns, rows)
-    stats["patterns_found"] = len(patterns.sizes)
-    return rows, patterns
+    """Full enumeration: every tree pattern with its complete subtree set, best
+    first. It is exact `search_linear_topk` with no bound on k, whose counters
+    go into `stats`, with `patterns_found`."""
+    result = search_linear_topk(graph, idx, Query(query.keywords, sys.maxsize))
+    if stats is not None:
+        stats.update(result.stats, patterns_found=len(result.patterns))
+    return [(sp.pattern, sp.subtrees) for sp in result.patterns]
 
 
 def search_linear_topk(
@@ -535,6 +530,8 @@ def _pattern_key(c, pattern_ids, key: np.ndarray, bound: int) -> np.ndarray:
     radix = len(c.patterns)
     for pattern_id in pattern_ids:
         if bound * radix >= 1 << 63:
+            # Made dense, the key is below the row count, which is under 2^31, and the radix is at most
+            # 2^32 (pattern ids are u4), so the key made from it stays below 2^63.
             dense = _groups(key)
             key, bound = dense.group.astype(np.int64), len(dense.sizes)
         key, bound = key * radix + pattern_id, bound * radix

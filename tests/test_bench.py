@@ -49,6 +49,9 @@ def test_size_bucket():
     assert size_bucket(10) == 100
     assert size_bucket(99) == 100
     assert size_bucket(100) == 1000
+    for k in range(1, 20):  # float log10 put 10^k - 1 one bucket high from k = 15 on
+        assert size_bucket(10**k - 1) == 10**k
+        assert size_bucket(10**k) == 10 ** (k + 1)
 
 
 def test_precision_helper():

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import types
 
 import numpy as np
@@ -279,17 +280,27 @@ class TestAdversarialPatternEnum:
 
 
 def joined_units(monkeypatch, g, idx, query):
-    """pattern-enum's result, and the units it passes `_tree_rows`: each one's (first record, record count) per keyword."""
-    seen, tree_rows = [], search._tree_rows
+    """pattern-enum's result, the units it passes `_tree_rows` (each one's (first record, record count) per
+    keyword), and the `_run_bounds` calls made before; it runs with `_root_runs` patched to raise."""
+    seen, marks, tree_rows, run_bounds = [], [], search._tree_rows, search._run_bounds
 
     def spy(c, run_start, run_size, tuples, stats):
-        seen.append(list(zip(*(zip(s.tolist(), n.tolist()) for s, n in zip(run_start, run_size)))))
+        seen.append((list(zip(*(zip(s.tolist(), n.tolist()) for s, n in zip(run_start, run_size)))), len(marks)))
         return tree_rows(c, run_start, run_size, tuples, stats)
 
+    def counted(*columns):
+        marks.append(columns)
+        return run_bounds(*columns)
+
+    def no_root_runs(*args):
+        raise AssertionError("pattern-enum called _root_runs")
+
     monkeypatch.setattr(search, "_tree_rows", spy)
+    monkeypatch.setattr(search, "_run_bounds", counted)
+    monkeypatch.setattr(search, "_root_runs", no_root_runs)
     result = search_pattern_enum(g, idx, query)
     assert len(seen) == 1
-    return result, seen[0]
+    return (result, *seen[0])
 
 
 class TestPatternEnumUnits:
@@ -308,9 +319,10 @@ class TestPatternEnumUnits:
         else:
             g, idx = sample_graph, sample_index
             words = {"sample": QUERY_WORDS, "one-word": QUERY_WORDS[:1], "absent-word": (QUERY_WORDS[0], "zyzzyva")}[case]
-        result, units = joined_units(monkeypatch, g, idx, Query(words, k=3))
+        result, units, marks = joined_units(monkeypatch, g, idx, Query(words, k=3))
         expected, combos = reference_pattern_units(idx, words)
         assert units == expected
+        assert marks == 2 * len(words)  # each keyword's (root, pattern) runs, then its root runs over them
         assert result.stats["pattern_combos_checked"] == combos
         assert result.stats["empty_combos"] == combos - result.stats["patterns_found"]
         if case == "absent-word":
@@ -324,12 +336,34 @@ class TestPatternEnumUnits:
         idx = build_index(g, compute_pagerank(g), 3)
         query = Query(("w0", "w1", "w2"), k=10)
         penum, topk, stats = search_pattern_enum(g, idx, query), search_linear_topk(g, idx, query), {}
-        search.enumerate_rows(idx, query, stats)
+        search_linear_enum(g, idx, query, stats)
         assert _answers(penum.patterns) == _answers(topk.patterns)
         assert [penum.stats[name] for name in COUNTERS[:3]] == [topk.stats[name] for name in COUNTERS[:3]]
         assert penum.stats["patterns_found"] == stats["patterns_found"]
         assert penum.stats["pattern_combos_checked"] == 1_133_753_937
         assert penum.stats["empty_combos"] == 1_133_753_937 - stats["patterns_found"]
+
+
+@pytest.mark.parametrize("case", [0, 4, 5, 8, 13, "sample"])
+def test_linear_enum_is_exact_topk_with_no_bound_on_k(case, sample_graph, sample_index):
+    """The linear enumeration lists every pattern best first (score
+    descending, then canonical key), with the scores, members and counters
+    of exact linear-topk at k = sys.maxsize."""
+    if isinstance(case, int):
+        g, depth, words = random_instance(case)
+        idx = build_index(g, compute_pagerank(g), depth)
+    else:
+        g, idx, words = sample_graph, sample_index, QUERY_WORDS[:2]
+    stats = {}
+    pairs = search_linear_enum(g, idx, Query(words, k=1), stats)
+    topk = search_linear_topk(g, idx, Query(words, sys.maxsize))
+    ranked = [ScoredPattern.from_members(pattern, members) for pattern, members in pairs]
+    assert len(pairs) > 1
+    assert [(sp.pattern, sp.score.hex()) for sp in sorted(ranked, key=search._by_score)] == [
+        (sp.pattern, sp.score.hex()) for sp in ranked
+    ]
+    assert _answers(ranked) == _answers(topk.patterns)
+    assert stats == {**topk.stats, "patterns_found": len(pairs)}
 
 
 class TestEngineAgreement:
