@@ -11,7 +11,6 @@ are deterministic except for the wall-clock fields.
 from __future__ import annotations
 
 import math
-import sys
 import time
 from dataclasses import dataclass, field
 
@@ -139,10 +138,10 @@ def check_engines(names) -> None:
 
 def _query_size(graph, idx, query) -> tuple[int, int]:
     """The subtree and tree-pattern counts of the query's full enumeration,
-    `search_linear_enum`'s call: exact linear-topk with no bound on k, read
-    from its counters and its answer count; no member is decoded."""
-    result = search_linear_topk(graph, idx, Query(query.keywords, sys.maxsize))
-    return result.stats["subtrees_accepted"], len(result.patterns)
+    read from the counters of exact linear-topk at k = 1, whose join finds
+    every pattern; only the best one is made an answer."""
+    stats = search_linear_topk(graph, idx, Query(query.keywords, 1)).stats
+    return stats["subtrees_accepted"], stats["patterns_found"]
 
 
 def _summaries(timings: list[QueryTiming], bucket_of) -> list[BucketSummary]:

@@ -13,8 +13,9 @@ root entity and end at a node or edge containing the word:
 
 Each entry precomputes the three per-path score terms (node count, PageRank of
 the matched node or of the matched edge's source, Jaccard similarity), so
-query-time scoring is pure arithmetic. `word_matches` computes every entity's
-and attribute's (word, similarity) matches as arrays, from token ids.
+query-time scoring is pure arithmetic; the similarity is stored as the matched
+text's token count n (`word_matches` finds every match's, from token ids) and
+1.0 / n derived. Each stored array is in its file dtype (`record_layout`).
 
 The index holds its records once, as the columns of its KGPX file plus the
 columns those determine (`IndexColumns`, `index_columns`), the tree check's
@@ -59,8 +60,6 @@ from .pagerank import PageRankVector
 # No path is indexed that the baseline engine could not walk: `iter_root_paths`
 # recurses once per node, and a 1,200-node chain overflows Python's stack.
 MAX_PATH_NODES = 255
-# The dtypes of the stored fixed-width record columns pattern_id and sim.
-RECORD_DTYPES = ("<u4", "<f8")
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,8 +102,8 @@ class IndexStats:
 
 class PatternTable(Sequence):
     """The pattern table, in canonical order (a pattern's id is its position),
-    over its `<u2` pattern lengths and all its `<u4` elements, pattern after
-    pattern: pattern i's tuple is made on its first read and kept."""
+    over its `<u2` pattern lengths and all its elements (`record_layout`), pattern
+    after pattern: pattern i's tuple is made on its first read and kept."""
 
     def __init__(self, lengths: np.ndarray, elements: np.ndarray):
         self.lengths, self.elements = lengths, elements
@@ -122,17 +121,17 @@ class PatternTable(Sequence):
         return pattern
 
 
-# Every record of an index: first its stored KGPX columns, that is the pattern
-# table (a `PatternTable`, which holds its lengths and elements), the
-# vocabulary with each word's record count, one array per field of
-# RECORD_DTYPES with one entry per record (word by word, in vocabulary order,
-# each word's root-first), and all records' nodes in one array; then the
-# columns these determine (`index_columns`, `derived_columns`): record j's
-# nodes are nodes[node_off[j]:node_off[j + 1]], and its attributes are its
-# pattern's odd elements; child[t, j] and key[t, j] are its step t's child node
-# and its parent * (n_attrs + 1) + attr, both padded with their dtype's maximum
-# (the tree check's slots). A word's derived rows are valid once it is checked.
-IndexColumns = namedtuple("IndexColumns", "patterns vocab counts pattern_id sim nodes node_off root pr child key")
+# Every record of an index: first its stored KGPX columns, in their file dtypes,
+# that is the pattern table (a `PatternTable`), the vocabulary with each word's
+# record count, pattern_id and tokens (its text's token count) with one entry
+# per record (word by word, in vocabulary order, each word's root-first), and
+# all records' nodes in one array; then the columns these determine
+# (`index_columns`, `derived_columns`): record j's nodes are
+# nodes[node_off[j]:node_off[j + 1]], its attributes its pattern's odd elements
+# and its sim 1.0 / tokens[j]; child[t, j] and key[t, j] are its step t's child
+# node and its parent * (n_attrs + 1) + attr, both padded with their dtype's
+# maximum (the tree check's slots). A word's derived rows are valid once it is checked.
+IndexColumns = namedtuple("IndexColumns", "patterns vocab counts pattern_id tokens nodes node_off root pr sim child key")
 
 
 def node_offsets(pattern_lengths: np.ndarray, pattern_id: np.ndarray) -> np.ndarray:
@@ -144,28 +143,39 @@ def node_offsets(pattern_lengths: np.ndarray, pattern_id: np.ndarray) -> np.ndar
 
 def index_columns(stored: tuple, scores: np.ndarray, n_attrs: int) -> IndexColumns:
     """`stored`, the stored columns from `patterns` to `nodes`, with the columns
-    they determine (`derived_columns`). Every id in `stored` must be in range
-    and no pattern empty."""
-    patterns, _, _, pattern_id, _, nodes = stored
+    they determine (`derived_columns`). Every id in `stored` must be in range,
+    no pattern empty and no token count 0."""
+    patterns, _, _, pattern_id, tokens, nodes = stored
     node_off = node_offsets(patterns.lengths, pattern_id)
-    return IndexColumns(*stored, node_off, *derived_columns(patterns, pattern_id, node_off, nodes, scores, n_attrs))
+    return IndexColumns(*stored, node_off, *derived_columns(patterns, pattern_id, tokens, node_off, nodes, scores, n_attrs))
+
+
+def narrowest(largest: int) -> np.dtype:
+    """The narrowest of the little-endian u1, u2 and u4 that holds every value up to `largest`."""
+    return np.dtype("<u1" if largest < 1 << 8 else "<u2" if largest < 1 << 16 else "<u4")
+
+
+def record_layout(n_patterns: int, n_entities: int, n_types: int, n_attrs: int) -> tuple[np.dtype, np.dtype, np.dtype]:
+    """The dtypes of pattern_id, nodes and the pattern table's elements, given the index's pattern,
+    entity, type and attribute counts: each the narrowest that holds its largest id."""
+    return narrowest(n_patterns - 1), narrowest(n_entities - 1), narrowest(max(n_types, n_attrs) - 1)
 
 
 def slot_layout(lengths: np.ndarray, n_entities: int, n_attrs: int) -> tuple[int, type]:
     """The child and key slots' row count, the steps of the longest pattern of
     this pattern table's lengths, and the keys' dtype: u4 unless a key can
-    reach 2^32 - 1 (children are u4 entity ids)."""
+    reach 2^32 - 1 (the child slots are u4)."""
     return int(lengths.max(initial=0)) // 2, np.uint32 if n_entities * (n_attrs + 1) < 1 << 32 else np.uint64
 
 
-def derived_columns(patterns: PatternTable, pattern_id, node_off, nodes, scores, n_attrs: int) -> tuple:
-    """The root, pr, child and key columns of the records with these pattern
-    ids, `node_off` (`node_offsets`) and nodes, given the pattern table, the
-    PageRank scores and the attribute count. A record's root is its first
-    node, its pr term is the PageRank score of its last node, or on an edge
-    match (a pattern of even length) of the edge's source, the node before it,
-    and its step t joins its nodes t and t + 1 by its attribute t, its
-    pattern's element 2t + 1. Nothing else lays out a record's steps."""
+def derived_columns(patterns: PatternTable, pattern_id, tokens, node_off, nodes, scores, n_attrs: int) -> tuple:
+    """The root, pr, sim, child and key columns of the records with these pattern ids,
+    token counts, `node_off` (`node_offsets`) and nodes, given the pattern table, the
+    PageRank scores and the attribute count. A record's root is its first node, its pr
+    term is the PageRank score of its last node, or on an edge match (a pattern of even
+    length) of the edge's source, the node before it, its sim term 1.0 / its token count
+    (`jaccard_similarity`'s division), and its step t joins its nodes t and t + 1 by its
+    attribute t, its pattern's element 2t + 1. Nothing else lays out a record's steps."""
     n, size, elements = len(pattern_id), patterns.lengths[pattern_id], patterns.elements
     steps = size // 2
     attr = patterns.starts[pattern_id] + 1  # each record's attribute 0, in `elements`
@@ -177,7 +187,7 @@ def derived_columns(patterns: PatternTable, pattern_id, node_off, nodes, scores,
         at = node_off[record] + step
         child[step][record] = nodes[at + 1]
         key[step][record] = nodes[at].astype(key_dtype, copy=False) * (n_attrs + 1) + elements[attr[record] + 2 * step]
-    return nodes[node_off[:-1]], pr, child, key
+    return nodes[node_off[:-1]], pr, 1.0 / tokens, child, key
 
 
 def build_all(cls, *columns: list) -> list:
@@ -386,31 +396,31 @@ def _ranges(off: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def word_matches(graph: KnowledgeGraph) -> tuple[list[str], tuple, tuple]:
     """The graph's vocabulary, sorted, and the word matches of its entities and
-    of its attributes, each as a CSR (offsets, word ids, sims) with each item's
-    words in increasing order. An entity matches each word of its text, with
-    sim 1/|text tokens|, and of its type's name, with sim 1/|type tokens|, and
-    keeps the larger sim of a word in both; an attribute each word of its name."""
+    of its attributes, each as a CSR (offsets, word ids, token counts) with each
+    item's words in increasing order. An entity matches each word of its text
+    (count |text tokens|) and of its type's name (count |type tokens|), keeping
+    the smaller count (the larger sim) of a word in both; an attribute each word of its name."""
     words = sorted(set().union(*graph.entity_token_set, *graph.type_token_set, *graph.attr_token_set))
     word_id = dict(zip(words, range(len(words))))
 
     def tokens(sets: list) -> tuple[np.ndarray, ...]:
-        """Each set's first token, then per token its set, its word id and its sim 1/|set|."""
+        """Each set's first token, then per token its set, its word id and its token count |set|."""
         sizes = np.fromiter(map(len, sets), np.int64, len(sets))
         owner = np.repeat(np.arange(len(sets)), sizes)
         ids = np.fromiter(map(word_id.__getitem__, chain.from_iterable(sets)), np.int64, len(owner))
-        return np.concatenate(([0], np.cumsum(sizes))), owner, ids, 1.0 / sizes[owner]
+        return np.concatenate(([0], np.cumsum(sizes))), owner, ids, sizes[owner]
 
-    def csr(owner: np.ndarray, word: np.ndarray, sim: np.ndarray, n: int) -> tuple:
-        """The CSR of n items' (word, sim) pairs, keeping the larger sim of a repeated (owner, word)."""
-        order = np.lexsort((-sim, word, owner))
-        owner, word, sim = owner[order], word[order], sim[order]
+    def csr(owner: np.ndarray, word: np.ndarray, count: np.ndarray, n: int) -> tuple:
+        """The CSR of n items' (word, token count) pairs, keeping the smaller count of a repeated (owner, word)."""
+        order = np.lexsort((count, word, owner))
+        owner, word, count = owner[order], word[order], count[order]
         first = (np.diff(owner, prepend=-1) != 0) | (np.diff(word, prepend=-1) != 0)
-        return np.concatenate(([0], np.cumsum(np.bincount(owner[first], minlength=n)))), word[first], sim[first]
+        return np.concatenate(([0], np.cumsum(np.bincount(owner[first], minlength=n)))), word[first], count[first]
 
-    type_off, _, type_word, type_sim = tokens(graph.type_token_set)
+    type_off, _, type_word, type_count = tokens(graph.type_token_set)
     owner, at = _ranges(type_off, np.array(graph.entity_type, np.int64))  # each entity's type tokens
     text = tokens(graph.entity_token_set)[1:]
-    entity = csr(*map(np.concatenate, zip(text, (owner, type_word[at], type_sim[at]))), graph.n_entities)
+    entity = csr(*map(np.concatenate, zip(text, (owner, type_word[at], type_count[at]))), graph.n_entities)
     attr = csr(*tokens(graph.attr_token_set)[1:], graph.n_attrs)
     return words, entity, attr
 
@@ -436,9 +446,9 @@ def build_index(graph: KnowledgeGraph, pagerank: PageRankVector, depth: int) -> 
                                  f"{MAX_PATH_NODES} nodes per path; build with a smaller --d")
         paths = np.column_stack((paths[parent[keep]], edges[edge[keep]]))
         groups += [(paths, True), (paths, False)]
-    lengths, elements, parts = [], [], []  # parts: per group, each record's word id, pattern id, sim and path padded with -1
+    lengths, elements, parts = [], [], []  # parts: per group, each record's word id, pattern id, token count and path padded with -1
     for paths, edge_match in groups:
-        off, match_word, match_sim = attr_matches if edge_match else entity_matches
+        off, match_word, match_count = attr_matches if edge_match else entity_matches
         paths = paths[np.diff(off)[paths[:, -1 - edge_match]] > 0]  # the paths with a match
         rows = paths[:, : paths.shape[1] - edge_match].copy()  # the patterns: each node's type in place of the node
         rows[:, ::2] = entity_type[rows[:, ::2]]
@@ -451,16 +461,17 @@ def build_index(graph: KnowledgeGraph, pagerank: PageRankVector, depth: int) -> 
         elements.append(rows[new].ravel())
         owner, at = _ranges(off, paths[:, -1 - edge_match])
         padded = np.pad(paths[owner], ((0, 0), (0, groups[-1][0].shape[1] - paths.shape[1])), constant_values=-1)
-        parts.append((match_word[at], pattern_id[owner], match_sim[at], padded))
-    word, pattern_id, sim, paths = map(np.concatenate, zip(*parts))
+        parts.append((match_word[at], pattern_id[owner], match_count[at], padded))
+    word, pattern_id, tokens, paths = map(np.concatenate, zip(*parts))
     # By word, then root-first, a root's records in the groups' pattern-first order: two stable
     # sorts, each on the narrowest ids (a radix sort at up to 16 bits).
     order = np.argsort(paths[:, 0].astype(np.min_scalar_type(graph.n_entities)), kind="stable")
     order = order[np.argsort(word[order].astype(np.min_scalar_type(len(words))), kind="stable")]
     vocab, counts = np.unique(word, return_counts=True)
-    nodes = paths[order, ::2]
-    stored = PatternTable(np.concatenate(lengths).astype("<u2"), np.concatenate(elements).astype("<u4")),
-    stored += [words[i] for i in vocab.tolist()], counts.astype("<u4"), pattern_id[order].astype("<u4"), sim[order]
-    stored += (nodes[nodes >= 0].astype("<u4"),)
+    nodes, lengths = paths[order, ::2], np.concatenate(lengths).astype("<u2")
+    pid_dtype, node_dtype, element_dtype = record_layout(len(lengths), graph.n_entities, graph.n_types, graph.n_attrs)
+    stored = PatternTable(lengths, np.concatenate(elements).astype(element_dtype)), [words[i] for i in vocab.tolist()]
+    stored += counts.astype("<u4"), pattern_id[order].astype(pid_dtype)
+    stored += tokens[order].astype(narrowest(int(tokens.max(initial=1)))), nodes[nodes >= 0].astype(node_dtype)
     columns = index_columns(stored, pagerank.scores, graph.n_attrs)
     return PathIndex(depth, pagerank, list(graph.type_names), list(graph.attr_names), columns, graph.fingerprint())

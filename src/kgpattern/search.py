@@ -346,11 +346,10 @@ def search_linear_enum(
     stats: Optional[dict] = None,
 ) -> list[tuple[pat.TreePattern, list[ValidSubtree]]]:
     """Full enumeration: every tree pattern with its complete subtree set, best
-    first. It is exact `search_linear_topk` with no bound on k, whose counters
-    go into `stats`, with `patterns_found`."""
+    first; exact `search_linear_topk` with no bound on k, its counters in `stats`."""
     result = search_linear_topk(graph, idx, Query(query.keywords, sys.maxsize))
     if stats is not None:
-        stats.update(result.stats, patterns_found=len(result.patterns))
+        stats.update(result.stats)
     return [(sp.pattern, sp.subtrees) for sp in result.patterns]
 
 
@@ -363,7 +362,8 @@ def search_linear_topk(
 ) -> SearchResult:
     """Type-partitioned linear enumeration with optional root sampling: a join
     over the sampled types' drawn roots picks their k best patterns by
-    estimate, and one exact join reads those and the other types' roots."""
+    estimate, and one exact join reads those and the other types' roots; its
+    patterns, every pattern in exact mode, are the stats' `patterns_found`."""
     may_sample = sampling.rate < 1.0 and sampling.threshold != math.inf
     if may_sample and config.aggregator != "sum":
         raise ParameterError(f"sampling supports only the sum aggregator, not {config.aggregator!r}")
@@ -407,6 +407,7 @@ def search_linear_topk(
     rows = _tree_rows(c, *units, tuples if whole.all() else functools.reduce(np.multiply, units[1]), stats)
 
     patterns = _group(c, rows)
+    stats["patterns_found"] = len(patterns.sizes)
     scores = _pattern_scores(c, rows, patterns, config)
     # The sampled types' patterns are the winners, both in canonical order;
     # an unsampled type's pattern has its score for estimate.
@@ -531,7 +532,7 @@ def _pattern_key(c, pattern_ids, key: np.ndarray, bound: int) -> np.ndarray:
     for pattern_id in pattern_ids:
         if bound * radix >= 1 << 63:
             # Made dense, the key is below the row count, which is under 2^31, and the radix is at most
-            # 2^32 (pattern ids are u4), so the key made from it stays below 2^63.
+            # 2^32 (pattern ids are at most u4), so the key made from it stays below 2^63.
             dense = _groups(key)
             key, bound = dense.group.astype(np.int64), len(dense.sizes)
         key, bound = key * radix + pattern_id, bound * radix

@@ -28,7 +28,8 @@ from kgpattern import patterns as pat
 from kgpattern import search
 from kgpattern.fixtures import load_sample_graph
 from kgpattern.graph import TEXT_TYPE_ID, jaccard_similarity, tokenize
-from kgpattern.pathindex import RECORD_DTYPES, PatternTable, index_columns, iter_root_paths
+from kgpattern.indexio import record_columns
+from kgpattern.pathindex import PatternTable, index_columns, iter_root_paths, narrowest, record_layout
 
 # The same examples on every run: derandomized, and no example database to
 # replay earlier failures from. Each test's own max_examples still applies.
@@ -48,6 +49,16 @@ def pattern_table(patterns) -> PatternTable:
     return PatternTable(lengths, np.fromiter(chain.from_iterable(patterns), "<u4", int(lengths.sum())))
 
 
+def in_file_dtypes(stored, n_entities, n_types, n_attrs) -> tuple:
+    """The stored columns `stored`, `IndexColumns` from `patterns` to `nodes`,
+    in the dtypes `build_index` gives them: the ids in `record_layout`'s, the
+    token counts in the narrowest that holds them."""
+    patterns, vocab, counts, pattern_id, tokens, nodes = stored
+    pid, node, element = record_layout(len(patterns), n_entities, n_types, n_attrs)
+    patterns = PatternTable(patterns.lengths, patterns.elements.astype(element))
+    return patterns, vocab, counts, pattern_id.astype(pid), tokens.astype(narrowest(int(tokens.max(initial=1)))), nodes.astype(node)
+
+
 def with_columns(idx, **changes):
     """A new index over `idx.columns._replace(**changes)`, as `build_index`
     would make it if it wrote those columns; `patterns` may be given as a list
@@ -55,7 +66,8 @@ def with_columns(idx, **changes):
     the derived ones are not recomputed, so it is only fit to serialize."""
     idx.check(idx.vocabulary())
     columns = idx.columns._replace(**changes)
-    columns = columns._replace(patterns=pattern_table(list(columns.patterns)))
+    stored = (pattern_table(list(columns.patterns)), *columns[1:6])
+    columns = columns._replace(**dict(zip(columns._fields, in_file_dtypes(stored, idx.n_entities, idx.n_types, idx.n_attrs))))
     return PathIndex(idx.depth, idx.pagerank, idx.type_names, idx.attr_names, columns, idx.fingerprint)
 
 
@@ -63,8 +75,9 @@ def flipped(blob, idx, word) -> bytes:
     """`blob`, the serialized `idx`, with one bit flipped in the first node of `word`'s records."""
     idx.check([word])
     blob = bytearray(blob)
-    records_at = int.from_bytes(blob[8:12], "little") + 4  # after the header and its CRC
-    blob[records_at + 12 * idx.stats.entry_count + 4 * int(idx.columns.node_off[idx.words[word].start])] ^= 1
+    *records, nodes = record_columns(idx.columns)  # in file order, after the header and its CRC
+    nodes_at = int.from_bytes(blob[8:12], "little") + 4 + sum(column.nbytes for column in records)
+    blob[nodes_at + nodes.itemsize * int(idx.columns.node_off[idx.words[word].start])] ^= 1
     return bytes(blob)
 
 
@@ -88,15 +101,15 @@ def reference_build(graph, pagerank, depth):
     pattern_ids = {p: i for i, p in enumerate(patterns)}
     per_word = {}
     for hit in hits:
-        for word, sim in hit.matches:
-            per_word.setdefault(word, []).append((pattern_ids[hit.pattern], sim, hit.nodes, hit.attrs))
+        for word, sim in hit.matches:  # a sim is 1 / the token count the index stores
+            per_word.setdefault(word, []).append((pattern_ids[hit.pattern], round(1 / sim), hit.nodes, hit.attrs))
     vocab = sorted(per_word)
     *fields, nodes, attrs = zip(*(rec for word in vocab for rec in per_word[word])) if vocab else [()] * 4
-    fields = [np.array(column, dtype) for column, dtype in zip(fields, RECORD_DTYPES)]
+    fields = [np.array(column, np.int64) for column in fields]
     counts = np.array([len(per_word[word]) for word in vocab], dtype="<u8")
     nodes, attrs = (np.fromiter(chain.from_iterable(column), "<u4") for column in (nodes, attrs))
     table = pattern_table(patterns)
-    stored = table, vocab, counts, *fields, nodes
+    stored = in_file_dtypes((table, vocab, counts, *fields, nodes), graph.n_entities, graph.n_types, graph.n_attrs)
     columns = index_columns(stored, pagerank.scores, graph.n_attrs)
     names = list(graph.type_names), list(graph.attr_names)
     return PathIndex(depth, pagerank, *names, columns, graph.fingerprint()), cost_proxy, attrs

@@ -135,15 +135,19 @@ BENCH_QUERIES = ["database software", "company revenue", "database", "software c
 
 
 @pytest.mark.parametrize("case", [None, 0, 1, 2, 3, 4])
-def test_query_sizes_are_those_of_the_full_enumeration(sample_graph, sample_index, case):
+def test_query_sizes_are_those_of_the_full_enumeration(sample_graph, sample_index, case, monkeypatch):
+    """Read from the counters of one exact linear-topk call at k = 1."""
     if case is None:
         graph, idx, queries = sample_graph, sample_index, [Query.from_text(q) for q in BENCH_QUERIES]
     else:
         graph, depth, words = random_instance(case)
         idx, queries = build_index(graph, uniform_pagerank(graph), depth), [Query(words)]
+    asked = []
+    monkeypatch.setattr(bench, "search_linear_topk", lambda g, i, q: asked.append(q.k) or search_linear_topk(g, i, q))
     for query in queries:
         pairs = search_linear_enum(graph, idx, query)
         assert bench._query_size(graph, idx, query) == (sum(len(members) for _, members in pairs), len(pairs))
+    assert asked == [1] * len(queries)
 
 
 def test_bench_json_is_unchanged(tmp_path, capsys, monkeypatch):

@@ -637,7 +637,7 @@ class TestCorruptWord:
         assert "checksum mismatch: the records of word 'springer'" in err
 
     def test_a_version_9_file_is_a_data_error(self, capsys):
-        for version in (9, 10):  # each file written by that KGPX version's `build` of the sample graph
+        for version in (9, 10, 11):  # each file written by that KGPX version's `build` of the sample graph
             old = Path(__file__).resolve().parent / "data" / f"software_kb-v{version}.kgpx"
             for args in (["dump-index"], ["query", "--graph", sample_graph_path(), "--q", "database"]):
                 rc, out, err = self.run(capsys, *args, "--index", old)

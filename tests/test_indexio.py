@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import tempfile
@@ -18,6 +19,7 @@ from kgpattern import (
     compute_pagerank,
     deserialize,
     read_index,
+    search_baseline,
     search_linear_topk,
     search_pattern_enum,
     serialize,
@@ -27,10 +29,11 @@ from kgpattern import (
 from kgpattern import patterns as pat
 from kgpattern.cli import main
 from kgpattern.fixtures import sample_graph_path
-from kgpattern.indexio import FINGERPRINT_BYTES, VERSION
-from kgpattern.pathindex import RECORD_DTYPES
+from kgpattern.indexio import FINGERPRINT_BYTES, VERSION, record_columns
 
 from conftest import flipped, graph_from_text, random_instance, with_columns
+from test_oracle import assert_engines_match_the_oracle
+from test_pathindex import assert_terms_match_recomputation
 
 
 def assert_structurally_equal(a, b):
@@ -109,7 +112,7 @@ def test_bad_magic(sample_index):
         deserialize(bytes(blob))
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9, 99])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 99])
 def test_bad_version(sample_index, version):
     blob = bytearray(serialize(sample_index))
     blob[4:8] = version.to_bytes(4, "little")
@@ -130,7 +133,7 @@ def records_of(idx):
 def with_record(idx, j, **fields):
     """`idx` with the fields of its record j (numbered as in `records_of`)
     replaced, as by `dataclasses.replace`: `pattern` replaces its pattern's
-    table entry."""
+    table entry, and `tokens` sets its stored token count."""
     c = idx.columns
     a, b = int(c.node_off[j]), int(c.node_off[j + 1])
     changes = {}
@@ -139,9 +142,9 @@ def with_record(idx, j, **fields):
             changes["nodes"] = np.concatenate([c.nodes[:a], np.array(value, "<u4"), c.nodes[b:]])
         elif field == "pattern":
             changes["patterns"] = [value if i == c.pattern_id[j] else p for i, p in enumerate(c.patterns)]
-        elif field == "sim_term":
-            changes["sim"] = sim = c.sim.copy()
-            sim[j] = value
+        elif field == "tokens":
+            changes["tokens"] = tokens = c.tokens.copy()
+            tokens[j] = value
     return with_columns(idx, **changes)
 
 
@@ -160,8 +163,10 @@ OUT_OF_RANGE = {
 @pytest.mark.parametrize("corruption", list(OUT_OF_RANGE))
 def test_out_of_range_ids_are_corrupt(sample_graph, corruption):
     idx = build_index(sample_graph, uniform_pagerank(sample_graph), 3)
-    # A record of the table's last pattern, which keeps its place in canonical
-    # order when its type or attribute id grows past the others.
+    # Its ids are u1 (16 entities, 30 patterns, 5 types, 8 attributes), wide
+    # enough for each out-of-range id. A record of the table's last pattern,
+    # which keeps its place in canonical order when its type or attribute id
+    # grows past the others.
     j, rec = next((j, rec) for j, (_, rec) in enumerate(records_of(idx)) if rec.pattern == idx.columns.patterns[-1])
     assert len(rec.nodes) > 1
     error, fields = OUT_OF_RANGE[corruption]
@@ -179,15 +184,30 @@ def test_attributes_are_not_stored(sample_index):
     assert np.array_equal(deserialize(serialize(changed)).columns.key, sample_index.columns.key)
 
 
-# Similarity terms that no index build writes.
-INCONSISTENT = {"sim-inf": math.inf, "sim-zero": 0.0}
+def with_count_width(idx, width) -> bytes:
+    """The file of `idx` with its token count width field set to `width`
+    (the field before the word directory) and sealed with fresh CRCs."""
+    blob = bytearray(serialize(idx))
+    at = header_size(blob) - 12 * len(idx.vocabulary()) - 4
+    blob[at : at + 4] = width.to_bytes(4, "little")
+    return sealed(blob, idx)
+
+
+# Token counts that no index build writes: a record's count of 0, and a
+# count column whose width is none of 1, 2 and 4.
+INCONSISTENT = {
+    "zero-count": ("a record's token count is 0", lambda idx: serialize(with_record(idx, 0, tokens=0))),
+    **{f"count-width-{w}": (f"unsupported token count width {w}", functools.partial(with_count_width, width=w))
+       for w in (0, 3, 8)},
+}
 
 
 @pytest.mark.parametrize("corruption", list(INCONSISTENT))
 def test_inconsistent_records_are_corrupt(sample_graph, corruption):
     idx = build_index(sample_graph, compute_pagerank(sample_graph), 3)
-    with pytest.raises(IndexCorruptError, match="sim term"):
-        deserialize(serialize(with_record(idx, 0, sim_term=INCONSISTENT[corruption])))
+    error, blob = INCONSISTENT[corruption]
+    with pytest.raises(IndexCorruptError, match=error):
+        deserialize(blob(idx))
 
 
 @pytest.mark.parametrize("edit", ["one-short", "nan", "zero"])
@@ -211,21 +231,18 @@ def test_depth_below_the_longest_path_is_corrupt(sample_index, depth):
     blob = bytearray(serialize(sample_index))
     blob[12:16] = depth.to_bytes(4, "little")
     with pytest.raises(IndexCorruptError, match="below 1" if depth == 0 else "more nodes than the index depth"):
-        deserialize(sealed(blob, len(sample_index.vocabulary())))
+        deserialize(sealed(blob, sample_index))
 
 
 def test_pattern_id_past_the_table_is_corrupt(sample_index):
     """No writer stores one, so patch the first record's pattern id in the
-    file and seal it with fresh CRCs."""
+    file and seal it with fresh CRCs. The sample index has 30 patterns: a u1
+    pattern id can hold 30."""
     blob = bytearray(serialize(sample_index))
-    at = records_at(blob)
-    blob[at : at + 4] = len(sample_index.columns.patterns).to_bytes(4, "little")
+    at, width = records_at(blob), record_columns(sample_index.columns)[0].itemsize
+    blob[at : at + width] = len(sample_index.columns.patterns).to_bytes(width, "little")
     with pytest.raises(IndexCorruptError, match="unknown pattern id"):
-        deserialize(sealed(blob, len(sample_index.vocabulary())))
-
-
-# The byte width of each fixed-width record column, in file order.
-WIDTHS = [np.dtype(dtype).itemsize for dtype in RECORD_DTYPES]
+        deserialize(sealed(blob, sample_index))
 
 
 def header_size(blob) -> int:
@@ -238,17 +255,17 @@ def records_at(blob) -> int:
     return header_size(blob) + 4
 
 
-def sealed(blob, n_words) -> bytes:
-    """`blob`, the file of an index of `n_words` words with some bytes
-    patched, with every record CRC of its word directory and its header CRC
-    computed afresh from the directory's counts."""
-    size = header_size(blob)
+def sealed(blob, idx) -> bytes:
+    """`blob`, the file of `idx` with some bytes patched but its record
+    columns' sizes kept, with every record CRC of its word directory and its
+    header CRC computed afresh from the directory's counts."""
+    size, n_words = header_size(blob), len(idx.vocabulary())
     counts = np.frombuffer(bytes(blob[size - 12 * n_words : size - 4 * n_words]), "<u4").reshape(2, -1)
     records, nodes = (list(accumulate(column.tolist(), initial=0)) for column in counts)
-    n = records[-1]
-    pid, sim, node = (np.frombuffer(bytes(blob), dtype, count, size + 4 + at)
-                      for dtype, count, at in (("<u4", n, 0), ("<f8", n, 4 * n), ("<u4", nodes[-1], 12 * n)))
-    crcs = [zlib.crc32(node[c:d], zlib.crc32(sim[a:b], zlib.crc32(pid[a:b])))
+    columns = record_columns(idx.columns)  # their dtypes and sizes, in file order
+    at = accumulate((column.nbytes for column in columns), initial=records_at(blob))
+    pid, tokens, node = (np.frombuffer(bytes(blob), column.dtype, len(column), offset) for column, offset in zip(columns, at))
+    crcs = [zlib.crc32(node[c:d], zlib.crc32(tokens[a:b], zlib.crc32(pid[a:b])))
             for a, b, c, d in zip(records, records[1:], nodes, nodes[1:])]
     out = bytearray(blob)
     out[size - 4 * n_words : size] = np.array(crcs, "<u4").tobytes()
@@ -269,12 +286,15 @@ def swapped(idx, j) -> bytes:
     a, b, end = node_off[j : j + 3]
     assert b - a == end - b  # one node count
     blob = bytearray(serialize(idx))
+    *columns, nodes = record_columns(idx.columns)
     at = records_at(blob)
-    for width in WIDTHS:
+    for column in columns:
+        width = column.itemsize
         swap(blob, at + width * j, at + width * (j + 1), width)
-        at += width * len(records)
-    swap(blob, at + 4 * a, at + 4 * b, 4 * (b - a))  # nodes
-    return sealed(blob, len(idx.vocabulary()))
+        at += column.nbytes
+    width = nodes.itemsize
+    swap(blob, at + width * a, at + width * b, width * (b - a))
+    return sealed(blob, idx)
 
 
 def test_runs_out_of_order_are_corrupt(sample_index):
@@ -313,16 +333,17 @@ def test_pattern_table_out_of_order_is_corrupt(sample_index):
     # vector, the pattern count and the pattern lengths come before the
     # patterns' elements.
     at = 32 + FINGERPRINT_BYTES + 8 + names + 4 + 8 * sample_index.n_entities + 4 + 2 * len(patterns)
-    at += sum(4 * len(p) for p in patterns[:i])
-    size = 4 * len(patterns[i])
+    width = sample_index.columns.patterns.elements.itemsize
+    at += sum(width * len(p) for p in patterns[:i])
+    size = width * len(patterns[i])
     swap(blob, at, at + size, size)
     at = records_at(blob)
-    pid = np.frombuffer(blob, "<u4", len(records), at).copy()
+    pid = np.frombuffer(blob, record_columns(sample_index.columns)[0].dtype, len(records), at).copy()
     was_i, was_next = pid == i, pid == i + 1
     pid[was_i], pid[was_next] = i + 1, i
     blob[at : at + pid.nbytes] = pid.tobytes()
     with pytest.raises(IndexCorruptError, match="pattern table is not in canonical order"):
-        deserialize(sealed(blob, len(sample_index.vocabulary())))
+        deserialize(sealed(blob, sample_index))
 
 
 def with_empty_pattern(idx):
@@ -361,9 +382,11 @@ def test_file_size_is_the_sum_of_its_sections(sample_index):
         return 4 + sum(4 + len(s.encode()) for s in table)
 
     header = 4 + 4 * 3 + 8 * 2 + FINGERPRINT_BYTES + strings(idx.type_names) + strings(idx.attr_names) + 4 + 8 * idx.n_entities
-    patterns = 4 + sum(2 + 4 * len(p) for p in idx.columns.patterns)
-    words = strings(idx.vocabulary()) + 3 * 4 * len(idx.vocabulary())  # the vocabulary and the word directory
-    columns = sum(WIDTHS) * n + 4 * n_nodes
+    pid, tokens, nodes = (column.itemsize for column in record_columns(idx.columns))
+    assert (pid, tokens, nodes, idx.columns.patterns.elements.itemsize) == (1, 1, 1, 1)  # 30 patterns, 16 entities
+    patterns = 4 + sum(2 + len(p) for p in idx.columns.patterns)
+    words = strings(idx.vocabulary()) + 4 + 3 * 4 * len(idx.vocabulary())  # the vocabulary, the count width, the word directory
+    columns = (pid + tokens) * n + nodes * n_nodes
     assert len(serialize(idx)) == header + patterns + words + 4 + columns
 
 
@@ -444,12 +467,12 @@ def test_a_word_whose_nodes_disagree_with_its_directory_is_corrupt(sample_index)
     node_counts[:2] += [1, -1]
     blob[at : at + 4 * n_words] = node_counts.astype("<u4").tobytes()
     with pytest.raises(IndexCorruptError, match="disagree with its directory node count"):
-        deserialize(sealed(blob, n_words))
+        deserialize(sealed(blob, sample_index))
 
 
 def test_a_header_size_past_its_sections_is_corrupt(sample_index):
     """The header size field moves the header CRC 4 bytes on, over the
-    first record's pattern id, and the CRC there is made to hold."""
+    first records' pattern ids, and the CRC there is made to hold."""
     blob = bytearray(serialize(sample_index))
     size = header_size(blob) + 4
     blob[8:12] = size.to_bytes(4, "little")
@@ -539,3 +562,71 @@ def test_checked_words_derive_the_columns_of_a_build(sample_index, words):
         assert np.array_equal(a.child[:, first:last], b.child[:, first:last])
         assert np.array_equal(a.key[:, first:last], b.key[:, first:last])
         assert idx.paths(word) == sample_index.paths(word)
+
+
+def assert_columns_equal(a, b):
+    """The indexes `a` and `b` hold the same columns, stored and derived, in the same dtypes."""
+    for name, x, y in zip(a._fields, a, b):
+        if name == "vocab":
+            assert x == y
+            continue
+        arrays = [(x.lengths, y.lengths), (x.elements, y.elements)] if name == "patterns" else [(x, y)]
+        for u, v in arrays:
+            assert u.dtype == v.dtype and np.array_equal(u, v), name
+
+
+def chain_graph(n_entities):
+    """`n_entities` entities of three types in one chain, each holding one of
+    four words, but the last two (of the largest ids) `near` and `last`."""
+    words = [f"w{i % 4}" for i in range(n_entities - 2)] + ["near", "last"]
+    entities = "".join(f"E e{i} T{i % 3} {word}\n" for i, word in enumerate(words))
+    return graph_from_text(entities + "".join(f"A e{i} r{i % 2} @e{i + 1}\n" for i in range(n_entities - 1)))
+
+
+def typed_graph(n_patterns):
+    """One entity of each of `n_patterns` types, and no edge: each entity's
+    type is one pattern of a d=2 index."""
+    return graph_from_text("".join(f"E e{i} T{i} x\n" for i in range(n_patterns)))
+
+
+def wordy_graph(n_tokens):
+    """An entity whose text has `n_tokens` distinct tokens, reached from
+    another through an attribute of two."""
+    big = " ".join(f"a{i}" for i in range(n_tokens))
+    return graph_from_text(f"E small Thing a1 b\nE big Thing {big}\nA small next_to @big\nA big back @small\n")
+
+
+# Each graph, the query the engines and the oracle answer on it, and the
+# (pattern_id, tokens, nodes, elements) widths its index takes.
+BOUNDARIES = {
+    "entities-256": (lambda: chain_graph(256), ("near", "last"), (1, 1, 1, 1)),
+    "entities-257": (lambda: chain_graph(257), ("near", "last"), (1, 1, 2, 1)),
+    "patterns-255": (lambda: typed_graph(255), ("x",), (1, 1, 1, 1)),  # 256 types with TEXT
+    "patterns-256": (lambda: typed_graph(256), ("x", "t255"), (1, 1, 1, 2)),
+    "patterns-257": (lambda: typed_graph(257), ("x",), (2, 1, 2, 2)),
+    "tokens-255": (lambda: wordy_graph(255), ("a1", "b"), (1, 1, 1, 1)),
+    "tokens-256": (lambda: wordy_graph(256), ("a1", "b"), (1, 2, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("boundary", list(BOUNDARIES))
+def test_widths_at_their_boundaries(tmp_path, boundary):
+    """On either side of each width's boundary, the index file reads back to
+    its own bytes and to the columns of a fresh build, its similarity terms
+    are `jaccard_similarity`'s bits, and every engine on it matches the
+    oracle with the baseline's score bits."""
+    make, words, widths = BOUNDARIES[boundary]
+    g = make()
+    built = build_index(g, compute_pagerank(g), 2)
+    assert tuple(column.itemsize for column in record_columns(built.columns)) + (built.columns.patterns.elements.itemsize,) == widths
+    path = tmp_path / "index.kgpx"
+    write_index(built, path)
+    assert serialize(read_index(path)) == path.read_bytes()
+    read = read_index(path)
+    read.check(read.vocabulary())
+    assert_columns_equal(read.columns, build_index(g, compute_pagerank(g), 2).columns)
+    assert_terms_match_recomputation(g, read)
+    assert_engines_match_the_oracle(g, read, words)
+    query = Query(words, 10**6)
+    baseline = [(sp.pattern, sp.score.hex()) for sp in search_baseline(g, read, query).patterns]
+    assert baseline and [(sp.pattern, sp.score.hex()) for sp in search_linear_topk(g, read, query).patterns] == baseline

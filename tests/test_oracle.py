@@ -129,8 +129,13 @@ def test_every_engine_matches_the_oracle(entities, types, attr_types, avg_out_de
     graph = graph_from_text(generate_graph(cfg))
     vocabulary = [f"w{i}" for i in range(vocab)]
     words = tuple(data.draw(st.lists(st.sampled_from(vocabulary), min_size=1, max_size=3, unique=True)))
-    expected = enumerate_patterns_exhaustive(graph, words, depth)
-    built = build_index(graph, compute_pagerank(graph), depth)
+    assert_engines_match_the_oracle(graph, build_index(graph, compute_pagerank(graph), depth), words)
+
+
+def assert_engines_match_the_oracle(graph, built, words):
+    """`test_every_engine_matches_the_oracle`'s check of the index `built`
+    from `graph` on the query of `words`."""
+    expected = enumerate_patterns_exhaustive(graph, words, built.depth)
     query = Query(words, k=max(1, len(expected)))
 
     scores = {}

@@ -122,6 +122,29 @@ class TestSmallCases:
         assert len(idx.paths("buffalo")) == 1
 
 
+def assert_terms_match_recomputation(g, idx):
+    """Every record of `idx`, built from `g`, holds its pattern and the PageRank
+    and similarity terms recomputed from its path, `jaccard_similarity`'s bits."""
+    pr = idx.pagerank
+    for word in idx.vocabulary():
+        for rec in idx.paths(word):
+            edge_match = pat.is_edge_ending(rec.pattern)
+            assert rec.pattern == pat.path_pattern_of(g, rec.nodes, rec.attrs, edge_match)
+            if edge_match:
+                assert rec.pr_term == pr.scores[rec.nodes[-2]]
+                assert rec.sim_term == jaccard_similarity(word, g.attr_token_set[rec.attrs[-1]])
+            else:
+                assert rec.pr_term == pr.scores[rec.nodes[-1]]
+                tip = rec.nodes[-1]
+                best = max(
+                    jaccard_similarity(word, g.entity_token_set[tip]) if word in g.entity_token_set[tip] else 0.0,
+                    jaccard_similarity(word, g.type_token_set[g.entity_type[tip]])
+                    if word in g.type_token_set[g.entity_type[tip]]
+                    else 0.0,
+                )
+                assert rec.sim_term == best
+
+
 class TestInvariants:
     @pytest.mark.parametrize("case", range(10))
     def test_layout_agreement(self, case):
@@ -180,25 +203,7 @@ class TestInvariants:
     @pytest.mark.parametrize("case", range(6))
     def test_stored_terms_match_recomputation(self, case):
         g, depth, _ = random_instance(case)
-        pr = compute_pagerank(g)
-        idx = build_index(g, pr, depth)
-        for word in idx.vocabulary():
-            for rec in idx.paths(word):
-                edge_match = pat.is_edge_ending(rec.pattern)
-                assert rec.pattern == pat.path_pattern_of(g, rec.nodes, rec.attrs, edge_match)
-                if edge_match:
-                    assert rec.pr_term == pr.scores[rec.nodes[-2]]
-                    assert rec.sim_term == jaccard_similarity(word, g.attr_token_set[rec.attrs[-1]])
-                else:
-                    assert rec.pr_term == pr.scores[rec.nodes[-1]]
-                    tip = rec.nodes[-1]
-                    best = max(
-                        jaccard_similarity(word, g.entity_token_set[tip]) if word in g.entity_token_set[tip] else 0.0,
-                        jaccard_similarity(word, g.type_token_set[g.entity_type[tip]])
-                        if word in g.type_token_set[g.entity_type[tip]]
-                        else 0.0,
-                    )
-                    assert rec.sim_term == best
+        assert_terms_match_recomputation(g, build_index(g, compute_pagerank(g), depth))
 
     @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
     @pytest.mark.parametrize("case", [None, *range(6)])
@@ -399,11 +404,13 @@ def assert_word_matches_equal_the_reference(graph):
     words, *matches = pathindex.word_matches(graph)
     expected_words, *expected = reference_word_matches(graph)
     assert words == expected_words
-    for (offsets, word, sim), (expected_offsets, pairs) in zip(matches, expected):
+    sims = []  # each match's sim term, 1.0 / its token count, as the index derives it
+    for (offsets, word, count), (expected_offsets, pairs) in zip(matches, expected):
         assert offsets.dtype == np.int64 and np.array_equal(offsets, expected_offsets)
         assert word.dtype == np.int64 and word.tolist() == pairs[:, 0].astype(np.int64).tolist()
-        assert sim.dtype == np.float64 and sim.tobytes() == np.ascontiguousarray(pairs[:, 1]).tobytes()
-    return matches
+        assert count.dtype == np.int64 and (1.0 / count).tobytes() == np.ascontiguousarray(pairs[:, 1]).tobytes()
+        sims.append((offsets, word, 1.0 / count))
+    return sims
 
 
 class TestWordMatches:

@@ -527,19 +527,21 @@ def test_sampled_counters_add_both_joins(monkeypatch):
     the winners over (P, b2) of h5. The counters add the sample join's 13
     tuples (9 trees) and the exact join's 24 (18 trees): the winners' own
     runs, 12 tuples under h0, h1 and h5 and 3 under h2-h4, and the 9
-    one-tuple roots of Mid and Leaf. The exact join joins no (P, b2) tuple."""
+    one-tuple roots of Mid and Leaf. The exact join joins no (P, b2) tuple,
+    and `patterns_found` counts its patterns."""
     g = winners_graph()
     idx = build_index(g, uniform_pagerank(g), 3)
     t, a = g.type_names.index, g.attr_names.index
     p = (t("Hub"), a("relA"), t("Mid"), a("of"), t("Leaf"))
     a2, b2 = (t("Hub"), a("relC"), t("KindA")), (t("Hub"), a("relD"), t("KindB"))
-    joins, tree_rows = [], search._tree_rows
+    joins, found, tree_rows = [], [], search._tree_rows
 
     def counted(c, run_start, run_size, tuples, stats):
         before = dict(stats)
         rows = tree_rows(c, run_start, run_size, tuples, stats)
         combos = set(zip(*(map(c.patterns.__getitem__, c.pattern_id[r].tolist()) for r in rows)))
         joins.append(([stats[name] - before[name] for name in COUNTERS[:3]], {x for x in combos if x[0][0] == t("Hub")}))
+        found.append(len(combos))
         return rows
 
     monkeypatch.setattr(search, "_tree_rows", counted)
@@ -549,6 +551,7 @@ def test_sampled_counters_add_both_joins(monkeypatch):
     ]
     assert joins == [([13, 9, 4], {(p, p), (a2, b2), (p, b2)}), ([24, 18, 6], {(p, p), (a2, b2)})]
     assert [result.stats[name] for name in COUNTERS[:3]] == [37, 27, 10]
+    assert result.stats["patterns_found"] == found[1] > 2
 
 
 @pytest.mark.parametrize("n_patterns", [5, 1 << 40, 1 << 32])
