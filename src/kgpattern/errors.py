@@ -40,4 +40,4 @@ class ParameterError(KgPatternError):
 
 
 class TableConsistencyError(KgPatternError):
-    """Subtrees handed to the table renderer do not match the pattern."""
+    """Subtrees handed to the table renderer do not match the pattern or hold a path not at their root."""

@@ -75,7 +75,8 @@ class KnowledgeGraph:
 
     Entities, types and attributes each live in their own id namespace,
     contiguous from 0. Type id 0 is always the reserved TEXT type. Edge lines
-    are stored as read; the edge forms and token sets are made on first read.
+    are stored as read; the edge forms, the token sets and the memo that
+    `tables.render_table` fills (`table_layout`) are made on first read and kept.
     The edge forms hold each edge once, sorted by (source, attribute id, target
     id); edges with the same (source, attribute) may have several targets.
     """
@@ -128,6 +129,11 @@ class KnowledgeGraph:
         names = self.entity_text, ["", *self.type_names[1:]], self.attr_names  # the TEXT type has no text
         token_sets = {text: frozenset(tokenize(text)) for text in set().union(*names)}
         return tuple([token_sets[text] for text in texts] for texts in names)
+
+    @functools.cached_property
+    def table_layout(self) -> dict:
+        """`tables.render_table`'s memo: each path pattern's columns, added on first use."""
+        return {}
 
     entity_token_set = property(lambda self: self._token_sets[0], doc="Each entity's text's tokens.")
     type_token_set = property(lambda self: self._token_sets[1], doc="Each type name's tokens; none for TEXT.")

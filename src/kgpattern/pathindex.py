@@ -35,8 +35,10 @@ tuple on its first read. Nothing else is decoded, laid out or cached beside
 them: the engines join on the columns (see `search`), and the access methods
 read a word's slice directly, finding a root's run by a binary search of its
 sorted roots and a pattern's records by comparing their patterns;
-`decode_records` makes `IndexedPath` objects of just the records asked for,
-taking their attributes from their patterns.
+`decode_records` makes `IndexedPath` named tuples of just the records asked
+for, all in one C-level map over their fields, taking their attributes from
+their patterns. The only thing memoized is each pattern's tuple, kept by the
+pattern table for the index's life.
 
 Literal (dummy TEXT) entities are never used as roots: they stand for
 attribute *values*, carry no type, and cannot anchor a table answer. They do
@@ -44,11 +46,11 @@ appear as path terminals.
 """
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -62,8 +64,7 @@ from .pagerank import PageRankVector
 MAX_PATH_NODES = 255
 
 
-@dataclass(frozen=True, slots=True)
-class IndexedPath:
+class IndexedPath(NamedTuple):
     """One materialized root-to-match path for one word; its root is
     `nodes[0]`, and it is an edge match when its pattern has even length."""
 
@@ -190,15 +191,6 @@ def derived_columns(patterns: PatternTable, pattern_id, tokens, node_off, nodes,
     return nodes[node_off[:-1]], pr, 1.0 / tokens, child, key
 
 
-def build_all(cls, *columns: list) -> list:
-    """`list(map(cls, *columns))` for a slots dataclass without `__post_init__`, setting each field
-    of all objects through its slot descriptor: under half the cost of a frozen `__init__`."""
-    objects = list(map(object.__new__, repeat(cls, len(columns[0]))))
-    for name, values in zip(cls.__slots__, columns):
-        deque(map(getattr(cls, name).__set__, objects, values), maxlen=0)
-    return objects
-
-
 def decode_records(c: IndexColumns, ids: np.ndarray) -> list[IndexedPath]:
     """The `IndexedPath` of each record in `ids`, in that order, of Python ints
     and floats; a record's attributes are its pattern's odd elements."""
@@ -209,15 +201,9 @@ def decode_records(c: IndexColumns, ids: np.ndarray) -> list[IndexedPath]:
     nodes = tuple(c.nodes[np.repeat(first - at[:-1], size) + np.arange(at[-1])].tolist())
     at = at.tolist()
     patterns = list(map(c.patterns.__getitem__, c.pattern_id[ids].tolist()))
-    return build_all(
-        IndexedPath,
-        [nodes[a:b] for a, b in zip(at, at[1:])],
-        [pattern[1::2] for pattern in patterns],
-        size.tolist(),
-        c.pr[ids].tolist(),
-        c.sim[ids].tolist(),
-        patterns,
-    )
+    fields = zip([nodes[a:b] for a, b in zip(at, at[1:])], [pattern[1::2] for pattern in patterns], size.tolist(),
+                 c.pr[ids].tolist(), c.sim[ids].tolist(), patterns)
+    return list(map(tuple.__new__, repeat(IndexedPath), fields))  # each a named tuple of its fields
 
 
 def iter_root_paths(

@@ -47,9 +47,10 @@ runs of the sorted key, as it does the root and (root, pattern) runs. No word
 is decoded, and members are materialized late: ``_answers`` keeps only the k
 returned patterns' rows, and the first read of any returned pattern's
 ``subtrees`` makes all k patterns' member subtrees in one ``_members`` call,
-whose ``IndexedPath`` objects are only the records those rows use. Rejected
-rows are counted in stats. Ordering is deterministic end to end: scores
-descending, canonical pattern key ascending, members by (root, path keys).
+whose ``IndexedPath`` and ``ValidSubtree`` named tuples (one C-level map
+each, nothing memoized) are only those the rows use. Rejected rows are
+counted in stats. Ordering is deterministic end to end: scores descending,
+canonical pattern key ascending, members by (root, path keys).
 """
 from __future__ import annotations
 
@@ -60,14 +61,14 @@ import math
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import patterns as pat
 from .errors import ParameterError, ScoreDomainError
 from .graph import TEXT_TYPE_ID, KnowledgeGraph, tokenize
-from .pathindex import IndexedPath, PathIndex, _ranges, build_all, decode_records, iter_root_paths
+from .pathindex import IndexedPath, PathIndex, _ranges, decode_records, iter_root_paths
 from .scoring import DEFAULT_CONFIG, ScoringConfig, pattern_score, power, require_finite, tree_score
 
 
@@ -106,8 +107,7 @@ class SamplingConfig:
 EXACT_SAMPLING = SamplingConfig()
 
 
-@dataclass(frozen=True, slots=True)
-class ValidSubtree:
+class ValidSubtree(NamedTuple):
     """A concrete answer tree: one indexed path per keyword, joined at `root`."""
 
     root: int
@@ -593,7 +593,7 @@ def _members(c, rows: list) -> list[ValidSubtree]:
     used = _groups(ids)
     paths = decode_records(c, ids[used.first_row])
     columns = [list(map(paths.__getitem__, column)) for column in used.group.reshape(len(rows), -1).tolist()]
-    return build_all(ValidSubtree, c.root[rows[0]].tolist(), list(zip(*columns)))
+    return list(map(tuple.__new__, itertools.repeat(ValidSubtree), zip(c.root[rows[0]].tolist(), zip(*columns))))
 
 
 def _answers(c, rows: list, patterns: Groups, chosen: np.ndarray) -> tuple[list[pat.TreePattern], list[_Span]]:

@@ -4,13 +4,20 @@ One row per subtree. Columns are the union over keywords of the per-path
 pattern prefixes, left to right in keyword order and then by depth, with
 identical prefixes merged once (two keywords routed through the same typed
 step share one column). Cells hold entity display texts; literal nodes render
-their raw text. In the rare case where one merged column is fed by several
-keywords binding different nodes of the same subtree, the distinct texts are
-joined with "; " so nothing is lost.
+their raw text. Where one merged column is fed by several keywords binding
+different nodes of the same subtree, the distinct texts are joined with "; "
+so nothing is lost. Every path of a subtree starts at its root
+(`render_table` checks it), so the root's column is read once.
 
 Column names: the type name for typed-node columns, the attribute name for
 literal-valued and edge-ending columns, and the full dotted path when two
 distinct columns would otherwise collide on the same name.
+
+A table's layout depends on its tree pattern alone, and each path pattern's
+part of it on that path pattern alone. So the graph memoizes
+(`KnowledgeGraph.table_layout`), for its life, each path pattern's columns
+with their display and dotted names, made from its prefix's; a table only
+merges its paths' columns. Nothing is keyed by query, tree pattern or answer.
 """
 from __future__ import annotations
 
@@ -34,77 +41,77 @@ class TableAnswer:
 
     def to_text(self) -> str:
         names = self.column_names
-        widths = [len(n) for n in names]
-        for row in self.rows:
-            for i, cell in enumerate(row):
-                widths[i] = max(widths[i], len(cell))
-        lines = [
-            " | ".join(n.ljust(widths[i]) for i, n in enumerate(names)),
-            "-+-".join("-" * w for w in widths),
-        ]
-        for row in self.rows:
-            lines.append(" | ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
+        widths = [max(map(len, column)) for column in zip(names, *self.rows)]
+        lines = [" | ".join(map(str.ljust, row, widths)) for row in (names, *self.rows)]
+        lines.insert(1, "-+-".join("-" * w for w in widths))
         return "\n".join(lines)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.column_names)
-        writer.writerows(self.rows)
+        writer.writerows([self.column_names, *self.rows])
         return buf.getvalue()
 
     def to_json_dict(self) -> dict:
         return {"columns": self.column_names, "rows": self.rows}
 
 
-def _columns(tree_pattern) -> dict[tuple, list[tuple[int, int]]]:
-    """Column key -> the (keyword position, node position) pairs feeding that
-    column, with the keys in column order (left to right)."""
-    feeders: dict[tuple, list[tuple[int, int]]] = {}
-    for kw_pos, path_pattern in enumerate(tree_pattern):
-        edge_ending = pat.is_edge_ending(path_pattern)
-        n_listed = len(path_pattern) // 2 + (0 if edge_ending else 1)
-        for depth in range(n_listed):
-            feeders.setdefault(path_pattern[: 2 * depth + 1], []).append((kw_pos, depth))
-        if edge_ending:  # the edge's own column shows its target node
-            feeders.setdefault(path_pattern, []).append((kw_pos, len(path_pattern) // 2))
-    return feeders
-
-
-def _display_name(graph: KnowledgeGraph, key: tuple) -> str:
-    if len(key) % 2 == 0:  # edge-ending column: named after the attribute
-        return graph.attr_names[key[-1]]
-    type_id = key[-1]
-    if type_id == TEXT_TYPE_ID and len(key) > 1:
-        return graph.attr_names[key[-2]]  # literal column: attribute carries the name
-    return graph.type_names[type_id]
+def _path_columns(graph: KnowledgeGraph, layout: dict, pattern: pat.PathPattern) -> list[tuple[tuple, int, str, str]]:
+    """The (column key, node position, display name, dotted name) of each node of a
+    path of this pattern, root first, memoized in `layout` with its prefixes': node
+    d is keyed by the pattern's prefix up to its type (an edge match's target by the
+    whole pattern), and its dotted name extends node d - 1's."""
+    n = len(pattern)
+    prefix = pattern[: n - 1 - n % 2]  # the columns before this pattern's last node, none for the root's
+    columns = (layout.get(prefix) or _path_columns(graph, layout, prefix)) if prefix else []
+    if n % 2 == 0:  # an edge-ending column is named after its attribute
+        name = graph.attr_names[pattern[-1]]
+        dotted = f"{columns[-1][3]}.{name}"
+    else:
+        name = graph.type_names[pattern[-1]]
+        dotted = f"{columns[-1][3]}.{graph.attr_names[pattern[-2]]}.{name}" if prefix else name
+        if pattern[-1] == TEXT_TYPE_ID and prefix:  # a literal column is named after its attribute
+            name = graph.attr_names[pattern[-2]]
+    columns = layout[pattern] = [*columns, (pattern, n // 2, name, dotted)]
+    return columns
 
 
 def render_table(graph: KnowledgeGraph, tree_pattern, subtrees) -> TableAnswer:
     """Build the table answer for `tree_pattern` from its member subtrees."""
-    for subtree in subtrees:
-        if subtree.tree_pattern() != tuple(tree_pattern):
-            raise TableConsistencyError(f"subtree rooted at {subtree.root} does not match the pattern")
+    tree_pattern = tuple(tree_pattern)
+    for root, paths in subtrees:
+        if len(paths) != len(tree_pattern):
+            raise TableConsistencyError(f"subtree rooted at {root} does not match the pattern")
+        for pattern, path in zip(tree_pattern, paths):
+            if path.pattern != pattern or path.nodes[0] != root:
+                raise TableConsistencyError(f"subtree rooted at {root} does not match the pattern or its root")
 
-    feeders = _columns(tree_pattern)
-    keys = list(feeders)
-    names = [_display_name(graph, key) for key in keys]
+    # Column j is keyed by the key `index` maps to j, named names[j] (dotted[j] on a collision) and fed
+    # by cells[j], a (keyword position, node position), and by shared[j] too when several keywords feed it.
+    layout = graph.table_layout
+    index, cells, names, dotted, shared = {}, [], [], [], {}
+    for kw_pos, pattern in enumerate(tree_pattern):
+        for key, node_pos, name, path_name in layout.get(pattern) or _path_columns(graph, layout, pattern):
+            j = index.get(key)
+            if j is None:
+                index[key] = len(cells)
+                cells.append((kw_pos, node_pos))
+                names.append(name)
+                dotted.append(path_name)
+            elif node_pos:  # the root's column is read once
+                shared.setdefault(j, []).append((kw_pos, node_pos))
     if len(set(names)) < len(names):  # columns that share a name are named by their paths
-        names = [pat.pattern_names(graph, key) if names.count(name) > 1 else name for key, name in zip(keys, names)]
+        names = [path_name if names.count(name) > 1 else name for name, path_name in zip(names, dotted)]
 
-    text, columns, rows = graph.entity_text, list(feeders.values()), []
-    for subtree in subtrees:
-        paths, row = subtree.paths, []
-        for col_feeders in columns:
-            if len(col_feeders) == 1:  # one feeder: its text is the cell
-                kw_pos, node_pos = col_feeders[0]
-                row.append(text[paths[kw_pos].nodes[node_pos]])
-                continue
-            values: list[str] = []
-            for kw_pos, node_pos in col_feeders:
+    text, rows = graph.entity_text, []
+    for _, paths in subtrees:
+        row = [text[paths[kw_pos].nodes[node_pos]] for kw_pos, node_pos in cells]
+        rows.append(row)
+        for j, more in shared.items():  # a column fed by several keywords joins their distinct texts
+            values = [row[j]]
+            for kw_pos, node_pos in more:
                 cell = text[paths[kw_pos].nodes[node_pos]]
                 if cell not in values:
                     values.append(cell)
-            row.append("; ".join(values))
-        rows.append(row)
-    return TableAnswer(list(zip(keys, names)), rows)
+            row[j] = "; ".join(values)
+    return TableAnswer(list(zip(index, names)), rows)

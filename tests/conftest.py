@@ -15,6 +15,8 @@ from kgpattern import (
     PathIndex,
     Query,
     ScoredPattern,
+    TableAnswer,
+    TableConsistencyError,
     build_index,
     compute_pagerank,
     estimate_pattern_score,
@@ -266,6 +268,47 @@ def reference_pattern_units(idx, words):
             for root in sorted(set(root_runs[0]).intersection(*root_runs[1:])):
                 units.append(tuple(run[root] for run in root_runs))
     return units, combos
+
+
+def reference_render_table(graph, tree_pattern, subtrees) -> TableAnswer:
+    """The table answer `render_table` makes, laid out per table and rendered
+    cell by cell: each column's feeders are every (keyword position, node
+    position) under its prefix key, a cell joins its feeders' distinct texts
+    with "; " (the root's column too), and colliding display names become
+    dotted paths. Checks only that each member's tree pattern is `tree_pattern`."""
+    for subtree in subtrees:
+        if subtree.tree_pattern() != tuple(tree_pattern):
+            raise TableConsistencyError(f"subtree rooted at {subtree.root} does not match the pattern")
+    feeders = {}
+    for kw_pos, path_pattern in enumerate(tree_pattern):
+        edge_ending = pat.is_edge_ending(path_pattern)
+        for depth in range(len(path_pattern) // 2 + (0 if edge_ending else 1)):
+            feeders.setdefault(path_pattern[: 2 * depth + 1], []).append((kw_pos, depth))
+        if edge_ending:  # the edge's own column shows its target node
+            feeders.setdefault(path_pattern, []).append((kw_pos, len(path_pattern) // 2))
+
+    def display_name(key):
+        if len(key) % 2 == 0:
+            return graph.attr_names[key[-1]]
+        if key[-1] == TEXT_TYPE_ID and len(key) > 1:
+            return graph.attr_names[key[-2]]
+        return graph.type_names[key[-1]]
+
+    keys = list(feeders)
+    names = [display_name(key) for key in keys]
+    names = [pat.pattern_names(graph, key) if names.count(name) > 1 else name for key, name in zip(keys, names)]
+    rows = []
+    for subtree in subtrees:
+        row = []
+        for column in feeders.values():
+            values = []
+            for kw_pos, node_pos in column:
+                cell = graph.entity_text[subtree.paths[kw_pos].nodes[node_pos]]
+                if cell not in values:
+                    values.append(cell)
+            row.append("; ".join(values))
+        rows.append(row)
+    return TableAnswer(list(zip(keys, names)), rows)
 
 
 def tree_height(tree_pattern):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgpattern import GenConfig, ParameterError, build_index, compute_pagerank, generate_graph, uniform_pagerank
+from kgpattern import GenConfig, ParameterError, ValidSubtree, build_index, compute_pagerank, generate_graph, uniform_pagerank
 from kgpattern import kernels, pathindex
 from kgpattern import patterns as pat
 from kgpattern.graph import jaccard_similarity
@@ -28,6 +28,30 @@ def test_from_hit_copies_the_hit_per_match(sample_graph, sample_index):
             assert (rec.nodes[0], rec.nodes, rec.attrs, rec.pattern) == (root, hit.nodes, hit.attrs, hit.pattern)
             assert (rec.node_count, rec.pr_term, rec.sim_term) == (len(hit.nodes), hit.pr_term, sim)
             assert rec in sample_index.paths(word, pattern=hit.pattern, root=root)
+
+
+def test_path_objects_are_named_tuples():
+    """`IndexedPath` and `ValidSubtree` are named tuples of their fields: the
+    repr a dataclass of those fields had, the hash of the field tuple, no
+    assignment, and the methods they had."""
+    path = IndexedPath((3, 7), (2,), 2, 0.25, 0.5, (1, 2, 4))
+    other = IndexedPath((3,), (), 1, 0.125, 1.0, (1,))
+    member = ValidSubtree(3, (path, other))
+    assert repr(path) == "IndexedPath(nodes=(3, 7), attrs=(2,), node_count=2, pr_term=0.25, sim_term=0.5, pattern=(1, 2, 4))"
+    assert repr(member) == (
+        "ValidSubtree(root=3, paths=(IndexedPath(nodes=(3, 7), attrs=(2,), node_count=2, pr_term=0.25, sim_term=0.5, "
+        "pattern=(1, 2, 4)), IndexedPath(nodes=(3,), attrs=(), node_count=1, pr_term=0.125, sim_term=1.0, pattern=(1,))))"
+    )
+    assert hash(path) == hash(((3, 7), (2,), 2, 0.25, 0.5, (1, 2, 4)))
+    assert hash(member) == hash((3, (path, other)))
+    for obj, field in ((path, "nodes"), (path, "sim_term"), (member, "root"), (member, "paths")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+    assert path.sort_key() == ((3, (1, 2, 4)), (3, 7), (2,))
+    assert member.sort_key() == (3, (path.sort_key(), other.sort_key()))
+    assert member.tree_pattern() == ((1, 2, 4), (1,))
+    hit = pathindex.PathHit((3, 7), (2,), (1, 2, 4), 0.25, [("w", 0.5)])
+    assert IndexedPath.from_hit(hit, 0.5) == path and type(IndexedPath.from_hit(hit, 0.5)) is IndexedPath
 
 
 class TestSampleGraph:

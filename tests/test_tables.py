@@ -1,16 +1,31 @@
+import io
+
 import pytest
 
 from kgpattern import (
+    GenConfig,
+    IndexedPath,
     Query,
+    SamplingConfig,
     TableConsistencyError,
+    ValidSubtree,
     build_index,
+    compute_pagerank,
+    generate_graph,
+    load_graph,
     render_table,
     search_baseline,
+    search_linear_enum,
+    search_linear_topk,
+    search_pattern_enum,
     uniform_pagerank,
 )
 from kgpattern import patterns as pat
+from kgpattern.fixtures import load_sample_graph
 
-from conftest import graph_from_text
+from conftest import QUERY_WORDS, graph_from_text, random_instance, reference_render_table
+
+DIVERGENT = "E r Root hub\nE a Thing alpha\nE b Thing beta\nA r link @a\nA r link @b\n"
 
 
 def top_pattern(graph, idx, words, k=5):
@@ -76,13 +91,7 @@ def test_name_collision_disambiguated():
 
 def test_divergent_bindings_join_values():
     # two same-pattern sibling paths: one merged column shows both entities
-    g = graph_from_text(
-        "E r Root hub\n"
-        "E a Thing alpha\n"
-        "E b Thing beta\n"
-        "A r link @a\n"
-        "A r link @b\n"
-    )
+    g = graph_from_text(DIVERGENT)
     idx = build_index(g, uniform_pagerank(g), 2)
     sp = top_pattern(g, idx, ("alpha", "beta"))
     table = render_table(g, sp.pattern, sp.subtrees)
@@ -99,3 +108,97 @@ def test_text_and_csv_render(sample_graph, sample_index):
     assert csv_text.splitlines()[0] == "Software,Genre,Company,Revenue"
     assert len(csv_text.splitlines()) == 3
     assert table.to_json_dict()["columns"] == table.column_names
+
+
+def test_a_path_not_at_its_members_root_raises():
+    """A member whose paths do not all start at its root is no subtree of its
+    pattern: the per-cell renderer showed both roots in the root column."""
+    g = graph_from_text("E r Root hub\nE s Root spoke\nE a Thing alpha\nE b Thing beta\nA r link @a\nA s link @b\n")
+    link = (g.type_names.index("Root"), g.attr_names.index("link"), g.type_names.index("Thing"))
+    r, s, a, b = (g.key_to_id[key] for key in "rsab")
+    first, second = IndexedPath((r, a), link[1:2], 2, 0.25, 1.0, link), IndexedPath((s, b), link[1:2], 2, 0.25, 1.0, link)
+    member = ValidSubtree(r, (first, second))
+    assert reference_render_table(g, (link, link), [member]).rows == [["hub; spoke", "alpha; beta"]]
+    with pytest.raises(TableConsistencyError, match="or its root"):
+        render_table(g, (link, link), [member])
+    with pytest.raises(TableConsistencyError, match="or its root"):
+        render_table(g, (link, link), [ValidSubtree(s, (second, first))])
+    assert render_table(g, (link, link), [ValidSubtree(r, (first, first))]).rows == [["hub", "alpha"]]
+
+
+def test_a_member_with_a_path_too_many_or_too_few_raises(sample_graph, sample_index):
+    sp = top_pattern(sample_graph, sample_index, ("company", "revenue"))
+    root, paths = sp.subtrees[0]
+    for wrong in (paths[:1], paths + paths[:1]):
+        with pytest.raises(TableConsistencyError):
+            render_table(sample_graph, sp.pattern, [ValidSubtree(root, wrong)])
+
+
+def all_engines_answers(graph, idx, words, k):
+    """(tree pattern, members) of every answer of all four engines, and of
+    linear-topk in sampled mode."""
+    query = Query(words, k)
+    results = [
+        search_baseline(graph, idx, query),
+        search_pattern_enum(graph, idx, query),
+        search_linear_topk(graph, idx, query),
+        search_linear_topk(graph, idx, query, SamplingConfig(0, 0.2, 1)),
+    ]
+    answers = [(sp.pattern, sp.subtrees) for result in results for sp in result.patterns]
+    return answers + search_linear_enum(graph, idx, query)
+
+
+def random_case(case):
+    g, depth, words = random_instance(case)
+    idx = build_index(g, compute_pagerank(g), depth)
+    vocabulary = idx.vocabulary()
+    return g, idx, [words, words[:2], tuple(vocabulary[:2]), tuple(vocabulary[-3:])]
+
+
+def sample_case():
+    g = load_sample_graph()
+    return g, build_index(g, compute_pagerank(g), 3), [QUERY_WORDS, QUERY_WORDS[:2], ("relational", "database"), ("sql",)]
+
+
+def divergent_case():
+    g = graph_from_text(DIVERGENT)
+    return g, build_index(g, uniform_pagerank(g), 2), [("alpha", "beta"), ("hub", "alpha")]
+
+
+def edge_collision_case():
+    """Edge-ending and literal columns named after one attribute."""
+    g = graph_from_text('E r Root hub\nE a Thing alpha\nA r link @a\nA a link "some text"\n')
+    return g, build_index(g, uniform_pagerank(g), 3), [("link", "text"), ("link", "alpha")]
+
+
+def two_type_case():
+    """A graph of two types and two attributes, where most tables have two
+    columns of one display name."""
+    g = load_graph(io.StringIO(generate_graph(GenConfig(120, 2, 2, 2.5, 12, seed=5))))
+    return g, build_index(g, compute_pagerank(g), 3), [("w0", "w1"), ("w0", "w1", "w2"), ("w2", "w3")]
+
+
+RENDER_CASES = {
+    **{f"random-{case}": lambda case=case: random_case(case) for case in range(16)},
+    "sample": sample_case,
+    "divergent": divergent_case,
+    "edge-collision": edge_collision_case,
+    "two-types": two_type_case,
+}
+
+
+@pytest.mark.parametrize("case", list(RENDER_CASES))
+def test_render_equals_the_per_cell_reference(case):
+    """Columns, names and rows of every answer of every engine equal the
+    per-cell renderer's, on a fresh graph and again with the graph's layout
+    memo filled."""
+    g, idx, queries = RENDER_CASES[case]()
+    answers = [answer for words in queries for k in (1, 10, 100) for answer in all_engines_answers(g, idx, words, k)]
+    assert answers
+    for _ in range(2):
+        for pattern, members in answers:
+            table, expected = render_table(g, pattern, members), reference_render_table(g, pattern, members)
+            assert (table.columns, table.column_names, table.rows) == (expected.columns, expected.column_names, expected.rows)
+    if case == "two-types":
+        dotted = [pattern for pattern, members in answers if any("." in name for name in render_table(g, pattern, members).column_names)]
+        assert len(dotted) > len(answers) / 2
