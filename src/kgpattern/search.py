@@ -33,24 +33,24 @@ with one run of records per keyword, and its rows are the runs' cross product.
 The join reads the index as stored, so a query sorts no records and builds no
 steps: a keyword's records under a root are one run of its root-first slice,
 and those of one pattern one run within it. ``_root_runs`` finds linear-topk's
-root runs (and candidate roots), ``_pattern_runs`` the (root, pattern) runs,
-which sampled ``search_linear_topk`` reads (``_combo_runs`` searches their
-keys for its winners' other runs) and ``search_pattern_enum`` crosses, marking
-each keyword's root runs once over them. ``_tree_rows`` keeps the rows whose
-paths' union is a rooted tree, reading the picked records' step slots
-(`IndexColumns.child` and `key`); ``_group`` groups them by tree pattern;
-``_pattern_scores`` scores each pattern with the arithmetic of ``tree_score``
-and ``pattern_score``, and ``_top`` picks the k best by a partition. No
-``np.unique`` runs: ``_groups`` finds the distinct values of a key (patterns,
-records, score factors) by one stable argsort, and ``_run_bounds`` marks the
-runs of the sorted key, as it does the root and (root, pattern) runs. No word
-is decoded, and members are materialized late: ``_answers`` keeps only the k
-returned patterns' rows, and the first read of any returned pattern's
-``subtrees`` makes all k patterns' member subtrees in one ``_members`` call,
-whose ``IndexedPath`` and ``ValidSubtree`` named tuples (one C-level map
-each, nothing memoized) are only those the rows use. Rejected rows are
-counted in stats. Ordering is deterministic end to end: scores descending,
-canonical pattern key ascending, members by (root, path keys).
+root runs (and candidate roots), ``_pattern_runs`` the (root, pattern) runs.
+One finder, ``_combo_units``, crosses those keyword by keyword into (root,
+combination) units, for ``search_pattern_enum`` and for a sampled
+``search_linear_topk``'s winners; no unit's run is found by a binary search.
+``_tree_rows`` keeps the rows whose paths' union is a rooted tree, reading the
+picked records' step slots (`IndexColumns.child` and `key`); ``_group`` groups
+them by tree pattern; ``_pattern_scores`` scores each pattern with the
+arithmetic of ``tree_score`` and ``pattern_score``, and ``_top`` picks the k
+best by a partition. No ``np.unique`` runs: ``_groups`` finds the distinct
+values of a key (patterns, records, score factors) by one stable argsort, and
+``_run_bounds`` marks the runs of the sorted key, as it does the root and
+(root, pattern) runs. No word is decoded, and members are materialized late:
+``_answers`` keeps only the k returned patterns' rows, and the first read of
+any returned pattern's ``subtrees`` makes all k patterns' member subtrees in
+one ``_members`` call, whose ``IndexedPath`` and ``ValidSubtree`` named tuples
+(one C-level map each, nothing memoized) are only those the rows use. Rejected
+rows are counted in stats. Ordering is deterministic end to end: scores
+descending, canonical pattern key ascending, members by (root, path keys).
 """
 from __future__ import annotations
 
@@ -312,14 +312,7 @@ def search_pattern_enum(
     at once. `pattern_combos_checked` counts the combinations, empty or not."""
     c, words = idx.columns, list(query.keywords)
     idx.check(words)
-    runs = [_pattern_runs(idx, word) for word in words]
-    of_root = [_run_bounds(run_root) for run_root, _, _ in runs]  # each keyword's root runs, marked once over its runs
-    roots = [run_root[bound[:-1]] for (run_root, _, _), bound in zip(runs, of_root)]
-    # Each unit's root, and its run of each keyword so far; the units start as the candidate roots.
-    root, picks = functools.reduce(functools.partial(np.intersect1d, assume_unique=True), roots), []
-    for bound, distinct in zip(of_root, roots):  # each unit goes on with each of the next keyword's runs under its root
-        unit, run = _ranges(bound, distinct.searchsorted(root))
-        root, picks = root[unit], [pick[unit] for pick in picks] + [run]
+    runs, picks = _combo_units(idx, words)
     combo = [pattern_id[pick] for (_, pattern_id, _), pick in zip(runs, picks)]  # the units are in (root, combo) order
     root_type = c.patterns.elements[c.patterns.starts[combo[0]]].astype(np.int64)  # a pattern starts with its root's type
     order = _pattern_key(c, combo, root_type, idx.n_types).argsort(kind="stable")  # the paper's: (root type, combo, root)
@@ -393,17 +386,15 @@ def search_linear_topk(
         guesses = _pattern_scores(c, rows, patterns, config) / rates[at]
         of_types = ((types[at] == t).nonzero()[0] for t in types[at][_groups(types[at]).first_row])
         winners = np.sort(np.concatenate([np.zeros(0, np.int64), *(of[_top(guesses[of], query.k)] for of in of_types)]))
-        # Each winner's units: the roots of its first pattern's runs in the first keyword's records.
         combos = [c.pattern_id[record[patterns.first_row[winners]]] for record in rows]  # one id per winner
-        run_root, run_pattern, off = _pattern_runs(idx, query.keywords[0])
-        hit = np.isin(run_pattern, combos[0]).nonzero()[0]
-        by_first = combos[0].argsort(kind="stable")  # each hit run's winners, in winner order, by sort-merge
-        bound = _run_bounds(ordered := combos[0][by_first])
-        unit, at = _ranges(bound, ordered[bound[:-1]].searchsorted(run_pattern[hit]))
-        run = hit[unit]  # each unit's first-keyword run; `_combo_runs` finds the other keywords'
-        full, starts, sizes = _combo_runs(idx, query.keywords[1:], run_root[run], [combo[by_first[at]] for combo in combos[1:]])
-        runs = [off[run[full]], *starts], [np.diff(off)[run[full]], *sizes]
-        units = [list(map(np.append, [s[whole] for s in side], more)) for side, more in zip(units, runs)]
+        runs, picks = _combo_units(idx, query.keywords, combos)
+        # The units whose whole combination is a winner's, found by grouping one key over the units' and the
+        # winners' combinations (keys made dense apart, past 2^63, could not be compared).
+        n, ids = len(picks[0]), [np.append(pattern_id[pick], combo) for (_, pattern_id, _), pick, combo in zip(runs, picks, combos)]
+        same = _groups(_pattern_key(c, ids, np.zeros(n + len(winners), np.int64), 1))
+        picks = [pick[np.bincount(same.group[n:], minlength=len(same.sizes))[same.group[:n]] > 0] for pick in picks]
+        more = [off[pick] for (_, _, off), pick in zip(runs, picks)], [np.diff(off)[pick] for (_, _, off), pick in zip(runs, picks)]
+        units = [list(map(np.append, [s[whole] for s in side], extra)) for side, extra in zip(units, more)]
     rows = _tree_rows(c, *units, tuples if whole.all() else functools.reduce(np.multiply, units[1]), stats)
 
     patterns = _group(c, rows)
@@ -461,19 +452,26 @@ def _run_bounds(*columns: np.ndarray) -> np.ndarray:
     return new.nonzero()[0]
 
 
-def _combo_runs(idx: PathIndex, words, roots: np.ndarray, combos: list):
-    """Which units have a run in every keyword, and those units' run start (a record id) and size per
-    keyword: unit i is root roots[i] with pattern id combos[j][i] in keyword j, whose run there is
-    found by one binary search for root << 32 | pattern_id in its `_pattern_runs` keys."""
-    full, runs = np.ones(len(roots), bool), []
-    for word, pattern_id in zip(words, combos):
-        run_root, run_pattern, off = _pattern_runs(idx, word)
-        keys = np.append(run_root.astype(np.int64) << 32 | run_pattern, np.iinfo(np.int64).max)  # past every key
-        want = roots.astype(np.int64) << 32 | pattern_id
-        at = keys.searchsorted(want)
-        full &= keys[at] == want
-        runs.append((off, at))
-    return full, [off[at[full]] for off, at in runs], [np.diff(off)[at[full]] for off, at in runs]
+def _combo_units(idx: PathIndex, words, keep: Optional[list] = None) -> tuple[list, list]:
+    """Each checked keyword's `_pattern_runs`, and for each (root, combination) unit an index into each keyword's
+    runs, the units in (root, combination) order. Each candidate root's runs are crossed keyword by keyword (the
+    trie walk done root-first), marking each keyword's root runs once over its runs, so no empty unit is formed.
+    With `keep`, keyword j crosses only its runs of the pattern ids in keep[j], found by a table of the patterns."""
+    runs = [_pattern_runs(idx, word) for word in words]
+    crossed = [np.arange(len(run_root)) for run_root, _, _ in runs] if keep is None else []  # the runs each keyword crosses
+    for (_, pattern_id, _), ids in zip(runs, keep or []):
+        table = np.zeros(len(idx.columns.patterns), bool)
+        table[ids] = True
+        crossed.append(table[pattern_id].nonzero()[0])
+    run_roots = [run_root[cross] for (run_root, _, _), cross in zip(runs, crossed)]
+    of_root = [_run_bounds(run_root) for run_root in run_roots]
+    roots = [run_root[bound[:-1]] for run_root, bound in zip(run_roots, of_root)]
+    # Each unit's root, and its run of each keyword so far; the units start as the candidate roots.
+    root, picks = functools.reduce(functools.partial(np.intersect1d, assume_unique=True), roots), []
+    for bound, distinct in zip(of_root, roots):  # each unit goes on with each of the next keyword's runs under its root
+        unit, run = _ranges(bound, distinct.searchsorted(root))
+        root, picks = root[unit], [pick[unit] for pick in picks] + [run]
+    return runs, [cross[pick] for cross, pick in zip(crossed, picks)]
 
 
 def _tree_rows(c, run_start: list, run_size: list, tuples: np.ndarray, stats: dict) -> list:

@@ -210,16 +210,20 @@ def reference_uniform01(seed: int, stream_key: int, position: int) -> float:
 
 
 def reference_sampled_topk(graph, idx, query, sampling, everything):
-    """Sampled linear-topk's answer, made pattern by pattern from
+    """Sampled linear-topk's answer: the exact top k of `reference_finalists`."""
+    return rank(reference_finalists(graph, idx, query, sampling, everything), query.k)
+
+
+def reference_finalists(graph, idx, query, sampling, everything):
+    """The patterns sampled linear-topk ranks, made pattern by pattern from
     `everything`, the baseline's patterns with their complete members. Per
     root type: the subtree bound (the sum over its candidate roots, those
     every keyword reaches, of the product of the keywords' path counts) and
     the rate. A sampled type draws one `reference_uniform01` per candidate
     root, in id order; a pattern's estimate is `estimate_pattern_score` over
     its members under the kept roots, and the type's k best by (estimate
-    descending, canonical) go on. The answer is the exact top k of those
-    winners and of every pattern of an unsampled type, whose estimate is its
-    score."""
+    descending, canonical) are its winners. The finalists are those winners
+    and every pattern of an unsampled type, whose estimate is its score."""
     words = query.keywords
     by_type = {}
     for root in sorted(set.intersection(*(set(idx.roots(w)) for w in words))):
@@ -240,7 +244,7 @@ def reference_sampled_topk(graph, idx, query, sampling, everything):
                 estimated.append((estimate_pattern_score(sample, rate), sp))
         estimated.sort(key=lambda pair: (-pair[0], pat.tree_sort_key(pair[1].pattern)))
         finalists += [ScoredPattern(sp.pattern, sp.score, sp.subtrees, e) for e, sp in estimated[: query.k]]
-    return rank(finalists, query.k)
+    return finalists
 
 
 def reference_pattern_units(idx, words):

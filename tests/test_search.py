@@ -44,6 +44,7 @@ from conftest import (
     QUERY_WORDS,
     graph_from_text,
     random_instance,
+    reference_finalists,
     reference_pattern_units,
     reference_sampled_topk,
     reference_uniform01,
@@ -505,6 +506,41 @@ def test_sampled_topk_equals_the_reference(sampling_instances, k, threshold, rho
             assert answers(search_linear_topk(graph, idx, query, sampling).patterns) == answers(expected), seed
 
 
+@pytest.mark.parametrize("k", [1, 10, 100])
+@pytest.mark.parametrize("threshold", [0, 5])
+def test_sampled_exact_join_reads_the_winners_units(sampling_instances, k, threshold, monkeypatch):
+    """Under the sampled types' roots, the exact join of sampled linear-topk
+    reads exactly the units of the winners' combinations that pattern-enum's
+    walk (`reference_pattern_units`) visits, each one's (first record, record
+    count) per keyword, in (root, combination) order; the winners are the
+    sampled types' `reference_finalists`."""
+    seen, tree_rows = [], search._tree_rows
+
+    def spy(c, run_start, run_size, tuples, stats):
+        seen.append(list(zip(*(zip(s.tolist(), n.tolist()) for s, n in zip(run_start, run_size)))))
+        return tree_rows(c, run_start, run_size, tuples, stats)
+
+    monkeypatch.setattr(search, "_tree_rows", spy)
+    checked = 0
+    for graph, idx, query, exact in sampling_instances:
+        c, query = idx.columns, Query(query.keywords, k)
+        units, _ = reference_pattern_units(idx, query.keywords)
+        combo = {unit: tuple(c.patterns[int(c.pattern_id[start])] for start, _ in unit) for unit in units}
+        for seed in (0, 1, 42, 12345678901234567):
+            sampling = SamplingConfig(threshold, 0.5, seed)
+            seen.clear()
+            result = search_linear_topk(graph, idx, query, sampling)
+            sampled = {s["type"] for s in result.stats["types"] if s["rate"] < 1.0}
+            finalists = reference_finalists(graph, idx, query, sampling, list(exact.values()))
+            winners = {sp.pattern for sp in finalists if sp.pattern[0][0] in sampled}
+            # Keyword 0's first record orders the units by root, then by its pattern; and so on.
+            expected = sorted(unit for unit in units if combo[unit] in winners)
+            assert len(seen) == (2 if sampled else 1)
+            assert [unit for unit in seen[-1] if graph.entity_type[int(c.root[unit[0][0]])] in sampled] == expected, seed
+            checked += len(expected)
+    assert checked > 0
+
+
 def winners_graph():
     """Hub roots h0, h1 and h5 each hold a diamond: two Mid children over one
     Leaf matching both words, so both words' paths there have one pattern P
@@ -758,29 +794,37 @@ def test_a_word_not_in_the_index_has_no_runs(sample_index):
 
 def runs_index():
     """Keyword `a`'s records 0-6 hold the (root, pattern id) runs (2, 1) x2,
-    (2, 3), (5, 0) x3 and (7, 2); keyword `b`'s records 7-8 one run, (5, 0) x2."""
+    (2, 3), (5, 0) x3 and (7, 2); keyword `b`'s records 7-8 one run, (5, 0) x2.
+    The pattern table holds ids 0-9."""
     keys = [(2, 1), (2, 1), (2, 3), (5, 0), (5, 0), (5, 0), (7, 2), (5, 0), (5, 0)]
     root, pattern_id = (np.array(column, "<u4") for column in zip(*keys))
-    return types.SimpleNamespace(columns=types.SimpleNamespace(root=root, pattern_id=pattern_id), words={"a": range(7), "b": range(7, 9)})
+    columns = types.SimpleNamespace(root=root, pattern_id=pattern_id, patterns=range(10))
+    return types.SimpleNamespace(columns=columns, words={"a": range(7), "b": range(7, 9)})
 
 
-def test_combo_runs_keep_the_units_with_a_run_in_unit_order():
-    # Units before the first run, between two runs and past the last one find no run.
-    roots, pattern_ids = np.array([1, 7, 2, 5, 6, 2, 7, 9, 5]), np.array([9, 2, 2, 0, 0, 1, 3, 0, 0], "<u4")
-    full, starts, sizes = search._combo_runs(runs_index(), ["a"], roots, [pattern_ids])
-    assert np.flatnonzero(full).tolist() == [1, 3, 5, 8]
-    assert (starts[0].tolist(), sizes[0].tolist()) == ([6, 3, 0, 3], [1, 3, 2, 3])
-    full, starts, sizes = search._combo_runs(runs_index(), [], roots, [])  # no keyword: every unit
-    assert full.all() and len(full) == len(roots) and starts == sizes == []
+def combo_units(words, keep=None):
+    """`_combo_units` on `runs_index()`: each unit's run index per keyword, and its (first record, record count)."""
+    runs, picks = search._combo_units(runs_index(), words, keep)
+    spans = [list(zip(off[pick].tolist(), np.diff(off)[pick].tolist())) for (_, _, off), pick in zip(runs, picks)]
+    return [pick.tolist() for pick in picks], spans
 
 
-def test_combo_runs_of_a_keyword_with_one_run():
-    # `b`'s one run (5, 0) lies past (2, 0) and before (7, 0) and (5, 1); `a` has no (5, 3).
-    roots = np.array([2, 7, 5, 5, 5])
-    combos = [np.array(column, "<u4") for column in ([1, 2, 0, 3, 0], [0, 0, 1, 0, 0])]
-    full, starts, sizes = search._combo_runs(runs_index(), ["a", "b"], roots, combos)
-    assert full.tolist() == [False, False, False, False, True]
-    assert [s.tolist() for s in starts] == [[3], [7]] and [s.tolist() for s in sizes] == [[3], [2]]
+def test_combo_units_keep_the_runs_of_the_kept_patterns_in_unit_order():
+    # a's runs 0-3 are (2, 1), (2, 3), (5, 0) and (7, 2); pattern 9 has no run.
+    assert combo_units(["a"]) == ([[0, 1, 2, 3]], [[(0, 2), (2, 1), (3, 3), (6, 1)]])
+    assert combo_units(["a"], [np.array([9, 2, 0, 1, 0], "<u4")]) == ([[0, 2, 3]], [[(0, 2), (3, 3), (6, 1)]])
+    assert combo_units(["a"], [np.array([1], "<u4")]) == ([[0]], [[(0, 2)]])  # the first run: before the others
+    assert combo_units(["a"], [np.array([3], "<u4")]) == ([[1]], [[(2, 1)]])  # between two runs
+    assert combo_units(["a"], [np.array([2], "<u4")]) == ([[3]], [[(6, 1)]])  # past the last other run
+    assert combo_units(["a"], [np.zeros(0, "<u4")]) == ([[]], [[]])
+
+
+def test_combo_units_of_a_keyword_with_one_run():
+    # `b`'s one run (5, 0) lies past a's (2, 1) and (2, 3) and before its (7, 2).
+    assert combo_units(["a", "b"]) == ([[2], [0]], [[(3, 3)], [(7, 2)]])
+    assert combo_units(["a", "b"], [np.array([1, 3, 0, 2], "<u4"), np.array([0], "<u4")]) == ([[2], [0]], [[(3, 3)], [(7, 2)]])
+    assert combo_units(["a", "b"], [np.array([1, 3, 2], "<u4"), np.array([0], "<u4")]) == ([[], []], [[], []])
+    assert combo_units(["a", "b"], [np.array([0], "<u4"), np.array([1], "<u4")]) == ([[], []], [[], []])
 
 
 def _answers(patterns):
@@ -992,6 +1036,9 @@ def test_no_query_path_call_sorts_by_unique(sample_graph, sample_index, monkeypa
     g = graph_from_text(generate_graph(GenConfig(150, 3, 3, 2.5, 10, seed=5)))
     cases = [(sample_graph, sample_index, QUERY_WORDS[:2]), (sample_graph, sample_index, QUERY_WORDS)]
     cases += [(g, build_index(g, compute_pagerank(g), 3), words) for words in (("w0", "w1"), ("w0", "w1", "w2"))]
+    g = graph_from_text(generate_graph(GenConfig(300, 6, 8, 2.5, 40, seed=2)))
+    # Winners enough that `np.isin` over their pattern ids would sort by `np.unique`.
+    cases.append((g, build_index(g, compute_pagerank(g), 3), ("w4", "w0")))
 
     def no_unique(*args, **kwargs):
         raise AssertionError("np.unique on the query path")
