@@ -200,7 +200,10 @@ def decode_records(c: IndexColumns, ids: np.ndarray) -> list[IndexedPath]:
     at = np.concatenate(([0], np.cumsum(size)))
     nodes = tuple(c.nodes[np.repeat(first - at[:-1], size) + np.arange(at[-1])].tolist())
     at = at.tolist()
-    patterns = list(map(c.patterns.__getitem__, c.pattern_id[ids].tolist()))
+    pattern_ids = c.pattern_id[ids].tolist()
+    patterns = list(map(c.patterns.tuples.__getitem__, pattern_ids))  # the tuples made so far, by a C-level map
+    if None in patterns:  # some not made yet
+        patterns = list(map(c.patterns.__getitem__, pattern_ids))
     fields = zip([nodes[a:b] for a, b in zip(at, at[1:])], [pattern[1::2] for pattern in patterns], size.tolist(),
                  c.pr[ids].tolist(), c.sim[ids].tolist(), patterns)
     return list(map(tuple.__new__, repeat(IndexedPath), fields))  # each a named tuple of its fields

@@ -45,12 +45,14 @@ best by a partition. No ``np.unique`` runs: ``_groups`` finds the distinct
 values of a key (patterns, records, score factors) by one stable argsort, and
 ``_run_bounds`` marks the runs of the sorted key, as it does the root and
 (root, pattern) runs. No word is decoded, and members are materialized late:
-``_answers`` keeps only the k returned patterns' rows, and the first read of
-any returned pattern's ``subtrees`` makes all k patterns' member subtrees in
-one ``_members`` call, whose ``IndexedPath`` and ``ValidSubtree`` named tuples
-(one C-level map each, nothing memoized) are only those the rows use. Rejected
-rows are counted in stats. Ordering is deterministic end to end: scores
-descending, canonical pattern key ascending, members by (root, path keys).
+``_answers`` keeps only the k returned patterns' rows, in one ``_Batch``, and
+each pattern's ``subtrees`` is a ``Members`` of it, a sequence equal to the
+list of its member subtrees. `tables.render_table` reads a table from the
+batch's rows, making no member object; the first read of any element makes all
+k patterns' members in one ``_members`` call, whose ``IndexedPath`` and
+``ValidSubtree`` named tuples (one C-level map each) are only those the rows
+use. Rejected rows are counted in stats. Ordering is deterministic end to end:
+scores descending, canonical pattern key ascending, members by (root, path keys).
 """
 from __future__ import annotations
 
@@ -60,6 +62,7 @@ import itertools
 import math
 import sys
 from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -120,99 +123,69 @@ class ValidSubtree(NamedTuple):
         return (self.root, tuple(p.sort_key() for p in self.paths))
 
 
+@dataclass(slots=True)
 class ScoredPattern:
     """A tree pattern, its score and its member subtrees. An engine's answers
-    hold their members as `_Span`s of one `_Batch`, which the first read of
-    any answer's `subtrees` decodes for all of them; `subtree_count` decodes
-    nothing."""
+    hold their members as `Members` of one `_Batch`, a sequence equal to the
+    list of them; `subtree_count` decodes nothing."""
 
-    __slots__ = ("pattern", "score", "estimated_score", "_subtrees")
-
-    def __init__(
-        self,
-        pattern: pat.TreePattern,
-        score: float,
-        subtrees: "list[ValidSubtree] | _Span",
-        estimated_score: Optional[float] = None,
-    ):
-        self.pattern = pattern
-        self.score = score
-        self._subtrees = subtrees
-        self.estimated_score = estimated_score
+    pattern: pat.TreePattern
+    score: float
+    subtrees: "list[ValidSubtree] | Members"
+    estimated_score: Optional[float] = None
 
     @classmethod
-    def from_members(
-        cls,
-        pattern: pat.TreePattern,
-        members: list[ValidSubtree],
-        config: ScoringConfig = DEFAULT_CONFIG,
-        estimated_score: Optional[float] = None,
-    ) -> "ScoredPattern":
+    def from_members(cls, pattern: pat.TreePattern, members: list[ValidSubtree], config: ScoringConfig = DEFAULT_CONFIG,
+                     estimated_score: Optional[float] = None) -> "ScoredPattern":
         """Score a pattern from its member subtrees; the score is exact when
         `members` is the pattern's complete member set."""
         score = pattern_score([tree_score(m.paths, config) for m in members], config)
         return cls(pattern, score, members, estimated_score)
 
     @property
-    def subtrees(self) -> list[ValidSubtree]:
-        if isinstance(self._subtrees, _Span):
-            self._subtrees = self._subtrees.decode()
-        return self._subtrees
-
-    @property
     def subtree_count(self) -> int:
-        return len(self._subtrees)
-
-    # Equality and repr as of a dataclass of these fields.
-    _FIELDS = ("pattern", "score", "subtrees", "estimated_score")
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._FIELDS)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        return f"ScoredPattern({', '.join(f'{name}={value!r}' for name, value in zip(self._FIELDS, self._fields()))})"
+        return len(self.subtrees)
 
 
 class _Batch:
-    """The member rows of some answers: one array of record ids per keyword,
-    each row's answer, and each answer's row count. The first `decode` puts
-    the rows answer by answer (each answer's in row order) and makes them
-    `ValidSubtree`s in one `_members` call; the rows are dropped then."""
+    """Some answers' member rows, answer by answer, each answer's in row order: a record id row per keyword,
+    where each answer's rows start (and the last ends), and each answer's pattern id per keyword and tree pattern.
+    The rows are kept after `decode`, for `tables.render_table` (which keeps its `texts` here)."""
 
-    __slots__ = ("columns", "rows", "answer", "sizes", "members")
+    __slots__ = ("columns", "rows", "bounds", "pattern_ids", "keys", "members", "texts")
 
-    def __init__(self, c, rows: list, answer: np.ndarray, sizes: list[int]):
-        self.columns, self.rows, self.answer, self.sizes, self.members = c, rows, answer, sizes, None
+    def __init__(self, c, rows: np.ndarray, bounds: list, pattern_ids: list, keys: list):
+        self.columns, self.rows, self.bounds, self.pattern_ids, self.keys = c, rows, bounds, pattern_ids, keys
+        self.members = self.texts = None
 
     def decode(self) -> list[list[ValidSubtree]]:
-        """Each answer's members."""
+        """Each answer's members, made on the first call in one `_members` call."""
         if self.members is None:
-            order = self.answer.argsort(kind="stable")
-            subtrees = _members(self.columns, [record[order] for record in self.rows])
-            ends = itertools.accumulate(self.sizes)
-            self.members = [subtrees[end - size : end] for size, end in zip(self.sizes, ends)]
-            self.columns = self.rows = self.answer = None
+            subtrees, bounds = _members(self.columns, self.rows), self.bounds
+            self.members = [subtrees[start:stop] for start, stop in zip(bounds, bounds[1:])]
         return self.members
 
 
-class _Span:
-    """One answer's members: its rows of a `_Batch`."""
+class Members(Sequence):
+    """One answer's members, rows start:stop of a `_Batch`: a sequence equal to,
+    and shown as, the list of their `ValidSubtree`s, which the first read of an
+    element (or iteration, `repr`, `==`) makes for the whole batch."""
 
-    __slots__ = ("batch", "answer", "size")
+    __slots__ = ("batch", "answer", "start", "stop")
+    __hash__ = None
 
-    def __init__(self, batch: _Batch, answer: int, size: int):
-        self.batch, self.answer, self.size = batch, answer, size
+    def __init__(self, batch: _Batch, answer: int, start: int, stop: int):
+        self.batch, self.answer, self.start, self.stop = batch, answer, start, stop
 
-    def __len__(self) -> int:
-        return self.size
+    members = lambda self: self.batch.decode()[self.answer]
+    __len__ = lambda self: self.stop - self.start
+    __getitem__ = lambda self, i: self.members()[i]
+    __iter__ = lambda self: iter(self.members())
+    __repr__ = lambda self: repr(self.members())
 
-    def decode(self) -> list[ValidSubtree]:
-        return self.batch.decode()[self.answer]
+    def __eq__(self, other):
+        other = other.members() if isinstance(other, Members) else other
+        return self.members() == other if isinstance(other, list) else NotImplemented
 
 
 @dataclass
@@ -259,12 +232,7 @@ def _new_stats(**extra) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def search_baseline(
-    graph: KnowledgeGraph,
-    idx: PathIndex,
-    query: Query,
-    config: ScoringConfig = DEFAULT_CONFIG,
-) -> SearchResult:
+def search_baseline(graph: KnowledgeGraph, idx: PathIndex, query: Query, config: ScoringConfig = DEFAULT_CONFIG) -> SearchResult:
     """Enumeration-aggregation reference engine (no materialized index use)."""
     words = list(query.keywords)
     wanted = set(words)
@@ -298,12 +266,7 @@ def search_baseline(
     return SearchResult(ranked, stats)
 
 
-def search_pattern_enum(
-    graph: KnowledgeGraph,
-    idx: PathIndex,
-    query: Query,
-    config: ScoringConfig = DEFAULT_CONFIG,
-) -> SearchResult:
+def search_pattern_enum(graph: KnowledgeGraph, idx: PathIndex, query: Query, config: ScoringConfig = DEFAULT_CONFIG) -> SearchResult:
     """Pattern-product engine: per root type, the cross product of the
     keywords' path patterns, each combination's roots being those all its
     patterns share. Crossing each candidate root's (root, pattern) runs
@@ -332,12 +295,8 @@ def search_pattern_enum(
     return SearchResult(list(map(ScoredPattern, keys, scores[top].tolist(), members)), stats)
 
 
-def search_linear_enum(
-    graph: KnowledgeGraph,
-    idx: PathIndex,
-    query: Query,
-    stats: Optional[dict] = None,
-) -> list[tuple[pat.TreePattern, list[ValidSubtree]]]:
+def search_linear_enum(graph: KnowledgeGraph, idx: PathIndex, query: Query,
+                       stats: Optional[dict] = None) -> list[tuple[pat.TreePattern, Members]]:
     """Full enumeration: every tree pattern with its complete subtree set, best
     first; exact `search_linear_topk` with no bound on k, its counters in `stats`."""
     result = search_linear_topk(graph, idx, Query(query.keywords, sys.maxsize))
@@ -346,13 +305,8 @@ def search_linear_enum(
     return [(sp.pattern, sp.subtrees) for sp in result.patterns]
 
 
-def search_linear_topk(
-    graph: KnowledgeGraph,
-    idx: PathIndex,
-    query: Query,
-    sampling: SamplingConfig = EXACT_SAMPLING,
-    config: ScoringConfig = DEFAULT_CONFIG,
-) -> SearchResult:
+def search_linear_topk(graph: KnowledgeGraph, idx: PathIndex, query: Query, sampling: SamplingConfig = EXACT_SAMPLING,
+                       config: ScoringConfig = DEFAULT_CONFIG) -> SearchResult:
     """Type-partitioned linear enumeration with optional root sampling: a join
     over the sampled types' drawn roots picks their k best patterns by
     estimate, and one exact join reads those and the other types' roots; its
@@ -504,8 +458,9 @@ def _tree_rows(c, run_start: list, run_size: list, tuples: np.ndarray, stats: di
     return rows
 
 
-# The groups of equal keys of some rows, in key order: each one's first row and row count, and each row's group.
-Groups = namedtuple("Groups", "first_row sizes group")
+# The groups of equal keys of some rows, in key order: each one's first row and row count, each row's group,
+# and the rows in key order (each group's in row order), group g's being order[bound[g]:bound[g + 1]].
+Groups = namedtuple("Groups", "first_row sizes group order bound")
 
 
 def _groups(key: np.ndarray) -> Groups:
@@ -516,7 +471,7 @@ def _groups(key: np.ndarray) -> Groups:
     sizes = bound[1:] - bound[:-1]
     group = np.empty(len(key), np.min_scalar_type(max(len(sizes) - 1, 0)))
     group[order] = np.arange(len(sizes), dtype=group.dtype).repeat(sizes)
-    return Groups(order[bound[:-1]], sizes, group)
+    return Groups(order[bound[:-1]], sizes, group, order, bound)
 
 
 def _group(c, rows: list) -> Groups:  # the tree patterns of the rows, in tree_sort_key order
@@ -594,21 +549,20 @@ def _members(c, rows: list) -> list[ValidSubtree]:
     return list(map(tuple.__new__, itertools.repeat(ValidSubtree), zip(c.root[rows[0]].tolist(), zip(*columns))))
 
 
-def _answers(c, rows: list, patterns: Groups, chosen: np.ndarray) -> tuple[list[pat.TreePattern], list[_Span]]:
+def _answers(c, rows: list, patterns: Groups, chosen: np.ndarray) -> tuple[list[pat.TreePattern], list[Members]]:
     """The tree pattern and the members of each chosen pattern, in that
-    order. The members are `_Span`s of one `_Batch`, which keeps only the
+    order. The members are `Members` of one `_Batch`, which keeps only the
     chosen patterns' rows and decodes none of them: an engine's time does not
-    grow with the members it returns, and the first read of any answer's
-    subtrees pays for all answers' at once."""
+    grow with the members it returns."""
     first_row = patterns.first_row[chosen]
-    keys = list(zip(*(map(c.patterns.__getitem__, c.pattern_id[record[first_row]].tolist()) for record in rows)))
-    answer = np.full(len(patterns.sizes), -1)
-    answer[chosen] = np.arange(len(chosen))
-    row_answer = answer[patterns.group]
-    at = (row_answer >= 0).nonzero()[0]
-    sizes = patterns.sizes[chosen].tolist()
-    batch = _Batch(c, [record[at] for record in rows], row_answer[at], sizes)
-    return keys, list(map(_Span, itertools.repeat(batch), range(len(sizes)), sizes))
+    pattern_ids = [c.pattern_id[record[first_row]] for record in rows]
+    keys = list(zip(*(map(c.patterns.__getitem__, ids.tolist()) for ids in pattern_ids)))
+    sizes = patterns.sizes[chosen]
+    ends = sizes.cumsum()
+    at = patterns.order[np.arange(sizes.sum()) + np.repeat(patterns.bound[chosen] + sizes - ends, sizes)]  # answer by answer
+    bounds = [0, *ends.tolist()]
+    batch = _Batch(c, np.array([record[at] for record in rows]), bounds, pattern_ids, keys)
+    return keys, list(map(Members, itertools.repeat(batch), range(len(keys)), bounds, bounds[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,15 @@ identical prefixes merged once (two keywords routed through the same typed
 step share one column). Cells hold entity display texts; literal nodes render
 their raw text. Where one merged column is fed by several keywords binding
 different nodes of the same subtree, the distinct texts are joined with "; "
-so nothing is lost. Every path of a subtree starts at its root
-(`render_table` checks it), so the root's column is read once.
+so nothing is lost. Every path of a subtree starts at its root, so the root's
+column is read once.
+
+One core (`_table`) lays out the columns and fills each from the texts of its
+(keyword, node position). Two feeders give it those: member objects, each checked
+against the pattern and its root (`TableConsistencyError`), and an engine's
+answer's `search.Members`, read from its batch's rows with no member object made:
+one gather of a (keyword, node position)'s nodes over the batch, mapped to their
+texts, of which each answer's are a slice; the rows are checked array at a time.
 
 Column names: the type name for typed-node columns, the attribute name for
 literal-valued and edge-ending columns, and the full dotted path when two
@@ -25,9 +32,12 @@ import csv
 import io
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import patterns as pat
 from .errors import TableConsistencyError
 from .graph import TEXT_TYPE_ID, KnowledgeGraph
+from .search import Members
 
 
 @dataclass
@@ -77,25 +87,53 @@ def _path_columns(graph: KnowledgeGraph, layout: dict, pattern: pat.PathPattern)
 
 
 def render_table(graph: KnowledgeGraph, tree_pattern, subtrees) -> TableAnswer:
-    """Build the table answer for `tree_pattern` from its member subtrees."""
+    """Build the table answer for `tree_pattern` from its member subtrees: an engine's
+    answer's `Members`, read from its batch's rows, or member objects, each checked."""
     tree_pattern = tuple(tree_pattern)
+    if isinstance(subtrees, Members):
+        return _table(graph, tree_pattern, _batch_cells(graph, tree_pattern, subtrees), subtrees.start, subtrees.stop)
     for root, paths in subtrees:
         if len(paths) != len(tree_pattern):
             raise TableConsistencyError(f"subtree rooted at {root} does not match the pattern")
         for pattern, path in zip(tree_pattern, paths):
             if path.pattern != pattern or path.nodes[0] != root:
                 raise TableConsistencyError(f"subtree rooted at {root} does not match the pattern or its root")
+    text, feeds = graph.entity_text, [(kw, p) for kw, pattern in enumerate(tree_pattern) for p in range(pat.node_count(pattern))]
+    return _table(graph, tree_pattern, {(kw, p): [text[paths[kw].nodes[p]] for _, paths in subtrees] for kw, p in feeds}, 0, None)
 
+
+def _batch_cells(graph: KnowledgeGraph, tree_pattern: tuple, members: Members) -> dict:
+    """The texts of an engine's answer's whole batch, made once per batch and graph; each row's records must lie
+    under keyword 0's and be of its answer's pattern per keyword (`pattern_ids`), which is `tree_pattern`."""
+    batch = members.batch
+    if batch.texts is None or batch.texts[0] is not graph:
+        c, rows, ids = batch.columns, batch.rows, np.array(batch.pattern_ids)
+        if not ((c.root[rows] == c.root[rows[0]]).all() and (c.pattern_id[rows] == ids.repeat(np.diff(batch.bounds), 1)).all()):
+            raise TableConsistencyError("a member row does not match its answer's pattern or its root")
+        # Each row's nodes up to its keyword's longest pattern's last: a row of a shorter pattern reads another record's
+        # node there, which no answer reads. The rows share their root, so keyword 0's root column is every keyword's.
+        widths = (c.patterns.lengths[ids].max(1) // 2 + 1).tolist()
+        nodes = c.nodes.take(c.node_off[rows][..., None] + np.arange(max(widths)), mode="clip").transpose(0, 2, 1).tolist()
+        text = graph.entity_text
+        feeds = [(kw, p) for kw, width in enumerate(widths) for p in range(kw > 0, width)]
+        batch.texts = graph, {(kw, p): list(map(text.__getitem__, nodes[kw][p])) for kw, p in feeds}
+    if tree_pattern != batch.keys[members.answer]:
+        raise TableConsistencyError("the members are of another tree pattern")
+    return batch.texts[1]
+
+
+def _table(graph: KnowledgeGraph, tree_pattern: tuple, cells: dict, start: int, stop: int | None) -> TableAnswer:
+    """The table of `tree_pattern` whose rows' texts of keyword kw's node p are cells[kw, p][start:stop]."""
     # Column j is keyed by the key `index` maps to j, named names[j] (dotted[j] on a collision) and fed
-    # by cells[j], a (keyword position, node position), and by shared[j] too when several keywords feed it.
+    # by feeds[j], a (keyword position, node position), and by shared[j] too when several keywords feed it.
     layout = graph.table_layout
-    index, cells, names, dotted, shared = {}, [], [], [], {}
+    index, feeds, names, dotted, shared = {}, [], [], [], {}
     for kw_pos, pattern in enumerate(tree_pattern):
         for key, node_pos, name, path_name in layout.get(pattern) or _path_columns(graph, layout, pattern):
             j = index.get(key)
             if j is None:
-                index[key] = len(cells)
-                cells.append((kw_pos, node_pos))
+                index[key] = len(feeds)
+                feeds.append((kw_pos, node_pos))
                 names.append(name)
                 dotted.append(path_name)
             elif node_pos:  # the root's column is read once
@@ -103,15 +141,10 @@ def render_table(graph: KnowledgeGraph, tree_pattern, subtrees) -> TableAnswer:
     if len(set(names)) < len(names):  # columns that share a name are named by their paths
         names = [path_name if names.count(name) > 1 else name for name, path_name in zip(names, dotted)]
 
-    text, rows = graph.entity_text, []
-    for _, paths in subtrees:
-        row = [text[paths[kw_pos].nodes[node_pos]] for kw_pos, node_pos in cells]
-        rows.append(row)
-        for j, more in shared.items():  # a column fed by several keywords joins their distinct texts
-            values = [row[j]]
-            for kw_pos, node_pos in more:
-                cell = text[paths[kw_pos].nodes[node_pos]]
-                if cell not in values:
-                    values.append(cell)
-            row[j] = "; ".join(values)
-    return TableAnswer(list(zip(index, names)), rows)
+    columns = [cells[feed][start:stop] for feed in feeds]
+    for j, more in shared.items():  # a column fed by several keywords joins their distinct texts
+        if len(more) == 1:  # of two feeds, the join of one text or of both
+            columns[j] = [a if a == b else f"{a}; {b}" for a, b in zip(columns[j], cells[more[0]][start:stop])]
+        else:
+            columns[j] = ["; ".join(dict.fromkeys(texts)) for texts in zip(columns[j], *[cells[feed][start:stop] for feed in more])]
+    return TableAnswer(list(zip(index, names)), list(map(list, zip(*columns))))

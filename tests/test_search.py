@@ -693,8 +693,8 @@ def test_per_type_stats_are_those_of_unique(mixed_instance, sample_graph, sample
 @pytest.mark.parametrize("k", [1, 10, 100])
 @pytest.mark.parametrize("engine", ["pattern-enum", "exact", "sampled"])
 def test_members_are_decoded_in_one_batch_on_first_read(mixed_instance, monkeypatch, engine, k):
-    """The index engines decode no member. The first read of any answer's
-    subtrees decodes every answer's in one `decode_records` call (a sampled
+    """The index engines decode no member. The first element read of any
+    answer's subtrees decodes every answer's in one `decode_records` call (a sampled
     result's come from its exact join, not its sample's), and later reads
     decode nothing."""
     g, idx, words = mixed_instance
@@ -710,7 +710,7 @@ def test_members_are_decoded_in_one_batch_on_first_read(mixed_instance, monkeypa
     result = run[engine]()
     counts = [sp.subtree_count for sp in result.patterns]
     assert calls == [] and result.patterns
-    assert result.patterns[-1].subtrees and len(calls) == 1
+    assert result.patterns[-1].subtrees[0] and len(calls) == 1
     exact = {sp.pattern: sp for sp in search_baseline(g, idx, Query(words, 10**9)).patterns}
     for sp, count in zip(result.patterns, counts):
         assert count == len(sp.subtrees) and repr(sp.subtrees) == repr(exact[sp.pattern].subtrees)
@@ -718,6 +718,51 @@ def test_members_are_decoded_in_one_batch_on_first_read(mixed_instance, monkeypa
     if engine == "sampled" and k >= 10:
         rates = {t["type"]: t["rate"] for t in result.stats["types"]}
         assert {rates[sp.pattern[0][0]] for sp in result.patterns} == {0.5, 1.0}
+
+
+MEMBER_ENGINES = {
+    "pattern-enum": lambda g, idx, query: search_pattern_enum(g, idx, query).patterns,
+    "exact": lambda g, idx, query: search_linear_topk(g, idx, query).patterns,
+    "sampled": lambda g, idx, query: search_linear_topk(g, idx, query, MIXED).patterns,
+    "linear": lambda g, idx, query: [ScoredPattern(p, 0.0, m) for p, m in search_linear_enum(g, idx, query)],
+}
+
+
+@pytest.mark.parametrize("k", [1, 10, 100])
+@pytest.mark.parametrize("engine", list(MEMBER_ENGINES))
+def test_members_are_a_sequence_equal_to_the_list(mixed_instance, monkeypatch, engine, k):
+    """An index engine's answer's `subtrees` is a `Members`, equal to (both
+    ways), shown as, indexed, sliced and iterated as the list of the index-free
+    baseline's members; its length and truth decode nothing, and it is unhashable."""
+    g, idx, words = mixed_instance
+    query = Query(words, k)
+    exact = {sp.pattern: sp.subtrees for sp in search_baseline(g, idx, Query(words, 10**9)).patterns}
+    calls = []
+    decode = search.decode_records
+    monkeypatch.setattr(search, "decode_records", lambda c, ids: calls.append(len(ids)) or decode(c, ids))
+    answers = MEMBER_ENGINES[engine](g, idx, query)
+    assert answers and all(isinstance(sp.subtrees, search.Members) for sp in answers)
+    assert [(len(sp.subtrees), bool(sp.subtrees)) for sp in answers] == [(len(exact[sp.pattern]), True) for sp in answers]
+    assert calls == []
+    again = MEMBER_ENGINES[engine](g, idx, query)
+    for sp, other in zip(answers, again):
+        members, want = sp.subtrees, exact[sp.pattern]
+        assert repr(members) == repr(want) and str(members) == str(want)
+        assert members == want and want == members and not members != want and not want != members
+        assert members == other.subtrees and members == list(members) and members != want[:-1] and want[:-1] != members
+        assert members != tuple(want)
+        assert (members[0], members[-1], members[len(want) - 1], members[-len(want)]) == (want[0], want[-1], want[-1], want[0])
+        assert (members[1:], members[::-1], members[:0], members[-2:]) == (want[1:], want[::-1], [], want[-2:])
+        assert type(members[1:]) is list and list(members) == want and [m for m in members] == want
+        assert want[0] in members and members.index(want[-1]) == want.index(want[-1])
+        with pytest.raises(IndexError):
+            members[len(want)]
+        with pytest.raises(TypeError):
+            hash(members)
+        listed = ScoredPattern(sp.pattern, sp.score, list(want), sp.estimated_score)
+        assert sp == listed and listed == sp and sp == other and repr(sp) == repr(listed)
+        assert sp != ScoredPattern(sp.pattern, sp.score, want[:-1], sp.estimated_score)
+    assert len(calls) == 2  # one batch decode per engine run
 
 
 class TestUniformStream:

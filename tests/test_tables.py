@@ -21,6 +21,7 @@ from kgpattern import (
     uniform_pagerank,
 )
 from kgpattern import patterns as pat
+from kgpattern import search
 from kgpattern.fixtures import load_sample_graph
 
 from conftest import QUERY_WORDS, graph_from_text, random_instance, reference_render_table
@@ -202,3 +203,54 @@ def test_render_equals_the_per_cell_reference(case):
     if case == "two-types":
         dotted = [pattern for pattern, members in answers if any("." in name for name in render_table(g, pattern, members).column_names)]
         assert len(dotted) > len(answers) / 2
+
+
+@pytest.mark.parametrize("case", list(RENDER_CASES))
+def test_an_engines_answers_render_from_their_rows(case, monkeypatch):
+    """Every answer of every engine renders before any member is read, making no
+    member object: as the per-cell renderer and `render_table` render the
+    materialized members, and again once they are read."""
+    made, members, decode = [], search._members, search.decode_records
+    monkeypatch.setattr(search, "_members", lambda c, rows: made.append("_members") or members(c, rows))
+    monkeypatch.setattr(search, "decode_records", lambda c, ids: made.append("decode_records") or decode(c, ids))
+    g, idx, queries = RENDER_CASES[case]()
+    answers = [answer for words in queries for k in (1, 10, 100) for answer in all_engines_answers(g, idx, words, k)]
+    assert sum(isinstance(m, search.Members) for _, m in answers) > len(answers) / 2
+    tables = [render_table(g, pattern, m) for pattern, m in answers]
+    assert made == []
+    for (pattern, m), table in zip(answers, tables):
+        expected = reference_render_table(g, pattern, m)
+        assert (table.columns, table.rows) == (expected.columns, expected.rows)
+        assert table == render_table(g, pattern, list(m)) == render_table(g, pattern, m)
+
+
+def engine_answers(words=("w0", "w1"), k=10):
+    g, idx, _ = two_type_case()
+    return g, idx, search_linear_topk(g, idx, Query(words, k)).patterns
+
+
+def test_an_engines_members_of_another_pattern_raise():
+    g, _, answers = engine_answers()
+    a, b = answers[:2]
+    assert a.pattern != b.pattern
+    with pytest.raises(TableConsistencyError, match="another tree pattern"):
+        render_table(g, a.pattern, b.subtrees)
+    with pytest.raises(TableConsistencyError, match="another tree pattern"):
+        render_table(g, a.pattern[:1], a.subtrees)
+    assert render_table(g, b.pattern, b.subtrees) == render_table(g, list(b.pattern), b.subtrees)
+
+
+@pytest.mark.parametrize("keyword", [0, 1])
+@pytest.mark.parametrize("change", ["root", "pattern"])
+def test_a_batch_row_of_another_root_or_pattern_raises(keyword, change):
+    """A batch row changed to a record of its pattern under another root, or to one
+    of another pattern under its root, is caught before any answer of the batch renders."""
+    g, idx, answers = engine_answers()
+    c, batch = idx.columns, answers[0].subtrees.batch
+    row = len(batch.rows[0]) - 1  # the last answer's last row
+    record = batch.rows[keyword][row]
+    same_root, same_pattern = c.root == c.root[record], c.pattern_id == c.pattern_id[record]
+    other = ((same_pattern & ~same_root) if change == "root" else (same_root & ~same_pattern)).nonzero()[0][0]
+    batch.rows[keyword][row] = other
+    with pytest.raises(TableConsistencyError, match="its answer's pattern or its root"):
+        render_table(g, answers[0].pattern, answers[0].subtrees)
