@@ -201,9 +201,8 @@ def decode_records(c: IndexColumns, ids: np.ndarray) -> list[IndexedPath]:
     nodes = tuple(c.nodes[np.repeat(first - at[:-1], size) + np.arange(at[-1])].tolist())
     at = at.tolist()
     pattern_ids = c.pattern_id[ids].tolist()
-    patterns = list(map(c.patterns.tuples.__getitem__, pattern_ids))  # the tuples made so far, by a C-level map
-    if None in patterns:  # some not made yet
-        patterns = list(map(c.patterns.__getitem__, pattern_ids))
+    list(map(c.patterns.__getitem__, set(pattern_ids)))  # each distinct pattern's tuple, made once
+    patterns = list(map(c.patterns.tuples.__getitem__, pattern_ids))
     fields = zip([nodes[a:b] for a, b in zip(at, at[1:])], [pattern[1::2] for pattern in patterns], size.tolist(),
                  c.pr[ids].tolist(), c.sim[ids].tolist(), patterns)
     return list(map(tuple.__new__, repeat(IndexedPath), fields))  # each a named tuple of its fields

@@ -127,7 +127,10 @@ class ValidSubtree(NamedTuple):
 class ScoredPattern:
     """A tree pattern, its score and its member subtrees. An engine's answers
     hold their members as `Members` of one `_Batch`, a sequence equal to the
-    list of them; `subtree_count` decodes nothing."""
+    list of them; `subtree_count` decodes nothing. Such an answer keeps its
+    batch while it lives, and with it the index's `IndexColumns` and, once a
+    table of the batch is rendered, the graph and the batch's texts: a pickled
+    answer carries them all."""
 
     pattern: pat.TreePattern
     score: float
@@ -135,8 +138,13 @@ class ScoredPattern:
     estimated_score: Optional[float] = None
 
     @classmethod
-    def from_members(cls, pattern: pat.TreePattern, members: list[ValidSubtree], config: ScoringConfig = DEFAULT_CONFIG,
-                     estimated_score: Optional[float] = None) -> "ScoredPattern":
+    def from_members(
+        cls,
+        pattern: pat.TreePattern,
+        members: list[ValidSubtree],
+        config: ScoringConfig = DEFAULT_CONFIG,
+        estimated_score: Optional[float] = None,
+    ) -> "ScoredPattern":
         """Score a pattern from its member subtrees; the score is exact when
         `members` is the pattern's complete member set."""
         score = pattern_score([tree_score(m.paths, config) for m in members], config)
@@ -177,11 +185,20 @@ class Members(Sequence):
     def __init__(self, batch: _Batch, answer: int, start: int, stop: int):
         self.batch, self.answer, self.start, self.stop = batch, answer, start, stop
 
-    members = lambda self: self.batch.decode()[self.answer]
-    __len__ = lambda self: self.stop - self.start
-    __getitem__ = lambda self, i: self.members()[i]
-    __iter__ = lambda self: iter(self.members())
-    __repr__ = lambda self: repr(self.members())
+    def members(self) -> list[ValidSubtree]:
+        return self.batch.decode()[self.answer]
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def __getitem__(self, i):
+        return self.members()[i]
+
+    def __iter__(self):
+        return iter(self.members())
+
+    def __repr__(self) -> str:
+        return repr(self.members())
 
     def __eq__(self, other):
         other = other.members() if isinstance(other, Members) else other
@@ -232,7 +249,12 @@ def _new_stats(**extra) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def search_baseline(graph: KnowledgeGraph, idx: PathIndex, query: Query, config: ScoringConfig = DEFAULT_CONFIG) -> SearchResult:
+def search_baseline(
+    graph: KnowledgeGraph,
+    idx: PathIndex,
+    query: Query,
+    config: ScoringConfig = DEFAULT_CONFIG,
+) -> SearchResult:
     """Enumeration-aggregation reference engine (no materialized index use)."""
     words = list(query.keywords)
     wanted = set(words)
@@ -266,7 +288,12 @@ def search_baseline(graph: KnowledgeGraph, idx: PathIndex, query: Query, config:
     return SearchResult(ranked, stats)
 
 
-def search_pattern_enum(graph: KnowledgeGraph, idx: PathIndex, query: Query, config: ScoringConfig = DEFAULT_CONFIG) -> SearchResult:
+def search_pattern_enum(
+    graph: KnowledgeGraph,
+    idx: PathIndex,
+    query: Query,
+    config: ScoringConfig = DEFAULT_CONFIG,
+) -> SearchResult:
     """Pattern-product engine: per root type, the cross product of the
     keywords' path patterns, each combination's roots being those all its
     patterns share. Crossing each candidate root's (root, pattern) runs
@@ -295,8 +322,12 @@ def search_pattern_enum(graph: KnowledgeGraph, idx: PathIndex, query: Query, con
     return SearchResult(list(map(ScoredPattern, keys, scores[top].tolist(), members)), stats)
 
 
-def search_linear_enum(graph: KnowledgeGraph, idx: PathIndex, query: Query,
-                       stats: Optional[dict] = None) -> list[tuple[pat.TreePattern, Members]]:
+def search_linear_enum(
+    graph: KnowledgeGraph,
+    idx: PathIndex,
+    query: Query,
+    stats: Optional[dict] = None,
+) -> list[tuple[pat.TreePattern, Members]]:
     """Full enumeration: every tree pattern with its complete subtree set, best
     first; exact `search_linear_topk` with no bound on k, its counters in `stats`."""
     result = search_linear_topk(graph, idx, Query(query.keywords, sys.maxsize))
@@ -305,8 +336,13 @@ def search_linear_enum(graph: KnowledgeGraph, idx: PathIndex, query: Query,
     return [(sp.pattern, sp.subtrees) for sp in result.patterns]
 
 
-def search_linear_topk(graph: KnowledgeGraph, idx: PathIndex, query: Query, sampling: SamplingConfig = EXACT_SAMPLING,
-                       config: ScoringConfig = DEFAULT_CONFIG) -> SearchResult:
+def search_linear_topk(
+    graph: KnowledgeGraph,
+    idx: PathIndex,
+    query: Query,
+    sampling: SamplingConfig = EXACT_SAMPLING,
+    config: ScoringConfig = DEFAULT_CONFIG,
+) -> SearchResult:
     """Type-partitioned linear enumeration with optional root sampling: a join
     over the sampled types' drawn roots picks their k best patterns by
     estimate, and one exact join reads those and the other types' roots; its

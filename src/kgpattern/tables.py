@@ -98,8 +98,10 @@ def render_table(graph: KnowledgeGraph, tree_pattern, subtrees) -> TableAnswer:
         for pattern, path in zip(tree_pattern, paths):
             if path.pattern != pattern or path.nodes[0] != root:
                 raise TableConsistencyError(f"subtree rooted at {root} does not match the pattern or its root")
-    text, feeds = graph.entity_text, [(kw, p) for kw, pattern in enumerate(tree_pattern) for p in range(pat.node_count(pattern))]
-    return _table(graph, tree_pattern, {(kw, p): [text[paths[kw].nodes[p]] for _, paths in subtrees] for kw, p in feeds}, 0, None)
+    # Each member's texts, row by row, then one transpose; the members' root column is keyword 0's.
+    text, feeds = graph.entity_text, [(kw, p) for kw, pattern in enumerate(tree_pattern) for p in range(kw > 0, pat.node_count(pattern))]
+    columns = list(zip(*[[text[paths[kw].nodes[p]] for kw, p in feeds] for _, paths in subtrees])) or [()] * len(feeds)
+    return _table(graph, tree_pattern, dict(zip(feeds, columns)), 0, None)
 
 
 def _batch_cells(graph: KnowledgeGraph, tree_pattern: tuple, members: Members) -> dict:
@@ -142,9 +144,10 @@ def _table(graph: KnowledgeGraph, tree_pattern: tuple, cells: dict, start: int, 
         names = [path_name if names.count(name) > 1 else name for name, path_name in zip(names, dotted)]
 
     columns = [cells[feed][start:stop] for feed in feeds]
-    for j, more in shared.items():  # a column fed by several keywords joins their distinct texts
-        if len(more) == 1:  # of two feeds, the join of one text or of both
-            columns[j] = [a if a == b else f"{a}; {b}" for a, b in zip(columns[j], cells[more[0]][start:stop])]
-        else:
-            columns[j] = ["; ".join(dict.fromkeys(texts)) for texts in zip(columns[j], *[cells[feed][start:stop] for feed in more])]
+    for j, more in shared.items():  # a column fed by several keywords joins their distinct texts, feed by feed
+        fed = [columns[j]]
+        for feed in more:
+            texts = cells[feed][start:stop]
+            columns[j] = [joined if text in seen else f"{joined}; {text}" for joined, text, seen in zip(columns[j], texts, zip(*fed))]
+            fed.append(texts)
     return TableAnswer(list(zip(index, names)), list(map(list, zip(*columns))))
